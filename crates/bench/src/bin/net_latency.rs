@@ -9,14 +9,14 @@
 //! * `--out PATH` — where to write the JSON document (default
 //!   `BENCH_net.json` in the current directory).
 //! * `--check BASELINE` — after measuring, parse `BASELINE` and exit
-//!   nonzero if it is malformed, misses a (family × backend) row or an
-//!   async scale row, or any row records a safety/liveness failure.
+//!   nonzero if it is malformed, misses a family row or a scale row, or
+//!   any row records a safety/liveness failure.
 //!   Deliberately no latency comparison: wall numbers are machine noise
 //!   across CI runners.
 //! * `--deadline-ms N` — per-run wall deadline for the catalog rows
 //!   (default 2000; honest termination exits early, so the good case
 //!   never waits it out).
-//! * `--scale-deadline-ms N` — per-run deadline for the large-n async
+//! * `--scale-deadline-ms N` — per-run deadline for the large-n scale
 //!   rows (default 120000: the n = 1024 rows move ~2 M real frames, so
 //!   the ceiling is generous — a healthy run exits in seconds).
 
@@ -55,7 +55,7 @@ fn main() -> ExitCode {
 
     eprintln!("measuring wall-clock good-case latencies (deadline {deadline:?} per run)...");
     let mut rows = net_latency_rows(deadline);
-    eprintln!("measuring async scale rows (deadline {scale_deadline:?} per run)...");
+    eprintln!("measuring scale rows (deadline {scale_deadline:?} per run)...");
     rows.extend(scale_rows(scale_deadline));
     for r in &rows {
         eprintln!(
@@ -82,7 +82,7 @@ fn main() -> ExitCode {
     eprintln!("wrote {out}");
 
     // The freshly measured document must pass its own structural check —
-    // this is the liveness/safety gate for the wall backends.
+    // this is the liveness/safety gate for the wall engine.
     if let Err(e) = check_doc(&doc) {
         eprintln!("error: fresh measurement fails the structure check: {e}");
         return ExitCode::FAILURE;

@@ -9,7 +9,7 @@
 //!   `BENCH_smr.json` in the current directory).
 //! * `--check BASELINE` — after measuring, parse `BASELINE` and exit
 //!   nonzero if it is malformed, misses the three-configuration floor,
-//!   the leader-failover row or the async scale row, or any row records a
+//!   the leader-failover row or the scale row, or any row records a
 //!   safety/liveness or exactly-once failure. Deliberately no rate or
 //!   latency comparison: wall numbers are machine noise across CI runners.
 //! * `--quick` — CI smoke shape (fewer requests per configuration).
@@ -53,7 +53,7 @@ fn main() -> ExitCode {
     }
 
     eprintln!(
-        "open-loop SMR load over the serving backends: {} requests per config, {:?} gap...",
+        "open-loop SMR load over the wall engine: {} requests per config, {:?} gap...",
         opts.requests, opts.gap
     );
     let rows = smr_load_rows(opts);

@@ -1,39 +1,36 @@
-//! Multi-backend conformance: every registered scenario family, one spec,
-//! four execution backends, the same committed value.
+//! Sim ↔ wall conformance: every registered scenario family, one spec,
+//! two execution targets, the same committed value.
 //!
 //! The paper's claims are about *real* good-case latency, so the workspace
 //! keeps its execution targets honest against each other:
 //!
 //! * the deterministic **simulator** (exact δ/Δ, the source of every
-//!   measured number),
-//! * `gcl_net`'s **thread** runtime (`NetBackend` — wall clocks, real
-//!   concurrency, in-memory `Arc` message passing),
-//! * `gcl_net`'s **socket** runtime (`SocketBackend` — the same wall-clock
-//!   discipline, but every message encoded to bytes, carried across a
-//!   Unix-domain socket, and decoded on the far side), and
-//! * `gcl_net`'s **async** runtime (`AsyncBackend` — the socket transport
-//!   contract, but every party a state machine behind a nonblocking
-//!   socket, all n multiplexed over a fixed readiness-loop worker pool).
+//!   measured number), and
+//! * `gcl_net`'s **wall engine** (`AsyncBackend` — wall clocks, every
+//!   message encoded to bytes, carried across a Unix-domain socket and
+//!   decoded on the far side, every party a state machine behind a
+//!   nonblocking socket, all n multiplexed over a fixed readiness-loop
+//!   worker pool).
 //!
 //! This module builds, for each registered family, a **wall-safe** variant
 //! of its canonical spec — millisecond-scale bounds so protocol timeouts
 //! (≥ 4Δ) dwarf scheduler noise, reshaped to `(4, 1)` where the family's
-//! band admits it — and runs it on every backend. On an honest-broadcaster
-//! good case the executions must agree: same committed value, agreement
-//! and full honest commitment on every wall backend. The socket column is
-//! the codec's end-to-end gate: a family whose message type does not
-//! survive `gcl_types::wire` serialization cannot pass it. The async
-//! column additionally gates the readiness loop: partial reads, timer
-//! wheel, and worker-pool scheduling must be invisible to the protocols.
+//! band admits it — and runs it on both. On an honest-broadcaster good
+//! case the executions must agree: same committed value, agreement and
+//! full honest commitment on the wall. The wall column is the codec's
+//! end-to-end gate — a family whose message type does not survive
+//! `gcl_types::wire` serialization cannot pass it — and the readiness
+//! loop's: partial reads, timer wheel, and worker-pool scheduling must be
+//! invisible to the protocols.
 //!
-//! The suite doubles as the regression gate for the wall runtimes' early
-//! termination: ~15 families × 3 wall backends against multi-second
-//! deadlines complete in a few seconds *only* because honest termination
-//! exits each run early (`crates/bench/tests/net_conformance.rs` enforces
-//! a hard wall ceiling, and CI's `net-smoke` job runs it in release).
+//! The suite doubles as the regression gate for the wall engine's early
+//! termination: ~15 families against multi-second deadlines complete in a
+//! few seconds *only* because honest termination exits each run early
+//! (`crates/bench/tests/net_conformance.rs` enforces a hard wall ceiling,
+//! and CI's `net-smoke` job runs it in release).
 
 use crate::registry;
-use gcl_net::{AsyncBackend, NetBackend, SocketBackend};
+use gcl_net::AsyncBackend;
 use gcl_sim::{Backend, ScenarioRegistry, ScenarioSpec};
 use gcl_types::{Duration as SimDuration, Value};
 use std::time::{Duration, Instant};
@@ -45,7 +42,7 @@ pub const WALL_DELTA: SimDuration = SimDuration::from_millis(2);
 /// Wall-clock Δ floor. Every family's Δ is scaled 20× from canonical and
 /// raised to at least this, so view-change and round timers (≥ 4Δ on the
 /// tightest family, i.e. ≥ 80 ms here) cannot fire spuriously even when a
-/// noisy machine stalls a party thread for tens of milliseconds. Timers
+/// noisy machine stalls a worker thread for tens of milliseconds. Timers
 /// never fire on the good-case path, so the floor costs no wall time.
 pub const WALL_BIG_DELTA_FLOOR: SimDuration = SimDuration::from_millis(20);
 
@@ -79,10 +76,10 @@ pub fn wall_spec(reg: &ScenarioRegistry, key: &str) -> ScenarioSpec {
     spec
 }
 
-/// One wall-clock backend's result for one family.
+/// The wall engine's result for one family.
 #[derive(Debug, Clone)]
 pub struct BackendRun {
-    /// The backend's stable name (`"net"`, `"socket"`, `"async"`).
+    /// The backend's stable name (`"async"`).
     pub backend: &'static str,
     /// The committed value (agreement already folded in: `None` means
     /// disagreement or nobody committed).
@@ -97,94 +94,82 @@ pub struct BackendRun {
     pub wall: Duration,
 }
 
-/// One family's sim-vs-wall-backends comparison.
+/// One family's sim-vs-wall comparison.
 #[derive(Debug, Clone)]
 pub struct ConformanceCell {
     /// Registered family key.
     pub family: &'static str,
-    /// Parties in the spec every backend ran.
+    /// Parties in the spec both targets ran.
     pub n: usize,
     /// Fault budget of that spec.
     pub f: usize,
-    /// The simulator's committed value — the oracle the wall runs must hit.
+    /// The simulator's committed value — the oracle the wall run must hit.
     pub sim_value: Option<Value>,
-    /// Each wall backend's run, in [`wall_backends`] order.
-    pub runs: Vec<BackendRun>,
+    /// The wall engine's run.
+    pub wall: BackendRun,
 }
 
 impl ConformanceCell {
-    /// The conformance criterion: every wall backend upholds agreement,
-    /// commits everywhere honest, and lands on exactly the simulator's
-    /// value.
+    /// The conformance criterion: the wall run upholds agreement, commits
+    /// everywhere honest, and lands on exactly the simulator's value.
     pub fn holds(&self) -> bool {
-        self.runs
-            .iter()
-            .all(|r| r.agreement && r.all_committed && r.value == self.sim_value)
+        self.wall.agreement && self.wall.all_committed && self.wall.value == self.sim_value
     }
 
     /// One-line human rendering (used in assertion messages and the
     /// example).
     pub fn describe(&self) -> String {
-        let mut line = format!(
-            "{} (n={}, f={}): sim={:?}",
-            self.family, self.n, self.f, self.sim_value
-        );
-        for r in &self.runs {
-            line.push_str(&format!(
-                " | {}={:?} agreement={} all_committed={} wall={:?}",
-                r.backend, r.value, r.agreement, r.all_committed, r.wall
-            ));
-        }
-        line
+        let r = &self.wall;
+        format!(
+            "{} (n={}, f={}): sim={:?} | {}={:?} agreement={} all_committed={} wall={:?}",
+            self.family,
+            self.n,
+            self.f,
+            self.sim_value,
+            r.backend,
+            r.value,
+            r.agreement,
+            r.all_committed,
+            r.wall
+        )
     }
 }
 
-/// The wall-clock backends the conformance suite compares against the
-/// simulator, with the given per-run deadline. Order is the column order
-/// of every report.
-pub fn wall_backends(deadline: Duration) -> Vec<Box<dyn Backend + Sync>> {
-    vec![
-        Box::new(NetBackend::new().deadline(deadline)),
-        Box::new(SocketBackend::new().deadline(deadline)),
-        Box::new(AsyncBackend::new().deadline(deadline)),
-    ]
+/// The wall engine the conformance suite compares against the simulator,
+/// with the given per-run deadline.
+pub fn wall_backend(deadline: Duration) -> AsyncBackend {
+    AsyncBackend::new().deadline(deadline)
 }
 
-/// Runs every registered family on the simulator and on every wall
-/// backend (each wall run bounded by `deadline`) and reports the
-/// comparisons in registry key order.
+/// Runs every registered family on the simulator and on the wall engine
+/// (each wall run bounded by `deadline`) and reports the comparisons in
+/// registry key order.
 pub fn conformance_cells(deadline: Duration) -> Vec<ConformanceCell> {
     let reg = registry();
-    let backends = wall_backends(deadline);
+    let backend = wall_backend(deadline);
     reg.keys()
         .map(|key| {
             let spec = wall_spec(reg, key);
             let sim = reg
                 .run(&spec)
                 .unwrap_or_else(|e| panic!("{key}: sim run rejected: {e}"));
-            let runs = backends
-                .iter()
-                .map(|backend| {
-                    let started = Instant::now();
-                    let o = reg
-                        .run_on(&spec, backend.as_ref())
-                        .unwrap_or_else(|e| panic!("{key}: {} run rejected: {e}", backend.name()));
-                    BackendRun {
-                        backend: backend.name(),
-                        value: o.committed_value(),
-                        all_committed: o.all_honest_committed(),
-                        agreement: o.agreement_holds(),
-                        latency_us: o.good_case_latency().map(|d| d.as_micros()),
-                        wall: started.elapsed(),
-                    }
-                })
-                .collect();
+            let started = Instant::now();
+            let o = reg
+                .run_on(&spec, &backend)
+                .unwrap_or_else(|e| panic!("{key}: {} run rejected: {e}", backend.name()));
             ConformanceCell {
                 family: key,
                 n: spec.n,
                 f: spec.f,
                 sim_value: sim.committed_value(),
-                runs,
+                wall: BackendRun {
+                    backend: backend.name(),
+                    value: o.committed_value(),
+                    all_committed: o.all_honest_committed(),
+                    agreement: o.agreement_holds(),
+                    latency_us: o.good_case_latency().map(|d| d.as_micros()),
+                    wall: started.elapsed(),
+                },
             }
         })
         .collect()
@@ -216,14 +201,5 @@ mod tests {
         assert_eq!(spec.adversary, canonical.adversary, "adversary mix kept");
         assert_eq!(spec.seed, canonical.seed, "keychain seed kept");
         assert_eq!(spec.input, canonical.input, "input kept");
-    }
-
-    #[test]
-    fn wall_backend_catalog_is_net_socket_then_async() {
-        let names: Vec<&str> = wall_backends(Duration::from_secs(1))
-            .iter()
-            .map(|b| b.name())
-            .collect();
-        assert_eq!(names, ["net", "socket", "async"]);
     }
 }

@@ -282,14 +282,14 @@ mod tests {
 
     #[test]
     fn identical_documents_pass() {
-        let doc = net_doc(&[("flood", "net", 4, 2000), ("flood", "socket", 4, 2500)]);
+        let doc = net_doc(&[("flood", "async", 4, 2000), ("bracha", "async", 4, 2500)]);
         let summary = diff_docs(&doc, &doc, DEFAULT_FACTOR).expect("identity diff passes");
         assert!(summary.contains("2 rows matched"), "{summary}");
     }
 
     #[test]
     fn scale_rows_are_distinct_by_n() {
-        // The async backend measures the same family at several shapes;
+        // The wall engine measures the same family at several shapes;
         // the n column keeps those rows distinct identities.
         let base = net_doc(&[
             ("flood", "async", 4, 2300),
@@ -306,13 +306,17 @@ mod tests {
 
     #[test]
     fn noise_within_factor_passes_and_gross_regression_fails() {
-        let base = net_doc(&[("flood", "net", 4, 2000)]);
-        let noisy = net_doc(&[("flood", "net", 4, 9000)]);
+        let base = net_doc(&[("flood", "async", 4, 2000)]);
+        let noisy = net_doc(&[("flood", "async", 4, 9000)]);
         diff_docs(&base, &noisy, DEFAULT_FACTOR).expect("4.5x is machine noise");
         // An improvement is never a regression, however large.
-        diff_docs(&base, &net_doc(&[("flood", "net", 4, 10)]), DEFAULT_FACTOR)
-            .expect("fast is fine");
-        let broken = net_doc(&[("flood", "net", 4, 2_000_000)]);
+        diff_docs(
+            &base,
+            &net_doc(&[("flood", "async", 4, 10)]),
+            DEFAULT_FACTOR,
+        )
+        .expect("fast is fine");
+        let broken = net_doc(&[("flood", "async", 4, 2_000_000)]);
         let err = diff_docs(&base, &broken, DEFAULT_FACTOR).unwrap_err();
         assert!(err.contains("gross regression"), "{err}");
         assert!(err.contains("latency_us"), "{err}");
@@ -320,28 +324,28 @@ mod tests {
 
     #[test]
     fn missing_and_extra_rows_are_structural_drift() {
-        let base = net_doc(&[("flood", "net", 4, 2000), ("bracha", "net", 4, 6000)]);
-        let missing = net_doc(&[("flood", "net", 4, 2000)]);
+        let base = net_doc(&[("flood", "async", 4, 2000), ("bracha", "async", 4, 6000)]);
+        let missing = net_doc(&[("flood", "async", 4, 2000)]);
         let err = diff_docs(&base, &missing, DEFAULT_FACTOR).unwrap_err();
         assert!(err.contains("no fresh counterpart"), "{err}");
         let extra = net_doc(&[
-            ("flood", "net", 4, 2000),
-            ("bracha", "net", 4, 6000),
-            ("pbft3", "net", 4, 7000),
+            ("flood", "async", 4, 2000),
+            ("bracha", "async", 4, 6000),
+            ("pbft3", "async", 4, 7000),
         ]);
         let err = diff_docs(&base, &extra, DEFAULT_FACTOR).unwrap_err();
         assert!(err.contains("not in the baseline"), "{err}");
         // Reordering rows is NOT drift: the join is by identity columns.
-        let reordered = net_doc(&[("bracha", "net", 4, 6000), ("flood", "net", 4, 2000)]);
+        let reordered = net_doc(&[("bracha", "async", 4, 6000), ("flood", "async", 4, 2000)]);
         diff_docs(&base, &reordered, DEFAULT_FACTOR).expect("order is irrelevant");
     }
 
     #[test]
     fn column_drift_and_schema_drift_fail() {
-        let base = net_doc(&[("flood", "net", 4, 2000)]);
+        let base = net_doc(&[("flood", "async", 4, 2000)]);
         let renamed = format!(
             "{{\"schema\": \"{NET_SCHEMA}\", \"rows\": [{{\"family\": \"flood\", \
-             \"backend\": \"net\", \"n\": 4, \"lat_us\": 2000, \"agreement\": true}}]}}"
+             \"backend\": \"async\", \"n\": 4, \"lat_us\": 2000, \"agreement\": true}}]}}"
         );
         let err = diff_docs(&base, &renamed, DEFAULT_FACTOR).unwrap_err();
         assert!(err.contains("columns differ"), "{err}");
@@ -357,7 +361,7 @@ mod tests {
     fn smr_rows_gate_rate_and_ack_latency() {
         let row = |rate: f64, p50: u64| {
             format!(
-                "{{\"backend\": \"socket\", \"batch\": 4, \"pipeline\": 4, \"n\": 4, \
+                "{{\"backend\": \"async\", \"batch\": 4, \"pipeline\": 4, \"n\": 4, \
                  \"f\": 1, \"crashes\": 0, \
                  \"commits_per_sec\": {rate}, \"p50_us\": {p50}}}"
             )

@@ -23,9 +23,9 @@
 //! as wall-clock simulator throughput; set `GCL_BENCH_JSON=<path>` to get
 //! a machine-readable summary in the same schema-plus-rows format.
 //!
-//! [`conformance`] runs every registered family on *all four* execution
-//! backends — the simulator and `gcl_net`'s thread, socket and async
-//! runtimes — and compares committed values (the CI `net-smoke` gate).
+//! [`conformance`] runs every registered family on both execution
+//! targets — the simulator and `gcl_net`'s wall engine — and compares
+//! committed values (the CI `net-smoke` gate).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,7 +54,7 @@ pub fn registry() -> &'static ScenarioRegistry {
     })
 }
 
-pub use conformance::{conformance_cells, wall_backends, wall_spec, BackendRun, ConformanceCell};
+pub use conformance::{conformance_cells, wall_backend, wall_spec, BackendRun, ConformanceCell};
 pub use netlat::{net_latency_rows, scale_rows, NetLatencyRow};
 pub use scenarios::{
     canonical, fig8_rows, majority_rows, run, table1_rows, Fig8Row, MajorityRow, Table1Row,

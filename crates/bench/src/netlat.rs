@@ -1,49 +1,46 @@
 //! The wall-clock latency trajectory: per-family good-case latencies on
-//! the wall backends, rendered as the repo-root `BENCH_net.json`.
+//! the wall engine, rendered as the repo-root `BENCH_net.json`.
 //!
 //! `BENCH_sim.json` tracks simulator *throughput* per PR; this module
 //! tracks wall-clock *runtime overhead* the same way. For every registered
-//! family it runs the wall-safe conformance spec on each wall backend
-//! ([`crate::conformance::wall_backends`]: the in-memory thread engine,
-//! the socket engine, and the readiness-loop engine) and records the
-//! good-case wall latency next to the spec's injected ideal — δ' per hop,
-//! so a 2-round protocol's floor is `2δ'`. The gap between the measured
-//! column and the floor is scheduler, channel, and (for the socket/async
-//! rows) codec + syscall overhead; watching it per PR is how a runtime
-//! regression (a lost fast path, an accidental sleep) shows up before
-//! anyone reads a profile.
+//! family it runs the wall-safe conformance spec on the wall engine
+//! ([`crate::conformance::wall_backend`]) and records the good-case wall
+//! latency next to the spec's injected ideal — δ' per hop, so a 2-round
+//! protocol's floor is `2δ'`. The gap between the measured column and the
+//! floor is scheduler, codec and syscall overhead; watching it per PR is
+//! how a runtime regression (a lost fast path, an accidental sleep) shows
+//! up before anyone reads a profile.
 //!
-//! v2 adds the **scale rows**: [`SCALE_FAMILIES`] × [`SCALE_NS`] on the
-//! async backend only — the thread-per-party backends cap out in the low
-//! hundreds of parties, the readiness loop multiplexes n = 1024 over a
-//! handful of workers. Scale rows (and every async row) carry the
-//! backend's [`SchedCounters`]: worker-pool size, readiness wakeups, and
-//! the peak outbound-queue depth, so a backpressure regression is visible
-//! in the trajectory diff. Row identity is now `(family, backend, n)`.
+//! The **scale rows** are [`SCALE_FAMILIES`] × [`SCALE_NS`]: the readiness
+//! loop multiplexes n = 1024 over a handful of workers. Every row carries
+//! the engine's [`SchedCounters`]: worker-pool size, readiness wakeups,
+//! and the peak outbound-queue depth, so a backpressure regression is
+//! visible in the trajectory diff. Row identity is `(family, backend, n)`;
+//! `backend` is `"async"` on every row (the `net` and `socket` columns
+//! were retired with their engines).
 //!
 //! Wall numbers are machine-dependent, so unlike the throughput gate this
 //! file's CI check ([`check_doc`]) validates *shape*, not speed: same
-//! schema, every registered family present per backend, every scale row
-//! present, every row committed with agreement. Regeneration:
+//! schema, every registered family present, every scale row present,
+//! every row committed with agreement. Regeneration:
 //!
 //! ```text
 //! cargo run --release -p gcl_bench --bin net_latency -- --out BENCH_net.json
 //! ```
 
-use crate::conformance::{wall_backends, wall_spec, WALL_DELTA};
+use crate::conformance::{wall_backend, wall_spec, WALL_DELTA};
 use crate::json::{parse, JVal, RowsDoc, Value as JsonValue};
 use crate::registry;
-use gcl_net::AsyncBackend;
-use gcl_sim::SchedCounters;
+use gcl_sim::{Backend, ScenarioSpec, SchedCounters};
 use gcl_types::Duration as SimDuration;
 use std::time::Duration;
 
 /// The `schema` field of every `BENCH_net.json` document. v2: row
-/// identity is `(family, backend, n)` (the async backend measures the
-/// same family at several scales), async rows carry scheduler counters.
+/// identity is `(family, backend, n)` (the same family is measured at
+/// several scales), rows carry scheduler counters.
 pub const NET_SCHEMA: &str = "gcl-bench/net-latency/v2";
 
-/// Families measured at scale on the async backend: the pure event-loop
+/// Families measured at scale: the pure event-loop
 /// stress (`flood`, `O(n²)` trivial messages) and the crypto-bearing
 /// 2-round broadcast (`brb2`, `O(n²)` signed votes).
 pub const SCALE_FAMILIES: [&str; 2] = ["flood", "brb2"];
@@ -52,13 +49,12 @@ pub const SCALE_FAMILIES: [&str; 2] = ["flood", "brb2"];
 /// measured shape (`BENCH_sim.json` stops at n = 1024 too).
 pub const SCALE_NS: [usize; 3] = [256, 512, 1024];
 
-/// One family × backend × shape wall-clock measurement.
+/// One family × shape wall-clock measurement.
 #[derive(Debug, Clone)]
 pub struct NetLatencyRow {
     /// Registered family key.
     pub family: &'static str,
-    /// Wall backend that produced the row (`"net"`, `"socket"`,
-    /// `"async"`).
+    /// Wall backend that produced the row (`"async"`).
     pub backend: &'static str,
     /// Parties in the measured spec.
     pub n: usize,
@@ -73,39 +69,35 @@ pub struct NetLatencyRow {
     pub agreement: bool,
     /// Point-to-point messages delivered.
     pub messages: u64,
-    /// Worker-pool scheduler counters — `Some` on the async backend,
-    /// `None` on the thread-per-party backends.
+    /// Worker-pool scheduler counters.
     pub sched: Option<SchedCounters>,
 }
 
-/// Runs every registered family on every wall backend (each run bounded
-/// by `deadline`) and reports rows in (family, backend) order.
+/// Measures one spec of family `key` on the wall engine.
+fn measure(key: &'static str, spec: &ScenarioSpec, deadline: Duration) -> NetLatencyRow {
+    let backend = wall_backend(deadline);
+    let o = registry()
+        .run_on(spec, &backend)
+        .unwrap_or_else(|e| panic!("{key} n={}: wall run rejected: {e}", spec.n));
+    NetLatencyRow {
+        family: key,
+        backend: backend.name(),
+        n: spec.n,
+        f: spec.f,
+        delta_us: WALL_DELTA.as_micros(),
+        latency_us: o.good_case_latency().map(|d| d.as_micros()),
+        agreement: o.agreement_holds(),
+        messages: o.messages_sent(),
+        sched: o.sched_counters(),
+    }
+}
+
+/// Runs every registered family's wall-safe spec on the wall engine (each
+/// run bounded by `deadline`) and reports rows in family order.
 pub fn net_latency_rows(deadline: Duration) -> Vec<NetLatencyRow> {
     let reg = registry();
-    let backends = wall_backends(deadline);
     reg.keys()
-        .flat_map(|key| {
-            let spec = wall_spec(reg, key);
-            backends
-                .iter()
-                .map(|backend| {
-                    let o = reg
-                        .run_on(&spec, backend.as_ref())
-                        .unwrap_or_else(|e| panic!("{key}: {} run rejected: {e}", backend.name()));
-                    NetLatencyRow {
-                        family: key,
-                        backend: backend.name(),
-                        n: spec.n,
-                        f: spec.f,
-                        delta_us: WALL_DELTA.as_micros(),
-                        latency_us: o.good_case_latency().map(|d| d.as_micros()),
-                        agreement: o.agreement_holds(),
-                        messages: o.messages_sent(),
-                        sched: o.sched_counters(),
-                    }
-                })
-                .collect::<Vec<_>>()
-        })
+        .map(|key| measure(key, &wall_spec(reg, key), deadline))
         .collect()
 }
 
@@ -115,39 +107,22 @@ pub fn net_latency_rows(deadline: Duration) -> Vec<NetLatencyRow> {
 /// Δ' (tens of ms) would let view timers fire spuriously mid-round.
 /// Timers never fire on the good-case path, so the huge Δ' costs no wall
 /// time.
-pub fn scale_spec(key: &str, n: usize) -> gcl_sim::ScenarioSpec {
+pub fn scale_spec(key: &str, n: usize) -> ScenarioSpec {
     wall_spec(registry(), key)
         .with_shape(n, 1)
         .with_bounds(WALL_DELTA, SimDuration::from_millis(5_000))
 }
 
-/// Measures the [`SCALE_FAMILIES`] × [`SCALE_NS`] grid on the async
-/// backend (its worker pool at the default `min(cores, 8)`), each run
-/// bounded by `deadline` — pass a generous one: the n = 1024 rows move
-/// ~2 M real frames.
+/// Measures the [`SCALE_FAMILIES`] × [`SCALE_NS`] grid (the worker pool
+/// at its default `min(cores, 8)`), each run bounded by `deadline` — pass
+/// a generous one: the n = 1024 rows move ~2 M real frames.
 pub fn scale_rows(deadline: Duration) -> Vec<NetLatencyRow> {
-    let reg = registry();
-    let backend = AsyncBackend::new().deadline(deadline);
     SCALE_FAMILIES
         .iter()
         .flat_map(|&key| {
-            SCALE_NS.iter().map(move |&n| {
-                let spec = scale_spec(key, n);
-                let o = reg
-                    .run_on(&spec, &backend)
-                    .unwrap_or_else(|e| panic!("{key} n={n}: async run rejected: {e}"));
-                NetLatencyRow {
-                    family: key,
-                    backend: "async",
-                    n: spec.n,
-                    f: spec.f,
-                    delta_us: WALL_DELTA.as_micros(),
-                    latency_us: o.good_case_latency().map(|d| d.as_micros()),
-                    agreement: o.agreement_holds(),
-                    messages: o.messages_sent(),
-                    sched: o.sched_counters(),
-                }
-            })
+            SCALE_NS
+                .iter()
+                .map(move |&n| measure(key, &scale_spec(key, n), deadline))
         })
         .collect()
 }
@@ -186,10 +161,9 @@ pub fn render_json(rows: &[NetLatencyRow]) -> String {
 }
 
 /// Structural CI check of a `BENCH_net.json` document: parseable, right
-/// schema, one committed-with-agreement row per (registered family × wall
-/// backend), every [`SCALE_FAMILIES`] × [`SCALE_NS`] async scale row
-/// present and committed, and every async row carrying scheduler
-/// counters. Deliberately **no** latency-regression gate — wall latency
+/// schema, one committed-with-agreement `"async"` row per registered
+/// family, every [`SCALE_FAMILIES`] × [`SCALE_NS`] scale row present and
+/// committed, and every row carrying scheduler counters. Deliberately **no** latency-regression gate — wall latency
 /// is machine noise across CI runners; the trajectory file exists so
 /// humans (and future tooling pinned to one machine) can diff the
 /// overhead per PR.
@@ -213,45 +187,16 @@ fn check_parsed(doc: &JsonValue) -> Result<usize, String> {
         .field("rows")
         .and_then(JsonValue::as_array)
         .ok_or("missing rows array")?;
-    let reg = registry();
-    // Derive the required column set from the canonical backend catalog,
-    // so a wall backend added to `wall_backends` is automatically
-    // *required* here — measured-but-unchecked rows would defeat the gate.
-    let backends: Vec<&'static str> = wall_backends(Duration::from_secs(1))
-        .iter()
-        .map(|b| b.name())
-        .collect();
-    for key in reg.keys() {
-        for backend in backends.iter().copied() {
-            let row = rows
-                .iter()
-                .find(|r| {
-                    r.field_str("family") == Some(key) && r.field_str("backend") == Some(backend)
-                })
-                .ok_or_else(|| format!("no row for family {key:?} on backend {backend:?}"))?;
-            row_committed(row, key, backend)?;
-        }
-    }
-    // The scale rows: every (family × n) on the async backend.
-    for key in SCALE_FAMILIES {
-        for n in SCALE_NS {
-            let row = rows
-                .iter()
-                .find(|r| {
-                    r.field_str("family") == Some(key)
-                        && r.field_str("backend") == Some("async")
-                        && r.field_u64("n") == Some(n as u64)
-                })
-                .ok_or_else(|| format!("no async scale row for family {key:?} at n = {n}"))?;
-            row_committed(row, key, "async")?;
-        }
-    }
-    // Async rows must carry the worker-pool observability columns.
+    // Every row is the wall engine's and must carry its worker-pool
+    // observability columns.
     for row in rows {
-        if row.field_str("backend") != Some("async") {
-            continue;
-        }
         let label = row.field_str("family").unwrap_or("?");
+        if row.field_str("backend") != Some("async") {
+            return Err(format!(
+                "{label}: backend is {:?}, expected \"async\"",
+                row.field_str("backend")
+            ));
+        }
         match row.field_u64("workers") {
             Some(w) if w >= 1 => {}
             _ => return Err(format!("{label}/async: missing worker-pool size")),
@@ -260,16 +205,33 @@ fn check_parsed(doc: &JsonValue) -> Result<usize, String> {
             return Err(format!("{label}/async: missing readiness-wakeup count"));
         }
     }
+    for key in registry().keys() {
+        let row = rows
+            .iter()
+            .find(|r| r.field_str("family") == Some(key))
+            .ok_or_else(|| format!("no row for family {key:?}"))?;
+        row_committed(row, key)?;
+    }
+    // The scale rows: every (family × n).
+    for key in SCALE_FAMILIES {
+        for n in SCALE_NS {
+            let row = rows
+                .iter()
+                .find(|r| r.field_str("family") == Some(key) && r.field_u64("n") == Some(n as u64))
+                .ok_or_else(|| format!("no scale row for family {key:?} at n = {n}"))?;
+            row_committed(row, key)?;
+        }
+    }
     Ok(rows.len())
 }
 
-fn row_committed(row: &JsonValue, key: &str, backend: &str) -> Result<(), String> {
+fn row_committed(row: &JsonValue, key: &str) -> Result<(), String> {
     if row.field_bool("agreement") != Some(true) {
-        return Err(format!("{key}/{backend}: agreement violated"));
+        return Err(format!("{key}/async: agreement violated"));
     }
     if row.field_u64("latency_us").is_none() {
         return Err(format!(
-            "{key}/{backend}: no good-case latency (liveness failure)"
+            "{key}/async: no good-case latency (liveness failure)"
         ));
     }
     Ok(())
@@ -284,28 +246,11 @@ mod tests {
         // Two fast families keep the unit test cheap; the full-catalog
         // document is exercised by the net_latency bin and its CI job.
         let reg = registry();
-        let backends = wall_backends(Duration::from_secs(2));
         let rows: Vec<NetLatencyRow> = ["brb2", "one_round_brb"]
             .iter()
-            .flat_map(|key| {
-                let spec = wall_spec(reg, key);
-                backends
-                    .iter()
-                    .map(|b| {
-                        let o = reg.run_on(&spec, b.as_ref()).unwrap();
-                        NetLatencyRow {
-                            family: reg.family(key).unwrap().key(),
-                            backend: b.name(),
-                            n: spec.n,
-                            f: spec.f,
-                            delta_us: WALL_DELTA.as_micros(),
-                            latency_us: o.good_case_latency().map(|d| d.as_micros()),
-                            agreement: o.agreement_holds(),
-                            messages: o.messages_sent(),
-                            sched: o.sched_counters(),
-                        }
-                    })
-                    .collect::<Vec<_>>()
+            .map(|key| {
+                let key = reg.family(key).unwrap().key();
+                measure(key, &wall_spec(reg, key), Duration::from_secs(2))
             })
             .collect();
         let doc = render_json(&rows);
@@ -314,39 +259,30 @@ mod tests {
         // The partial document fails the full-catalog check (families are
         // missing), which is exactly what the check is for.
         assert!(check_doc(&doc).is_err(), "partial catalog must be rejected");
-        // Each measured row carries a latency at or above the 2-hop floor,
-        // and only the async rows carry scheduler counters.
+        // Each measured row carries a latency at or above the single-hop
+        // floor, and the engine's scheduler counters.
         for r in &rows {
-            assert!(r.agreement, "{}/{}", r.family, r.backend);
+            assert_eq!(r.backend, "async");
+            assert!(r.agreement, "{}", r.family);
             let lat = r.latency_us.expect("good case commits");
             assert!(
                 lat >= r.delta_us,
-                "{}/{}: {lat}µs under the single-hop floor",
-                r.family,
-                r.backend
+                "{}: {lat}µs under the single-hop floor",
+                r.family
             );
-            assert_eq!(
-                r.sched.is_some(),
-                r.backend == "async",
-                "{}/{}: sched counters are async-only",
-                r.family,
-                r.backend
-            );
+            assert!(r.sched.is_some(), "{}: sched counters", r.family);
         }
     }
 
     #[test]
     fn a_scale_row_measures_flood_beyond_the_conformance_shape() {
         // A miniature of the real grid (n = 48 instead of 256+ keeps the
-        // unit test cheap): the async backend must commit flood well past
+        // unit test cheap): the wall engine must commit flood well past
         // the conformance (4, 1) shape and report its pool counters.
         let reg = registry();
         let spec = scale_spec("flood", 48);
         let o = reg
-            .run_on(
-                &spec,
-                &AsyncBackend::new().deadline(Duration::from_secs(20)),
-            )
+            .run_on(&spec, &wall_backend(Duration::from_secs(20)))
             .unwrap();
         assert!(o.agreement_holds());
         assert!(o.all_honest_committed());
@@ -359,8 +295,8 @@ mod tests {
     #[test]
     fn check_requires_scale_rows_and_async_counters() {
         // Synthesize a full catalog without running anything: every
-        // (family × backend) row present and committed, but no scale rows
-        // — the v2 gate must reject it.
+        // family row present and committed, but no scale rows — the gate
+        // must reject it.
         let reg = registry();
         let catalog_row = |key: &str, backend: &str, sched: bool| {
             vec![
@@ -374,32 +310,44 @@ mod tests {
                 ("wakeups", if sched { JVal::U64(9) } else { JVal::Null }),
             ]
         };
-        let mut doc = RowsDoc::new(NET_SCHEMA);
-        for key in reg.keys() {
-            for backend in ["net", "socket", "async"] {
-                doc.row(catalog_row(key, backend, backend == "async"));
+        let catalog = |doc: &mut RowsDoc| {
+            for key in reg.keys() {
+                doc.row(catalog_row(key, "async", true));
             }
-        }
+        };
+        let mut doc = RowsDoc::new(NET_SCHEMA);
+        catalog(&mut doc);
         let err = check_doc(&doc.render()).unwrap_err();
         assert!(err.contains("scale row"), "{err}");
 
-        // With the scale rows present but an async row missing its
-        // counters, the observability gate fires.
+        // With the scale rows present but one missing its counters, the
+        // observability gate fires.
+        let scale = |doc: &mut RowsDoc, counters_at_512: bool| {
+            for key in SCALE_FAMILIES {
+                for n in SCALE_NS {
+                    let mut row = catalog_row(key, "async", n != 512 || counters_at_512);
+                    row[2] = ("n", JVal::U64(n as u64));
+                    doc.row(row);
+                }
+            }
+        };
         let mut doc = RowsDoc::new(NET_SCHEMA);
-        for key in reg.keys() {
-            for backend in ["net", "socket", "async"] {
-                doc.row(catalog_row(key, backend, backend == "async"));
-            }
-        }
-        for key in SCALE_FAMILIES {
-            for n in SCALE_NS {
-                let mut row = catalog_row(key, "async", n != 512);
-                row[2] = ("n", JVal::U64(n as u64));
-                doc.row(row);
-            }
-        }
+        catalog(&mut doc);
+        scale(&mut doc, false);
         let err = check_doc(&doc.render()).unwrap_err();
         assert!(err.contains("worker-pool size"), "{err}");
+
+        // A row from a retired engine is structural drift, not an extra.
+        let mut doc = RowsDoc::new(NET_SCHEMA);
+        catalog(&mut doc);
+        scale(&mut doc, true);
+        assert!(
+            check_doc(&doc.render()).is_ok(),
+            "the full async grid passes"
+        );
+        doc.row(catalog_row("brb2", "socket", false));
+        let err = check_doc(&doc.render()).unwrap_err();
+        assert!(err.contains("expected \"async\""), "{err}");
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Open-loop SMR load generation: client request streams through the
-//! serving backends, rendered as the repo-root `BENCH_smr.json`.
+//! wall engine, rendered as the repo-root `BENCH_smr.json`.
 //!
 //! The other trajectories measure the substrate (`BENCH_sim.json`:
 //! simulator throughput) and the runtimes (`BENCH_net.json`: per-family
@@ -29,14 +29,12 @@
 //! audit (no command applied twice, every acked command applied) and the
 //! probed replica's mempool counters.
 //!
-//! v3 adds the **backend** column: the same open-loop client drives either
-//! serving backend that exposes the `execute_with_client` path
-//! ([`ServeBackend`]) — the thread-per-party socket engine, or the
-//! readiness-loop async engine, which multiplexes all replicas over a
-//! fixed worker pool and thereby serves the `(24, 5)` scale rows the
-//! socket engine's thread budget made impractical. The scale rows run
-//! with leader rotation intact, including a failover row that kills the
-//! initial leader mid-stream.
+//! Every row runs on [`gcl_net::AsyncBackend`]'s `execute_with_client`
+//! path and says so in its **backend** column (`"async"`; the `socket`
+//! rows were retired with their engine). The readiness loop multiplexes
+//! all replicas over a fixed worker pool, which is what serves the
+//! `(24, 5)` scale rows; those run with leader rotation intact, including
+//! a failover row that kills the initial leader mid-stream.
 //!
 //! Wall numbers are machine-dependent, so the CI gate ([`check_doc`])
 //! validates *structure*, not speed: right schema, at least three
@@ -48,12 +46,12 @@
 //! cargo run --release -p gcl_bench --bin smr_load -- --out BENCH_smr.json
 //! ```
 
-use crate::conformance::{wall_spec, WALL_DELTA};
+use crate::conformance::{wall_backend, wall_spec, WALL_DELTA};
 use crate::json::{parse, JVal, RowsDoc, Value as JsonValue};
 use crate::registry;
 use gcl_crypto::Keychain;
-use gcl_net::{AsyncBackend, ClientHandle, SocketBackend};
-use gcl_sim::{AdversaryMix, AdversaryRole, MsgCodec, ScenarioSpec};
+use gcl_net::ClientHandle;
+use gcl_sim::{AdversaryMix, AdversaryRole, Backend, MsgCodec, ScenarioSpec};
 use gcl_smr::{MempoolStats, SlotEngine, SmrMsg, SmrParams, StateMachine};
 use gcl_types::{Decode, Encode, PartyId, SlotId, Value};
 use parking_lot::Mutex;
@@ -63,29 +61,9 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 /// The `schema` field of every `BENCH_smr.json` document. v3: every row
-/// names its serving backend, and the async backend's `(24, 5)` scale
-/// rows (with a leader-crash failover variant) join the grid.
+/// names its serving backend, and the `(24, 5)` scale rows (with a
+/// leader-crash failover variant) join the grid.
 pub const SMR_SCHEMA: &str = "gcl-bench/smr-load/v3";
-
-/// A serving backend the open-loop client can drive: any wall backend
-/// exposing the `execute_with_client` path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeBackend {
-    /// Thread-per-party socket engine ([`SocketBackend`]).
-    Socket,
-    /// Readiness-loop worker-pool engine ([`AsyncBackend`]).
-    Async,
-}
-
-impl ServeBackend {
-    /// The backend's stable name — the row's `backend` column.
-    pub const fn name(self) -> &'static str {
-        match self {
-            ServeBackend::Socket => "socket",
-            ServeBackend::Async => "async",
-        }
-    }
-}
 
 /// A shared `(command, apply-instant)` side log one replica's
 /// [`RecordingMachine`] appends to.
@@ -135,10 +113,10 @@ impl LoadOptions {
     }
 }
 
-/// One `(backend, batch, pipeline)` configuration's measured row.
+/// One `(shape, batch, pipeline)` configuration's measured row.
 #[derive(Debug, Clone)]
 pub struct SmrLoadRow {
-    /// Serving backend that produced the row (`"socket"`, `"async"`).
+    /// Serving backend that produced the row (`"async"`).
     pub backend: &'static str,
     /// Proposal batch cap.
     pub batch: usize,
@@ -239,9 +217,8 @@ pub fn failover_spec() -> ScenarioSpec {
         })
 }
 
-/// The async scale spec: the load spec reshaped to `(24, 5)` — the
-/// smallest shape saturating `n = 5f − 1` at `f = 5`, and well past the
-/// thread-per-party backends' comfortable range. Δ' is raised so view
+/// The scale spec: the load spec reshaped to `(24, 5)` — the smallest
+/// shape saturating `n = 5f − 1` at `f = 5`. Δ' is raised so view
 /// timers (leader rotation stays armed throughout) cannot fire spuriously
 /// while one worker drains 24 replicas' traffic.
 pub fn scale_spec() -> ScenarioSpec {
@@ -251,7 +228,7 @@ pub fn scale_spec() -> ScenarioSpec {
     spec.with_bounds(delta, big)
 }
 
-/// The async failover scenario: the `(24, 5)` scale shape with a
+/// The scale failover scenario: the `(24, 5)` scale shape with a
 /// [`AdversaryMix::LeaderCascade`] killing the initial leader mid-stream,
 /// so the row measures serving *through* a rotation on the readiness
 /// loop.
@@ -384,7 +361,7 @@ fn drive_open_loop(client: &ClientHandle, n: usize, requests: u64, gap: Duration
     report
 }
 
-/// Runs one open-loop load experiment over the chosen serving backend.
+/// Runs one open-loop load experiment over the wall engine.
 ///
 /// The client thread fans `opts.requests` commands (`Value::new(1)`,
 /// `Value::new(2)`, …) out to every replica on a fixed `opts.gap`
@@ -398,7 +375,6 @@ fn drive_open_loop(client: &ClientHandle, n: usize, requests: u64, gap: Duration
 /// Panics if `spec` is not a valid shape for the engine.
 pub fn run_load(
     spec: &ScenarioSpec,
-    backend: ServeBackend,
     batch: usize,
     pipeline: usize,
     opts: LoadOptions,
@@ -454,14 +430,8 @@ pub fn run_load(
     let driver = move |client: ClientHandle| {
         *client_report.lock() = drive_open_loop(&client, n, requests, gap);
     };
-    let o = match backend {
-        ServeBackend::Socket => SocketBackend::new()
-            .deadline(opts.deadline)
-            .execute_with_client(spec, slots, MsgCodec::of::<SmrMsg>(), driver),
-        ServeBackend::Async => AsyncBackend::new()
-            .deadline(opts.deadline)
-            .execute_with_client(spec, slots, MsgCodec::of::<SmrMsg>(), driver),
-    };
+    let backend = wall_backend(opts.deadline);
+    let o = backend.execute_with_client(spec, slots, MsgCodec::of::<SmrMsg>(), driver);
 
     let report = report.lock();
     // Ack-based latency: first submit to first acknowledgement.
@@ -523,23 +493,17 @@ pub fn run_load(
 }
 
 /// Measures every [`LOAD_CONFIGS`] point plus the leader-failover
-/// scenario on the socket backend, then the `(24, 5)` scale rows (clean
-/// and leader-crash) on the async backend.
+/// scenario at the load shape, then the `(24, 5)` scale rows (clean and
+/// leader-crash).
 pub fn smr_load_rows(opts: LoadOptions) -> Vec<SmrLoadRow> {
     let spec = load_spec();
     let mut rows: Vec<SmrLoadRow> = LOAD_CONFIGS
         .iter()
-        .map(|&(batch, pipeline)| run_load(&spec, ServeBackend::Socket, batch, pipeline, opts))
+        .map(|&(batch, pipeline)| run_load(&spec, batch, pipeline, opts))
         .collect();
-    rows.push(run_load(&failover_spec(), ServeBackend::Socket, 4, 4, opts));
-    rows.push(run_load(&scale_spec(), ServeBackend::Async, 4, 4, opts));
-    rows.push(run_load(
-        &scale_failover_spec(),
-        ServeBackend::Async,
-        4,
-        4,
-        opts,
-    ));
+    rows.push(run_load(&failover_spec(), 4, 4, opts));
+    rows.push(run_load(&scale_spec(), 4, 4, opts));
+    rows.push(run_load(&scale_failover_spec(), 4, 4, opts));
     rows
 }
 
@@ -580,8 +544,8 @@ pub fn render_json(rows: &[SmrLoadRow]) -> String {
 
 /// Structural CI check of a `BENCH_smr.json` document: parseable, right
 /// schema, at least three distinct `(batch, pipeline)` configurations, a
-/// leader-failover row, an async scale row at `n ≥ 16`, and every row
-/// (named by its serving backend) committed traffic with agreement, a
+/// leader-failover row, a scale row at `n ≥ 16`, and every row (naming
+/// `"async"` as its serving backend) committed traffic with agreement, a
 /// measured ack median, and a passing exactly-once audit. Deliberately
 /// **no** rate or latency gate — wall numbers are machine noise across CI
 /// runners; the trajectory file exists so humans can diff the serving
@@ -608,11 +572,16 @@ fn check_parsed(doc: &JsonValue) -> Result<usize, String> {
         .ok_or("missing rows array")?;
     let mut configs = Vec::new();
     let mut failover_rows = 0usize;
-    let mut async_scale_rows = 0usize;
+    let mut scale_rows = 0usize;
     for (i, row) in rows.iter().enumerate() {
         let backend = row
             .field_str("backend")
             .ok_or_else(|| format!("row {i}: missing serving backend"))?;
+        if backend != "async" {
+            return Err(format!(
+                "row {i}: serving backend is {backend:?}, expected \"async\""
+            ));
+        }
         let batch = row
             .field_u64("batch")
             .ok_or_else(|| format!("row {i}: missing batch"))?;
@@ -666,8 +635,8 @@ fn check_parsed(doc: &JsonValue) -> Result<usize, String> {
         if crashes >= 1 {
             failover_rows += 1;
         }
-        if backend == "async" && row.field_u64("n").is_some_and(|n| n >= 16) {
-            async_scale_rows += 1;
+        if row.field_u64("n").is_some_and(|n| n >= 16) {
+            scale_rows += 1;
         }
         if !configs.contains(&(batch, pipeline)) {
             configs.push((batch, pipeline));
@@ -682,8 +651,8 @@ fn check_parsed(doc: &JsonValue) -> Result<usize, String> {
     if failover_rows == 0 {
         return Err("no leader-failover row (crashes >= 1)".to_string());
     }
-    if async_scale_rows == 0 {
-        return Err("no async serving row at scale (backend \"async\", n >= 16)".to_string());
+    if scale_rows == 0 {
+        return Err("no serving row at scale (n >= 16)".to_string());
     }
     Ok(rows.len())
 }
@@ -698,7 +667,7 @@ mod tests {
         // Three tiny configurations plus a follower-crash failover row
         // keep the unit test cheap while still producing a full-shape
         // document the structural gate accepts (which since v3 also
-        // requires an async scale row).
+        // requires a scale row).
         let spec = load_spec();
         let opts = LoadOptions {
             requests: 24,
@@ -707,14 +676,13 @@ mod tests {
         };
         let mut rows: Vec<SmrLoadRow> = [(1, 4), (4, 4), (8, 8)]
             .iter()
-            .map(|&(b, p)| run_load(&spec, ServeBackend::Socket, b, p, opts))
+            .map(|&(b, p)| run_load(&spec, b, p, opts))
             .collect();
         rows.push(run_load(
             &spec.with_adversary(AdversaryMix::CrashAt {
                 party: PartyId::new(0),
                 handled: 30,
             }),
-            ServeBackend::Socket,
             4,
             4,
             opts,
@@ -724,13 +692,7 @@ mod tests {
             gap: Duration::from_millis(1),
             deadline: Duration::from_secs(30),
         };
-        rows.push(run_load(
-            &scale_spec(),
-            ServeBackend::Async,
-            4,
-            4,
-            scale_opts,
-        ));
+        rows.push(run_load(&scale_spec(), 4, 4, scale_opts));
         for r in &rows {
             assert!(r.agreement, "batch {} pipeline {}", r.batch, r.pipeline);
             assert!(
@@ -770,7 +732,6 @@ mod tests {
         });
         let row = run_load(
             &spec,
-            ServeBackend::Socket,
             4,
             4,
             LoadOptions {
@@ -798,7 +759,7 @@ mod tests {
             gap: Duration::from_millis(1),
             deadline: Duration::from_secs(30),
         };
-        let row = run_load(&failover_spec(), ServeBackend::Socket, 4, 4, opts);
+        let row = run_load(&failover_spec(), 4, 4, opts);
         assert_eq!(row.crashes, 2, "two successive leaders die");
         assert!(row.agreement, "survivors agree through failover");
         assert_eq!(
@@ -829,7 +790,7 @@ mod tests {
             gap: Duration::from_millis(1),
             deadline: Duration::from_secs(30),
         };
-        let row = run_load(&scale_failover_spec(), ServeBackend::Async, 4, 4, opts);
+        let row = run_load(&scale_failover_spec(), 4, 4, opts);
         assert_eq!(row.backend, "async");
         assert_eq!((row.n, row.f), (24, 5), "the scale shape");
         assert_eq!(row.crashes, 1, "the initial leader dies");
@@ -853,7 +814,7 @@ mod tests {
         // A row that never committed is a liveness failure, not a shape
         // variation.
         let dead = format!(
-            "{{\"schema\": \"{SMR_SCHEMA}\", \"rows\": [{{\"backend\": \"socket\", \
+            "{{\"schema\": \"{SMR_SCHEMA}\", \"rows\": [{{\"backend\": \"async\", \
              \"batch\": 1, \"pipeline\": 1, \"crashes\": 0, \"agreement\": true, \
              \"committed\": 0}}]}}"
         );
@@ -861,7 +822,7 @@ mod tests {
         assert!(err.contains("no committed requests"), "{err}");
         // A failed exactly-once audit must be fatal even with traffic.
         let dup = format!(
-            "{{\"schema\": \"{SMR_SCHEMA}\", \"rows\": [{{\"backend\": \"socket\", \
+            "{{\"schema\": \"{SMR_SCHEMA}\", \"rows\": [{{\"backend\": \"async\", \
              \"batch\": 1, \"pipeline\": 1, \"crashes\": 1, \"agreement\": true, \
              \"committed\": 5, \"acked\": 5, \"exactly_once\": false}}]}}"
         );
@@ -874,23 +835,29 @@ mod tests {
         );
         let err = check_doc(&anon).unwrap_err();
         assert!(err.contains("missing serving backend"), "{err}");
-        // A document with socket rows only lacks the async scale row.
-        let socket_only = format!(
-            "{{\"schema\": \"{SMR_SCHEMA}\", \"rows\": [\
-             {{\"backend\": \"socket\", \"batch\": 1, \"pipeline\": 4, \"n\": 4, \
-              \"crashes\": 0, \"agreement\": true, \"committed\": 5, \"acked\": 5, \
-              \"exactly_once\": true, \"acked_applied\": true, \"p50_us\": 9000, \
-              \"mp_admitted\": 5}}, \
-             {{\"backend\": \"socket\", \"batch\": 4, \"pipeline\": 4, \"n\": 4, \
-              \"crashes\": 1, \"agreement\": true, \"committed\": 5, \"acked\": 5, \
-              \"exactly_once\": true, \"acked_applied\": true, \"p50_us\": 9000, \
-              \"mp_admitted\": 5}}, \
-             {{\"backend\": \"socket\", \"batch\": 8, \"pipeline\": 8, \"n\": 4, \
-              \"crashes\": 0, \"agreement\": true, \"committed\": 5, \"acked\": 5, \
-              \"exactly_once\": true, \"acked_applied\": true, \"p50_us\": 9000, \
-              \"mp_admitted\": 5}}]}}"
+        // A document of small-shape rows only lacks the scale row, and a
+        // row from the retired socket engine is structural drift.
+        let small_row = |backend: &str, batch: u64, crashes: u64| {
+            format!(
+                "{{\"backend\": \"{backend}\", \"batch\": {batch}, \"pipeline\": 4, \
+                 \"n\": 4, \"crashes\": {crashes}, \"agreement\": true, \"committed\": 5, \
+                 \"acked\": 5, \"exactly_once\": true, \"acked_applied\": true, \
+                 \"p50_us\": 9000, \"mp_admitted\": 5}}"
+            )
+        };
+        let small_only = format!(
+            "{{\"schema\": \"{SMR_SCHEMA}\", \"rows\": [{}, {}, {}]}}",
+            small_row("async", 1, 0),
+            small_row("async", 4, 1),
+            small_row("async", 8, 0),
         );
-        let err = check_doc(&socket_only).unwrap_err();
-        assert!(err.contains("async serving row"), "{err}");
+        let err = check_doc(&small_only).unwrap_err();
+        assert!(err.contains("serving row at scale"), "{err}");
+        let retired = format!(
+            "{{\"schema\": \"{SMR_SCHEMA}\", \"rows\": [{}]}}",
+            small_row("socket", 1, 0),
+        );
+        let err = check_doc(&retired).unwrap_err();
+        assert!(err.contains("expected \"async\""), "{err}");
     }
 }

@@ -1,16 +1,16 @@
 //! Wall-clock sweep smoke (CI job `net-smoke`): `Sweep` drives a small
-//! thread-budgeted grid over the wall backends.
+//! thread-budgeted grid over the wall engine.
 //!
-//! The per-family conformance cells run one backend run at a time; this
-//! suite is the concurrency stress the ROADMAP asked for — several wall
-//! runs in flight at once (each itself thread-per-party), work-stealing
-//! workers, overlapping dispatchers. Assertions are deliberately loose on
-//! time (wall latency is machine noise) and strict on safety: no
-//! agreement or validity violation, every good-case cell committed.
+//! The per-family conformance cells run one wall run at a time; this
+//! suite is the concurrency stress — several multiplexed runs in flight
+//! at once, each with its own scheduler thread and worker pool, driven by
+//! work-stealing sweep workers. Assertions are deliberately loose on time
+//! (wall latency is machine noise) and strict on safety: no agreement or
+//! validity violation, every good-case cell committed.
 
 use gcl_bench::conformance::wall_spec;
 use gcl_bench::registry;
-use gcl_net::{AsyncBackend, NetBackend, SocketBackend};
+use gcl_net::AsyncBackend;
 use gcl_sim::{ScenarioSpec, Sweep};
 use std::time::{Duration, Instant};
 
@@ -27,11 +27,13 @@ fn grid() -> Vec<ScenarioSpec> {
 }
 
 #[test]
-fn sweep_over_net_backend_upholds_safety() {
+fn sweep_over_async_backend_upholds_safety() {
     let started = Instant::now();
-    let backend = NetBackend::new().deadline(Duration::from_secs(2));
-    // threads(2): two wall runs in flight — with n = 4 parties each
-    // that is ~10 concurrent engine threads, a real but bounded budget.
+    let backend = AsyncBackend::new()
+        .deadline(Duration::from_secs(2))
+        .workers(2);
+    // threads(2): two wall runs in flight, each with its own scheduler
+    // thread and two workers — a real but bounded thread budget.
     let report = Sweep::new(registry())
         .backend(&backend)
         .cells(grid())
@@ -49,50 +51,4 @@ fn sweep_over_net_backend_upholds_safety() {
         "12 good-case wall cells took {wall:?}; early termination must \
          keep the grid far under the deadline budget"
     );
-}
-
-#[test]
-fn sweep_over_socket_backend_upholds_safety() {
-    // Smaller grid: socket cells carry codec + syscall overhead, and the
-    // point here is Sweep × socket-engine concurrency, not coverage (the
-    // conformance suite covers every family).
-    let backend = SocketBackend::new().deadline(Duration::from_secs(2));
-    let reg = registry();
-    let cells: Vec<ScenarioSpec> = ["brb2", "flood"]
-        .iter()
-        .flat_map(|key| (0..2u64).map(|s| wall_spec(reg, key).with_seed(s)))
-        .collect();
-    let report = Sweep::new(reg)
-        .backend(&backend)
-        .cells(cells)
-        .threads(2)
-        .run();
-    assert_eq!(report.cells_run(), 4);
-    assert_eq!(report.safety_violations().count(), 0);
-    assert_eq!(report.validity_violations().count(), 0);
-    assert_eq!(report.commit_rate(), 1.0);
-}
-
-#[test]
-fn sweep_over_async_backend_upholds_safety() {
-    // Sweep × readiness loop: several multiplexed runs in flight at once,
-    // each with its own scheduler thread and worker pool. Same loose-time,
-    // strict-safety discipline as the other wall sweeps.
-    let backend = AsyncBackend::new()
-        .deadline(Duration::from_secs(2))
-        .workers(2);
-    let reg = registry();
-    let cells: Vec<ScenarioSpec> = ["brb2", "flood"]
-        .iter()
-        .flat_map(|key| (0..2u64).map(|s| wall_spec(reg, key).with_seed(s)))
-        .collect();
-    let report = Sweep::new(reg)
-        .backend(&backend)
-        .cells(cells)
-        .threads(2)
-        .run();
-    assert_eq!(report.cells_run(), 4);
-    assert_eq!(report.safety_violations().count(), 0);
-    assert_eq!(report.validity_violations().count(), 0);
-    assert_eq!(report.commit_rate(), 1.0);
 }

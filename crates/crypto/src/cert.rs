@@ -5,7 +5,6 @@ use crate::keys::Signature;
 use crate::sha256::Sha256;
 use crate::verify::{MemoTag, Verify};
 use gcl_types::{Encode, PartyId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A set of signatures from distinct parties over a single digest.
@@ -30,7 +29,7 @@ use std::collections::BTreeMap;
 /// assert_eq!(qc.len(), 3);
 /// assert!(qc.verify(&chain.pki(), 3));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuorumCert {
     digest: Digest,
     sigs: BTreeMap<PartyId, Signature>,

@@ -7,11 +7,10 @@
 
 use crate::sha256::Sha256;
 use gcl_types::{Duration, LocalTime, PartyId, SlotId, Value, View};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A 32-byte SHA-256 digest of a [`Digestible`] payload.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Digest([u8; 32]);
 
 impl Digest {

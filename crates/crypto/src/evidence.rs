@@ -9,7 +9,6 @@
 use crate::digest::Digest;
 use crate::keys::{Pki, Signature};
 use gcl_types::PartyId;
-use serde::{Deserialize, Serialize};
 
 /// Proof that `culprit` signed two different payload digests.
 ///
@@ -26,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(ev.verify(&chain.pki()));
 /// assert_eq!(ev.culprit(), PartyId::new(0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EquivocationEvidence {
     digest_a: Digest,
     sig_a: Signature,

@@ -12,12 +12,11 @@ use crate::digest::Digest;
 use crate::sha256::Sha256;
 use crate::verify::BoundedMap;
 use gcl_types::PartyId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A signature by one party over one [`Digest`].
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Signature {
     signer: PartyId,
     mac: [u8; 32],

@@ -1,13 +1,11 @@
-//! The readiness-loop execution backend: thousands of parties multiplexed
-//! over a fixed worker pool.
+//! The wall engine: every party a state machine behind a nonblocking
+//! socket, thousands of them multiplexed over a fixed worker pool.
 //!
-//! The thread engine ([`NetBackend`](crate::NetBackend)) and the blocking
-//! socket engine ([`SocketBackend`](crate::SocketBackend)) spend 1 and 3
-//! OS threads per party respectively, which caps them at n in the low
-//! hundreds. [`AsyncBackend`] runs the *same* byte transport — every
+//! [`AsyncBackend`] runs scenario specs over a byte transport — every
 //! protocol message encoded, framed, carried across a socket pair and
-//! decoded on the far side — but each party is a **state machine behind a
-//! nonblocking socket**, driven by readiness events:
+//! decoded on the far side, with no pointer fast path across the party
+//! boundary — and drives each party by readiness events instead of giving
+//! it threads of its own:
 //!
 //! ```text
 //!            submissions (frames)            deliveries (frames)
@@ -19,9 +17,8 @@
 //!   socket plus a wake pipe, polled through one `mio`-style readiness
 //!   loop (the in-tree `shims/mio`; swap the workspace dependency back to
 //!   the real `mio` crate off-line and nothing here changes). It parses
-//!   submission frames, stamps them through the shared
-//!   [`DeliveryHeap`] — identical `(due, seq)` tie discipline as the
-//!   blocking dispatcher — parks protocol timers in a hashed
+//!   submission frames, stamps them through the [`DeliveryHeap`] and its
+//!   `(due, seq)` tie discipline, parks protocol timers in a hashed
 //!   [`TimerWheel`] (O(1) arming at any pending count), and drains due
 //!   deliveries into per-party outbound queues flushed as sockets accept
 //!   them.
@@ -29,9 +26,9 @@
 //!   side of an `i mod W` shard: per-party frame-reassembly buffers
 //!   ([`FrameBuffer`], partial-read safe at arbitrary byte boundaries),
 //!   per-party outbound queues ([`OutBuf`], `WouldBlock`-aware), and the
-//!   shared [`PartyCore`] bookkeeping. A party whose skew offset has not
-//!   elapsed buffers inbound bytes without handling them — the readiness
-//!   analogue of the late thread whose channel queues.
+//!   [`PartyCore`] bookkeeping. A party whose skew offset has not elapsed
+//!   buffers inbound bytes without handling them, as a late party's inbox
+//!   does in the simulator.
 //! * **Backpressure**: outbound bytes queued in the scheduler above a
 //!   high-water mark pause *party* reads (level-triggered interest
 //!   dropped, kernel buffers absorb, writers' queues grow) until the
@@ -40,10 +37,10 @@
 //!
 //! Total thread count is **O(workers)**, not O(n) — asserted by a test at
 //! n = 512 — which is what makes the n ∈ {256, 512, 1024} wall-clock
-//! rows in `BENCH_net.json` runnable at all. Shutdown reuses the engine
-//! choreography: honest-done early exit, a `Shutdown` submission plus a
-//! wake byte, `STOP` frames to every party with a bounded grace flush,
-//! and worker EOF as the fallback; every join stays finite.
+//! rows in `BENCH_net.json` runnable at all. The shutdown choreography:
+//! honest-done early exit, a `Shutdown` submission plus a wake byte,
+//! `STOP` frames to every party with a bounded grace flush, and worker EOF
+//! as the fallback; every join stays finite.
 //!
 //! Scheduler observability (worker count, readiness wakeups, peak
 //! outbound-queue depth) is reported through
@@ -157,8 +154,8 @@ fn sync_peer_interest(registry: &Registry, peer: &mut Peer, token: Token, paused
     }
 }
 
-/// The scheduler thread: routes submissions through the shared delivery
-/// heap and the timer wheel, flushes due deliveries, and runs the STOP
+/// The scheduler thread: routes submissions through the delivery heap and
+/// the timer wheel, flushes due deliveries, and runs the STOP
 /// choreography on shutdown. Returns `(messages, peak_heap, wakeups,
 /// peak_outbound_bytes)`.
 fn scheduler_loop(
@@ -240,8 +237,8 @@ fn scheduler_loop(
             grace = Some(Instant::now() + STOP_GRACE);
         }
 
-        // 4. Due deliveries into per-party queues (dropped once stopping,
-        //    as the blocking dispatcher drops its heap on shutdown).
+        // 4. Due deliveries into per-party queues (dropped once stopping:
+        //    the run is past its horizon).
         if !stopping {
             while let Some(s) = dh.pop_due() {
                 if s.to.as_usize() >= n {
@@ -401,9 +398,8 @@ impl WorkerParty {
         }
     }
 
-    /// Runs one event through the shared core and encodes the effects as
-    /// submission frames — the byte-transport drain, identical to the
-    /// blocking socket party's.
+    /// Runs one event through the party core and encodes the effects as
+    /// submission frames.
     fn step(&mut self, step: Step<ErasedMsg>, commits: &Mutex<Vec<RawCommit>>, done: &Sender<()>) {
         if self.terminated {
             return;
@@ -595,8 +591,7 @@ fn worker_loop(
 // The run: scheduler + W workers + the engine thread's shutdown.
 // ---------------------------------------------------------------------
 
-/// Runs one spec's slots on the readiness-loop engine: `workers` party
-/// shards behind one scheduler. Thread count is `workers + 1` (plus the
+/// Runs one spec's slots: `workers` party shards behind one scheduler. Thread count is `workers + 1` (plus the
 /// optional driver), independent of n.
 pub(crate) fn run_async_slots(
     plan: EnginePlan,
@@ -637,7 +632,7 @@ pub(crate) fn run_async_slots(
     let (client_tx, client_rx) = unbounded::<Vec<u8>>();
     let shutdown_tx = sub_tx.clone();
     let driver_handle = driver.map(|driver| {
-        let handle = ClientHandle::new(sub_tx.clone(), client_rx, Some(Arc::clone(&wake_w)));
+        let handle = ClientHandle::new(sub_tx.clone(), client_rx, Arc::clone(&wake_w));
         thread::spawn(move || driver(handle))
     });
     drop(sub_tx);
@@ -679,7 +674,7 @@ pub(crate) fn run_async_slots(
         .collect();
     drop(done_tx);
 
-    // Early-exit protocol, exactly as the other wall engines.
+    // Early-exit protocol.
     await_honest_done(&done_rx, &honest, epoch + plan.deadline);
 
     // Shutdown: a Shutdown submission plus one wake byte; the scheduler
@@ -733,22 +728,19 @@ pub(crate) fn run_async_slots(
         messages_sent,
         peak_queue,
         elapsed: epoch.elapsed(),
-        sched: Some(SchedCounters {
+        sched: SchedCounters {
             workers: w,
             wakeups,
             peak_outbound_bytes: peak_out,
-        }),
+        },
     }
 }
 
-/// Runs registry scenarios on the readiness-loop engine: every party a
-/// state machine behind a nonblocking socket, all n multiplexed over a
-/// fixed worker pool. See the [module docs](self) for the architecture;
-/// the transport contract (real bytes, no pointer fast path) is the
-/// blocking [`SocketBackend`](crate::SocketBackend)'s, the spec mapping
-/// (δ/jitter, skew, adversary mix, audits) is shared by all wall
-/// backends — so this backend differs *only* in scheduling, which is what
-/// lets it reach n = 1024 parties on a pool of `min(cores, 8)` threads.
+/// Runs registry scenarios on the wall engine: every party a state
+/// machine behind a nonblocking socket, all n multiplexed over a fixed
+/// worker pool of `min(cores, 8)` threads. See the [crate docs](crate)
+/// for how a spec's δ/jitter, skew and adversary mix map onto a wall run
+/// (the architecture is in `async_backend.rs`'s module docs).
 ///
 /// # Examples
 ///
@@ -874,8 +866,8 @@ mod tests {
     use gcl_sim::{AdversaryMix, Context, DelayChoice, SkewChoice};
     use gcl_types::{Duration as SimDuration, Value};
 
-    /// Wall-safe bounds, as in the other wall backends' suites: δ' = 2 ms
-    /// links, Δ' = 20 ms timers.
+    /// Wall-safe bounds: δ' = 2 ms links, Δ' = 20 ms timers — protocol
+    /// timeouts (≥ 4Δ) then dwarf thread-scheduling noise.
     fn brb_spec() -> ScenarioSpec {
         gcl_core::registry()
             .spec("brb2")
@@ -922,6 +914,13 @@ mod tests {
         assert!(o.agreement_holds());
         assert!(o.all_honest_committed(), "f = 1 silence is tolerated");
         assert_eq!(o.committed_value(), Some(spec.input));
+    }
+
+    #[test]
+    fn inadmissible_spec_rejected_before_spawning_threads() {
+        let reg = gcl_core::registry();
+        let spec = brb_spec().with_shape(4, 2);
+        assert!(AsyncBackend::new().run(&reg, &spec).is_err());
     }
 
     #[test]
@@ -1082,7 +1081,7 @@ mod tests {
     fn thread_count_stays_o_workers_at_n_512() {
         // The scaling claim, asserted: 512 parties on a 4-worker pool must
         // cost ~6 threads (scheduler + workers + the run's own thread) —
-        // not 512, let alone the blocking engines' 3 × 512.
+        // not one per party.
         use gcl_types::Config;
         let n = 512;
         let plan = EnginePlan {
@@ -1118,7 +1117,6 @@ mod tests {
             n,
             "every party committed"
         );
-        let sched = raw.sched.expect("counters");
-        assert_eq!(sched.workers, 4);
+        assert_eq!(raw.sched.workers, 4);
     }
 }

@@ -1,9 +1,9 @@
-//! The engine pieces every wall-clock backend shares.
+//! The wall engine's layers below the scheduler and worker loops.
 //!
-//! Three backends execute scenario specs on real clocks — the
-//! thread-per-party runtime (`runtime.rs`), the blocking socket runtime
-//! (`socket.rs`) and the readiness-loop runtime (`async_backend.rs`) —
-//! and they agree on everything except how parties are scheduled:
+//! [`AsyncBackend`](crate::AsyncBackend) executes scenario specs on real
+//! clocks and real sockets; `async_backend.rs` holds its threads and
+//! readiness loops, and this module holds everything those loops are built
+//! from:
 //!
 //! * the **spec mapping** ([`engine_plan`]): δ/jitter → the injected
 //!   per-link latency matrix, skew → per-party start offsets, plus the
@@ -14,23 +14,20 @@
 //!   step counts exactly as the simulator defines them;
 //! * the **dispatcher discipline** ([`Scheduled`], [`DeliveryHeap`]): a
 //!   min-heap ordered by `(due, seq)` with a dispatcher-global sequence
-//!   stamp, so delivery ties pop in arrival order on every backend;
-//! * the **frame protocol** (`KIND_*`, [`write_frame`], [`read_frame`],
-//!   [`FrameBuffer`], [`parse_submission`], [`parse_delivery`],
-//!   [`delivery_frame`]): `u32`-length-prefixed frames carrying encoded
-//!   submissions (party → dispatcher) and deliveries (dispatcher →
-//!   party), with a `STOP` frame closing the run — the shutdown
-//!   choreography that keeps every join finite;
+//!   stamp, so delivery ties pop in arrival order;
+//! * the **frame protocol** (`KIND_*`, [`OutBuf`], [`FrameBuffer`],
+//!   [`parse_submission`], [`parse_delivery`], [`delivery_frame`]):
+//!   `u32`-length-prefixed frames carrying encoded submissions (party →
+//!   dispatcher) and deliveries (dispatcher → party), with a `STOP` frame
+//!   closing the run — the shutdown choreography that keeps every join
+//!   finite;
 //! * the **audit fold** ([`outcome_from_raw`]): first-commit-per-party
 //!   into the simulator-comparable [`Outcome`].
 //!
 //! Frame reads are robust to short reads at *arbitrary* byte boundaries
-//! and to `EINTR`/`WouldBlock`: [`read_frame`] fills both the length
-//! prefix and the body incrementally (the pre-refactor socket reader
-//! handled partial reads only on the prefix), and [`FrameBuffer`] is the
-//! nonblocking analogue — it accumulates whatever bytes the socket has
-//! and yields only complete frames. Both are fuzzed one byte at a time in
-//! the tests below.
+//! and to `EINTR`/`WouldBlock`: [`FrameBuffer`] accumulates whatever
+//! bytes the nonblocking socket has and yields only complete frames. It
+//! is fuzzed one byte at a time in the tests below.
 
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use gcl_sim::{
@@ -45,28 +42,12 @@ use std::io::{self, Read, Write};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-#[cfg(not(unix))]
-pub(crate) use std::net::TcpStream as Stream;
-#[cfg(unix)]
 pub(crate) use std::os::unix::net::UnixStream as Stream;
 
-/// A connected bidirectional stream pair: Unix-domain socketpair where
-/// available, TCP loopback elsewhere.
-#[cfg(unix)]
+/// A connected Unix-domain stream socket pair (one per party, plus the
+/// scheduler's wake pipe).
 pub(crate) fn stream_pair() -> io::Result<(Stream, Stream)> {
     Stream::pair()
-}
-
-/// TCP-localhost fallback for platforms without Unix sockets.
-#[cfg(not(unix))]
-pub(crate) fn stream_pair() -> io::Result<(Stream, Stream)> {
-    let listener = std::net::TcpListener::bind(("127.0.0.1", 0))?;
-    let addr = listener.local_addr()?;
-    let a = Stream::connect(addr)?;
-    let (b, _) = listener.accept()?;
-    a.set_nodelay(true)?;
-    b.set_nodelay(true)?;
-    Ok((a, b))
 }
 
 /// How long an engine thread sleeps when it has nothing scheduled — pure
@@ -74,7 +55,7 @@ pub(crate) fn stream_pair() -> io::Result<(Stream, Stream)> {
 /// interrupts it immediately.
 pub(crate) const IDLE_POLL: Duration = Duration::from_millis(50);
 
-/// Everything the engines need to know about the environment of one run.
+/// Everything the engine needs to know about the environment of one run.
 pub(crate) struct EnginePlan {
     pub config: Config,
     /// Injected wall latency per `(from, to)` link, `from * n + to`
@@ -90,7 +71,7 @@ pub(crate) struct EnginePlan {
     pub read_chunk: Option<usize>,
 }
 
-/// One commit as recorded by an engine (all commits, not just firsts).
+/// One commit as recorded by the engine (all commits, not just firsts).
 pub(crate) struct RawCommit {
     pub party: PartyId,
     pub value: Value,
@@ -119,8 +100,8 @@ pub(crate) struct RawRun {
     pub peak_queue: usize,
     /// Wall time from engine start to shutdown.
     pub elapsed: Duration,
-    /// Worker-pool counters (readiness-loop backend only).
-    pub sched: Option<SchedCounters>,
+    /// Worker-pool counters.
+    pub sched: SchedCounters,
 }
 
 /// Converts a simulated duration (integer µs) to a wall-clock one.
@@ -133,9 +114,8 @@ pub(crate) fn micros(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
-/// The spec-to-environment mapping shared by every wall-clock backend in
-/// this crate: δ/jitter → the injected link matrix, skew → party start
-/// offsets, plus the caller's deadline.
+/// The spec-to-environment mapping: δ/jitter → the injected link matrix,
+/// skew → party start offsets, plus the caller's deadline.
 pub(crate) fn engine_plan(spec: &ScenarioSpec, deadline: Duration) -> EnginePlan {
     let config = spec.config().expect("validated by the registry");
     let n = config.n();
@@ -186,19 +166,18 @@ pub(crate) fn outcome_from_raw(spec: &ScenarioSpec, raw: RawRun) -> Outcome {
         events_processed: raw.events_handled,
         messages_sent: raw.messages_sent,
         peak_queue_depth: raw.peak_queue,
-        // Simulator-only metrics: the wall runtimes deliver over real
-        // transports, so there is no enqueue-drop path or retained queue.
+        // Simulator-only metrics: the wall engine delivers over real
+        // sockets, so there is no enqueue-drop path or retained queue.
         drops_at_enqueue: 0,
         queue_bytes: 0,
-        sched: raw.sched,
+        sched: Some(raw.sched),
     })
 }
 
-/// The party-side [`Context`] of the wall-clock runtimes. Effects buffer
-/// here and the transport drains them after the handler returns;
-/// `multicast` stays one entry (not `n` sends) so the drain can share the
-/// payload — as an `Arc` on the in-memory transport, as one encoded byte
-/// buffer on the socket transports.
+/// The party-side [`Context`] of the wall engine. Effects buffer here and
+/// the worker drains them after the handler returns; `multicast` stays one
+/// entry (not `n` sends) so the payload is encoded once and the dispatcher
+/// fans the one byte buffer out.
 pub(crate) struct NetCtx<M> {
     pub(crate) me: PartyId,
     pub(crate) config: Config,
@@ -272,12 +251,12 @@ pub(crate) enum Step<M> {
     Timer(u64),
 }
 
-/// The per-party bookkeeping every engine repeats around a handler call:
+/// The per-party bookkeeping around a handler call:
 /// the handled-event count, the causal round tag, and first-commit
 /// detection. [`PartyCore::handle`] runs one event through the strategy
-/// and records any commits; the caller drains the returned [`NetCtx`]'s
-/// sends/multicasts/timers in its transport-specific way and reads
-/// `terminate` off it.
+/// and records any commits; the caller encodes the returned [`NetCtx`]'s
+/// sends/multicasts/timers as submission frames and reads `terminate` off
+/// it.
 pub(crate) struct PartyCore {
     pub me: PartyId,
     pub config: Config,
@@ -356,36 +335,36 @@ impl PartyCore {
 
 /// A heap entry: min-order on `(due, seq)` with `seq` dispatcher-global,
 /// so ties at one instant pop in arrival order (stable replay under zero
-/// injected latency). `D` is the backend's delivery payload.
-pub(crate) struct Scheduled<D> {
+/// injected latency).
+pub(crate) struct Scheduled {
     pub due: Instant,
     pub seq: u64,
     pub to: PartyId,
-    pub what: D,
+    pub what: Delivery,
 }
 
-impl<D> PartialEq for Scheduled<D> {
+impl PartialEq for Scheduled {
     fn eq(&self, other: &Self) -> bool {
         self.due == other.due && self.seq == other.seq
     }
 }
-impl<D> Eq for Scheduled<D> {}
-impl<D> Ord for Scheduled<D> {
+impl Eq for Scheduled {}
+impl Ord for Scheduled {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // Reversed: BinaryHeap is a max-heap, we want earliest-first.
         other.due.cmp(&self.due).then(other.seq.cmp(&self.seq))
     }
 }
-impl<D> PartialOrd for Scheduled<D> {
+impl PartialOrd for Scheduled {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 
 /// Blocks until every honest party has reported termination on `done_rx`
-/// or `deadline_at` passes — the early-exit protocol shared by all wall
-/// engines (the deadline is only the fallback horizon for runs where some
-/// honest party never terminates).
+/// or `deadline_at` passes — the early-exit protocol (the deadline is only
+/// the fallback horizon for runs where some honest party never
+/// terminates).
 pub(crate) fn await_honest_done(done_rx: &Receiver<()>, honest: &[bool], deadline_at: Instant) {
     let mut remaining = honest.iter().filter(|h| **h).count();
     while remaining > 0 {
@@ -401,7 +380,7 @@ pub(crate) fn await_honest_done(done_rx: &Receiver<()>, honest: &[bool], deadlin
 }
 
 // ---------------------------------------------------------------------
-// The frame protocol (shared by the socket and readiness-loop backends).
+// The frame protocol.
 // ---------------------------------------------------------------------
 
 // Frame kind tags. Submissions travel party → dispatcher, deliveries
@@ -410,69 +389,6 @@ pub(crate) const KIND_UNICAST: u8 = 1;
 pub(crate) const KIND_MULTICAST: u8 = 2;
 pub(crate) const KIND_TIMER: u8 = 3;
 pub(crate) const KIND_STOP: u8 = 4;
-
-/// Writes one `u32`-length-prefixed frame.
-pub(crate) fn write_frame<W: Write>(w: &mut W, body: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(body.len()).expect("frames stay far below 4 GiB");
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(body)
-}
-
-/// Retryable read interruptions: a signal mid-syscall, or a spurious
-/// wakeup / read timeout on a blocking socket. (On *non*blocking sockets
-/// use [`FrameBuffer`], which treats `WouldBlock` as "no more bytes yet"
-/// instead of retrying.)
-fn retryable(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::Interrupted | io::ErrorKind::WouldBlock
-    )
-}
-
-/// Reads one length-prefixed frame (blocking). `Ok(None)` on clean EOF at
-/// a frame boundary. Both the 4-byte prefix and the body are filled
-/// incrementally, so short reads and `EINTR`/`WouldBlock` at *any* byte
-/// boundary — mid-prefix or mid-body — never corrupt the stream.
-pub(crate) fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
-    let mut len = [0u8; 4];
-    let mut filled = 0;
-    while filled < 4 {
-        match r.read(&mut len[filled..]) {
-            Ok(0) if filled == 0 => return Ok(None),
-            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-            Ok(n) => filled += n,
-            Err(e) if retryable(&e) => {}
-            Err(e) => return Err(e),
-        }
-    }
-    let want = u32::from_le_bytes(len) as usize;
-    let mut body = vec![0u8; want];
-    let mut filled = 0;
-    while filled < want {
-        match r.read(&mut body[filled..]) {
-            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-            Ok(n) => filled += n,
-            Err(e) if retryable(&e) => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(Some(body))
-}
-
-/// A reader adapter that caps every `read` at `chunk` bytes — the
-/// [`EnginePlan::read_chunk`] test knob, forcing frame reassembly through
-/// arbitrary short-read boundaries. `chunk = usize::MAX` is a no-op wrap.
-pub(crate) struct Throttle<R> {
-    pub inner: R,
-    pub chunk: usize,
-}
-
-impl<R: Read> Read for Throttle<R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let cap = buf.len().min(self.chunk.max(1));
-        self.inner.read(&mut buf[..cap])
-    }
-}
 
 /// Incremental frame reassembly for nonblocking sockets: [`fill`] drains
 /// whatever bytes the socket has right now, [`next_frame`] yields only
@@ -741,14 +657,14 @@ pub(crate) enum Routed {
     Shutdown,
 }
 
-/// The dispatcher's clock-ordered delivery heap plus the routing rules
-/// every socket-transport backend shares: unicasts cross their link,
+/// The dispatcher's clock-ordered delivery heap plus its routing rules:
+/// unicasts cross their link,
 /// multicasts fan out sharing one encoded payload, timers return to their
 /// owner, and client-addressed frames (the reserved out-of-band id) cross
 /// the sender's worst link — the external client is at least as far away
 /// as the farthest party.
 pub(crate) struct DeliveryHeap {
-    heap: BinaryHeap<Scheduled<Delivery>>,
+    heap: BinaryHeap<Scheduled>,
     next_seq: u64,
     n: usize,
     /// Point-to-point messages scheduled (multicast counts `n`).
@@ -807,8 +723,7 @@ impl DeliveryHeap {
                 );
             }
             SubmissionKind::Multicast { skip, round, bytes } => {
-                // One encoded payload, n scheduled frames — the byte-
-                // transport analogue of the `Arc` fan-out. Every recipient
+                // One encoded payload, n scheduled frames. Every recipient
                 // still decodes its own copy.
                 for t in 0..n as u32 {
                     let to = PartyId::new(t);
@@ -845,7 +760,7 @@ impl DeliveryHeap {
     }
 
     /// Pops the next entry if it has fallen due.
-    pub(crate) fn pop_due(&mut self) -> Option<Scheduled<Delivery>> {
+    pub(crate) fn pop_due(&mut self) -> Option<Scheduled> {
         if self.heap.peek().is_some_and(|s| s.due <= Instant::now()) {
             return Some(self.heap.pop().expect("peeked"));
         }
@@ -853,15 +768,13 @@ impl DeliveryHeap {
     }
 }
 
-/// A client's way into a socket-transport run: injects encoded messages
+/// A client's way into a wall run: injects encoded messages
 /// that are scheduled and delivered exactly like party traffic (self-link
 /// delay, real bytes across the recipient's socket) — and receives the
 /// frames replicas address to the reserved [`PartyId::CLIENT`] (serving
 /// acknowledgements and back-pressure).
 ///
 /// Handed to the driver closure of
-/// [`SocketBackend::execute_with_client`](crate::SocketBackend::execute_with_client)
-/// or
 /// [`AsyncBackend::execute_with_client`](crate::AsyncBackend::execute_with_client);
 /// cloneable so a driver may fan out over threads (receives are
 /// serialized behind a mutex — one clone draining the delivery channel is
@@ -870,16 +783,16 @@ impl DeliveryHeap {
 pub struct ClientHandle {
     sub_tx: Sender<Submission>,
     delivery_rx: Arc<Mutex<Receiver<Vec<u8>>>>,
-    /// Readiness-loop runs wake their scheduler through this pipe; the
-    /// blocking socket runtime wakes through the channel itself.
-    waker: Option<Arc<Stream>>,
+    /// The scheduler blocks in its readiness poll, not on `sub_tx`'s
+    /// channel; a byte on this pipe wakes it.
+    waker: Arc<Stream>,
 }
 
 impl ClientHandle {
     pub(crate) fn new(
         sub_tx: Sender<Submission>,
         delivery_rx: Receiver<Vec<u8>>,
-        waker: Option<Arc<Stream>>,
+        waker: Arc<Stream>,
     ) -> Self {
         ClientHandle {
             sub_tx,
@@ -904,11 +817,9 @@ impl ClientHandle {
             })
             .is_ok();
         if ok {
-            if let Some(w) = &self.waker {
-                // One byte on the wake pipe; a full pipe means the
-                // scheduler is already awake, so WouldBlock is success.
-                let _ = (&**w).write(&[1]);
-            }
+            // One byte on the wake pipe; a full pipe means the scheduler
+            // is already awake, so WouldBlock is success.
+            let _ = (&*self.waker).write(&[1]);
         }
         ok
     }
@@ -936,88 +847,16 @@ impl std::fmt::Debug for ClientHandle {
 mod tests {
     use super::*;
 
-    #[test]
-    fn frames_round_trip_length_prefix() {
-        let (mut a, mut b) = stream_pair().expect("pair");
-        write_frame(&mut a, &[9, 8, 7]).unwrap();
-        write_frame(&mut a, &[]).unwrap();
-        assert_eq!(read_frame(&mut b).unwrap(), Some(vec![9, 8, 7]));
-        assert_eq!(read_frame(&mut b).unwrap(), Some(vec![]));
-        drop(a);
-        assert_eq!(read_frame(&mut b).unwrap(), None, "clean EOF");
-    }
-
-    /// A reader that yields one byte per call and injects a retryable
-    /// error before every byte — the worst legal stream.
-    struct OneByteInterrupted {
-        data: Vec<u8>,
-        pos: usize,
-        interrupt_next: bool,
-    }
-
-    impl Read for OneByteInterrupted {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            if self.interrupt_next {
-                self.interrupt_next = false;
-                // Alternate the two retryable kinds.
-                let kind = if self.pos.is_multiple_of(2) {
-                    io::ErrorKind::Interrupted
-                } else {
-                    io::ErrorKind::WouldBlock
-                };
-                return Err(kind.into());
-            }
-            self.interrupt_next = true;
-            if self.pos == self.data.len() {
-                return Ok(0);
-            }
-            buf[0] = self.data[self.pos];
-            self.pos += 1;
-            Ok(1)
+    /// Frames as the production writer puts them on the wire: queued in
+    /// an [`OutBuf`], flushed into a byte vector.
+    fn wire_bytes(frames: &[Vec<u8>]) -> Vec<u8> {
+        let mut out = OutBuf::new();
+        for f in frames {
+            out.push_frame(f);
         }
-    }
-
-    #[test]
-    fn read_frame_survives_one_byte_reads_and_interruptions() {
-        // Three frames back to back, delivered one byte at a time with an
-        // EINTR/WouldBlock before every single byte — mid-prefix and
-        // mid-body alike. The pre-fix reader `read_exact`ed the body, so a
-        // WouldBlock mid-body was a hard error.
         let mut wire = Vec::new();
-        for body in [&b"hello"[..], &b""[..], &[1u8, 2, 3, 4, 5, 6, 7][..]] {
-            write_frame(&mut wire, body).unwrap();
-        }
-        let mut r = OneByteInterrupted {
-            data: wire,
-            pos: 0,
-            interrupt_next: true,
-        };
-        assert_eq!(read_frame(&mut r).unwrap(), Some(b"hello".to_vec()));
-        assert_eq!(read_frame(&mut r).unwrap(), Some(Vec::new()));
-        assert_eq!(read_frame(&mut r).unwrap(), Some(vec![1, 2, 3, 4, 5, 6, 7]));
-        assert_eq!(read_frame(&mut r).unwrap(), None, "clean EOF at boundary");
-    }
-
-    #[test]
-    fn read_frame_rejects_eof_mid_frame() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, b"truncated").unwrap();
-        for cut in 1..wire.len() {
-            let mut r = io::Cursor::new(wire[..cut].to_vec());
-            let err = read_frame(&mut r).expect_err("EOF mid-frame at {cut}");
-            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
-        }
-    }
-
-    #[test]
-    fn throttle_caps_read_size() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &[42; 100]).unwrap();
-        let mut t = Throttle {
-            inner: io::Cursor::new(wire),
-            chunk: 1,
-        };
-        assert_eq!(read_frame(&mut t).unwrap(), Some(vec![42; 100]));
+        assert!(out.flush(&mut wire).unwrap(), "a Vec accepts every byte");
+        wire
     }
 
     #[test]
@@ -1026,10 +865,7 @@ mod tests {
         // byte by byte; complete frames must pop out exactly at their
         // boundaries, identical to a bulk parse.
         let frames: Vec<Vec<u8>> = vec![b"abc".to_vec(), Vec::new(), vec![0xFF; 300]];
-        let mut wire = Vec::new();
-        for f in &frames {
-            write_frame(&mut wire, f).unwrap();
-        }
+        let wire = wire_bytes(&frames);
         let mut fb = FrameBuffer::new();
         let mut got = Vec::new();
         for (i, byte) in wire.iter().enumerate() {
@@ -1054,10 +890,7 @@ mod tests {
         // length slices): reassembly must be byte-exact regardless of how
         // the kernel fragments reads.
         let frames: Vec<Vec<u8>> = (0..40u8).map(|i| vec![i; i as usize * 7]).collect();
-        let mut wire = Vec::new();
-        for f in &frames {
-            write_frame(&mut wire, f).unwrap();
-        }
+        let wire = wire_bytes(&frames);
         let mut state: u64 = 0x9e3779b97f4a7c15;
         let mut fb = FrameBuffer::new();
         let mut got = Vec::new();
@@ -1078,7 +911,12 @@ mod tests {
     fn frame_buffer_fills_from_nonblocking_socket() {
         let (mut a, mut b) = stream_pair().expect("pair");
         b.set_nonblocking(true).expect("nonblocking");
-        write_frame(&mut a, b"over the wire").unwrap();
+        let mut out = OutBuf::new();
+        out.push_frame(b"over the wire");
+        assert!(
+            out.flush(&mut a).unwrap(),
+            "one small frame fits the socket"
+        );
         let mut fb = FrameBuffer::new();
         // Data may take an instant to appear in the receive buffer.
         let deadline = Instant::now() + Duration::from_secs(2);
@@ -1186,35 +1024,89 @@ mod tests {
     }
 
     #[test]
+    fn malformed_submission_frames_are_rejected_not_fatal() {
+        // Fuzz-style sweep over the submission parser: truncations of every
+        // valid frame shape, unknown kinds, and LCG-generated garbage all
+        // come back as `None` (sender treated as crashed) — the pre-fix
+        // parser panicked the dispatcher reader on every one of these.
+        let from = PartyId::new(1);
+        let mut unicast = vec![KIND_UNICAST];
+        PartyId::new(2).encode(&mut unicast);
+        7u32.encode(&mut unicast);
+        unicast.extend_from_slice(b"payload");
+        let mut multicast = vec![KIND_MULTICAST];
+        Option::<PartyId>::None.encode(&mut multicast);
+        7u32.encode(&mut multicast);
+        let mut timer = vec![KIND_TIMER];
+        5u64.encode(&mut timer);
+        9u64.encode(&mut timer);
+        // Pair each frame with its header length: everything after the
+        // header is payload bytes, and a truncated *payload* is the codec's
+        // problem, not the framing's. Only the unicast frame above carries
+        // payload bytes (7 of them).
+        for (valid, header_len) in [
+            (&unicast, unicast.len() - 7),
+            (&multicast, multicast.len()),
+            (&timer, timer.len()),
+        ] {
+            assert!(parse_submission(from, valid.clone()).is_some());
+            // Every strict prefix of the header is truncated garbage.
+            for cut in 0..header_len {
+                assert!(
+                    parse_submission(from, valid[..cut].to_vec()).is_none(),
+                    "truncation at {cut} must be rejected"
+                );
+            }
+        }
+        assert!(parse_submission(from, vec![]).is_none(), "empty frame");
+        for kind in [0u8, KIND_STOP, 5, 99, 255] {
+            assert!(
+                parse_submission(from, vec![kind, 0, 0, 0, 0]).is_none(),
+                "kind {kind} is not a submission"
+            );
+        }
+        let mut state: u64 = 0x6b6f;
+        for len in 0..64usize {
+            let body: Vec<u8> = (0..len)
+                .map(|_| {
+                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    (state >> 33) as u8
+                })
+                .collect();
+            let _ = parse_submission(from, body); // must not panic
+        }
+    }
+
+    #[test]
     fn dispatcher_seq_breaks_ties_in_arrival_order() {
         // Equal `due` instants must pop in stamp order — the
         // dispatcher-global sequence, not per-party counters.
         let due = Instant::now();
-        let mut heap: BinaryHeap<Scheduled<u64>> = BinaryHeap::new();
+        let mut heap: BinaryHeap<Scheduled> = BinaryHeap::new();
         for seq in [3u64, 0, 2, 1] {
             heap.push(Scheduled {
                 due,
                 seq,
                 to: PartyId::new(0),
-                what: seq,
+                what: Delivery::Timer(seq),
             });
         }
         let order: Vec<u64> = std::iter::from_fn(|| heap.pop().map(|s| s.seq)).collect();
         assert_eq!(order, vec![0, 1, 2, 3], "FIFO at equal due");
 
         // An earlier due instant still wins regardless of stamp order.
-        let mut heap: BinaryHeap<Scheduled<u64>> = BinaryHeap::new();
+        let mut heap: BinaryHeap<Scheduled> = BinaryHeap::new();
         heap.push(Scheduled {
             due: due + Duration::from_millis(5),
             seq: 0,
             to: PartyId::new(0),
-            what: 0,
+            what: Delivery::Timer(0),
         });
         heap.push(Scheduled {
             due,
             seq: 1,
             to: PartyId::new(0),
-            what: 1,
+            what: Delivery::Timer(1),
         });
         assert_eq!(heap.pop().unwrap().seq, 1, "time beats stamp order");
     }

@@ -1,120 +1,83 @@
-//! A real (non-simulated) runtime: every party is an OS thread or
-//! socket-backed event loop, links carry injected latency, clocks are
-//! wall clocks.
+//! A real (non-simulated) runtime: every party is a state machine behind
+//! a Unix-domain socket, links carry injected latency, clocks are wall
+//! clocks.
 //!
-//! # The four-backend architecture
+//! # Two execution targets
 //!
-//! The workspace has four execution targets behind one scenario layer:
+//! The workspace has two execution targets behind one scenario layer:
 //!
 //! * **`gcl_sim`** — the deterministic discrete-event simulator. δ and Δ
 //!   are exact, executions replay bit-for-bit, and a million-event run
 //!   costs milliseconds. Every *measured* number in the paper tables
 //!   (Table 1, Figure 8, the throughput trajectory) comes from here.
-//! * **[`NetBackend`]** (this crate) — threads, channels and wall clocks.
-//!   The protocols in `gcl-core` are written against [`gcl_sim::Context`]
-//!   and run **unmodified** here, demonstrating they are not
-//!   simulator-bound: real concurrency, real message races, real timer
-//!   drift. Multicast payloads are `Arc`-shared across threads — fast,
-//!   but in-memory.
-//! * **[`SocketBackend`]** (this crate) — the same wall-clock discipline,
-//!   but every message is *encoded to bytes, carried across a Unix-domain
-//!   socket (TCP-localhost fallback), and decoded on the far side* via
-//!   the `gcl_types::wire` codec. There is no pointer fast path across
-//!   the party boundary, so a committing run is end-to-end proof the
-//!   family's message types survive serialization. One dispatcher plus
-//!   one reader thread per party: faithful, but thread count is O(n).
-//! * **[`AsyncBackend`]** (this crate) — the socket transport contract
-//!   (same framed wire bytes, same socket pairs) with an inverted
-//!   execution model: every party is a *state machine* behind a
-//!   nonblocking socket, and all n of them are multiplexed over one
-//!   readiness loop feeding a fixed worker pool (default
-//!   `min(cores, 8)`). Partial reads reassemble per-party, writes are
-//!   backpressure-aware, timers live on a timer wheel. Thread count is
-//!   O(workers), not O(n) — this is the backend that runs n = 1024
-//!   parties on a laptop.
+//! * **[`AsyncBackend`]** (this crate) — the wall engine. The protocols in
+//!   `gcl-core` are written against [`gcl_sim::Context`] and run
+//!   **unmodified** here: real concurrency, real message races, real timer
+//!   drift. Every message is *encoded to bytes, carried across a socket
+//!   pair, and decoded on the far side* via the `gcl_types::wire` codec —
+//!   there is no pointer fast path across the party boundary, so a
+//!   committing run is end-to-end proof the family's message types survive
+//!   serialization. All n parties are multiplexed over one readiness loop
+//!   feeding a fixed worker pool (default `min(cores, 8)`): partial reads
+//!   reassemble per-party, writes are backpressure-aware, timers live on a
+//!   timer wheel, and thread count is O(workers), not O(n) — n = 1024
+//!   parties run on a laptop.
 //!
-//! All three wall backends implement [`gcl_sim::Backend`], so any
-//! [`gcl_sim::ScenarioSpec`] admitted by a
-//! [`gcl_sim::ScenarioRegistry`] runs on all four targets:
+//! [`AsyncBackend`] implements [`gcl_sim::Backend`], so any
+//! [`gcl_sim::ScenarioSpec`] admitted by a [`gcl_sim::ScenarioRegistry`]
+//! runs on both targets:
 //!
 //! ```text
 //! registry.run(&spec)                           // simulator (exact, fast)
-//! registry.run_on(&spec, &NetBackend::new())    // threads + wall clocks
-//! registry.run_on(&spec, &SocketBackend::new()) // + real bytes on real sockets
-//! registry.run_on(&spec, &AsyncBackend::new())  // + n parties, O(workers) threads
+//! registry.run_on(&spec, &AsyncBackend::new())  // real bytes, sockets and clocks
 //! ```
 //!
 //! The spec's δ/jitter become injected per-link latencies, its skew
-//! schedule becomes per-thread (or per-timer) start offsets, and its
-//! adversary mix becomes muted or mid-run-crashing parties. Outcomes
-//! convert to the same [`gcl_sim::Outcome`] audits (agreement, validity,
-//! commits) the simulator reports, which is what the workspace's
-//! `net_conformance` suite checks: every registered family commits the
-//! same value on all four backends.
+//! schedule becomes per-party start offsets, and its adversary mix becomes
+//! muted or mid-run-crashing parties. Outcomes convert to the same
+//! [`gcl_sim::Outcome`] audits (agreement, validity, commits) the
+//! simulator reports, which is what the workspace's `net_conformance`
+//! suite checks: every registered family commits the same value on both
+//! targets.
 //!
 //! **When to trust which numbers:** wall-clock latencies from this crate
-//! include thread spawn, scheduler jitter and channel overhead — treat
-//! them as *evidence of liveness under real concurrency*, not as
-//! measurements of δ-bounds. Pick spec bounds well above scheduler noise
-//! (milliseconds, not the simulator's canonical 100 µs) so protocol
-//! timeouts (≥ 4Δ) stay far from spurious firing. For exact good-case
-//! latency claims — `2δ` vs `3δ` vs `Δ + 1.5δ` — use the simulator, where
-//! those quantities are the model, not an estimate. Per backend: `net`
-//! numbers isolate concurrency from serialization (no codec on the
-//! path); `socket` numbers add the codec and syscalls but pay O(n)
-//! threads, so beyond a few dozen parties they measure the OS scheduler;
-//! `async` numbers are the ones to read at scale — the readiness loop
-//! keeps the thread count fixed, and [`gcl_sim::SchedCounters`] on the
-//! outcome (workers, wakeups, peak outbound buffer) say how hard the
+//! include scheduler jitter, codec and syscall overhead — treat them as
+//! *evidence of liveness under real concurrency*, not as measurements of
+//! δ-bounds. Pick spec bounds well above scheduler noise (milliseconds,
+//! not the simulator's canonical 100 µs) so protocol timeouts (≥ 4Δ) stay
+//! far from spurious firing. For exact good-case latency claims — `2δ` vs
+//! `3δ` vs `Δ + 1.5δ` — use the simulator, where those quantities are the
+//! model, not an estimate. [`gcl_sim::SchedCounters`] on a wall outcome
+//! (workers, wakeups, peak outbound buffer) say how hard the readiness
 //! loop actually worked.
 //!
 //! Runs exit as soon as every honest party terminates; the wall-clock
-//! budget passed to [`NetRuntime::run_for`] (or
-//! [`NetBackend::deadline`]) is only the fallback horizon for executions
-//! where some honest party never can.
+//! budget passed to [`AsyncBackend::deadline`] is only the fallback
+//! horizon for executions where some honest party never can.
 //!
 //! # Examples
 //!
-//! The typed demo API, for running one protocol directly:
-//!
 //! ```
-//! use gcl_core::asynchrony::TwoRoundBrb;
-//! use gcl_crypto::Keychain;
-//! use gcl_net::NetRuntime;
-//! use gcl_types::{Config, PartyId, Value};
-//! use std::time::Duration;
+//! use gcl_net::AsyncBackend;
+//! use gcl_types::Duration;
 //!
-//! let cfg = Config::new(4, 1)?;
-//! let chain = Keychain::generate(4, 33);
-//! let outcome = NetRuntime::new(cfg)
-//!     .link_latency(Duration::from_millis(1))
-//!     // A deadline, not a sentence: the run returns in a few ms.
-//!     .run_for(Duration::from_secs(5), |p| {
-//!         TwoRoundBrb::new(
-//!             cfg, chain.signer(p), chain.pki(), PartyId::new(0),
-//!             (p == PartyId::new(0)).then_some(Value::new(5)),
-//!         )
-//!     });
+//! let reg = gcl_core::registry();
+//! // Millisecond-scale bounds: wall-clock noise is tiny next to them.
+//! let spec = reg
+//!     .spec("brb2")
+//!     .unwrap()
+//!     .with_bounds(Duration::from_millis(2), Duration::from_millis(20));
+//! let outcome = reg.run_on(&spec, &AsyncBackend::new()).unwrap();
 //! assert!(outcome.agreement_holds());
-//! assert_eq!(outcome.committed_value(), Some(Value::new(5)));
-//! # Ok::<(), gcl_types::ConfigError>(())
+//! assert_eq!(outcome.committed_value(), Some(spec.input));
 //! ```
-//!
-//! The registry path, for running any registered family (see
-//! [`NetBackend`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod async_backend;
-mod backend;
 mod engine;
-mod runtime;
-mod socket;
 mod wheel;
 
 pub use async_backend::AsyncBackend;
-pub use backend::NetBackend;
 pub use engine::ClientHandle;
-pub use runtime::{NetCommit, NetOutcome, NetRuntime};
-pub use socket::SocketBackend;

@@ -270,7 +270,7 @@ impl fmt::Debug for ErasedSlot {
 /// frames with the supplied [`MsgCodec`]; in-memory backends may ignore
 /// the codec and move the erased payloads directly.
 pub trait Backend {
-    /// Short stable name for reports and labels (`"sim"`, `"net"`, …).
+    /// Short stable name for reports and labels (`"sim"`, `"async"`, …).
     fn name(&self) -> &'static str;
 
     /// True only for the inline simulator, which runs families

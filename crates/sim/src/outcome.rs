@@ -22,10 +22,9 @@ pub struct CommitRecord {
     pub step: u64,
 }
 
-/// Execution-scheduler counters reported by backends that multiplex many
-/// parties over a fixed pool of OS threads (the readiness-loop backend).
-/// Backends with one thread per party — and the simulator, which has no
-/// scheduler at all — report `None`.
+/// Execution-scheduler counters reported by the wall engine, which
+/// multiplexes many parties over a fixed pool of OS threads. The
+/// simulator, which has no scheduler at all, reports `None`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SchedCounters {
     /// Size of the worker pool the run's parties were multiplexed over.
@@ -95,8 +94,7 @@ pub struct OutcomeParts {
     /// Bytes of event-queue capacity retained at the end of the run
     /// (simulator-only; wall backends report 0).
     pub queue_bytes: u64,
-    /// Worker-pool scheduler counters, for backends that have one
-    /// (`None` everywhere else).
+    /// Worker-pool scheduler counters (`None` on the simulator).
     pub sched: Option<SchedCounters>,
 }
 
@@ -302,8 +300,8 @@ impl Outcome {
         self.queue_bytes
     }
 
-    /// Worker-pool scheduler counters — `Some` only for backends that
-    /// multiplex parties over a fixed worker pool (see [`SchedCounters`]).
+    /// Worker-pool scheduler counters — `Some` on the wall engine, `None`
+    /// on the simulator (see [`SchedCounters`]).
     pub fn sched_counters(&self) -> Option<SchedCounters> {
         self.sched
     }

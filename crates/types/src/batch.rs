@@ -8,11 +8,10 @@
 
 use crate::value::Value;
 use crate::wire::{Decode, Encode, WireError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// What one SMR slot decides.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Batch {
     /// An ordered run of client commands (possibly empty — a no-op filler).
     Commands(Vec<Value>),

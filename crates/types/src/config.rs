@@ -2,12 +2,11 @@
 
 use crate::error::ConfigError;
 use crate::PartyId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The resilience regimes of Table 1 of the paper, each with a different
 /// tight good-case-latency bound under synchrony.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResilienceRegime {
     /// `0 < f < n/3` — tight bound `2δ`.
     UnderThird,
@@ -44,7 +43,7 @@ impl fmt::Display for ResilienceRegime {
 /// assert!(cfg.supports_two_round_psync()); // 9 >= 5*2 - 1
 /// # Ok::<(), gcl_types::ConfigError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Config {
     n: usize,
     f: usize,

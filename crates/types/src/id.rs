@@ -1,6 +1,5 @@
 //! Party and view identifiers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of one of the `n` parties, in `0..n`.
@@ -16,17 +15,15 @@ use std::fmt;
 /// assert_eq!(p.index(), 3);
 /// assert_eq!(format!("{p}"), "P3");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PartyId(u32);
 
 impl PartyId {
     /// The reserved out-of-band client address: never one of the `n`
     /// parties. Serving protocols (the SMR engine) address acknowledgements
     /// here; backends either route such sends to their external client
-    /// channel (the socket backend) or drop them (the simulator and the
-    /// in-memory thread runtime, which have no client endpoint).
+    /// channel (the wall engine) or drop them (the simulator, which has no
+    /// client endpoint).
     pub const CLIENT: PartyId = PartyId(u32::MAX);
 
     /// Creates a party id from its index.
@@ -77,9 +74,7 @@ impl From<u32> for PartyId {
 /// assert_eq!(w.prev().number(), 0);
 /// assert_eq!(w.next().number(), 2);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct View(u64);
 
 impl View {

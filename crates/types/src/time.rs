@@ -10,7 +10,6 @@
 //!
 //! All quantities are integer **microseconds**.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
@@ -24,9 +23,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub};
 /// assert_eq!((delta * 3) / 2, Duration::from_micros(1_500));
 /// assert_eq!(delta.halved(), Duration::from_micros(500));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Duration(u64);
 
 impl Duration {
@@ -113,9 +110,7 @@ impl Div<u64> for Duration {
 /// An instant on the *global* (execution) clock.
 ///
 /// Global time 0 is the instant the earliest party starts the protocol.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct GlobalTime(u64);
 
 impl GlobalTime {
@@ -160,9 +155,7 @@ impl Add<Duration> for GlobalTime {
 }
 
 /// An instant on one party's *local* clock (0 = that party's protocol start).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LocalTime(u64);
 
 impl LocalTime {
@@ -217,7 +210,7 @@ impl Add<Duration> for LocalTime {
 /// assert_eq!(sched.start_of(PartyId::new(2)), GlobalTime::ZERO);
 /// assert_eq!(sched.max_skew(), Duration::ZERO);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SkewSchedule {
     starts: Vec<GlobalTime>,
 }

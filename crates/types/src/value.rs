@@ -1,6 +1,5 @@
 //! Broadcast values and SMR slot identifiers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A value being broadcast.
@@ -17,9 +16,7 @@ use std::fmt;
 /// assert_ne!(v, Value::ZERO);
 /// assert_eq!(format!("{v}"), "v7");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Value(u64);
 
 impl Value {
@@ -71,9 +68,7 @@ impl From<u64> for Value {
 }
 
 /// Index of a slot (consensus instance) in the SMR log.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SlotId(u64);
 
 impl SlotId {

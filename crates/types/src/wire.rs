@@ -1,11 +1,9 @@
 //! The wire codec: [`Encode`] / [`Decode`] for every protocol message.
 //!
-//! Until this module existed, every "message" in the workspace was an
-//! in-memory clone — even the wall-clock net runtime handed `Arc`s between
-//! threads, so nothing ever proved the message types survive
-//! serialization. The socket execution backend (`gcl_net::SocketBackend`)
-//! moves real bytes through real sockets, which forces a codec onto every
-//! message type; this module is that codec.
+//! In the simulator every "message" is an in-memory clone, so nothing
+//! there proves the message types survive serialization. The wall engine
+//! (`gcl_net::AsyncBackend`) moves real bytes through real sockets, which
+//! forces a codec onto every message type; this module is that codec.
 //!
 //! The format is deliberately minimal and deterministic — no schema
 //! evolution, no varints, no self-description — because both endpoints of
@@ -23,13 +21,8 @@
 //!   clever).
 //!
 //! Decoding is strict: unknown tags, truncated input and trailing bytes
-//! are all [`WireError`]s, never panics — wall backends feed sockets
+//! are all [`WireError`]s, never panics — the wall engine feeds sockets
 //! straight into [`Decode::from_wire`].
-//!
-//! The derive-style `serde` markers some types carry are unrelated: the
-//! in-tree serde shim is a no-op derive, while this codec is actually
-//! invoked on the socket path. When the workspace swaps the shim for real
-//! serde, these traits can become blanket adapters over it.
 //!
 //! # Examples
 //!

@@ -1,27 +1,23 @@
-//! Four backends, one scenario layer: run registry families on the
-//! deterministic simulator, on the thread-per-party wall-clock runtime,
-//! on the socket runtime (where every message crosses a Unix socket as
-//! bytes), AND on the async runtime (where all n parties multiplex over
-//! a readiness loop and a fixed worker pool), and compare what each
-//! reports.
+//! Two execution targets, one scenario layer: run registry families on
+//! the deterministic simulator AND on the wall engine (every message
+//! crosses a Unix socket as bytes; all n parties multiplex over a
+//! readiness loop and a fixed worker pool), and compare what each reports.
 //!
 //! ```text
 //! cargo run --release --example net_backend
 //! ```
 
-use gcl::net::{AsyncBackend, NetBackend, SocketBackend};
+use gcl::net::AsyncBackend;
 use gcl_bench::conformance::wall_spec;
 
 fn main() {
     let reg = gcl_bench::registry();
-    let net = NetBackend::new();
-    let socket = SocketBackend::new();
-    let asynch = AsyncBackend::new();
+    let wall = AsyncBackend::new();
 
-    println!("== one spec, four execution targets ==\n");
+    println!("== one spec, two execution targets ==\n");
     println!(
-        "{:<14} {:>6} {:>12} {:>12} {:>14} {:>13}  committed",
-        "family", "(n,f)", "sim lat us", "net lat us", "socket lat us", "async lat us"
+        "{:<14} {:>6} {:>12} {:>13}  committed",
+        "family", "(n,f)", "sim lat us", "wall lat us"
     );
     for key in [
         "brb2",
@@ -33,46 +29,37 @@ fn main() {
     ] {
         let spec = wall_spec(reg, key);
         let sim = reg.run(&spec).expect("spec admitted");
-        let wall = reg.run_on(&spec, &net).expect("spec admitted");
-        let wired = reg.run_on(&spec, &socket).expect("spec admitted");
-        let pooled = reg.run_on(&spec, &asynch).expect("spec admitted");
-        for (backend, o) in [("net", &wall), ("socket", &wired), ("async", &pooled)] {
-            assert!(o.agreement_holds(), "{key}: {backend} agreement");
-            assert_eq!(
-                o.committed_value(),
-                sim.committed_value(),
-                "{key}: {backend} must land on the simulator's value"
-            );
-        }
+        let wired = reg.run_on(&spec, &wall).expect("spec admitted");
+        assert!(wired.agreement_holds(), "{key}: wall agreement");
+        assert_eq!(
+            wired.committed_value(),
+            sim.committed_value(),
+            "{key}: the wall run must land on the simulator's value"
+        );
         let lat = |o: &gcl::sim::Outcome| {
             o.good_case_latency()
                 .map(|d| d.as_micros().to_string())
                 .unwrap_or_else(|| "-".into())
         };
         println!(
-            "{:<14} {:>6} {:>12} {:>12} {:>14} {:>13}  {:?}",
+            "{:<14} {:>6} {:>12} {:>13}  {:?}",
             key,
             format!("({},{})", spec.n, spec.f),
             lat(&sim),
-            lat(&wall),
             lat(&wired),
-            lat(&pooled),
-            wall.committed_value().expect("good case commits")
+            wired.committed_value().expect("good case commits")
         );
     }
 
     println!(
         "\nSame protocols, same specs, same committed values. The simulator's\n\
          latencies are exact multiples of the injected bounds (delta = 2000 us\n\
-         here); the net column is a wall-clock measurement over OS threads —\n\
-         link latency plus scheduler noise, spawn overhead and channel hops;\n\
-         the socket column additionally pays the wire codec and two socket\n\
-         crossings per message, which is the point: its commits prove every\n\
-         message type survives serialization; the async column pays the same\n\
-         wire costs but schedules every party as a state machine on a fixed\n\
+         here); the wall column is a wall-clock measurement — link latency\n\
+         plus scheduler noise, the wire codec and two socket crossings per\n\
+         message, which is the point: its commits prove every message type\n\
+         survives serialization, with every party a state machine on a fixed\n\
          worker pool — O(workers) threads however large n grows. Trust the\n\
-         simulator for the paper's delta-exact tables; trust the wall\n\
-         backends as evidence the protocols survive real concurrency — and,\n\
-         over sockets, real bytes."
+         simulator for the paper's delta-exact tables; trust the wall engine\n\
+         as evidence the protocols survive real concurrency and real bytes."
     );
 }

@@ -13,7 +13,7 @@
 //! * [`core`] — the broadcast protocols (async / psync / sync / dishonest
 //!   majority), strawmen, and lower-bound executions.
 //! * [`smr`] — BFT state machine replication on the 2-round engine.
-//! * [`net`] — the threaded wall-clock runtime.
+//! * [`net`] — the wall engine: framed bytes over socket pairs, real clocks.
 //!
 //! # Quickstart
 //!

@@ -161,10 +161,9 @@ fn smr_socket_leader_cascade_under_load_stays_live_and_exactly_once() {
     // successive leaders at n = 9). The surviving replicas must keep
     // acknowledging the stream, every acked command must land in the
     // probe replica's log exactly once, and the replica group must agree.
-    use gcl_bench::smrload::{failover_spec, run_load, LoadOptions, ServeBackend};
+    use gcl_bench::smrload::{failover_spec, run_load, LoadOptions};
     let row = run_load(
         &failover_spec(),
-        ServeBackend::Socket,
         4,
         4,
         LoadOptions {

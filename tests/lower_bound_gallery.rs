@@ -67,11 +67,11 @@ fn theorem19_factor_tracks_resilience_ratio() {
 fn scripted_schedules_are_cleanly_rejected_off_the_simulator() {
     // The scripted equivocation schedules need exact delivery control, so
     // they are deliberately not registered as scenario families. Asking
-    // any execution backend's registry path to run one must be a clean
+    // either execution target's registry path to run one must be a clean
     // UnknownFamily rejection — never a silently diverging wall run.
     use gcl::core::lower_bounds::SIM_ONLY_SCHEDULES;
     use gcl::sim::{ScenarioError, ScenarioSpec};
-    use gcl_net::{NetBackend, SocketBackend};
+    use gcl_net::AsyncBackend;
 
     let reg = gcl::core::registry();
     assert_eq!(SIM_ONLY_SCHEDULES.len(), 5, "one key per theorem module");
@@ -81,11 +81,7 @@ fn scripted_schedules_are_cleanly_rejected_off_the_simulator() {
             "{key}: sim-only schedules must stay out of the registry"
         );
         let spec = ScenarioSpec::asynchronous(key, 4, 1);
-        for outcome in [
-            reg.run_on(&spec, &NetBackend::new()),
-            reg.run_on(&spec, &SocketBackend::new()),
-            reg.run(&spec),
-        ] {
+        for outcome in [reg.run_on(&spec, &AsyncBackend::new()), reg.run(&spec)] {
             match outcome {
                 Err(ScenarioError::UnknownFamily(k)) => assert_eq!(k, key),
                 other => panic!("{key}: expected clean rejection, got {other:?}"),

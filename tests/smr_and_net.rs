@@ -1,9 +1,8 @@
-//! Cross-crate integration: the SMR engine over the simulator, and the
-//! registry's protocol families over the threaded wall-clock runtime
-//! (registry-driven conformance — not hand-wired per-protocol glue).
+//! Cross-crate integration: the SMR engine over the simulator, and
+//! failure injection through the registry on the wall engine.
 
 use gcl::crypto::Keychain;
-use gcl::net::NetBackend;
+use gcl::net::AsyncBackend;
 use gcl::sim::{AdversaryMix, FixedDelay, Simulation, TimingModel};
 use gcl::smr::{Counter, KvStore, SlotEngine, SmrParams, StateMachine};
 use gcl::types::{Config, Duration, GlobalTime, PartyId, Value};
@@ -138,46 +137,8 @@ fn smr_kv_under_byzantine_silence() {
 }
 
 #[test]
-fn every_4_1_family_agrees_across_backends() {
-    // Registry-driven conformance: every family whose resilience band
-    // admits (4, 1) runs its wall-safe honest-broadcaster spec on BOTH
-    // backends and must land on the same committed value. Coverage is a
-    // loop over the registry, so a newly registered family is conformance-
-    // tested over threads with zero new code here.
-    let reg = gcl_bench::registry();
-    let net = NetBackend::new();
-    let mut covered = Vec::new();
-    for key in reg.keys() {
-        if !reg.family(key).unwrap().admission().admits(4, 1) {
-            continue;
-        }
-        let spec = wall_spec(reg, key);
-        assert_eq!((spec.n, spec.f), (4, 1), "{key}");
-        let sim = reg.run(&spec).unwrap_or_else(|e| panic!("{key}: {e}"));
-        let wall = reg
-            .run_on(&spec, &net)
-            .unwrap_or_else(|e| panic!("{key}: {e}"));
-        assert!(wall.agreement_holds(), "{key}: net agreement violated");
-        assert!(
-            wall.all_honest_committed(),
-            "{key}: some honest party never committed over threads"
-        );
-        assert_eq!(
-            wall.committed_value(),
-            sim.committed_value(),
-            "{key}: backends disagree on the committed value"
-        );
-        covered.push(key);
-    }
-    assert!(
-        covered.len() >= 9,
-        "expected most families to admit (4, 1); covered only {covered:?}"
-    );
-}
-
-#[test]
 fn crash_adversary_net_run_upholds_agreement() {
-    // Failure injection over real threads: party 3 runs the honest BRB
+    // Failure injection on the wall engine: party 3 runs the honest BRB
     // code for two handled events, then crashes mid-run. The three live
     // honest parties must still commit the broadcaster's input.
     let reg = gcl_bench::registry();
@@ -186,7 +147,7 @@ fn crash_adversary_net_run_upholds_agreement() {
         handled: 2,
     });
     let o = reg
-        .run_on(&spec, &NetBackend::new())
+        .run_on(&spec, &AsyncBackend::new())
         .expect("spec admitted");
     assert!(!o.is_honest(PartyId::new(3)), "slot 3 is the crash slot");
     assert!(o.agreement_holds());

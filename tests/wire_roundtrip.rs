@@ -2,7 +2,7 @@
 //! type (and the crypto vocabulary it embeds), fuzz a message and assert
 //! `decode(encode(m)) == m`.
 //!
-//! The four-backend conformance suite only exercises the enum variants a
+//! The sim ↔ wall conformance suite only exercises the enum variants a
 //! good-case run actually sends; this suite generates *every* variant —
 //! view changes, timeout bundles, commit certificates — so a codec impl
 //! that forgot one cannot hide behind the happy path. Generation is
