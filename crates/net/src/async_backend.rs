@@ -10,18 +10,25 @@
 //! ```text
 //!            submissions (frames)            deliveries (frames)
 //! worker 0 ──▶ [nonblocking socket] ──▶ scheduler ──▶ [nonblocking socket] ──▶ worker k
-//!   parties i ≡ 0 (mod W)          heap + timer wheel           parties i ≡ k (mod W)
+//!   parties i ≡ 0 (mod W)       heap: one entry per multicast      parties i ≡ k (mod W)
+//!                               + timer wheel; frames rendered
+//!                               in place, ≤ OUT_HWM per pass
 //! ```
 //!
 //! * **One scheduler thread** owns the dispatcher side of every party
 //!   socket plus a wake pipe, polled through one `mio`-style readiness
 //!   loop (the in-tree `shims/mio`; swap the workspace dependency back to
 //!   the real `mio` crate off-line and nothing here changes). It parses
-//!   submission frames, stamps them through the [`DeliveryHeap`] and its
-//!   `(due, seq)` tie discipline, parks protocol timers in a hashed
-//!   [`TimerWheel`] (O(1) arming at any pending count), and drains due
-//!   deliveries into per-party outbound queues flushed as sockets accept
-//!   them.
+//!   submission frames out of the reassembly buffers as borrowed slices,
+//!   stamps them through the [`DeliveryHeap`] and its `(due, seq)` tie
+//!   discipline — a multicast is one heap entry walking its sender's
+//!   recipients in that order, not n entries — parks protocol timers in a
+//!   hashed [`TimerWheel`] (O(1) arming at any pending count), and drains
+//!   due deliveries in passes: one clock reading per pass, every frame
+//!   rendered straight into its party's contiguous outbound buffer, the
+//!   pass cut off once [`OUT_HWM`] bytes sit unflushed so the sockets —
+//!   and the workers behind them — take the first megabytes while the
+//!   rest of the backlog is still being rendered.
 //! * **W worker threads** (default `min(cores, 8)`) each own the party
 //!   side of an `i mod W` shard: per-party frame-reassembly buffers
 //!   ([`FrameBuffer`], partial-read safe at arbitrary byte boundaries),
@@ -31,9 +38,12 @@
 //!   does in the simulator.
 //! * **Backpressure**: outbound bytes queued in the scheduler above a
 //!   high-water mark pause *party* reads (level-triggered interest
-//!   dropped, kernel buffers absorb, writers' queues grow) until the
+//!   dropped, kernel buffers absorb, writers' queues grow) and the
+//!   rendering of further deliveries (they wait in the heap) until the
 //!   backlog drains below half the mark; the wake pipe and the client
-//!   channel stay live so shutdown can always get through.
+//!   channel stay live so shutdown can always get through. A length
+//!   prefix above `MAX_FRAME` is a garbled peer on either side, never a
+//!   buffer to fill.
 //!
 //! Total thread count is **O(workers)**, not O(n) — asserted by a test at
 //! n = 512 — which is what makes the n ∈ {256, 512, 1024} wall-clock
@@ -47,9 +57,9 @@
 //! [`Outcome::sched_counters`] and lands in the benchmark rows.
 
 use crate::engine::{
-    await_honest_done, delivery_frame, engine_plan, outcome_from_raw, parse_delivery,
-    parse_submission, stream_pair, ClientHandle, Delivery, DeliveryFrame, DeliveryHeap, EnginePlan,
-    FrameBuffer, OutBuf, PartyCore, RawCommit, RawRun, Step, Stream, Submission, SubmissionKind,
+    await_honest_done, engine_plan, outcome_from_raw, parse_delivery, parse_submission,
+    stream_pair, ClientHandle, Delivery, DeliveryFrame, DeliveryHeap, EnginePlan, FrameBuffer,
+    FrameTooLarge, OutBuf, PartyCore, RawCommit, RawRun, Step, Stream, Submission, SubmissionKind,
     IDLE_POLL, KIND_MULTICAST, KIND_STOP, KIND_TIMER, KIND_UNICAST,
 };
 use crate::wheel::TimerWheel;
@@ -67,9 +77,9 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 /// Scheduler-side backpressure: once this many bytes sit unflushed across
-/// the per-party outbound queues, party reads pause until the backlog
-/// drains below half the mark. A valve, not a hard cap — deliveries
-/// already routed still queue.
+/// the per-party outbound queues, the scheduler stops rendering due
+/// deliveries (they wait in the heap, one entry per multicast) and party
+/// reads pause, until the backlog drains below half the mark.
 const OUT_HWM: usize = 4 << 20;
 
 /// How long the scheduler keeps flushing `STOP` frames after shutdown
@@ -112,6 +122,39 @@ impl Peer {
     fn flush(&mut self) {
         if self.out.flush(&mut self.stream).is_err() {
             self.open = false;
+            self.reading = false;
+        }
+    }
+
+    /// Reads what the socket has and hands `sink` every complete
+    /// submission of party `from`. EOF, a read error, a garbled frame or
+    /// an oversized length prefix ends the reading: the party is crashed
+    /// from the dispatcher's view, and the run stays live.
+    fn read_submissions(
+        &mut self,
+        from: PartyId,
+        chunk: Option<usize>,
+        mut sink: impl FnMut(Submission),
+    ) {
+        let Ok(eof) = self.fb.fill(&mut self.stream, chunk) else {
+            self.reading = false;
+            return;
+        };
+        loop {
+            let sub = match self.fb.next_frame() {
+                Ok(Some(body)) => parse_submission(from, body),
+                Ok(None) => break,
+                Err(FrameTooLarge) => None,
+            };
+            match sub {
+                Some(sub) => sink(sub),
+                None => {
+                    self.reading = false;
+                    break;
+                }
+            }
+        }
+        if eof {
             self.reading = false;
         }
     }
@@ -178,6 +221,8 @@ fn scheduler_loop(
     let mut fired: Vec<(PartyId, u64)> = Vec::new();
     let mut wakeups: u64 = 0;
     let mut paused = false;
+    // Unflushed bytes across the open peers, as of the last flush sweep.
+    let mut total_out = 0;
     let mut stopping = false;
     let mut grace: Option<Instant> = None;
 
@@ -237,25 +282,32 @@ fn scheduler_loop(
             grace = Some(Instant::now() + STOP_GRACE);
         }
 
-        // 4. Due deliveries into per-party queues (dropped once stopping:
-        //    the run is past its horizon).
-        if !stopping {
-            while let Some(s) = dh.pop_due() {
-                if s.to.as_usize() >= n {
-                    if let Delivery::Msg { bytes, .. } = &s.what {
-                        let _ = client_tx.send(bytes.as_ref().clone());
+        // 4. Due deliveries rendered into per-party queues (dropped once
+        //    stopping: the run is past its horizon). The pass ends when
+        //    the unflushed bytes reach the high-water mark, so the flush
+        //    below — and the workers — overlap the rest of the backlog
+        //    instead of waiting behind all of it.
+        if !stopping && !paused {
+            let mut unflushed = total_out;
+            dh.drain_due(Instant::now(), &links, |to, delivery| {
+                match peers.get_mut(to.as_usize()) {
+                    Some(peer) => {
+                        if peer.open {
+                            unflushed += peer.out.push_delivery(&delivery);
+                        }
                     }
-                    continue;
+                    None => {
+                        if let Delivery::Msg { bytes, .. } = delivery {
+                            let _ = client_tx.send(bytes.to_vec());
+                        }
+                    }
                 }
-                let peer = &mut peers[s.to.as_usize()];
-                if peer.open {
-                    peer.out.push_frame(&delivery_frame(&s.what));
-                }
-            }
+                unflushed < OUT_HWM
+            });
         }
 
         // 5. Flush, recompute the backpressure valve, sync interests.
-        let mut total_out = 0;
+        total_out = 0;
         for peer in &mut peers {
             if peer.open && !peer.out.is_empty() {
                 peer.flush();
@@ -282,10 +334,15 @@ fn scheduler_loop(
             }
         }
 
-        // 7. Sleep until the next deadline: heap due, wheel due, grace,
-        //    or the idle-poll granularity — a readiness event or a wake
-        //    byte interrupts any of them.
-        let mut timeout = dh.next_timeout().min(IDLE_POLL);
+        // 7. Sleep until the next deadline: heap due (unless the valve is
+        //    shut — then a peer turning writable is what reopens it),
+        //    wheel due, grace, or the idle-poll granularity — a readiness
+        //    event or a wake byte interrupts any of them.
+        let mut timeout = if paused {
+            IDLE_POLL
+        } else {
+            dh.next_timeout().min(IDLE_POLL)
+        };
         if let Some(t) = wheel.next_timeout(epoch.elapsed()) {
             timeout = timeout.min(t);
         }
@@ -320,42 +377,16 @@ fn scheduler_loop(
                 peer.flush();
             }
             if ev.is_readable() && peer.reading {
-                match peer.fb.fill(&mut peer.stream, chunk) {
-                    Ok(eof) => {
-                        while let Some(body) = peer.fb.next_frame() {
-                            match parse_submission(PartyId::new(t as u32), body) {
-                                Some(sub) => match sub.kind {
-                                    SubmissionKind::Timer { delay, tag } => {
-                                        wheel.insert(delay, (sub.from, tag));
-                                    }
-                                    // No wire kind maps to Shutdown; a
-                                    // party cannot stop the run.
-                                    SubmissionKind::Shutdown => {}
-                                    kind => {
-                                        let _ = dh.route(
-                                            Submission {
-                                                from: sub.from,
-                                                kind,
-                                            },
-                                            &links,
-                                            Instant::now(),
-                                        );
-                                    }
-                                },
-                                // Garbled frame: the party is crashed from
-                                // the dispatcher's view; keep the run live.
-                                None => {
-                                    peer.reading = false;
-                                    break;
-                                }
-                            }
-                        }
-                        if eof {
-                            peer.reading = false;
-                        }
+                peer.read_submissions(PartyId::new(t as u32), chunk, |sub| match sub.kind {
+                    SubmissionKind::Timer { delay, tag } => wheel.insert(delay, (sub.from, tag)),
+                    // No wire kind maps to Shutdown; a party cannot stop
+                    // the run.
+                    SubmissionKind::Shutdown => {}
+                    kind => {
+                        let from = sub.from;
+                        let _ = dh.route(Submission { from, kind }, &links, Instant::now());
                     }
-                    Err(_) => peer.reading = false,
-                }
+                });
             }
         }
     }
@@ -407,27 +438,27 @@ impl WorkerParty {
         let ctx = self.core.handle(self.strategy.as_mut(), step, commits);
         let out_round = self.core.out_round();
         for (to, msg) in ctx.sends {
-            let mut body = Vec::new();
-            body.push(KIND_UNICAST);
-            to.encode(&mut body);
-            out_round.encode(&mut body);
-            msg.encode(&mut body);
-            self.out.push_frame(&body);
+            self.out.push_frame_with(|body| {
+                body.push(KIND_UNICAST);
+                to.encode(body);
+                out_round.encode(body);
+                msg.encode(body);
+            });
         }
         for (skip, msg) in ctx.mcasts {
-            let mut body = Vec::new();
-            body.push(KIND_MULTICAST);
-            skip.encode(&mut body);
-            out_round.encode(&mut body);
-            msg.encode(&mut body);
-            self.out.push_frame(&body);
+            self.out.push_frame_with(|body| {
+                body.push(KIND_MULTICAST);
+                skip.encode(body);
+                out_round.encode(body);
+                msg.encode(body);
+            });
         }
         for (delay, tag) in ctx.timers {
-            let mut body = Vec::new();
-            body.push(KIND_TIMER);
-            delay.as_micros().encode(&mut body);
-            tag.encode(&mut body);
-            self.out.push_frame(&body);
+            self.out.push_frame_with(|body| {
+                body.push(KIND_TIMER);
+                delay.as_micros().encode(body);
+                tag.encode(body);
+            });
         }
         if ctx.terminate {
             self.terminated = true;
@@ -442,8 +473,15 @@ impl WorkerParty {
     /// Only called once started; a terminated party discards instead of
     /// handling (the draining state).
     fn drain(&mut self, codec: &MsgCodec, commits: &Mutex<Vec<RawCommit>>, done: &Sender<()>) {
-        while let Some(body) = self.fb.next_frame() {
-            match parse_delivery(&body) {
+        loop {
+            // An oversized prefix is a garbled stream, like a corrupt
+            // frame header below.
+            let frame = match self.fb.next_frame() {
+                Ok(Some(body)) => parse_delivery(body),
+                Ok(None) => return,
+                Err(FrameTooLarge) => None,
+            };
+            match frame {
                 Some(DeliveryFrame::Msg {
                     from,
                     round,
@@ -637,7 +675,7 @@ pub(crate) fn run_async_slots(
     });
     drop(sub_tx);
 
-    let links = plan.links.clone();
+    let links = plan.links;
     let scheduler = thread::spawn(move || {
         let peers = sched_ends.into_iter().map(Peer::new).collect();
         scheduler_loop(peers, wake_r, sub_rx, client_tx, links, epoch, chunk)
@@ -1051,6 +1089,81 @@ mod tests {
             "garbage frames must not stop the protocol"
         );
         assert_eq!(o.committed_value(), Some(spec.input));
+    }
+
+    #[test]
+    fn oversized_prefix_crashes_the_peer_for_the_scheduler() {
+        // A party announces a 4 GiB frame behind one honest multicast,
+        // then sends another well-formed one. The scheduler must neither
+        // buffer for the giant frame nor parse anything behind it: the
+        // party is crashed from its view.
+        let (sched_end, mut party_end) = stream_pair().expect("socket pair");
+        sched_end.set_nonblocking(true).expect("nonblocking");
+        let mut out = OutBuf::new();
+        for payload in [42u8, 66] {
+            out.push_frame_with(|body| {
+                body.push(KIND_MULTICAST);
+                Option::<PartyId>::None.encode(body);
+                0u32.encode(body);
+                body.push(payload);
+            });
+        }
+        let mut wire = Vec::new();
+        assert!(out.flush(&mut wire).expect("a Vec accepts every byte"));
+        let (honest, behind) = wire.split_at(wire.len() / 2);
+        let hostile = [honest, &u32::MAX.to_le_bytes(), behind].concat();
+        party_end.write_all(&hostile).expect("fits the socket");
+
+        let mut peer = Peer::new(sched_end);
+        let mut payloads = Vec::new();
+        peer.read_submissions(PartyId::new(3), None, |sub| match sub.kind {
+            SubmissionKind::Multicast { bytes, .. } => payloads.push((sub.from, bytes)),
+            _ => panic!("only multicasts were sent"),
+        });
+        assert_eq!(payloads, vec![(PartyId::new(3), vec![42])]);
+        assert!(!peer.reading, "crashed from the dispatcher's view");
+        assert!(peer.open, "it still gets its deliveries and its STOP");
+    }
+
+    #[test]
+    fn oversized_prefix_finishes_the_party_not_the_worker() {
+        // The same hostile prefix on the delivery side: the party stops
+        // consuming its stream (like a corrupt frame header) instead of
+        // waiting for 4 GiB, and the worker loop ends with it.
+        let (mut sched_end, party_end) = stream_pair().expect("socket pair");
+        party_end.set_nonblocking(true).expect("nonblocking");
+        let me = PartyId::new(0);
+        let now = Instant::now();
+        let party = WorkerParty {
+            global: 0,
+            core: PartyCore::new(me, gcl_types::Config::new(4, 1).expect("shape"), now, now),
+            strategy: Box::new(TimerThenCommit),
+            honest: true,
+            stream: party_end,
+            fb: FrameBuffer::new(),
+            out: OutBuf::new(),
+            start_at: now,
+            started: false,
+            terminated: false,
+            finished: false,
+            open: true,
+            registered: None,
+        };
+        let (done_tx, _done_rx) = unbounded::<()>();
+        let (result_tx, result_rx) = unbounded();
+        let worker = thread::spawn(move || {
+            let commits = Arc::new(Mutex::new(Vec::new()));
+            let codec = MsgCodec::of::<u64>();
+            let _ = result_tx.send(worker_loop(vec![party], codec, commits, done_tx, None));
+        });
+        sched_end
+            .write_all(&u32::MAX.to_le_bytes())
+            .expect("hostile prefix");
+        let (results, ..) = result_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the worker must not wait for the announced body");
+        assert_eq!(results, vec![(0, false, 1)], "start handled, then finished");
+        worker.join().expect("worker exits");
     }
 
     /// A party that arms one timer at start and commits when it fires —

@@ -12,22 +12,29 @@
 //!   handler invocation per event, effects buffered and drained by the
 //!   transport, commits recorded with wall/local clocks, round tags and
 //!   step counts exactly as the simulator defines them;
-//! * the **dispatcher discipline** ([`Scheduled`], [`DeliveryHeap`]): a
-//!   min-heap ordered by `(due, seq)` with a dispatcher-global sequence
-//!   stamp, so delivery ties pop in arrival order;
+//! * the **dispatcher discipline** ([`DeliveryHeap`]): deliveries leave
+//!   in `(due, seq)` order with a dispatcher-global sequence stamp, so
+//!   ties pop in arrival order. A multicast is *one* heap entry that walks
+//!   its sender's recipients — sorted once per sender by `(link delay,
+//!   id)`, recipient `t` stamped `base_seq + t` — and is re-keyed to its
+//!   next recipient as it goes, so the heap holds one slot per in-flight
+//!   multicast, not one per recipient; [`DeliveryHeap::drain_due`] hands
+//!   out everything due in one pass against one clock reading;
 //! * the **frame protocol** (`KIND_*`, [`OutBuf`], [`FrameBuffer`],
-//!   [`parse_submission`], [`parse_delivery`], [`delivery_frame`]):
-//!   `u32`-length-prefixed frames carrying encoded submissions (party →
-//!   dispatcher) and deliveries (dispatcher → party), with a `STOP` frame
-//!   closing the run — the shutdown choreography that keeps every join
-//!   finite;
+//!   [`parse_submission`], [`parse_delivery`]): `u32`-length-prefixed
+//!   frames (capped at [`MAX_FRAME`]) carrying encoded submissions (party
+//!   → dispatcher) and deliveries (dispatcher → party), rendered in place
+//!   into the contiguous outbound buffer and parsed as borrowed slices of
+//!   the reassembly buffer, with a `STOP` frame closing the run — the
+//!   shutdown choreography that keeps every join finite;
 //! * the **audit fold** ([`outcome_from_raw`]): first-commit-per-party
 //!   into the simulator-comparable [`Outcome`].
 //!
 //! Frame reads are robust to short reads at *arbitrary* byte boundaries
 //! and to `EINTR`/`WouldBlock`: [`FrameBuffer`] accumulates whatever
 //! bytes the nonblocking socket has and yields only complete frames. It
-//! is fuzzed one byte at a time in the tests below.
+//! is fuzzed one byte at a time in the tests below. A length prefix above
+//! [`MAX_FRAME`] marks the peer as garbled instead of being buffered for.
 
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use gcl_sim::{
@@ -37,7 +44,7 @@ use gcl_types::{
     Config, Decode, Duration as SimDuration, Encode, GlobalTime, LocalTime, PartyId, Value,
 };
 use parking_lot::Mutex;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -96,7 +103,7 @@ pub(crate) struct RawRun {
     pub events_handled: u64,
     /// Point-to-point messages scheduled (multicast counts `n`).
     pub messages_sent: u64,
-    /// High-water mark of the dispatcher heap.
+    /// High-water mark of pending deliveries in the dispatcher.
     pub peak_queue: usize,
     /// Wall time from engine start to shutdown.
     pub elapsed: Duration,
@@ -177,7 +184,7 @@ pub(crate) fn outcome_from_raw(spec: &ScenarioSpec, raw: RawRun) -> Outcome {
 /// The party-side [`Context`] of the wall engine. Effects buffer here and
 /// the worker drains them after the handler returns; `multicast` stays one
 /// entry (not `n` sends) so the payload is encoded once and the dispatcher
-/// fans the one byte buffer out.
+/// walks the one byte buffer across its recipients.
 pub(crate) struct NetCtx<M> {
     pub(crate) me: PartyId,
     pub(crate) config: Config,
@@ -333,34 +340,6 @@ impl PartyCore {
     }
 }
 
-/// A heap entry: min-order on `(due, seq)` with `seq` dispatcher-global,
-/// so ties at one instant pop in arrival order (stable replay under zero
-/// injected latency).
-pub(crate) struct Scheduled {
-    pub due: Instant,
-    pub seq: u64,
-    pub to: PartyId,
-    pub what: Delivery,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-impl Eq for Scheduled {}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest-first.
-        other.due.cmp(&self.due).then(other.seq.cmp(&self.seq))
-    }
-}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// Blocks until every honest party has reported termination on `done_rx`
 /// or `deadline_at` passes — the early-exit protocol (the deadline is only
 /// the fallback horizon for runs where some honest party never
@@ -390,6 +369,23 @@ pub(crate) const KIND_MULTICAST: u8 = 2;
 pub(crate) const KIND_TIMER: u8 = 3;
 pub(crate) const KIND_STOP: u8 = 4;
 
+/// The largest frame body a reader accepts. A `u32` prefix can announce
+/// 4 GiB; without a cap one hostile prefix makes [`FrameBuffer`] buffer
+/// without bound, so a larger announcement marks the peer as garbled. The
+/// largest frames any registered family emits are the quadratic
+/// view-change proofs (`n − f` view changes, each carrying an `n − f`-vote
+/// certificate): 24.3 MB at n = 1024, asserted below half the cap in the
+/// tests.
+pub(crate) const MAX_FRAME: usize = 64 << 20;
+
+/// A length prefix announced more than [`MAX_FRAME`] bytes: the stream is
+/// garbled (or hostile) and the reader should stop consuming it.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct FrameTooLarge;
+
+/// Bytes asked of the socket per read.
+const READ_CHUNK: usize = 16 * 1024;
+
 /// Incremental frame reassembly for nonblocking sockets: [`fill`] drains
 /// whatever bytes the socket has right now, [`next_frame`] yields only
 /// complete frames — a partial length prefix or body simply waits for the
@@ -398,8 +394,12 @@ pub(crate) const KIND_STOP: u8 = 4;
 /// [`fill`]: FrameBuffer::fill
 /// [`next_frame`]: FrameBuffer::next_frame
 pub(crate) struct FrameBuffer {
+    /// Backing store, initialised out to `buf.len()`: reads land straight
+    /// in the spare room past `end`, and it is zeroed only when it grows.
     buf: Vec<u8>,
+    /// `buf[pos..end]` are the received bytes not yet handed out.
     pos: usize,
+    end: usize,
 }
 
 impl FrameBuffer {
@@ -407,6 +407,19 @@ impl FrameBuffer {
         FrameBuffer {
             buf: Vec::new(),
             pos: 0,
+            end: 0,
+        }
+    }
+
+    /// Makes room for `want` more bytes past `end`: reclaims the consumed
+    /// prefix first, grows (doubling) only if that is not enough.
+    fn reserve(&mut self, want: usize) {
+        if self.buf.len() - self.end < want {
+            self.compact();
+        }
+        if self.buf.len() - self.end < want {
+            let grown = (self.end + want).max(self.buf.len() * 2);
+            self.buf.resize(grown, 0);
         }
     }
 
@@ -415,12 +428,12 @@ impl FrameBuffer {
     /// `chunk` caps the per-syscall read size (test knob; `None` = full
     /// buffers).
     pub(crate) fn fill(&mut self, r: &mut impl Read, chunk: Option<usize>) -> io::Result<bool> {
-        let mut tmp = [0u8; 16 * 1024];
-        let cap = chunk.unwrap_or(tmp.len()).clamp(1, tmp.len());
+        let cap = chunk.unwrap_or(READ_CHUNK).clamp(1, READ_CHUNK);
         loop {
-            match r.read(&mut tmp[..cap]) {
+            self.reserve(cap);
+            match r.read(&mut self.buf[self.end..self.end + cap]) {
                 Ok(0) => return Ok(true),
-                Ok(n) => self.buf.extend_from_slice(&tmp[..n]),
+                Ok(n) => self.end += n,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
                 Err(e) => return Err(e),
@@ -431,51 +444,67 @@ impl FrameBuffer {
     /// Appends raw bytes (tests drive reassembly without a socket).
     #[cfg(test)]
     pub(crate) fn push_bytes(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+        self.reserve(bytes.len());
+        self.buf[self.end..self.end + bytes.len()].copy_from_slice(bytes);
+        self.end += bytes.len();
     }
 
-    /// Pops the next complete frame, if the buffer holds one.
-    pub(crate) fn next_frame(&mut self) -> Option<Vec<u8>> {
-        let avail = self.buf.len() - self.pos;
-        if avail < 4 {
+    /// Pops the next complete frame body, if the buffer holds one, as a
+    /// slice of the buffer itself (valid until the next call).
+    pub(crate) fn next_frame(&mut self) -> Result<Option<&[u8]>, FrameTooLarge> {
+        let Some(prefix) = self.buf[self.pos..self.end].first_chunk::<4>() else {
             self.compact();
-            return None;
+            return Ok(None);
+        };
+        let len = u32::from_le_bytes(*prefix) as usize;
+        if len > MAX_FRAME {
+            return Err(FrameTooLarge);
         }
-        let len = u32::from_le_bytes(
-            self.buf[self.pos..self.pos + 4]
-                .try_into()
-                .expect("4 bytes"),
-        ) as usize;
-        if avail < 4 + len {
+        let body = self.pos + 4;
+        if self.end - body < len {
             self.compact();
-            return None;
+            return Ok(None);
         }
-        let frame = self.buf[self.pos + 4..self.pos + 4 + len].to_vec();
-        self.pos += 4 + len;
-        if self.pos == self.buf.len() {
-            self.buf.clear();
+        self.pos = body + len;
+        if self.pos == self.end {
             self.pos = 0;
+            self.end = 0;
         }
-        Some(frame)
+        Ok(Some(&self.buf[body..body + len]))
     }
 
-    /// Drops the consumed prefix so the buffer doesn't grow with the
-    /// stream's lifetime.
+    /// Moves the unread bytes to the front so the buffer doesn't grow with
+    /// the stream's lifetime.
     fn compact(&mut self) {
         if self.pos > 0 {
-            self.buf.drain(..self.pos);
+            self.buf.copy_within(self.pos..self.end, 0);
+            self.end -= self.pos;
             self.pos = 0;
         }
     }
 }
 
-/// A nonblocking outbound frame queue: frames append fully, the socket
-/// drains as much as it accepts per [`flush`], and the high-water mark is
-/// the backpressure observability metric.
+/// What the dispatcher delivers to a party, payload borrowed from the
+/// pending heap entry.
+pub(crate) enum Delivery<'a> {
+    Msg {
+        from: PartyId,
+        round: u32,
+        bytes: &'a [u8],
+    },
+    Timer(u64),
+}
+
+/// A nonblocking outbound frame queue: one contiguous byte buffer that
+/// frames are rendered straight into, the socket drains as much as it
+/// accepts per [`flush`], and the high-water mark is the backpressure
+/// observability metric.
 ///
 /// [`flush`]: OutBuf::flush
 pub(crate) struct OutBuf {
-    buf: VecDeque<u8>,
+    buf: Vec<u8>,
+    /// `buf[..head]` is already written to the socket.
+    head: usize,
     /// High-water mark of pending bytes over the queue's lifetime.
     pub peak: usize,
 }
@@ -483,46 +512,80 @@ pub(crate) struct OutBuf {
 impl OutBuf {
     pub(crate) fn new() -> Self {
         OutBuf {
-            buf: VecDeque::new(),
+            buf: Vec::new(),
+            head: 0,
             peak: 0,
         }
     }
 
-    /// Appends one length-prefixed frame (never blocks; backpressure is
-    /// the *caller's* job, watching [`OutBuf::len`]).
-    pub(crate) fn push_frame(&mut self, body: &[u8]) {
-        let len = u32::try_from(body.len()).expect("frames stay far below 4 GiB");
-        self.buf.extend(len.to_le_bytes());
-        self.buf.extend(body.iter().copied());
-        self.peak = self.peak.max(self.buf.len());
+    /// Appends one length-prefixed frame whose body `render` writes in
+    /// place, and returns its size on the wire (never blocks;
+    /// backpressure is the *caller's* job, watching [`OutBuf::len`]).
+    pub(crate) fn push_frame_with(&mut self, render: impl FnOnce(&mut Vec<u8>)) -> usize {
+        let start = self.buf.len();
+        self.buf.extend_from_slice(&[0; 4]);
+        render(&mut self.buf);
+        let len = u32::try_from(self.buf.len() - start - 4).expect("frames stay far below 4 GiB");
+        self.buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+        self.peak = self.peak.max(self.len());
+        self.buf.len() - start
+    }
+
+    /// Appends one length-prefixed frame with the given body.
+    pub(crate) fn push_frame(&mut self, body: &[u8]) -> usize {
+        self.push_frame_with(|buf| buf.extend_from_slice(body))
+    }
+
+    /// Appends one delivery frame (the inverse of [`parse_delivery`]).
+    pub(crate) fn push_delivery(&mut self, delivery: &Delivery<'_>) -> usize {
+        self.push_frame_with(|buf| match *delivery {
+            Delivery::Msg { from, round, bytes } => {
+                buf.push(KIND_UNICAST);
+                from.encode(buf);
+                round.encode(buf);
+                buf.extend_from_slice(bytes);
+            }
+            Delivery::Timer(tag) => {
+                buf.push(KIND_TIMER);
+                tag.encode(buf);
+            }
+        })
     }
 
     /// Writes as much as the socket accepts right now. `Ok(true)` means
     /// the queue drained empty; `Ok(false)` means the socket would block
     /// and write-readiness should be watched.
     pub(crate) fn flush(&mut self, w: &mut impl Write) -> io::Result<bool> {
-        while !self.buf.is_empty() {
-            let (front, _) = self.buf.as_slices();
-            match w.write(front) {
+        while self.head < self.buf.len() {
+            match w.write(&self.buf[self.head..]) {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => {
-                    self.buf.drain(..n);
-                }
+                Ok(n) => self.head += n,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    // Reclaim the written prefix once it outweighs what
+                    // is left: each byte moves at most once per byte
+                    // written, so a slow socket cannot pin dead space.
+                    if self.head >= self.len() {
+                        self.buf.drain(..self.head);
+                        self.head = 0;
+                    }
+                    return Ok(false);
+                }
                 Err(e) => return Err(e),
             }
         }
+        self.buf.clear();
+        self.head = 0;
         Ok(true)
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.head == self.buf.len()
     }
 
     /// Pending (unflushed) bytes.
     pub(crate) fn len(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.head
     }
 }
 
@@ -541,7 +604,7 @@ pub(crate) enum SubmissionKind {
     Multicast {
         skip: Option<PartyId>,
         round: u32,
-        bytes: Arc<Vec<u8>>,
+        bytes: Vec<u8>,
     },
     Timer {
         delay: Duration,
@@ -551,39 +614,11 @@ pub(crate) enum SubmissionKind {
     Shutdown,
 }
 
-/// What the dispatcher delivers to a party.
-pub(crate) enum Delivery {
-    Msg {
-        from: PartyId,
-        round: u32,
-        bytes: Arc<Vec<u8>>,
-    },
-    Timer(u64),
-}
-
-/// Renders a delivery as a frame body.
-pub(crate) fn delivery_frame(delivery: &Delivery) -> Vec<u8> {
-    let mut body = Vec::new();
-    match delivery {
-        Delivery::Msg { from, round, bytes } => {
-            body.push(KIND_UNICAST);
-            from.encode(&mut body);
-            round.encode(&mut body);
-            body.extend_from_slice(bytes);
-        }
-        Delivery::Timer(tag) => {
-            body.push(KIND_TIMER);
-            tag.encode(&mut body);
-        }
-    }
-    body
-}
-
 /// Parses a submission frame body. Total: a malformed frame (unknown kind,
 /// truncated header) yields `None`, and the dispatcher treats the sending
 /// party as crashed — one garbled peer must never abort the whole run.
-pub(crate) fn parse_submission(from: PartyId, body: Vec<u8>) -> Option<Submission> {
-    let mut r = &body[..];
+pub(crate) fn parse_submission(from: PartyId, body: &[u8]) -> Option<Submission> {
+    let mut r = body;
     let kind = match u8::decode(&mut r).ok()? {
         KIND_UNICAST => {
             let to = PartyId::decode(&mut r).ok()?;
@@ -600,7 +635,7 @@ pub(crate) fn parse_submission(from: PartyId, body: Vec<u8>) -> Option<Submissio
             SubmissionKind::Multicast {
                 skip,
                 round,
-                bytes: Arc::new(r.to_vec()),
+                bytes: r.to_vec(),
             }
         }
         KIND_TIMER => {
@@ -651,15 +686,93 @@ pub(crate) fn parse_delivery(body: &[u8]) -> Option<DeliveryFrame<'_>> {
 
 /// What [`DeliveryHeap::route`] decided about one submission.
 pub(crate) enum Routed {
-    /// Scheduled (or fanned out) into the heap.
+    /// Scheduled into the heap.
     Queued,
     /// The engine's shutdown marker: flush stop frames and exit.
     Shutdown,
 }
 
+/// A heap entry: min-order on `(due, seq)` with `seq` dispatcher-global,
+/// so ties at one instant pop in arrival order (stable replay under zero
+/// injected latency). A multicast entry is keyed by the earliest
+/// recipient it still owes.
+struct Scheduled {
+    due: Instant,
+    seq: u64,
+    what: Pending,
+}
+
+enum Pending {
+    /// A unicast (`to` may be the out-of-band client id).
+    Msg {
+        to: PartyId,
+        from: PartyId,
+        round: u32,
+        bytes: Vec<u8>,
+    },
+    Timer {
+        to: PartyId,
+        tag: u64,
+    },
+    Multicast(Fan),
+}
+
+/// One multicast on its way through its sender's recipient order.
+/// Recipient `t` is due at `sent + links[from][t]` and stamped `base_seq +
+/// t` — the keys `n` separate entries pushed in id order would carry.
+struct Fan {
+    from: PartyId,
+    skip: Option<PartyId>,
+    round: u32,
+    bytes: Vec<u8>,
+    sent: Instant,
+    base_seq: u64,
+    /// Index into the sender's recipient order of the next one to serve.
+    next: usize,
+}
+
+impl Fan {
+    /// The `(due, seq)` key and id of the next recipient (stepping over
+    /// `skip`), or `None` once every recipient is served. `order` and
+    /// `row` are the sender's recipient order and link row.
+    fn head(&mut self, order: &[u32], row: &[Duration]) -> Option<((Instant, u64), PartyId)> {
+        let skipped = |t: &u32| Some(PartyId::new(*t)) == self.skip;
+        if order.get(self.next).is_some_and(skipped) {
+            self.next += 1;
+        }
+        let t = *order.get(self.next)?;
+        let key = (self.sent + row[t as usize], self.base_seq + u64::from(t));
+        Some((key, PartyId::new(t)))
+    }
+}
+
+impl Scheduled {
+    fn key(&self) -> (Instant, u64) {
+        (self.due, self.seq)
+    }
+}
+
+impl PartialEq for Scheduled {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+impl Eq for Scheduled {}
+impl Ord for Scheduled {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        // Reversed: BinaryHeap is a max-heap, we want earliest-first.
+        other.key().cmp(&self.key())
+    }
+}
+impl PartialOrd for Scheduled {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
 /// The dispatcher's clock-ordered delivery heap plus its routing rules:
-/// unicasts cross their link,
-/// multicasts fan out sharing one encoded payload, timers return to their
+/// unicasts cross their link, a multicast crosses each recipient's link
+/// out of one entry and one encoded payload, timers return to their
 /// owner, and client-addressed frames (the reserved out-of-band id) cross
 /// the sender's worst link — the external client is at least as far away
 /// as the farthest party.
@@ -667,9 +780,15 @@ pub(crate) struct DeliveryHeap {
     heap: BinaryHeap<Scheduled>,
     next_seq: u64,
     n: usize,
+    /// Per sender, every party id sorted by `(link delay, id)` — the order
+    /// a multicast falls due in. Built on the sender's first multicast
+    /// (empty until then).
+    order: Vec<Vec<u32>>,
+    /// Deliveries routed and not yet handed out.
+    pending: usize,
     /// Point-to-point messages scheduled (multicast counts `n`).
     pub messages: u64,
-    /// High-water mark of the heap.
+    /// High-water mark of pending deliveries.
     pub peak: usize,
 }
 
@@ -679,74 +798,75 @@ impl DeliveryHeap {
             heap: BinaryHeap::new(),
             next_seq: 0,
             n,
+            order: vec![Vec::new(); n],
+            pending: 0,
             messages: 0,
             peak: 0,
         }
     }
 
-    fn push(&mut self, due: Instant, to: PartyId, what: Delivery) {
+    fn push(&mut self, due: Instant, what: Pending) {
         self.heap.push(Scheduled {
             due,
             seq: self.next_seq,
-            to,
             what,
         });
         self.next_seq += 1;
+        self.pending += 1;
     }
 
     /// Stamps and schedules one submission. `links` is the full n×n link
     /// matrix of the plan.
     pub(crate) fn route(&mut self, sub: Submission, links: &[Duration], now: Instant) -> Routed {
         let n = self.n;
-        let row = sub.from.as_usize() * n;
+        let from = sub.from;
+        let row = &links[from.as_usize() * n..][..n];
         match sub.kind {
             SubmissionKind::Shutdown => return Routed::Shutdown,
             SubmissionKind::Unicast { to, round, bytes } => {
                 self.messages += 1;
-                let delay = if to.as_usize() >= n {
-                    links[row..row + n]
-                        .iter()
-                        .copied()
-                        .max()
-                        .unwrap_or_default()
-                } else {
-                    links[row + to.as_usize()]
+                let delay = match row.get(to.as_usize()) {
+                    Some(link) => *link,
+                    None => row.iter().copied().max().unwrap_or_default(),
                 };
-                self.push(
-                    now + delay,
+                let what = Pending::Msg {
                     to,
-                    Delivery::Msg {
-                        from: sub.from,
-                        round,
-                        bytes: Arc::new(bytes),
-                    },
-                );
+                    from,
+                    round,
+                    bytes,
+                };
+                self.push(now + delay, what);
             }
             SubmissionKind::Multicast { skip, round, bytes } => {
-                // One encoded payload, n scheduled frames. Every recipient
-                // still decodes its own copy.
-                for t in 0..n as u32 {
-                    let to = PartyId::new(t);
-                    if Some(to) == skip {
-                        continue;
-                    }
-                    self.messages += 1;
-                    self.push(
-                        now + links[row + to.as_usize()],
-                        to,
-                        Delivery::Msg {
-                            from: sub.from,
-                            round,
-                            bytes: Arc::clone(&bytes),
-                        },
-                    );
+                let order = &mut self.order[from.as_usize()];
+                if order.is_empty() {
+                    order.extend(0..n as u32);
+                    order.sort_by_key(|t| row[*t as usize]);
+                }
+                let mut fan = Fan {
+                    from,
+                    skip,
+                    round,
+                    bytes,
+                    sent: now,
+                    base_seq: self.next_seq,
+                    next: 0,
+                };
+                self.next_seq += n as u64;
+                // A multicast with nobody to reach schedules nothing.
+                if let Some(((due, seq), _)) = fan.head(order, row) {
+                    let reach = n - usize::from(skip.is_some_and(|s| s.as_usize() < n));
+                    self.messages += reach as u64;
+                    self.pending += reach;
+                    let what = Pending::Multicast(fan);
+                    self.heap.push(Scheduled { due, seq, what });
                 }
             }
             SubmissionKind::Timer { delay, tag } => {
-                self.push(now + delay, sub.from, Delivery::Timer(tag));
+                self.push(now + delay, Pending::Timer { to: from, tag });
             }
         }
-        self.peak = self.peak.max(self.heap.len());
+        self.peak = self.peak.max(self.pending);
         Routed::Queued
     }
 
@@ -759,12 +879,59 @@ impl DeliveryHeap {
             .unwrap_or(IDLE_POLL)
     }
 
-    /// Pops the next entry if it has fallen due.
-    pub(crate) fn pop_due(&mut self) -> Option<Scheduled> {
-        if self.heap.peek().is_some_and(|s| s.due <= Instant::now()) {
-            return Some(self.heap.pop().expect("peeked"));
+    /// Hands every delivery due at `now` to `deliver`, in `(due, seq)`
+    /// order, until `deliver` returns `false` (the caller's outbound
+    /// budget is spent; the rest stays pending for the next pass). A
+    /// multicast stays out of the heap while its next recipient is still
+    /// the earliest pending delivery, so a run of recipients costs one pop
+    /// and at most one push.
+    pub(crate) fn drain_due(
+        &mut self,
+        now: Instant,
+        links: &[Duration],
+        mut deliver: impl FnMut(PartyId, Delivery<'_>) -> bool,
+    ) {
+        let n = self.n;
+        let mut more = true;
+        while more && self.heap.peek().is_some_and(|s| s.due <= now) {
+            match self.heap.pop().expect("peeked").what {
+                Pending::Msg {
+                    to,
+                    from,
+                    round,
+                    bytes,
+                } => {
+                    self.pending -= 1;
+                    let bytes = &bytes[..];
+                    more = deliver(to, Delivery::Msg { from, round, bytes });
+                }
+                Pending::Timer { to, tag } => {
+                    self.pending -= 1;
+                    more = deliver(to, Delivery::Timer(tag));
+                }
+                Pending::Multicast(mut fan) => {
+                    let order = &self.order[fan.from.as_usize()];
+                    let row = &links[fan.from.as_usize() * n..][..n];
+                    let mut head = fan.head(order, row);
+                    // The popped key was due and the earliest; keep going
+                    // while the re-keyed entry still is both.
+                    while let Some((key, to)) = head {
+                        let first = self.heap.peek().is_none_or(|top| key < top.key());
+                        if !(more && first && key.0 <= now) {
+                            let (due, seq) = key;
+                            let what = Pending::Multicast(fan);
+                            self.heap.push(Scheduled { due, seq, what });
+                            break;
+                        }
+                        self.pending -= 1;
+                        let (from, round, bytes) = (fan.from, fan.round, &fan.bytes[..]);
+                        more = deliver(to, Delivery::Msg { from, round, bytes });
+                        fan.next += 1;
+                        head = fan.head(order, row);
+                    }
+                }
+            }
         }
-        None
     }
 }
 
@@ -859,6 +1026,15 @@ mod tests {
         wire
     }
 
+    /// Every complete frame the buffer holds right now, as owned bodies.
+    fn pop_frames(fb: &mut FrameBuffer) -> Vec<Vec<u8>> {
+        let mut got = Vec::new();
+        while let Some(frame) = fb.next_frame().expect("frames below the cap") {
+            got.push(frame.to_vec());
+        }
+        got
+    }
+
     #[test]
     fn frame_buffer_reassembles_one_byte_at_a_time() {
         // The fuzz-style 1-byte delivery test: feed a multi-frame stream
@@ -870,9 +1046,7 @@ mod tests {
         let mut got = Vec::new();
         for (i, byte) in wire.iter().enumerate() {
             fb.push_bytes(&[*byte]);
-            while let Some(frame) = fb.next_frame() {
-                got.push((i, frame));
-            }
+            got.extend(pop_frames(&mut fb).into_iter().map(|frame| (i, frame)));
         }
         let bodies: Vec<Vec<u8>> = got.iter().map(|(_, f)| f.clone()).collect();
         assert_eq!(bodies, frames);
@@ -900,9 +1074,7 @@ mod tests {
             let take = ((state >> 33) as usize % 23).min(wire.len() - pos);
             fb.push_bytes(&wire[pos..pos + take]);
             pos += take;
-            while let Some(frame) = fb.next_frame() {
-                got.push(frame);
-            }
+            got.extend(pop_frames(&mut fb));
         }
         assert_eq!(got, frames);
     }
@@ -923,7 +1095,7 @@ mod tests {
         loop {
             let eof = fb.fill(&mut b, Some(1)).unwrap();
             assert!(!eof, "peer still open");
-            if let Some(frame) = fb.next_frame() {
+            if let Some(frame) = fb.next_frame().unwrap() {
                 assert_eq!(frame, b"over the wire");
                 break;
             }
@@ -937,6 +1109,68 @@ mod tests {
             }
             assert!(Instant::now() < deadline, "EOF never arrived");
         }
+    }
+
+    #[test]
+    fn frame_buffer_rejects_an_oversized_prefix() {
+        // A frame announcing more than MAX_FRAME is refused at its prefix:
+        // the reader never waits (or buffers) for a body that large.
+        let mut fb = FrameBuffer::new();
+        fb.push_bytes(b"\x02\x00\x00\x00ok");
+        fb.push_bytes(&(MAX_FRAME as u32 + 1).to_le_bytes());
+        assert_eq!(fb.next_frame(), Ok(Some(&b"ok"[..])), "good frames first");
+        assert_eq!(fb.next_frame(), Err(FrameTooLarge));
+        assert_eq!(fb.next_frame(), Err(FrameTooLarge), "and it stays refused");
+        assert!(fb.buf.len() < READ_CHUNK, "nothing was reserved for it");
+
+        // The cap itself is still a legal (merely incomplete) frame.
+        let mut fb = FrameBuffer::new();
+        fb.push_bytes(&(MAX_FRAME as u32).to_le_bytes());
+        assert_eq!(fb.next_frame(), Ok(None));
+        fb.push_bytes(&u32::MAX.to_le_bytes()[..3]);
+        assert_eq!(fb.next_frame(), Ok(None), "a partial prefix just waits");
+    }
+
+    #[test]
+    fn max_frame_clears_the_largest_frame_a_family_emits_at_n_1024() {
+        // The quadratic shape: a PBFT proposal justified by n − f view
+        // changes, each carrying a prepared certificate of n − f votes
+        // (psync-VBB status bundles have the same structure), inside the
+        // unicast delivery header.
+        use gcl_core::psync::{PbftMsg, PbftProposal, PhaseVote, PreparedCert, ViewChangeMsg};
+        use gcl_crypto::Keychain;
+        use gcl_types::View;
+        let (n, f) = (1024, 341);
+        let chain = Keychain::generate(n, 1);
+        let signer = chain.signer(PartyId::new(0));
+        let (value, view) = (Value::new(u64::MAX), View::new(u64::MAX));
+        let prop = PbftProposal::new(&signer, value, view);
+        let vote = PhaseVote {
+            value,
+            view,
+            sig: prop.sig,
+        };
+        let prepared = PreparedCert {
+            value,
+            view,
+            prepares: vec![vote; n - f],
+        };
+        let change = ViewChangeMsg::new(&signer, view, Some(prepared));
+        let msg = PbftMsg::Propose {
+            prop,
+            proof: vec![change; n - f],
+        };
+        let mut out = OutBuf::new();
+        let wire = out.push_delivery(&Delivery::Msg {
+            from: PartyId::new(n as u32 - 1),
+            round: u32::MAX,
+            bytes: &msg.to_wire(),
+        });
+        assert!(wire > 16 << 20, "the shape really is quadratic: {wire}");
+        assert!(
+            wire - 4 <= MAX_FRAME / 2,
+            "2x headroom under the cap: {wire}"
+        );
     }
 
     #[test]
@@ -963,39 +1197,68 @@ mod tests {
             }
         }
 
+        let frames = [b"first frame".to_vec(), vec![7; 40], vec![9; 25]];
         let mut out = OutBuf::new();
-        out.push_frame(b"first frame");
-        out.push_frame(&[7; 40]);
-        let expect_len = (4 + 11) + (4 + 40);
-        assert_eq!(out.len(), expect_len);
-        assert_eq!(out.peak, expect_len);
+        assert!(out.is_empty());
+        assert_eq!(out.push_frame(&frames[0]), 4 + 11, "size on the wire");
+        out.push_frame(&frames[1]);
+        let mut pushed = (4 + 11) + (4 + 40);
+        assert_eq!(out.len(), pushed);
+        assert_eq!(out.peak, pushed);
 
         let mut w = Dribble {
             sink: Vec::new(),
             block_next: false,
         };
-        let mut rounds = 0;
+        let (mut rounds, mut compactions, mut peak) = (0, 0, pushed);
         while !out.flush(&mut w).unwrap() {
             rounds += 1;
             assert!(rounds < 1000, "flush must make progress");
+            // Every partial write and every WouldBlock leaves the
+            // accounting exact.
+            assert_eq!(out.len(), pushed - w.sink.len());
+            assert!(!out.is_empty());
+            if out.head == 0 {
+                compactions += 1; // the written prefix was reclaimed
+            }
+            if rounds == 12 {
+                // A frame rendered behind a half-flushed, once-compacted
+                // queue lands after the bytes still pending.
+                assert!(compactions > 0, "compacted before the late frame");
+                out.push_frame(&frames[2]);
+                pushed += 4 + 25;
+                peak = peak.max(out.len());
+            }
+            assert_eq!(out.peak, peak, "peak counts pending bytes, not capacity");
         }
+        assert!(compactions >= 2, "compacts again as the queue halves");
         assert!(out.is_empty());
+        assert_eq!(out.len(), 0);
+        assert_eq!(out.peak, peak);
+        assert_eq!(w.sink, wire_bytes(&frames), "byte-exact, in order");
         // The dribbled bytes reassemble into the original frames.
         let mut fb = FrameBuffer::new();
         fb.push_bytes(&w.sink);
-        assert_eq!(fb.next_frame().unwrap(), b"first frame");
-        assert_eq!(fb.next_frame().unwrap(), vec![7; 40]);
-        assert!(fb.next_frame().is_none());
+        assert_eq!(pop_frames(&mut fb), frames);
+        // A drained queue starts over at the front of its buffer.
+        out.push_frame(b"again");
+        assert_eq!((out.head, out.len()), (0, 4 + 5));
     }
 
     #[test]
     fn delivery_frames_round_trip_through_parse() {
-        let msg = Delivery::Msg {
+        let mut out = OutBuf::new();
+        out.push_delivery(&Delivery::Msg {
             from: PartyId::new(3),
             round: 9,
-            bytes: Arc::new(vec![1, 2, 3]),
-        };
-        match parse_delivery(&delivery_frame(&msg)) {
+            bytes: &[1, 2, 3],
+        });
+        out.push_delivery(&Delivery::Timer(77));
+        let mut fb = FrameBuffer::new();
+        let mut wire = Vec::new();
+        assert!(out.flush(&mut wire).unwrap());
+        fb.push_bytes(&wire);
+        match parse_delivery(fb.next_frame().unwrap().expect("first frame")) {
             Some(DeliveryFrame::Msg {
                 from,
                 round,
@@ -1007,10 +1270,11 @@ mod tests {
             }
             _ => panic!("unicast frame must parse as Msg"),
         }
-        match parse_delivery(&delivery_frame(&Delivery::Timer(77))) {
+        match parse_delivery(fb.next_frame().unwrap().expect("second frame")) {
             Some(DeliveryFrame::Timer(77)) => {}
             _ => panic!("timer frame must parse as Timer(77)"),
         }
+        assert_eq!(fb.next_frame(), Ok(None));
         assert!(matches!(
             parse_delivery(&[KIND_STOP]),
             Some(DeliveryFrame::Stop)
@@ -1049,19 +1313,19 @@ mod tests {
             (&multicast, multicast.len()),
             (&timer, timer.len()),
         ] {
-            assert!(parse_submission(from, valid.clone()).is_some());
+            assert!(parse_submission(from, valid).is_some());
             // Every strict prefix of the header is truncated garbage.
             for cut in 0..header_len {
                 assert!(
-                    parse_submission(from, valid[..cut].to_vec()).is_none(),
+                    parse_submission(from, &valid[..cut]).is_none(),
                     "truncation at {cut} must be rejected"
                 );
             }
         }
-        assert!(parse_submission(from, vec![]).is_none(), "empty frame");
+        assert!(parse_submission(from, &[]).is_none(), "empty frame");
         for kind in [0u8, KIND_STOP, 5, 99, 255] {
             assert!(
-                parse_submission(from, vec![kind, 0, 0, 0, 0]).is_none(),
+                parse_submission(from, &[kind, 0, 0, 0, 0]).is_none(),
                 "kind {kind} is not a submission"
             );
         }
@@ -1073,7 +1337,42 @@ mod tests {
                     (state >> 33) as u8
                 })
                 .collect();
-            let _ = parse_submission(from, body); // must not panic
+            let _ = parse_submission(from, &body); // must not panic
+        }
+    }
+
+    /// One delivery as `drain_due` hands it out, owned: `(to, from, round,
+    /// payload)` for a message, `(to, to, u32::MAX, tag)` for a timer.
+    pub(super) type Seen = (PartyId, PartyId, u32, Vec<u8>);
+
+    pub(super) fn seen(to: PartyId, delivery: Delivery<'_>) -> Seen {
+        match delivery {
+            Delivery::Msg { from, round, bytes } => (to, from, round, bytes.to_vec()),
+            Delivery::Timer(tag) => (to, to, u32::MAX, tag.to_le_bytes().to_vec()),
+        }
+    }
+
+    /// Everything due at `now`, in hand-out order.
+    fn drain_all(dh: &mut DeliveryHeap, now: Instant, links: &[Duration]) -> Vec<Seen> {
+        let mut got = Vec::new();
+        dh.drain_due(now, links, |to, delivery| {
+            got.push(seen(to, delivery));
+            true
+        });
+        got
+    }
+
+    fn timer(from: u32, delay: Duration, tag: u64) -> Submission {
+        Submission {
+            from: PartyId::new(from),
+            kind: SubmissionKind::Timer { delay, tag },
+        }
+    }
+
+    fn multicast(from: u32, skip: Option<PartyId>, round: u32, bytes: Vec<u8>) -> Submission {
+        Submission {
+            from: PartyId::new(from),
+            kind: SubmissionKind::Multicast { skip, round, bytes },
         }
     }
 
@@ -1081,34 +1380,31 @@ mod tests {
     fn dispatcher_seq_breaks_ties_in_arrival_order() {
         // Equal `due` instants must pop in stamp order — the
         // dispatcher-global sequence, not per-party counters.
-        let due = Instant::now();
-        let mut heap: BinaryHeap<Scheduled> = BinaryHeap::new();
-        for seq in [3u64, 0, 2, 1] {
-            heap.push(Scheduled {
-                due,
-                seq,
-                to: PartyId::new(0),
-                what: Delivery::Timer(seq),
-            });
+        let links = vec![Duration::ZERO; 4];
+        let now = Instant::now();
+        let mut dh = DeliveryHeap::new(2);
+        for (party, tag) in [(1, 30u64), (0, 10), (1, 20), (0, 40)] {
+            dh.route(timer(party, Duration::ZERO, tag), &links, now);
         }
-        let order: Vec<u64> = std::iter::from_fn(|| heap.pop().map(|s| s.seq)).collect();
-        assert_eq!(order, vec![0, 1, 2, 3], "FIFO at equal due");
+        let tags: Vec<Vec<u8>> = drain_all(&mut dh, now, &links)
+            .into_iter()
+            .map(|s| s.3)
+            .collect();
+        let expect: Vec<Vec<u8>> = [30u64, 10, 20, 40]
+            .iter()
+            .map(|t| t.to_le_bytes().to_vec())
+            .collect();
+        assert_eq!(tags, expect, "FIFO at equal due");
 
         // An earlier due instant still wins regardless of stamp order.
-        let mut heap: BinaryHeap<Scheduled> = BinaryHeap::new();
-        heap.push(Scheduled {
-            due: due + Duration::from_millis(5),
-            seq: 0,
-            to: PartyId::new(0),
-            what: Delivery::Timer(0),
-        });
-        heap.push(Scheduled {
-            due,
-            seq: 1,
-            to: PartyId::new(0),
-            what: Delivery::Timer(1),
-        });
-        assert_eq!(heap.pop().unwrap().seq, 1, "time beats stamp order");
+        dh.route(timer(0, Duration::from_millis(5), 1), &links, now);
+        dh.route(timer(0, Duration::ZERO, 2), &links, now);
+        let later = now + Duration::from_millis(5);
+        let tags: Vec<u8> = drain_all(&mut dh, later, &links)
+            .iter()
+            .map(|s| s.3[0])
+            .collect();
+        assert_eq!(tags, vec![2, 1], "time beats stamp order");
     }
 
     #[test]
@@ -1131,41 +1427,255 @@ mod tests {
             },
         };
         assert!(matches!(dh.route(sub, &links, now), Routed::Queued));
-        let entry = dh.heap.pop().expect("scheduled");
-        assert_eq!(entry.to, PartyId::CLIENT);
-        assert_eq!(entry.due, now + Duration::from_millis(9), "worst link");
         assert_eq!(dh.messages, 1);
+        let just_before = now + Duration::from_micros(8_999);
+        assert!(drain_all(&mut dh, just_before, &links).is_empty());
+        assert_eq!(
+            drain_all(&mut dh, now + Duration::from_millis(9), &links),
+            vec![(PartyId::CLIENT, PartyId::new(0), 0, vec![1])],
+            "worst link"
+        );
     }
 
     #[test]
     fn delivery_heap_multicast_shares_one_payload() {
         let links = vec![Duration::ZERO; 9];
         let mut dh = DeliveryHeap::new(3);
-        let sub = Submission {
-            from: PartyId::new(1),
-            kind: SubmissionKind::Multicast {
-                skip: Some(PartyId::new(1)),
-                round: 2,
-                bytes: Arc::new(vec![5, 6]),
-            },
-        };
-        assert!(matches!(
-            dh.route(sub, &links, Instant::now()),
-            Routed::Queued
-        ));
+        let now = Instant::now();
+        let sub = multicast(1, Some(PartyId::new(1)), 2, vec![5, 6]);
+        assert!(matches!(dh.route(sub, &links, now), Routed::Queued));
         assert_eq!(dh.messages, 2, "skip excluded");
         assert_eq!(dh.peak, 2);
-        let mut recipients = Vec::new();
-        while let Some(s) = dh.heap.pop() {
-            match s.what {
-                Delivery::Msg { bytes, .. } => {
-                    assert_eq!(*bytes, vec![5, 6]);
-                    recipients.push(s.to);
+        assert_eq!(dh.heap.len(), 1, "one entry, one payload");
+        let from = PartyId::new(1);
+        assert_eq!(
+            drain_all(&mut dh, now, &links),
+            vec![
+                (PartyId::new(0), from, 2, vec![5, 6]),
+                (PartyId::new(2), from, 2, vec![5, 6]),
+            ]
+        );
+        // Skipping the only party there is reaches nobody.
+        let mut solo = DeliveryHeap::new(1);
+        let sub = multicast(0, Some(PartyId::new(0)), 0, vec![1]);
+        solo.route(sub, &[Duration::ZERO], now);
+        assert_eq!((solo.messages, solo.peak, solo.heap.len()), (0, 0, 0));
+    }
+
+    #[test]
+    fn multicast_at_n_1024_costs_one_heap_entry() {
+        // The structural half of the dispatcher claim: fan-out lives in
+        // the entry's cursor, not in the heap — while `messages` and
+        // `peak` still count point-to-point deliveries.
+        let n = 1024;
+        let delta = Duration::from_millis(2);
+        let links: Vec<Duration> = (0..n * n)
+            .map(|i| {
+                if i / n == i % n {
+                    Duration::ZERO
+                } else {
+                    delta
                 }
-                Delivery::Timer(_) => panic!("not a timer"),
-            }
+            })
+            .collect();
+        let mut dh = DeliveryHeap::new(n);
+        let now = Instant::now();
+        dh.route(multicast(7, None, 1, vec![0xAB; 8]), &links, now);
+        assert_eq!(dh.heap.len(), 1);
+        assert_eq!((dh.messages, dh.peak, dh.pending), (1024, 1024, 1024));
+
+        // Only the zero-delay self link is due at the send instant; the
+        // entry goes back re-keyed to the next recipient.
+        let at_send = drain_all(&mut dh, now, &links);
+        assert_eq!(at_send.len(), 1);
+        assert_eq!(at_send[0].0, PartyId::new(7));
+        assert_eq!((dh.heap.len(), dh.pending), (1, 1023));
+
+        // A second multicast one tick later interleaves by (due, seq):
+        // everyone hears party 7 before anyone hears party 9, bar 9's own
+        // zero-delay copy.
+        let tick = Duration::from_micros(1);
+        dh.route(multicast(9, None, 1, vec![0xCD; 8]), &links, now + tick);
+        assert_eq!((dh.heap.len(), dh.peak), (2, 2047));
+        let rest = drain_all(&mut dh, now + delta + tick, &links);
+        assert_eq!(rest.len(), 2047);
+        assert_eq!((rest[0].0, rest[0].1), (PartyId::new(9), PartyId::new(9)));
+        let others = |skip: u32| (0..n as u32).filter(move |t| *t != skip).map(PartyId::new);
+        let expect: Vec<(PartyId, PartyId)> = others(7)
+            .map(|t| (t, PartyId::new(7)))
+            .chain(others(9).map(|t| (t, PartyId::new(9))))
+            .collect();
+        let got: Vec<(PartyId, PartyId)> = rest[1..].iter().map(|s| (s.0, s.1)).collect();
+        assert_eq!(got, expect);
+        assert_eq!((dh.heap.len(), dh.pending, dh.peak), (0, 0, 2047));
+    }
+}
+
+#[cfg(test)]
+mod model_tests {
+    //! [`DeliveryHeap`] fuzzed against a reference model: a
+    //! `BinaryHeap` holding one `(due, seq)` entry *per recipient* —
+    //! multicasts fanned out in id order, exactly what the dispatcher did
+    //! before a multicast became one walking entry — is trivially correct
+    //! for "(due, arrival-order) priority". Interleaved multicasts (with
+    //! and without `skip`), unicasts, client-addressed frames and timers,
+    //! drained at partial `now` cut-offs and under a spent outbound
+    //! budget, must come out of both in the same order.
+
+    use super::tests::{seen, Seen};
+    use super::*;
+    use proptest::prelude::*;
+    use std::cmp::Reverse;
+
+    /// `(due, seq, to, from, round, payload)`; the derived order is `(due,
+    /// seq)` because `seq` is unique.
+    type RefEntry = (Instant, u64, PartyId, PartyId, u32, Vec<u8>);
+
+    #[derive(Default)]
+    struct Reference {
+        heap: BinaryHeap<Reverse<RefEntry>>,
+        seq: u64,
+        messages: u64,
+        peak: usize,
+    }
+
+    impl Reference {
+        fn push(&mut self, due: Instant, to: PartyId, from: PartyId, round: u32, body: Vec<u8>) {
+            self.heap
+                .push(Reverse((due, self.seq, to, from, round, body)));
+            self.seq += 1;
         }
-        recipients.sort();
-        assert_eq!(recipients, vec![PartyId::new(0), PartyId::new(2)]);
+
+        fn route(&mut self, sub: &Submission, n: usize, links: &[Duration], now: Instant) {
+            let from = sub.from;
+            let row = from.as_usize() * n;
+            match &sub.kind {
+                SubmissionKind::Shutdown => {}
+                SubmissionKind::Unicast { to, round, bytes } => {
+                    self.messages += 1;
+                    let delay = if to.as_usize() >= n {
+                        *links[row..row + n].iter().max().expect("n >= 1")
+                    } else {
+                        links[row + to.as_usize()]
+                    };
+                    self.push(now + delay, *to, from, *round, bytes.clone());
+                }
+                SubmissionKind::Multicast { skip, round, bytes } => {
+                    for t in (0..n as u32).map(PartyId::new) {
+                        if Some(t) != *skip {
+                            self.messages += 1;
+                            let due = now + links[row + t.as_usize()];
+                            self.push(due, t, from, *round, bytes.clone());
+                        }
+                    }
+                }
+                SubmissionKind::Timer { delay, tag } => {
+                    let tag = tag.to_le_bytes().to_vec();
+                    self.push(now + *delay, from, from, u32::MAX, tag);
+                }
+            }
+            self.peak = self.peak.max(self.heap.len());
+        }
+
+        /// Up to `budget` deliveries due at `now`, in pop order.
+        fn drain(&mut self, now: Instant, budget: usize) -> Vec<Seen> {
+            let mut got = Vec::new();
+            while got.len() < budget && self.heap.peek().is_some_and(|e| e.0 .0 <= now) {
+                let Reverse((_, _, to, from, round, body)) = self.heap.pop().expect("peeked");
+                got.push((to, from, round, body));
+            }
+            got
+        }
+    }
+
+    /// Link matrices by kind: uniform δ off the diagonal, jittered over a
+    /// handful of values (so ties and inversions both occur), all links
+    /// tied (the diagonal included).
+    fn links(kind: u8, n: usize, seed: u64) -> Vec<Duration> {
+        let mut state = seed | 1;
+        (0..n * n)
+            .map(|i| match kind {
+                0 if i / n == i % n => Duration::ZERO,
+                0 => Duration::from_micros(2_000),
+                1 => {
+                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    Duration::from_micros(500 * ((state >> 33) % 5))
+                }
+                _ => Duration::from_micros(1_000),
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+        #[test]
+        fn drain_due_matches_per_recipient_reference(
+            words: Vec<u64>,
+            n in 1usize..9,
+            kind in 0u8..3,
+            seed: u64,
+        ) {
+            let links = links(kind, n, seed);
+            let mut dh = DeliveryHeap::new(n);
+            let mut model = Reference::default();
+            let epoch = Instant::now();
+            let mut now = epoch;
+            for (i, w) in words.iter().enumerate() {
+                let from = ((w >> 8) % n as u64) as u32;
+                // Any id at all: a party, the sender itself, or one past
+                // the end (which no recipient matches).
+                let other = PartyId::new(((w >> 16) % (n as u64 + 1)) as u32);
+                let round = (w >> 24) as u32 % 7;
+                let body = (i as u64).to_le_bytes().to_vec();
+                let kind = match w % 8 {
+                    0 | 1 => SubmissionKind::Multicast { skip: None, round, bytes: body },
+                    2 => SubmissionKind::Multicast { skip: Some(other), round, bytes: body },
+                    3 => SubmissionKind::Unicast { to: other, round, bytes: body },
+                    4 => SubmissionKind::Unicast { to: PartyId::CLIENT, round, bytes: body },
+                    5 => SubmissionKind::Timer {
+                        delay: Duration::from_micros(250 * ((w >> 16) % 9)),
+                        tag: i as u64,
+                    },
+                    _ => {
+                        // A drain pass: the clock moves 0–1.5 ms (often
+                        // not at all, often short of the next due
+                        // instant), and one pass in four runs out of
+                        // outbound budget part-way.
+                        now += Duration::from_micros(250 * ((w >> 8) % 7));
+                        let budget = if w % 8 == 7 && (w >> 11) % 2 == 0 {
+                            1 + (w >> 16) as usize % (2 * n)
+                        } else {
+                            usize::MAX
+                        };
+                        let expect = model.drain(now, budget);
+                        let mut got = Vec::new();
+                        dh.drain_due(now, &links, |to, delivery| {
+                            got.push(seen(to, delivery));
+                            got.len() < budget
+                        });
+                        prop_assert_eq!(got, expect, "drain at op {}", i);
+                        prop_assert_eq!(dh.pending, model.heap.len());
+                        continue;
+                    }
+                };
+                let sub = Submission { from: PartyId::new(from), kind };
+                model.route(&sub, n, &links, now);
+                dh.route(sub, &links, now);
+                prop_assert_eq!(dh.pending, model.heap.len());
+                prop_assert_eq!(dh.messages, model.messages);
+                prop_assert_eq!(dh.peak, model.peak);
+                prop_assert!(dh.heap.len() <= i + 1, "one slot per submission at most");
+            }
+            // Full drain: tails must agree too.
+            let end = now + Duration::from_secs(1);
+            let expect = model.drain(end, usize::MAX);
+            let mut got = Vec::new();
+            dh.drain_due(end, &links, |to, delivery| {
+                got.push(seen(to, delivery));
+                true
+            });
+            prop_assert_eq!(got, expect);
+            prop_assert_eq!((dh.pending, dh.heap.len()), (0, 0));
+        }
     }
 }
