@@ -2,98 +2,25 @@
 //! point and (optionally) enforces the CI regression gate.
 //!
 //! ```text
-//! throughput [--quick] [--out PATH] [--check BASELINE] [--max-regression X]
+//! throughput [--quick] [--out PATH] [--check BASELINE]
 //! ```
 //!
 //! * `--quick` — one repetition per scenario (CI smoke mode; default is
 //!   best-of-three).
 //! * `--out PATH` — where to write the JSON document (default
 //!   `BENCH_sim.json` in the current directory).
-//! * `--check BASELINE` — after measuring, parse `BASELINE` and exit
-//!   nonzero if it is malformed, has fewer than 4 rows, or any scenario's
-//!   events/sec regressed by more than the allowed factor.
-//! * `--max-regression X` — the allowed slowdown factor for `--check`
-//!   (default 3.0).
+//! * `--check BASELINE` — after measuring, exit nonzero unless `BASELINE`
+//!   passes the schema check and the fresh document holds every gate of
+//!   [`gcl_bench::throughput::SCHEMA`] against it.
 
-use gcl_bench::throughput::{parse_json, regressions, render_json, throughput_rows};
+use gcl_bench::throughput::{render_json, throughput_rows, SCHEMA};
+use gcl_bench::trajectory::{emit, Args};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let mut quick = false;
-    let mut out = String::from("BENCH_sim.json");
-    let mut check: Option<String> = None;
-    let mut max_regression = 3.0f64;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--out" => match args.next() {
-                Some(p) => out = p,
-                None => return usage("--out needs a path"),
-            },
-            "--check" => match args.next() {
-                Some(p) => check = Some(p),
-                None => return usage("--check needs a path"),
-            },
-            "--max-regression" => match args.next().and_then(|x| x.parse().ok()) {
-                Some(x) => max_regression = x,
-                None => return usage("--max-regression needs a number"),
-            },
-            other => return usage(&format!("unknown argument {other:?}")),
-        }
-    }
-
-    let mode = if quick { "quick" } else { "full" };
+    let args = Args::parse("throughput", "BENCH_sim.json", true);
+    let mode = if args.quick { "quick" } else { "full" };
     eprintln!("measuring simulator throughput ({mode} mode)...");
-    let rows = throughput_rows(quick);
-    for r in &rows {
-        eprintln!(
-            "  {:<22} n={:<4} events={:<8} messages={:<8} drops={:<8} qbytes={:<9} macs={:<8} hits={:<8} wall={:>10}ns  {:>12.0} ev/s",
-            r.scenario, r.n, r.events, r.messages, r.drops_at_enqueue, r.queue_bytes,
-            r.verify_macs, r.verify_hits, r.wall_ns, r.events_per_sec
-        );
-    }
-
-    let doc = render_json(&rows, mode);
-    if let Err(e) = std::fs::write(&out, &doc) {
-        eprintln!("error: cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("wrote {out}");
-
-    if let Some(baseline_path) = check {
-        let text = match std::fs::read_to_string(&baseline_path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: cannot read baseline {baseline_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let baseline = match parse_json(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("error: baseline {baseline_path} is malformed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let failures = regressions(&baseline, &rows, max_regression);
-        if !failures.is_empty() {
-            for f in &failures {
-                eprintln!("regression: {f}");
-            }
-            return ExitCode::FAILURE;
-        }
-        eprintln!(
-            "regression check passed ({} scenarios within {max_regression}x of baseline)",
-            baseline.len()
-        );
-    }
-    ExitCode::SUCCESS
-}
-
-fn usage(err: &str) -> ExitCode {
-    eprintln!("error: {err}");
-    eprintln!("usage: throughput [--quick] [--out PATH] [--check BASELINE] [--max-regression X]");
-    ExitCode::FAILURE
+    let rows = throughput_rows(args.quick);
+    emit(&SCHEMA, &render_json(&rows, mode), &args)
 }

@@ -1,5 +1,5 @@
-//! A minimal JSON reader **and the one shared writer** for the bench
-//! trajectory files.
+//! A minimal JSON reader and the one writer for the bench trajectory
+//! files.
 //!
 //! The container builds offline (no `serde_json`), and the CI smoke job
 //! must detect a malformed `BENCH_sim.json`, so this is a small strict
@@ -7,13 +7,10 @@
 //! escapes with surrogate pairs). Swap for `serde_json` when a registry
 //! is reachable.
 //!
-//! Every trajectory document the workspace emits — the throughput bin's
-//! `BENCH_sim.json`, the sweep bin's report, and the criterion shim's
-//! `GCL_BENCH_JSON` summaries — is the same *schema-plus-rows* shape and
-//! is rendered by one serializer: [`RowsDoc`]. There used to be two
-//! hand-rolled emitters (`throughput::render_json` and the criterion
-//! shim's writer); they both build a `RowsDoc` now, so the on-disk format
-//! can only drift in one place.
+//! Every trajectory document the workspace emits — the three
+//! `BENCH_*.json` files and the sweep report — is the same
+//! *schema-plus-rows* shape, written by `RowsDoc` on behalf of
+//! [`crate::trajectory::Schema::render`] and read back by [`parse`].
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -83,19 +80,14 @@ impl Value {
     }
 
     /// Object member `k`'s string payload — the one row-reader idiom for
-    /// every schema-plus-rows document (see [`RowsDoc`]).
+    /// every schema-plus-rows document.
     pub fn field_str(&self, k: &str) -> Option<&str> {
         self.field(k)?.as_str()
     }
 
-    /// Object member `k` as a float.
-    pub fn field_f64(&self, k: &str) -> Option<f64> {
-        self.field(k)?.as_f64()
-    }
-
     /// Object member `k` truncated to `u64` (row counters and ns fields).
     pub fn field_u64(&self, k: &str) -> Option<u64> {
-        self.field_f64(k).map(|x| x as u64)
+        self.field(k)?.as_f64().map(|x| x as u64)
     }
 
     /// Object member `k` as a boolean.
@@ -104,7 +96,7 @@ impl Value {
     }
 }
 
-/// A writable JSON scalar for [`RowsDoc`] fields.
+/// A writable JSON scalar: one cell of a row, or a header member.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JVal {
     /// An unsigned integer, rendered exactly (no `f64` precision loss).
@@ -121,6 +113,11 @@ pub enum JVal {
 }
 
 impl JVal {
+    /// An optional counter: `null` when nothing was measured.
+    pub(crate) fn opt_u64(v: Option<u64>) -> JVal {
+        v.map_or(JVal::Null, JVal::U64)
+    }
+
     fn render_into(&self, out: &mut String) {
         match self {
             JVal::U64(x) => {
@@ -141,10 +138,9 @@ impl JVal {
 }
 
 /// Escapes `\`, `"` and every control character (named escapes where JSON
-/// has them, `\u00XX` otherwise) so arbitrary labels — e.g. criterion
-/// bench ids built from any `Display` value — can't produce a document a
-/// conforming parser rejects.
-pub fn escape(s: &str) -> String {
+/// has them, `\u00XX` otherwise) so arbitrary labels can't produce a
+/// document a conforming parser rejects.
+fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -165,23 +161,29 @@ pub fn escape(s: &str) -> String {
 /// One field of a row or of the document header.
 pub type Field = (&'static str, JVal);
 
-/// The workspace's shared *schema-plus-rows* document writer: a `schema`
-/// string, optional scalar header fields, and an array of flat rows, one
-/// row per line. Output round-trips through [`parse`].
+/// The *schema-plus-rows* document writer: a `schema` string, optional
+/// scalar header fields, and an array of flat rows, one row per line.
+/// Output round-trips through [`parse`]. Reached from outside the crate
+/// through [`crate::trajectory::Schema::render`], which names the columns.
 ///
 /// # Examples
 ///
 /// ```
-/// use gcl_bench::json::{parse, JVal, RowsDoc};
+/// use gcl_bench::json::{parse, JVal};
+/// use gcl_bench::trajectory::{col, Schema};
 ///
-/// let mut doc = RowsDoc::new("gcl-bench/example/v1");
-/// doc.top("mode", JVal::Str("quick".into()));
-/// doc.row(vec![("name", JVal::Str("a".into())), ("x", JVal::U64(1))]);
-/// let text = doc.render();
+/// static EXAMPLE: Schema = Schema {
+///     tag: "gcl-bench/example/v1",
+///     columns: &[col("name").key(), col("x")],
+///     coverage: |_| Ok(()),
+/// };
+/// let rows = [vec![JVal::Str("a".into()), JVal::U64(1)]];
+/// let text = EXAMPLE.render(vec![("mode", JVal::Str("quick".into()))], rows.into_iter());
 /// assert!(parse(&text).is_ok());
+/// assert_eq!(EXAMPLE.check(&text), Ok(1));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct RowsDoc {
+pub(crate) struct RowsDoc {
     schema: &'static str,
     top: Vec<Field>,
     rows: Vec<Vec<Field>>,
@@ -189,7 +191,7 @@ pub struct RowsDoc {
 
 impl RowsDoc {
     /// An empty document carrying `schema`.
-    pub fn new(schema: &'static str) -> Self {
+    pub(crate) fn new(schema: &'static str) -> Self {
         RowsDoc {
             schema,
             top: Vec::new(),
@@ -199,20 +201,20 @@ impl RowsDoc {
 
     /// Appends a scalar header field (rendered between `schema` and
     /// `rows`).
-    pub fn top(&mut self, key: &'static str, val: JVal) -> &mut Self {
+    pub(crate) fn top(&mut self, key: &'static str, val: JVal) -> &mut Self {
         self.top.push((key, val));
         self
     }
 
     /// Appends one row.
-    pub fn row(&mut self, fields: Vec<Field>) -> &mut Self {
+    pub(crate) fn row(&mut self, fields: Vec<Field>) -> &mut Self {
         self.rows.push(fields);
         self
     }
 
     /// Renders the document (pretty header, one row per line — the exact
     /// layout of every committed trajectory file).
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
         let _ = writeln!(out, "  \"schema\": \"{}\",", escape(self.schema));

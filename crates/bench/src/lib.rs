@@ -15,13 +15,15 @@
 //! * `throughput` — simulator events/sec on the fixed [`throughput`]
 //!   scenarios; writes the repo-root `BENCH_sim.json` trajectory point and
 //!   backs the CI `bench-smoke` regression gate (`--quick --check`).
+//! * `net_latency`, `smr_load` — the wall trajectories (`BENCH_net.json`,
+//!   `BENCH_smr.json`), same flags, same gate.
 //! * `sweep` — the multi-threaded scenario grid: every registered family ×
 //!   shapes × adversary mixes × seeds, audited for safety/validity and
 //!   emitted as a `gcl-bench/sweep/v1` report (CI `sweep-smoke` gate).
 //!
-//! Criterion benches (`cargo bench -p gcl_bench`) time the same scenarios
-//! as wall-clock simulator throughput; set `GCL_BENCH_JSON=<path>` to get
-//! a machine-readable summary in the same schema-plus-rows format.
+//! Each trajectory file is described once, by the `SCHEMA` table next to
+//! the code that measures it; [`trajectory`] renders, checks and diffs
+//! every one of them from that table.
 //!
 //! [`conformance`] runs every registered family on both execution
 //! targets — the simulator and `gcl_net`'s wall engine — and compares
@@ -31,13 +33,13 @@
 #![warn(missing_docs)]
 
 pub mod conformance;
-pub mod diff;
 pub mod json;
 pub mod netlat;
 pub mod scenarios;
 pub mod smrload;
 pub mod sweep;
 pub mod throughput;
+pub mod trajectory;
 
 use gcl_sim::ScenarioRegistry;
 use std::sync::OnceLock;

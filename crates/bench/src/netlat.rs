@@ -19,26 +19,70 @@
 //! `backend` is `"async"` on every row (the `net` and `socket` columns
 //! were retired with their engines).
 //!
-//! Wall numbers are machine-dependent, so unlike the throughput gate this
-//! file's CI check ([`check_doc`]) validates *shape*, not speed: same
-//! schema, every registered family present, every scale row present,
-//! every row committed with agreement. Regeneration:
+//! Wall numbers are machine-dependent, so [`SCHEMA`] gates *shape*, not
+//! speed: every registered family present, every scale row present, every
+//! row committed with agreement — and `latency_us` only against a 25×
+//! cliff (an early-exit path regressing to sleep-to-deadline), never
+//! against machine noise. Regeneration:
 //!
 //! ```text
 //! cargo run --release -p gcl_bench --bin net_latency -- --out BENCH_net.json
 //! ```
 
 use crate::conformance::{wall_backend, wall_spec, WALL_DELTA};
-use crate::json::{parse, JVal, RowsDoc, Value as JsonValue};
+use crate::json::JVal;
 use crate::registry;
+use crate::trajectory::{col, Gate, Need, Schema};
 use gcl_sim::{Backend, ScenarioSpec, SchedCounters};
 use gcl_types::Duration as SimDuration;
 use std::time::Duration;
 
-/// The `schema` field of every `BENCH_net.json` document. v2: row
-/// identity is `(family, backend, n)` (the same family is measured at
-/// several scales), rows carry scheduler counters.
-pub const NET_SCHEMA: &str = "gcl-bench/net-latency/v2";
+/// The `BENCH_net.json` table. v2: row identity is `(family, backend, n)`
+/// (the same family is measured at several scales), rows carry scheduler
+/// counters. A `null` latency is a liveness failure, `agreement: false` a
+/// safety failure — on any row, catalog or extra.
+pub static SCHEMA: Schema = Schema {
+    tag: "gcl-bench/net-latency/v2",
+    columns: &[
+        col("family").key(),
+        col("backend").key().need(Need::Is("async")),
+        col("n").key(),
+        col("f"),
+        col("delta_us"),
+        col("latency_us").gate(Gate::Lower(25.0)),
+        col("agreement").need(Need::True),
+        col("messages"),
+        col("workers").need(Need::Positive),
+        col("wakeups"),
+        col("peak_out_bytes"),
+    ],
+    coverage: |rows| {
+        let has = |key: &str, n: Option<usize>| {
+            rows.iter().any(|r| {
+                r.field_str("family") == Some(key)
+                    && n.is_none_or(|n| r.field_u64("n") == Some(n as u64))
+            })
+        };
+        if let Some(key) = registry().keys().find(|key| !has(key, None)) {
+            return Err(format!("no row for family {key:?}"));
+        }
+        for key in SCALE_FAMILIES {
+            if let Some(n) = SCALE_NS.into_iter().find(|&n| !has(key, Some(n))) {
+                return Err(format!("no scale row for family {key:?} at n = {n}"));
+            }
+        }
+        Ok(())
+    },
+};
+
+/// Per-run wall deadline of the catalog rows (honest termination exits
+/// early, so the good case never waits it out).
+const CATALOG_DEADLINE: Duration = Duration::from_secs(2);
+
+/// Per-run wall deadline of the scale rows: the n = 1024 rows move ~2 M
+/// real frames, so the ceiling is generous — a healthy run exits in
+/// seconds.
+const SCALE_DEADLINE: Duration = Duration::from_secs(120);
 
 /// Families measured at scale: the pure event-loop
 /// stress (`flood`, `O(n²)` trivial messages) and the crypto-bearing
@@ -92,12 +136,12 @@ fn measure(key: &'static str, spec: &ScenarioSpec, deadline: Duration) -> NetLat
     }
 }
 
-/// Runs every registered family's wall-safe spec on the wall engine (each
-/// run bounded by `deadline`) and reports rows in family order.
-pub fn net_latency_rows(deadline: Duration) -> Vec<NetLatencyRow> {
+/// Runs every registered family's wall-safe spec on the wall engine and
+/// reports rows in family order.
+pub fn net_latency_rows() -> Vec<NetLatencyRow> {
     let reg = registry();
     reg.keys()
-        .map(|key| measure(key, &wall_spec(reg, key), deadline))
+        .map(|key| measure(key, &wall_spec(reg, key), CATALOG_DEADLINE))
         .collect()
 }
 
@@ -114,132 +158,45 @@ pub fn scale_spec(key: &str, n: usize) -> ScenarioSpec {
 }
 
 /// Measures the [`SCALE_FAMILIES`] × [`SCALE_NS`] grid (the worker pool
-/// at its default `min(cores, 8)`), each run bounded by `deadline` — pass
-/// a generous one: the n = 1024 rows move ~2 M real frames.
-pub fn scale_rows(deadline: Duration) -> Vec<NetLatencyRow> {
+/// at its default `min(cores, 8)`).
+pub fn scale_rows() -> Vec<NetLatencyRow> {
     SCALE_FAMILIES
         .iter()
         .flat_map(|&key| {
             SCALE_NS
                 .iter()
-                .map(move |&n| measure(key, &scale_spec(key, n), deadline))
+                .map(move |&n| measure(key, &scale_spec(key, n), SCALE_DEADLINE))
         })
         .collect()
 }
 
-/// Renders rows as the `BENCH_net.json` document ([`RowsDoc`] format, the
-/// same schema-plus-rows shape as every other trajectory file).
+/// Renders rows as the `BENCH_net.json` document.
 pub fn render_json(rows: &[NetLatencyRow]) -> String {
-    let mut doc = RowsDoc::new(NET_SCHEMA);
-    doc.top("delta_us", JVal::U64(WALL_DELTA.as_micros()));
-    for r in rows {
-        doc.row(vec![
-            ("family", JVal::Str(r.family.into())),
-            ("backend", JVal::Str(r.backend.into())),
-            ("n", JVal::U64(r.n as u64)),
-            ("f", JVal::U64(r.f as u64)),
-            ("delta_us", JVal::U64(r.delta_us)),
-            ("latency_us", r.latency_us.map_or(JVal::Null, JVal::U64)),
-            ("agreement", JVal::Bool(r.agreement)),
-            ("messages", JVal::U64(r.messages)),
-            (
-                "workers",
-                r.sched.map_or(JVal::Null, |s| JVal::U64(s.workers as u64)),
-            ),
-            (
-                "wakeups",
-                r.sched.map_or(JVal::Null, |s| JVal::U64(s.wakeups)),
-            ),
-            (
-                "peak_out_bytes",
-                r.sched
-                    .map_or(JVal::Null, |s| JVal::U64(s.peak_outbound_bytes as u64)),
-            ),
-        ]);
-    }
-    doc.render()
-}
-
-/// Structural CI check of a `BENCH_net.json` document: parseable, right
-/// schema, one committed-with-agreement `"async"` row per registered
-/// family, every [`SCALE_FAMILIES`] × [`SCALE_NS`] scale row present and
-/// committed, and every row carrying scheduler counters. Deliberately **no** latency-regression gate — wall latency
-/// is machine noise across CI runners; the trajectory file exists so
-/// humans (and future tooling pinned to one machine) can diff the
-/// overhead per PR.
-///
-/// # Errors
-///
-/// A human-readable description of the first structural violation.
-pub fn check_doc(text: &str) -> Result<usize, String> {
-    let doc = parse(text).map_err(|e| format!("malformed JSON: {e}"))?;
-    check_parsed(&doc)
-}
-
-fn check_parsed(doc: &JsonValue) -> Result<usize, String> {
-    if doc.field_str("schema") != Some(NET_SCHEMA) {
-        return Err(format!(
-            "schema is {:?}, expected {NET_SCHEMA:?}",
-            doc.field_str("schema")
-        ));
-    }
-    let rows = doc
-        .field("rows")
-        .and_then(JsonValue::as_array)
-        .ok_or("missing rows array")?;
-    // Every row is the wall engine's and must carry its worker-pool
-    // observability columns.
-    for row in rows {
-        let label = row.field_str("family").unwrap_or("?");
-        if row.field_str("backend") != Some("async") {
-            return Err(format!(
-                "{label}: backend is {:?}, expected \"async\"",
-                row.field_str("backend")
-            ));
-        }
-        match row.field_u64("workers") {
-            Some(w) if w >= 1 => {}
-            _ => return Err(format!("{label}/async: missing worker-pool size")),
-        }
-        if row.field_u64("wakeups").is_none() {
-            return Err(format!("{label}/async: missing readiness-wakeup count"));
-        }
-    }
-    for key in registry().keys() {
-        let row = rows
-            .iter()
-            .find(|r| r.field_str("family") == Some(key))
-            .ok_or_else(|| format!("no row for family {key:?}"))?;
-        row_committed(row, key)?;
-    }
-    // The scale rows: every (family × n).
-    for key in SCALE_FAMILIES {
-        for n in SCALE_NS {
-            let row = rows
-                .iter()
-                .find(|r| r.field_str("family") == Some(key) && r.field_u64("n") == Some(n as u64))
-                .ok_or_else(|| format!("no scale row for family {key:?} at n = {n}"))?;
-            row_committed(row, key)?;
-        }
-    }
-    Ok(rows.len())
-}
-
-fn row_committed(row: &JsonValue, key: &str) -> Result<(), String> {
-    if row.field_bool("agreement") != Some(true) {
-        return Err(format!("{key}/async: agreement violated"));
-    }
-    if row.field_u64("latency_us").is_none() {
-        return Err(format!(
-            "{key}/async: no good-case latency (liveness failure)"
-        ));
-    }
-    Ok(())
+    SCHEMA.render(
+        vec![("delta_us", JVal::U64(WALL_DELTA.as_micros()))],
+        rows.iter().map(|r| {
+            vec![
+                JVal::Str(r.family.into()),
+                JVal::Str(r.backend.into()),
+                JVal::U64(r.n as u64),
+                JVal::U64(r.f as u64),
+                JVal::U64(r.delta_us),
+                JVal::opt_u64(r.latency_us),
+                JVal::Bool(r.agreement),
+                JVal::U64(r.messages),
+                JVal::opt_u64(r.sched.map(|s| s.workers as u64)),
+                JVal::opt_u64(r.sched.map(|s| s.wakeups)),
+                JVal::opt_u64(r.sched.map(|s| s.peak_outbound_bytes as u64)),
+            ]
+        }),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    type Edit = fn(&mut NetLatencyRow);
 
     #[test]
     fn rendered_rows_pass_their_own_check() {
@@ -253,12 +210,10 @@ mod tests {
                 measure(key, &wall_spec(reg, key), Duration::from_secs(2))
             })
             .collect();
-        let doc = render_json(&rows);
-        let parsed = parse(&doc).expect("well-formed");
-        assert_eq!(parsed.field_str("schema"), Some(NET_SCHEMA));
-        // The partial document fails the full-catalog check (families are
-        // missing), which is exactly what the check is for.
-        assert!(check_doc(&doc).is_err(), "partial catalog must be rejected");
+        // Both rows pass every cell; the partial document then fails
+        // coverage (families are missing), which is what coverage is for.
+        let err = SCHEMA.check(&render_json(&rows)).unwrap_err();
+        assert!(err.contains("no row for family"), "{err}");
         // Each measured row carries a latency at or above the single-hop
         // floor, and the engine's scheduler counters.
         for r in &rows {
@@ -292,74 +247,122 @@ mod tests {
         assert!(sched.wakeups > 0);
     }
 
+    /// A committed-looking row without running anything.
+    fn row(family: &'static str, n: usize) -> NetLatencyRow {
+        NetLatencyRow {
+            family,
+            backend: "async",
+            n,
+            f: 1,
+            delta_us: WALL_DELTA.as_micros(),
+            latency_us: Some(5_000),
+            agreement: true,
+            messages: 16,
+            sched: Some(SchedCounters {
+                workers: 1,
+                wakeups: 9,
+                peak_outbound_bytes: 64,
+            }),
+        }
+    }
+
+    fn catalog() -> Vec<NetLatencyRow> {
+        registry().keys().map(|key| row(key, 4)).collect()
+    }
+
+    /// Every row coverage asks for: the catalog, then the scale grid.
+    fn full_grid() -> Vec<NetLatencyRow> {
+        let scale = SCALE_FAMILIES
+            .into_iter()
+            .flat_map(|key| SCALE_NS.into_iter().map(move |n| row(key, n)));
+        catalog().into_iter().chain(scale).collect()
+    }
+
+    /// `check` on the full grid with `edit` applied to its last row.
+    fn check_with(edit: Edit) -> Result<usize, String> {
+        let mut rows = full_grid();
+        edit(rows.last_mut().unwrap());
+        SCHEMA.check(&render_json(&rows))
+    }
+
     #[test]
     fn check_requires_scale_rows_and_async_counters() {
-        // Synthesize a full catalog without running anything: every
-        // family row present and committed, but no scale rows — the gate
-        // must reject it.
-        let reg = registry();
-        let catalog_row = |key: &str, backend: &str, sched: bool| {
-            vec![
-                ("family", JVal::Str(key.into())),
-                ("backend", JVal::Str(backend.into())),
-                ("n", JVal::U64(4)),
-                ("f", JVal::U64(1)),
-                ("latency_us", JVal::U64(5_000)),
-                ("agreement", JVal::Bool(true)),
-                ("workers", if sched { JVal::U64(1) } else { JVal::Null }),
-                ("wakeups", if sched { JVal::U64(9) } else { JVal::Null }),
-            ]
-        };
-        let catalog = |doc: &mut RowsDoc| {
-            for key in reg.keys() {
-                doc.row(catalog_row(key, "async", true));
-            }
-        };
-        let mut doc = RowsDoc::new(NET_SCHEMA);
-        catalog(&mut doc);
-        let err = check_doc(&doc.render()).unwrap_err();
+        let err = SCHEMA.check(&render_json(&catalog())).unwrap_err();
         assert!(err.contains("scale row"), "{err}");
-
-        // With the scale rows present but one missing its counters, the
-        // observability gate fires.
-        let scale = |doc: &mut RowsDoc, counters_at_512: bool| {
-            for key in SCALE_FAMILIES {
-                for n in SCALE_NS {
-                    let mut row = catalog_row(key, "async", n != 512 || counters_at_512);
-                    row[2] = ("n", JVal::U64(n as u64));
-                    doc.row(row);
-                }
-            }
-        };
-        let mut doc = RowsDoc::new(NET_SCHEMA);
-        catalog(&mut doc);
-        scale(&mut doc, false);
-        let err = check_doc(&doc.render()).unwrap_err();
-        assert!(err.contains("worker-pool size"), "{err}");
-
+        assert_eq!(check_with(|_| {}), Ok(full_grid().len()));
+        // A scale row that lost its counters fails the observability need.
+        let err = check_with(|r| r.sched = None).unwrap_err();
+        assert!(err.contains("workers is null"), "{err}");
         // A row from a retired engine is structural drift, not an extra.
-        let mut doc = RowsDoc::new(NET_SCHEMA);
-        catalog(&mut doc);
-        scale(&mut doc, true);
+        let mut rows = full_grid();
+        rows.push(NetLatencyRow {
+            backend: "socket",
+            ..row("brb2", 4)
+        });
+        let err = SCHEMA.check(&render_json(&rows)).unwrap_err();
+        assert!(err.contains("need Is(\"async\")"), "{err}");
+    }
+
+    #[test]
+    fn every_row_is_audited_not_only_the_first_of_its_family() {
+        // The catalog row of brb2 is healthy; a further brb2 row that
+        // lost agreement or never committed must still fail the gate.
+        let broken: [(&str, Edit); 2] = [
+            ("agreement is false", |r| r.agreement = false),
+            ("latency_us is null", |r| r.latency_us = None),
+        ];
+        for (what, edit) in broken {
+            let mut rows = full_grid();
+            let mut extra = row("brb2", 7);
+            edit(&mut extra);
+            rows.push(extra);
+            let err = SCHEMA.check(&render_json(&rows)).unwrap_err();
+            assert!(err.contains("family=brb2 backend=async n=7"), "{err}");
+            assert!(err.contains(what), "{err}");
+        }
+        // Two rows with one identity: which one would a diff join?
+        let mut rows = full_grid();
+        rows.push(row("brb2", 4));
+        let err = SCHEMA.check(&render_json(&rows)).unwrap_err();
+        assert!(err.contains("duplicate"), "{err}");
+    }
+
+    #[test]
+    fn latency_is_held_to_a_25x_cliff_and_nothing_finer() {
+        let base = render_json(&full_grid());
+        let diff_with = |edit: Edit| {
+            let mut rows = full_grid();
+            edit(rows.last_mut().unwrap());
+            SCHEMA.diff(&base, &render_json(&rows))
+        };
+        diff_with(|r| r.latency_us = Some(60_000)).expect("12x is another machine");
+        let err = diff_with(|r| r.latency_us = Some(2_000_000)).unwrap_err();
         assert!(
-            check_doc(&doc.render()).is_ok(),
-            "the full async grid passes"
+            err.contains("n=1024] latency_us went 5000 -> 2000000"),
+            "{err}"
         );
-        doc.row(catalog_row("brb2", "socket", false));
-        let err = check_doc(&doc.render()).unwrap_err();
-        assert!(err.contains("expected \"async\""), "{err}");
+        // Message and scheduler counters depend on timing; never judged.
+        diff_with(|r| (r.messages, r.sched.as_mut().unwrap().wakeups) = (9, 1))
+            .expect("unjudged columns");
     }
 
     #[test]
     fn check_rejects_malformed_documents() {
-        assert!(check_doc("not json").is_err());
-        assert!(check_doc("{\"schema\": \"other/v9\", \"rows\": []}").is_err());
-        assert!(
-            check_doc("{\"schema\": \"gcl-bench/net-latency/v1\", \"rows\": []}").is_err(),
-            "v1 documents no longer pass the v2 gate"
-        );
-        let empty = format!("{{\"schema\": \"{NET_SCHEMA}\", \"rows\": []}}");
-        let err = check_doc(&empty).unwrap_err();
+        assert!(SCHEMA.check("not json").is_err());
+        let good = render_json(&full_grid());
+        let err = SCHEMA
+            .check(&good.replace("net-latency/v2", "net-latency/v1"))
+            .unwrap_err();
+        assert!(err.contains("schema is"), "v1 fails the v2 gate: {err}");
+        let err = SCHEMA.check(&render_json(&[])).unwrap_err();
         assert!(err.contains("no row for family"), "{err}");
+        // One broken field at a time, on an otherwise complete grid (a
+        // lost agreement or latency: `every_row_is_audited_…` above).
+        let err = check_with(|r| r.sched.as_mut().unwrap().workers = 0).unwrap_err();
+        assert!(err.contains("workers is 0"), "{err}");
+        let err = SCHEMA
+            .check(&good.replace("\"wakeups\"", "\"wake_ups\""))
+            .unwrap_err();
+        assert!(err.contains("missing column \"wakeups\""), "{err}");
     }
 }

@@ -1,8 +1,7 @@
 //! The scenario-grid sweep: a declarative cross product of every
 //! registered family × admitted shapes × adversary mixes × delay choices
 //! × seeds, fanned across worker threads by [`gcl_sim::Sweep`] and
-//! rendered as a `gcl-bench/sweep/v1` report via the shared
-//! [`crate::json::RowsDoc`] serializer.
+//! rendered as a `gcl-bench/sweep/v1` report ([`SCHEMA`]).
 //!
 //! The grid is where the paper's *complete categorization* claim gets
 //! exercised in bulk: every timing model × resilience band, not one
@@ -10,8 +9,9 @@
 //! (conditional) validity is a red build — the `sweep` binary and the CI
 //! `sweep-smoke` job both fail on it.
 
-use crate::json::{parse, JVal, RowsDoc, Value};
+use crate::json::{JVal, Value};
 use crate::registry;
+use crate::trajectory::{col, rows_of, Need, Schema};
 use gcl_sim::{AdversaryMix, DelayChoice, ScenarioSpec, Sweep, SweepReport};
 use gcl_types::Duration;
 
@@ -146,55 +146,92 @@ pub fn run_default(quick: bool, threads: usize, base_seed: u64) -> SweepReport {
         .run()
 }
 
+/// The sweep report's rows: one per grid cell, keyed by its label (which
+/// carries the derived per-cell seed). `agreement` and `validity` are
+/// counted, not needed — a violation is the bin's red build, and
+/// [`validate_report`] holds the header to the same count. `skipped` is
+/// `null` on every cell that ran, so all rows have one column set.
+pub static SCHEMA: Schema = Schema {
+    tag: "gcl-bench/sweep/v1",
+    columns: &[
+        col("cell").key(),
+        col("family"),
+        col("n"),
+        col("f"),
+        col("seed"),
+        col("committed"),
+        col("latency_us").need(Need::Any),
+        col("rounds").need(Need::Any),
+        col("events"),
+        col("messages"),
+        col("peak_queue"),
+        col("agreement"),
+        col("validity"),
+        col("skipped").need(Need::Any),
+    ],
+    coverage: |rows| match rows {
+        [] => Err("empty sweep: no cells".to_string()),
+        _ => Ok(()),
+    },
+};
+
 /// Renders a sweep report as the `gcl-bench/sweep/v1` document.
 pub fn render_report(report: &SweepReport, mode: &str, base_seed: u64) -> String {
-    let mut doc = RowsDoc::new("gcl-bench/sweep/v1");
-    let opt_u64 = |v: Option<u64>| v.map_or(JVal::Null, JVal::U64);
-    doc.top("mode", JVal::Str(mode.to_string()))
-        .top("base_seed", JVal::U64(base_seed))
-        .top("threads", JVal::U64(report.threads as u64))
-        .top("cells", JVal::U64(report.cells.len() as u64))
-        .top("cells_run", JVal::U64(report.cells_run() as u64))
-        .top("cells_skipped", JVal::U64(report.cells_skipped() as u64))
-        .top("commit_rate_pct", JVal::F1(report.commit_rate() * 100.0))
-        .top(
+    let top = vec![
+        ("mode", JVal::Str(mode.to_string())),
+        ("base_seed", JVal::U64(base_seed)),
+        ("threads", JVal::U64(report.threads as u64)),
+        ("cells", JVal::U64(report.cells.len() as u64)),
+        ("cells_run", JVal::U64(report.cells_run() as u64)),
+        ("cells_skipped", JVal::U64(report.cells_skipped() as u64)),
+        ("commit_rate_pct", JVal::F1(report.commit_rate() * 100.0)),
+        (
             "safety_violations",
             JVal::U64(report.safety_violations().count() as u64),
-        )
-        .top(
+        ),
+        (
             "validity_violations",
             JVal::U64(report.validity_violations().count() as u64),
-        )
-        .top("p50_latency_us", opt_u64(report.latency_percentile(0.5)))
-        .top("p90_latency_us", opt_u64(report.latency_percentile(0.9)))
-        .top("max_latency_us", opt_u64(report.latency_percentile(1.0)))
-        .top("total_events", JVal::U64(report.total_events()))
-        .top("total_messages", JVal::U64(report.total_messages()))
-        .top("max_peak_queue", JVal::U64(report.max_peak_queue()))
-        .top("wall_ns", JVal::U64(report.wall_ns))
-        .top("events_per_sec", JVal::F1(report.events_per_sec()));
-    for cell in &report.cells {
-        let mut fields = vec![
-            ("cell", JVal::Str(cell.label.clone())),
-            ("family", JVal::Str(cell.spec.family.to_string())),
-            ("n", JVal::U64(cell.spec.n as u64)),
-            ("f", JVal::U64(cell.spec.f as u64)),
-            ("seed", JVal::U64(cell.spec.seed)),
-            ("committed", JVal::Bool(cell.committed)),
-            ("latency_us", opt_u64(cell.latency_us)),
-            ("rounds", opt_u64(cell.rounds.map(u64::from))),
-            ("events", JVal::U64(cell.events)),
-            ("messages", JVal::U64(cell.messages)),
-            ("peak_queue", JVal::U64(cell.peak_queue)),
-            ("agreement", JVal::Bool(cell.agreement)),
-            ("validity", JVal::Bool(cell.validity)),
-        ];
-        if let Some(err) = &cell.error {
-            fields.push(("skipped", JVal::Str(err.clone())));
-        }
-        doc.row(fields);
-    }
-    doc.render()
+        ),
+        (
+            "p50_latency_us",
+            JVal::opt_u64(report.latency_percentile(0.5)),
+        ),
+        (
+            "p90_latency_us",
+            JVal::opt_u64(report.latency_percentile(0.9)),
+        ),
+        (
+            "max_latency_us",
+            JVal::opt_u64(report.latency_percentile(1.0)),
+        ),
+        ("total_events", JVal::U64(report.total_events())),
+        ("total_messages", JVal::U64(report.total_messages())),
+        ("max_peak_queue", JVal::U64(report.max_peak_queue())),
+        ("wall_ns", JVal::U64(report.wall_ns)),
+        ("events_per_sec", JVal::F1(report.events_per_sec())),
+    ];
+    SCHEMA.render(
+        top,
+        report.cells.iter().map(|cell| {
+            vec![
+                JVal::Str(cell.label.clone()),
+                JVal::Str(cell.spec.family.to_string()),
+                JVal::U64(cell.spec.n as u64),
+                JVal::U64(cell.spec.f as u64),
+                JVal::U64(cell.spec.seed),
+                JVal::Bool(cell.committed),
+                JVal::opt_u64(cell.latency_us),
+                JVal::opt_u64(cell.rounds.map(u64::from)),
+                JVal::U64(cell.events),
+                JVal::U64(cell.messages),
+                JVal::U64(cell.peak_queue),
+                JVal::Bool(cell.agreement),
+                JVal::Bool(cell.validity),
+                cell.error.clone().map_or(JVal::Null, JVal::Str),
+            ]
+        }),
+    )
 }
 
 /// What [`validate_report`] extracts from a well-formed report.
@@ -210,71 +247,31 @@ pub struct ReportSummary {
     pub validity_violations: usize,
 }
 
-/// Parses and structurally validates a `gcl-bench/sweep/v1` document:
-/// schema, per-row fields, and header/row violation-count consistency.
+/// Checks a `gcl-bench/sweep/v1` document against [`SCHEMA`] and its
+/// header counters against its rows.
 ///
 /// # Errors
 ///
 /// A human-readable description of the first structural problem.
 pub fn validate_report(text: &str) -> Result<ReportSummary, String> {
-    let doc = parse(text)?;
-    doc.as_object().ok_or("top level must be an object")?;
-    let schema = doc.field_str("schema").ok_or("missing schema")?;
-    if schema != "gcl-bench/sweep/v1" {
-        return Err(format!("unknown schema {schema:?}"));
-    }
-    let top_u64 = |k: &str| -> Result<u64, String> {
+    let (doc, ids) = SCHEMA.audit(text)?;
+    let rows = rows_of(&doc);
+    let count = |pred: fn(&Value) -> bool| rows.iter().filter(|r| pred(r)).count();
+    let summary = ReportSummary {
+        cells: ids.len(),
+        cells_run: count(|r| r.field("skipped") == Some(&Value::Null)),
+        safety_violations: count(|r| r.field_bool("agreement") != Some(true)),
+        validity_violations: count(|r| r.field_bool("validity") != Some(true)),
+    };
+    let header = |k: &str| -> Result<usize, String> {
         doc.field_u64(k)
+            .map(|x| x as usize)
             .ok_or_else(|| format!("missing numeric header field {k:?}"))
     };
-    let rows = doc
-        .field("rows")
-        .and_then(Value::as_array)
-        .ok_or("missing rows array")?;
-    if rows.is_empty() {
-        return Err("empty sweep: no cells".into());
-    }
-    let mut run = 0usize;
-    let mut safety = 0usize;
-    let mut validity = 0usize;
-    for (i, row) in rows.iter().enumerate() {
-        row.as_object()
-            .ok_or_else(|| format!("row {i} not an object"))?;
-        for key in ["cell", "family"] {
-            if row.field_str(key).is_none() {
-                return Err(format!("row {i} missing string field {key:?}"));
-            }
-        }
-        for key in ["n", "f", "seed", "events", "messages", "peak_queue"] {
-            if row.field_f64(key).is_none() {
-                return Err(format!("row {i} missing numeric field {key:?}"));
-            }
-        }
-        let flag = |key: &str| -> Result<bool, String> {
-            row.field_bool(key)
-                .ok_or_else(|| format!("row {i} missing boolean field {key:?}"))
-        };
-        if !flag("agreement")? {
-            safety += 1;
-        }
-        if !flag("validity")? {
-            validity += 1;
-        }
-        flag("committed")?;
-        if row.field("skipped").is_none() {
-            run += 1;
-        }
-    }
-    let summary = ReportSummary {
-        cells: rows.len(),
-        cells_run: run,
-        safety_violations: safety,
-        validity_violations: validity,
-    };
-    if top_u64("cells")? as usize != summary.cells
-        || top_u64("cells_run")? as usize != summary.cells_run
-        || top_u64("safety_violations")? as usize != summary.safety_violations
-        || top_u64("validity_violations")? as usize != summary.validity_violations
+    if header("cells")? != summary.cells
+        || header("cells_run")? != summary.cells_run
+        || header("safety_violations")? != summary.safety_violations
+        || header("validity_violations")? != summary.validity_violations
     {
         return Err("header counters disagree with rows".into());
     }
@@ -327,6 +324,9 @@ mod tests {
         assert_eq!(summary.cells, report.cells.len());
         assert_eq!(summary.cells_run, report.cells_run());
         assert_eq!(summary.safety_violations, 0);
+        let lied = text.replace("\"safety_violations\": 0", "\"safety_violations\": 1");
+        let err = validate_report(&lied).unwrap_err();
+        assert!(err.contains("disagree"), "{err}");
     }
 
     #[test]
@@ -342,6 +342,7 @@ mod tests {
                    \"safety_violations\": 0, \"validity_violations\": 0, \
                    \"rows\": [{\"cell\": \"x\", \"family\": \"y\", \"n\": 4, \"f\": 1, \
                    \"seed\": 0, \"events\": 1, \"messages\": 1, \"peak_queue\": 1}]}";
-        assert!(validate_report(bad).unwrap_err().contains("agreement"));
+        let err = validate_report(bad).unwrap_err();
+        assert!(err.contains("missing column \"committed\""), "{err}");
     }
 }

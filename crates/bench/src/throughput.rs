@@ -4,8 +4,9 @@
 //! `gcl_sim`, so events/second on these fixed scenarios is the ceiling on
 //! how many executions (and how large an `n`) the repo can explore. The
 //! `throughput` binary measures them and emits `BENCH_sim.json` at the repo
-//! root; CI re-measures in `--quick` mode and fails on a >3x regression
-//! against the committed baseline.
+//! root; CI re-measures in `--quick` mode and judges the fresh document
+//! against the committed baseline by [`SCHEMA`]: every deterministic
+//! counter must be equal, events/sec may not fall by more than 3x.
 //!
 //! The measured scenarios are registry specs like everything else
 //! (see [`rows_under_measure`]); this module also registers the two
@@ -17,8 +18,9 @@
 //! * `smr` — the SMR engine committing a counter workload: long-running
 //!   pipelined slots (family params pick the workload/pipeline shape).
 
-use crate::json::{JVal, RowsDoc};
+use crate::json::JVal;
 use crate::scenarios::canonical;
+use crate::trajectory::{col, Gate, Need, Schema};
 use gcl_sim::{Admission, Context, Protocol, ScenarioRegistry, ScenarioSpec, ValidityMode};
 use gcl_smr::{Counter, SlotEngine, SmrParams};
 use gcl_types::{Duration, PartyId, Value};
@@ -145,8 +147,39 @@ pub struct ThroughputRow {
     pub reps: u32,
 }
 
-/// Schema tag of the `BENCH_sim.json` document.
-pub const SIM_SCHEMA: &str = "gcl-bench/sim-throughput/v2";
+/// The `BENCH_sim.json` table. Everything the simulator counts is a pure
+/// function of the spec, so those columns gate exactly — one more MAC
+/// computed means a verify cache stopped amortizing, one more retained
+/// byte means the slab stopped recycling. Only the clock is judged by a
+/// factor, and generously: CI runners are slower and noisier than the
+/// baseline machine, but a 3x cliff means someone broke the hot path.
+pub static SCHEMA: Schema = Schema {
+    tag: "gcl-bench/sim-throughput/v2",
+    columns: &[
+        col("scenario").key(),
+        col("n").gate(Gate::Exact),
+        col("f").gate(Gate::Exact),
+        col("events").gate(Gate::Exact),
+        col("messages").gate(Gate::Exact),
+        col("peak_queue").gate(Gate::Exact),
+        col("queue_bytes").gate(Gate::Exact),
+        col("drops_at_enqueue").gate(Gate::Exact),
+        col("wall_ns").need(Need::Positive),
+        col("events_per_sec")
+            .need(Need::Positive)
+            .gate(Gate::Higher(3.0)),
+        col("verify_macs").gate(Gate::Exact),
+        col("verify_hits").gate(Gate::Exact),
+        col("reps").need(Need::Positive),
+    ],
+    coverage: |rows| {
+        let missing = rows_under_measure()
+            .into_iter()
+            .map(|(key, _)| key)
+            .find(|key| rows.iter().all(|r| r.field_str("scenario") != Some(key)));
+        missing.map_or(Ok(()), |key| Err(format!("no row for scenario {key:?}")))
+    },
+};
 
 /// Minimum cumulative measured wall time per scenario: microsecond-scale
 /// runs repeat until this floor so a single scheduler hiccup on a noisy CI
@@ -240,106 +273,35 @@ pub fn throughput_rows(quick: bool) -> Vec<ThroughputRow> {
         .collect()
 }
 
-/// Renders rows as the `BENCH_sim.json` document (via the shared
-/// [`RowsDoc`] serializer).
+/// Renders rows as the `BENCH_sim.json` document.
 pub fn render_json(rows: &[ThroughputRow], mode: &str) -> String {
-    let mut doc = RowsDoc::new(SIM_SCHEMA);
-    doc.top("mode", JVal::Str(mode.to_string()));
-    for r in rows {
-        doc.row(vec![
-            ("scenario", JVal::Str(r.scenario.clone())),
-            ("n", JVal::U64(r.n as u64)),
-            ("f", JVal::U64(r.f as u64)),
-            ("events", JVal::U64(r.events)),
-            ("messages", JVal::U64(r.messages)),
-            ("peak_queue", JVal::U64(r.peak_queue)),
-            ("queue_bytes", JVal::U64(r.queue_bytes)),
-            ("drops_at_enqueue", JVal::U64(r.drops_at_enqueue)),
-            ("wall_ns", JVal::U64(r.wall_ns)),
-            ("events_per_sec", JVal::F1(r.events_per_sec)),
-            ("verify_macs", JVal::U64(r.verify_macs)),
-            ("verify_hits", JVal::U64(r.verify_hits)),
-            ("reps", JVal::U64(u64::from(r.reps))),
-        ]);
-    }
-    doc.render()
-}
-
-/// Parses a `BENCH_sim.json` document back into rows (used by the CI
-/// regression check; any structural problem is an `Err`).
-pub fn parse_json(text: &str) -> Result<Vec<ThroughputRow>, String> {
-    let doc = crate::json::parse(text)?;
-    doc.as_object().ok_or("top level must be an object")?;
-    let schema = doc.field_str("schema").ok_or("missing schema")?;
-    if schema != SIM_SCHEMA {
-        return Err(format!("unknown schema {schema:?}"));
-    }
-    let rows = doc
-        .field("rows")
-        .and_then(crate::json::Value::as_array)
-        .ok_or("missing rows array")?;
-    rows.iter()
-        .map(|row| {
-            row.as_object().ok_or("row must be an object")?;
-            let str_field = |k: &str| -> Result<String, String> {
-                row.field_str(k)
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("row missing string field {k:?}"))
-            };
-            let num_field = |k: &str| -> Result<f64, String> {
-                row.field_f64(k)
-                    .ok_or_else(|| format!("row missing numeric field {k:?}"))
-            };
-            Ok(ThroughputRow {
-                scenario: str_field("scenario")?,
-                n: num_field("n")? as usize,
-                f: num_field("f")? as usize,
-                events: num_field("events")? as u64,
-                messages: num_field("messages")? as u64,
-                peak_queue: num_field("peak_queue")? as u64,
-                queue_bytes: num_field("queue_bytes")? as u64,
-                drops_at_enqueue: num_field("drops_at_enqueue")? as u64,
-                wall_ns: num_field("wall_ns")? as u64,
-                events_per_sec: num_field("events_per_sec")?,
-                verify_macs: num_field("verify_macs")? as u64,
-                verify_hits: num_field("verify_hits")? as u64,
-                reps: num_field("reps")? as u32,
-            })
-        })
-        .collect()
-}
-
-/// Compares a fresh measurement against the committed baseline: every
-/// baseline scenario must still exist and must not have regressed by more
-/// than `factor` in events/sec. Returns the failures (empty = pass).
-pub fn regressions(
-    baseline: &[ThroughputRow],
-    fresh: &[ThroughputRow],
-    factor: f64,
-) -> Vec<String> {
-    let mut failures = Vec::new();
-    if baseline.len() < 4 {
-        failures.push(format!(
-            "baseline has {} rows; expected at least 4",
-            baseline.len()
-        ));
-    }
-    for b in baseline {
-        match fresh.iter().find(|r| r.scenario == b.scenario) {
-            None => failures.push(format!("scenario {:?} missing from fresh run", b.scenario)),
-            Some(r) if r.events_per_sec * factor < b.events_per_sec => failures.push(format!(
-                "{}: {:.0} ev/s is a >{:.0}x regression from baseline {:.0} ev/s",
-                r.scenario, r.events_per_sec, factor, b.events_per_sec
-            )),
-            Some(_) => {}
-        }
-    }
-    failures
+    SCHEMA.render(
+        vec![("mode", JVal::Str(mode.to_string()))],
+        rows.iter().map(|r| {
+            vec![
+                JVal::Str(r.scenario.clone()),
+                JVal::U64(r.n as u64),
+                JVal::U64(r.f as u64),
+                JVal::U64(r.events),
+                JVal::U64(r.messages),
+                JVal::U64(r.peak_queue),
+                JVal::U64(r.queue_bytes),
+                JVal::U64(r.drops_at_enqueue),
+                JVal::U64(r.wall_ns),
+                JVal::F1(r.events_per_sec),
+                JVal::U64(r.verify_macs),
+                JVal::U64(r.verify_hits),
+                JVal::U64(u64::from(r.reps)),
+            ]
+        }),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    type Edit = fn(&mut ThroughputRow);
 
     #[test]
     fn flood_commits_and_counts_n_squared_messages() {
@@ -347,23 +309,6 @@ mod tests {
         assert!(o.all_honest_committed());
         assert_eq!(o.messages_sent(), 64, "n^2 point-to-point messages");
         assert_eq!(o.committed_value(), Some(Value::new(42)), "commits input");
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let rows = vec![
-            measure("flood_n8", &canonical("flood", 8, 2), 1),
-            measure("flood_n8_again", &canonical("flood", 8, 2), 1),
-        ];
-        let text = render_json(&rows, "test");
-        let parsed = parse_json(&text).expect("parses");
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].scenario, "flood_n8");
-        assert_eq!(parsed[0].events, rows[0].events);
-        assert_eq!(parsed[0].messages, rows[0].messages);
-        assert_eq!(parsed[0].wall_ns, rows[0].wall_ns);
-        assert_eq!(parsed[0].verify_macs, rows[0].verify_macs);
-        assert_eq!(parsed[0].verify_hits, rows[0].verify_hits);
     }
 
     #[test]
@@ -381,48 +326,104 @@ mod tests {
         );
     }
 
+    /// A full-coverage row set without measuring anything.
+    fn synthetic_rows() -> Vec<ThroughputRow> {
+        rows_under_measure()
+            .into_iter()
+            .map(|(key, spec)| ThroughputRow {
+                scenario: key.to_string(),
+                n: spec.n,
+                f: spec.f,
+                events: 100,
+                messages: 100,
+                peak_queue: 10,
+                queue_bytes: 4096,
+                drops_at_enqueue: 0,
+                wall_ns: 1000,
+                events_per_sec: 3000.0,
+                verify_macs: 7,
+                verify_hits: 9,
+                reps: 1,
+            })
+            .collect()
+    }
+
+    /// The synthetic document with `edit` applied to scenario `key`.
+    fn doc_with(key: &str, edit: Edit) -> String {
+        let mut rows = synthetic_rows();
+        edit(rows.iter_mut().find(|r| r.scenario == key).expect(key));
+        render_json(&rows, "test")
+    }
+
     #[test]
-    fn regression_check_flags_slowdown_and_missing() {
-        let mk = |s: &str, eps: f64| ThroughputRow {
-            scenario: s.into(),
-            n: 4,
-            f: 1,
-            events: 100,
-            messages: 100,
-            peak_queue: 10,
-            queue_bytes: 4096,
-            drops_at_enqueue: 0,
-            wall_ns: 1000,
-            events_per_sec: eps,
-            verify_macs: 0,
-            verify_hits: 0,
-            reps: 1,
-        };
-        let baseline = vec![
-            mk("a", 3000.0),
-            mk("b", 3000.0),
-            mk("c", 3000.0),
-            mk("d", 3000.0),
+    fn deterministic_columns_gate_exactly_and_the_clock_by_3x() {
+        let base = render_json(&synthetic_rows(), "test");
+        assert_eq!(SCHEMA.check(&base), Ok(10));
+        SCHEMA.diff(&base, &base).expect("identity");
+        // The clock: noise and improvements pass, a 3x cliff does not.
+        SCHEMA
+            .diff(&base, &doc_with("flood_n64", |r| r.events_per_sec = 1001.0))
+            .expect("just inside 3x");
+        SCHEMA
+            .diff(&base, &doc_with("flood_n64", |r| r.events_per_sec = 9e9))
+            .expect("faster is fine");
+        let err = SCHEMA
+            .diff(&base, &doc_with("flood_n64", |r| r.events_per_sec = 900.0))
+            .unwrap_err();
+        assert!(
+            err.contains("scenario=flood_n64") && err.contains("events_per_sec"),
+            "{err}"
+        );
+        // Every counter the simulator computes is exact: off by one fails
+        // in either direction (the old gate let verify_macs rise 25x).
+        let edits: [(&str, Edit); 9] = [
+            ("n", |r| r.n += 1),
+            ("f", |r| r.f += 1),
+            ("events", |r| r.events -= 1),
+            ("messages", |r| r.messages += 1),
+            ("peak_queue", |r| r.peak_queue += 1),
+            ("queue_bytes", |r| r.queue_bytes += 1),
+            ("drops_at_enqueue", |r| r.drops_at_enqueue += 1),
+            ("verify_macs", |r| r.verify_macs += 1),
+            ("verify_hits", |r| r.verify_hits -= 1),
         ];
-        let fresh = vec![
-            mk("a", 2900.0), // fine
-            mk("b", 900.0),  // >3x slower
-            mk("c", 1001.0), // just inside 3x
-        ];
-        let fails = regressions(&baseline, &fresh, 3.0);
-        assert_eq!(fails.len(), 2, "{fails:?}");
-        assert!(fails.iter().any(|m| m.contains("\"d\" missing")));
-        assert!(fails.iter().any(|m| m.starts_with("b:")));
+        for (column, edit) in edits {
+            let err = SCHEMA
+                .diff(&base, &doc_with("brb2_n256_f85", edit))
+                .unwrap_err();
+            assert!(
+                err.contains(column) && err.contains("exact column"),
+                "{column}: {err}"
+            );
+        }
+        // wall_ns and reps differ between any two runs and are not judged.
+        let unjudged = doc_with("smr_1k", |r| {
+            r.wall_ns = 999_999;
+            r.reps = 64;
+        });
+        SCHEMA.diff(&base, &unjudged).expect("unjudged columns");
     }
 
     #[test]
     fn malformed_json_rejected() {
-        assert!(parse_json("{").is_err());
-        assert!(parse_json("{\"schema\": \"wrong\", \"rows\": []}").is_err());
-        assert!(parse_json("{\"schema\": \"gcl-bench/sim-throughput/v2\"}").is_err());
+        assert!(SCHEMA.check("{").is_err());
+        assert!(SCHEMA
+            .check("{\"schema\": \"wrong\", \"rows\": []}")
+            .is_err());
+        assert!(SCHEMA
+            .check("{\"schema\": \"gcl-bench/sim-throughput/v2\"}")
+            .is_err());
         // v1 documents (no queue_bytes / drops_at_enqueue) are rejected
         // by the schema tag, not by a field-level error.
-        assert!(parse_json("{\"schema\": \"gcl-bench/sim-throughput/v1\", \"rows\": []}").is_err());
+        let v1 = render_json(&synthetic_rows(), "test").replace("throughput/v2", "throughput/v1");
+        assert!(SCHEMA.check(&v1).unwrap_err().contains("schema is"));
+        // A scenario dropped from the harness is a coverage gap.
+        let mut rows = synthetic_rows();
+        rows.pop();
+        assert_eq!(
+            SCHEMA.check(&render_json(&rows, "test")),
+            Err("no row for scenario \"smr_1k\"".to_string())
+        );
     }
 
     #[test]

@@ -161,17 +161,8 @@ fn smr_socket_leader_cascade_under_load_stays_live_and_exactly_once() {
     // successive leaders at n = 9). The surviving replicas must keep
     // acknowledging the stream, every acked command must land in the
     // probe replica's log exactly once, and the replica group must agree.
-    use gcl_bench::smrload::{failover_spec, run_load, LoadOptions};
-    let row = run_load(
-        &failover_spec(),
-        4,
-        4,
-        LoadOptions {
-            requests: 16,
-            gap: std::time::Duration::from_millis(1),
-            deadline: std::time::Duration::from_secs(30),
-        },
-    );
+    use gcl_bench::smrload::{failover_spec, run_load};
+    let row = run_load(&failover_spec(), 4, 4, 16);
     assert_eq!(row.crashes, 2, "two successive leaders must die");
     assert!(row.agreement, "survivors disagree after failover");
     assert_eq!(

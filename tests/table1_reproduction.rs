@@ -2,7 +2,9 @@
 //! every row's measured good-case latency sits at (or under) the paper's
 //! tight bound, and the round-counted rows are *exact*.
 
-use gcl_bench::{fig8_rows, majority_rows, table1_rows};
+use gcl_bench::scenarios::BIG_DELTA;
+use gcl_bench::{canonical, fig8_rows, majority_rows, run, table1_rows};
+use gcl_types::Duration;
 
 #[test]
 fn every_row_of_table1_reproduces() {
@@ -55,6 +57,23 @@ fn sync_rows_hit_bounds_exactly_not_just_under() {
             }
             _ => {}
         }
+    }
+}
+
+#[test]
+fn two_delta_bb_tracks_the_actual_delta_not_the_conservative_bound() {
+    // The δ/Δ separation the paper's synchronous rows rest on: with Δ
+    // pinned at 1000µs, the 2δ-BB's good-case latency is 2δ for every
+    // actual δ — it never waits out the conservative bound.
+    for delta_us in [25u64, 50, 100, 200, 400] {
+        let spec = canonical("bb_2delta", 4, 1)
+            .with_seed(209)
+            .with_bounds(Duration::from_micros(delta_us), BIG_DELTA);
+        assert_eq!(
+            run(&spec).good_case_latency(),
+            Some(Duration::from_micros(2 * delta_us)),
+            "delta = {delta_us}us, Delta = {BIG_DELTA}"
+        );
     }
 }
 
