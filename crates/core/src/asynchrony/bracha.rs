@@ -25,39 +25,11 @@ pub enum BrachaMsg {
     Ready(Value),
 }
 
-/// Wire codec: one tag byte per phase.
-mod wire_codec {
-    use super::*;
-    use gcl_types::{Decode, Encode, WireError};
-
-    impl Encode for BrachaMsg {
-        fn encode(&self, buf: &mut Vec<u8>) {
-            let (tag, v) = match self {
-                BrachaMsg::Send(v) => (1, v),
-                BrachaMsg::Echo(v) => (2, v),
-                BrachaMsg::Ready(v) => (3, v),
-            };
-            buf.push(tag);
-            v.encode(buf);
-        }
-    }
-
-    impl Decode for BrachaMsg {
-        fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-            let tag = u8::decode(input)?;
-            let v = Value::decode(input)?;
-            match tag {
-                1 => Ok(BrachaMsg::Send(v)),
-                2 => Ok(BrachaMsg::Echo(v)),
-                3 => Ok(BrachaMsg::Ready(v)),
-                tag => Err(WireError::BadTag {
-                    ty: "BrachaMsg",
-                    tag,
-                }),
-            }
-        }
-    }
-}
+gcl_types::wire_enum!(BrachaMsg {
+    1 => Send(value),
+    2 => Echo(value),
+    3 => Ready(value),
+});
 
 /// One party of Bracha's reliable broadcast.
 ///

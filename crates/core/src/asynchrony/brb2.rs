@@ -63,41 +63,11 @@ pub enum Brb2Msg {
 
 gcl_types::wire_struct!(SignedVote { value, sig });
 
-/// Wire codec: one tag byte per protocol step.
-mod wire_codec {
-    use super::*;
-    use gcl_types::{Decode, Encode, WireError};
-
-    impl Encode for Brb2Msg {
-        fn encode(&self, buf: &mut Vec<u8>) {
-            match self {
-                Brb2Msg::Propose(v) => {
-                    buf.push(1);
-                    v.encode(buf);
-                }
-                Brb2Msg::Vote(vote) => {
-                    buf.push(2);
-                    vote.encode(buf);
-                }
-                Brb2Msg::Forward(votes) => {
-                    buf.push(3);
-                    votes.encode(buf);
-                }
-            }
-        }
-    }
-
-    impl Decode for Brb2Msg {
-        fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-            match u8::decode(input)? {
-                1 => Ok(Brb2Msg::Propose(Decode::decode(input)?)),
-                2 => Ok(Brb2Msg::Vote(Decode::decode(input)?)),
-                3 => Ok(Brb2Msg::Forward(Decode::decode(input)?)),
-                tag => Err(WireError::BadTag { ty: "Brb2Msg", tag }),
-            }
-        }
-    }
-}
+gcl_types::wire_enum!(Brb2Msg {
+    1 => Propose(value),
+    2 => Vote(vote),
+    3 => Forward(votes),
+});
 
 /// The Figure-1 protocol for one party.
 ///

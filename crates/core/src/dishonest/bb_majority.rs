@@ -125,54 +125,13 @@ pub enum MajorityMsg {
 gcl_types::wire_struct!(MajProposal { value, epoch, sig });
 gcl_types::wire_struct!(MajVote { value, epoch, sig });
 
-/// Wire codec: one tag byte per message kind.
-mod wire_codec {
-    use super::*;
-    use gcl_types::{Decode, Encode, WireError};
-
-    impl Encode for MajorityMsg {
-        fn encode(&self, buf: &mut Vec<u8>) {
-            match self {
-                MajorityMsg::Propose(p) => {
-                    buf.push(1);
-                    p.encode(buf);
-                }
-                MajorityMsg::ForwardProp(p) => {
-                    buf.push(2);
-                    p.encode(buf);
-                }
-                MajorityMsg::Vote(v) => {
-                    buf.push(3);
-                    v.encode(buf);
-                }
-                MajorityMsg::CommitCert(vs) => {
-                    buf.push(4);
-                    vs.encode(buf);
-                }
-                MajorityMsg::Done(v) => {
-                    buf.push(5);
-                    v.encode(buf);
-                }
-            }
-        }
-    }
-
-    impl Decode for MajorityMsg {
-        fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-            match u8::decode(input)? {
-                1 => Ok(MajorityMsg::Propose(Decode::decode(input)?)),
-                2 => Ok(MajorityMsg::ForwardProp(Decode::decode(input)?)),
-                3 => Ok(MajorityMsg::Vote(Decode::decode(input)?)),
-                4 => Ok(MajorityMsg::CommitCert(Decode::decode(input)?)),
-                5 => Ok(MajorityMsg::Done(Decode::decode(input)?)),
-                tag => Err(WireError::BadTag {
-                    ty: "MajorityMsg",
-                    tag,
-                }),
-            }
-        }
-    }
-}
+gcl_types::wire_enum!(MajorityMsg {
+    1 => Propose(prop),
+    2 => ForwardProp(prop),
+    3 => Vote(vote),
+    4 => CommitCert(votes),
+    5 => Done(vote),
+});
 
 const TAG_EPOCH_BASE: u64 = 1;
 

@@ -199,76 +199,14 @@ gcl_types::wire_struct!(LeaderSigned {
 });
 gcl_types::wire_struct!(VoteMsg { ls, voter_sig });
 
-/// Wire codec for the certificate vocabulary (tag byte per variant).
-mod wire_codec {
-    use super::*;
-    use gcl_types::{Decode, Encode, WireError};
-
-    impl Encode for TimeoutMsg {
-        fn encode(&self, buf: &mut Vec<u8>) {
-            match self {
-                TimeoutMsg::Bot { view, sig } => {
-                    buf.push(1);
-                    view.encode(buf);
-                    sig.encode(buf);
-                }
-                TimeoutMsg::Val { ls, voter_sig } => {
-                    buf.push(2);
-                    ls.encode(buf);
-                    voter_sig.encode(buf);
-                }
-            }
-        }
-    }
-
-    impl Decode for TimeoutMsg {
-        fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-            match u8::decode(input)? {
-                1 => Ok(TimeoutMsg::Bot {
-                    view: Decode::decode(input)?,
-                    sig: Decode::decode(input)?,
-                }),
-                2 => Ok(TimeoutMsg::Val {
-                    ls: Decode::decode(input)?,
-                    voter_sig: Decode::decode(input)?,
-                }),
-                tag => Err(WireError::BadTag {
-                    ty: "TimeoutMsg",
-                    tag,
-                }),
-            }
-        }
-    }
-
-    impl Encode for Certificate {
-        fn encode(&self, buf: &mut Vec<u8>) {
-            match self {
-                Certificate::Genesis => buf.push(1),
-                Certificate::Assembled { view, entries } => {
-                    buf.push(2);
-                    view.encode(buf);
-                    entries.encode(buf);
-                }
-            }
-        }
-    }
-
-    impl Decode for Certificate {
-        fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-            match u8::decode(input)? {
-                1 => Ok(Certificate::Genesis),
-                2 => Ok(Certificate::Assembled {
-                    view: Decode::decode(input)?,
-                    entries: Decode::decode(input)?,
-                }),
-                tag => Err(WireError::BadTag {
-                    ty: "Certificate",
-                    tag,
-                }),
-            }
-        }
-    }
-}
+gcl_types::wire_enum!(TimeoutMsg {
+    1 => Bot { view, sig },
+    2 => Val { ls, voter_sig },
+});
+gcl_types::wire_enum!(Certificate {
+    1 => Genesis,
+    2 => Assembled { view, entries },
+});
 
 /// What a certificate locks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -211,60 +211,14 @@ gcl_types::wire_struct!(ViewChangeMsg {
     sig
 });
 
-/// Wire codec: one tag byte per message kind.
-mod wire_codec {
-    use super::*;
-    use gcl_types::{Decode, Encode, WireError};
-
-    impl Encode for PbftMsg {
-        fn encode(&self, buf: &mut Vec<u8>) {
-            match self {
-                PbftMsg::Propose { prop, proof } => {
-                    buf.push(1);
-                    prop.encode(buf);
-                    proof.encode(buf);
-                }
-                PbftMsg::Prepare(v) => {
-                    buf.push(2);
-                    v.encode(buf);
-                }
-                PbftMsg::Commit(v) => {
-                    buf.push(3);
-                    v.encode(buf);
-                }
-                PbftMsg::CommitBundle(vs) => {
-                    buf.push(4);
-                    vs.encode(buf);
-                }
-                PbftMsg::ViewChange(vc) => {
-                    buf.push(5);
-                    vc.encode(buf);
-                }
-                PbftMsg::ViewChangeBundle(vcs) => {
-                    buf.push(6);
-                    vcs.encode(buf);
-                }
-            }
-        }
-    }
-
-    impl Decode for PbftMsg {
-        fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-            match u8::decode(input)? {
-                1 => Ok(PbftMsg::Propose {
-                    prop: Decode::decode(input)?,
-                    proof: Decode::decode(input)?,
-                }),
-                2 => Ok(PbftMsg::Prepare(Decode::decode(input)?)),
-                3 => Ok(PbftMsg::Commit(Decode::decode(input)?)),
-                4 => Ok(PbftMsg::CommitBundle(Decode::decode(input)?)),
-                5 => Ok(PbftMsg::ViewChange(Decode::decode(input)?)),
-                6 => Ok(PbftMsg::ViewChangeBundle(Decode::decode(input)?)),
-                tag => Err(WireError::BadTag { ty: "PbftMsg", tag }),
-            }
-        }
-    }
-}
+gcl_types::wire_enum!(PbftMsg {
+    1 => Propose { prop, proof },
+    2 => Prepare(vote),
+    3 => Commit(vote),
+    4 => CommitBundle(votes),
+    5 => ViewChange(vc),
+    6 => ViewChangeBundle(vcs),
+});
 
 /// One party of the PBFT-style 3-round psync-VBB.
 ///

@@ -120,87 +120,19 @@ pub enum VbbMsg {
 
 gcl_types::wire_struct!(StatusMsg { view, cert, sig });
 
-/// Wire codec: one tag byte per message kind / proof shape.
-mod wire_codec {
-    use super::*;
-    use gcl_types::{Decode, Encode, WireError};
-
-    impl Encode for Proof {
-        fn encode(&self, buf: &mut Vec<u8>) {
-            match self {
-                Proof::Bootstrap => buf.push(1),
-                Proof::Cert(c) => {
-                    buf.push(2);
-                    c.encode(buf);
-                }
-                Proof::Statuses(ss) => {
-                    buf.push(3);
-                    ss.encode(buf);
-                }
-            }
-        }
-    }
-
-    impl Decode for Proof {
-        fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-            match u8::decode(input)? {
-                1 => Ok(Proof::Bootstrap),
-                2 => Ok(Proof::Cert(Decode::decode(input)?)),
-                3 => Ok(Proof::Statuses(Decode::decode(input)?)),
-                tag => Err(WireError::BadTag { ty: "Proof", tag }),
-            }
-        }
-    }
-
-    impl Encode for VbbMsg {
-        fn encode(&self, buf: &mut Vec<u8>) {
-            match self {
-                VbbMsg::Propose { ls, proof } => {
-                    buf.push(1);
-                    ls.encode(buf);
-                    proof.encode(buf);
-                }
-                VbbMsg::Vote(v) => {
-                    buf.push(2);
-                    v.encode(buf);
-                }
-                VbbMsg::VoteBundle(vs) => {
-                    buf.push(3);
-                    vs.encode(buf);
-                }
-                VbbMsg::Timeout(t) => {
-                    buf.push(4);
-                    t.encode(buf);
-                }
-                VbbMsg::TimeoutBundle(ts) => {
-                    buf.push(5);
-                    ts.encode(buf);
-                }
-                VbbMsg::Status(s) => {
-                    buf.push(6);
-                    s.encode(buf);
-                }
-            }
-        }
-    }
-
-    impl Decode for VbbMsg {
-        fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-            match u8::decode(input)? {
-                1 => Ok(VbbMsg::Propose {
-                    ls: Decode::decode(input)?,
-                    proof: Decode::decode(input)?,
-                }),
-                2 => Ok(VbbMsg::Vote(Decode::decode(input)?)),
-                3 => Ok(VbbMsg::VoteBundle(Decode::decode(input)?)),
-                4 => Ok(VbbMsg::Timeout(Decode::decode(input)?)),
-                5 => Ok(VbbMsg::TimeoutBundle(Decode::decode(input)?)),
-                6 => Ok(VbbMsg::Status(Decode::decode(input)?)),
-                tag => Err(WireError::BadTag { ty: "VbbMsg", tag }),
-            }
-        }
-    }
-}
+gcl_types::wire_enum!(Proof {
+    1 => Bootstrap,
+    2 => Cert(cert),
+    3 => Statuses(statuses),
+});
+gcl_types::wire_enum!(VbbMsg {
+    1 => Propose { ls, proof },
+    2 => Vote(vote),
+    3 => VoteBundle(votes),
+    4 => Timeout(timeout),
+    5 => TimeoutBundle(timeouts),
+    6 => Status(status),
+});
 
 /// Timer tag = view number (one timer armed per view entry).
 const fn view_tag(view: View) -> u64 {

@@ -50,39 +50,10 @@ pub enum EarlyMsg {
 
 gcl_types::wire_struct!(EarlyVote { value, sig });
 
-/// Wire codec: one tag byte per message kind.
-mod wire_codec {
-    use super::*;
-    use gcl_types::{Decode, Encode, WireError};
-
-    impl Encode for EarlyMsg {
-        fn encode(&self, buf: &mut Vec<u8>) {
-            match self {
-                EarlyMsg::Propose(v) => {
-                    buf.push(1);
-                    v.encode(buf);
-                }
-                EarlyMsg::Vote(vote) => {
-                    buf.push(2);
-                    vote.encode(buf);
-                }
-            }
-        }
-    }
-
-    impl Decode for EarlyMsg {
-        fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-            match u8::decode(input)? {
-                1 => Ok(EarlyMsg::Propose(Decode::decode(input)?)),
-                2 => Ok(EarlyMsg::Vote(Decode::decode(input)?)),
-                tag => Err(WireError::BadTag {
-                    ty: "EarlyMsg",
-                    tag,
-                }),
-            }
-        }
-    }
-}
+gcl_types::wire_enum!(EarlyMsg {
+    1 => Propose(value),
+    2 => Vote(vote),
+});
 
 /// One party of the early-commit strawman.
 #[derive(Debug)]

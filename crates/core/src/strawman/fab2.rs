@@ -139,41 +139,11 @@ gcl_types::wire_struct!(FabProposal {
 gcl_types::wire_struct!(FabVote { value, view, sig });
 gcl_types::wire_struct!(FabViewChange { view, voted, sig });
 
-/// Wire codec: one tag byte per message kind.
-mod wire_codec {
-    use super::*;
-    use gcl_types::{Decode, Encode, WireError};
-
-    impl Encode for FabMsg {
-        fn encode(&self, buf: &mut Vec<u8>) {
-            match self {
-                FabMsg::Propose(p) => {
-                    buf.push(1);
-                    p.encode(buf);
-                }
-                FabMsg::Vote(v) => {
-                    buf.push(2);
-                    v.encode(buf);
-                }
-                FabMsg::ViewChange(vc) => {
-                    buf.push(3);
-                    vc.encode(buf);
-                }
-            }
-        }
-    }
-
-    impl Decode for FabMsg {
-        fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-            match u8::decode(input)? {
-                1 => Ok(FabMsg::Propose(Decode::decode(input)?)),
-                2 => Ok(FabMsg::Vote(Decode::decode(input)?)),
-                3 => Ok(FabMsg::ViewChange(Decode::decode(input)?)),
-                tag => Err(WireError::BadTag { ty: "FabMsg", tag }),
-            }
-        }
-    }
-}
+gcl_types::wire_enum!(FabMsg {
+    1 => Propose(prop),
+    2 => Vote(vote),
+    3 => ViewChange(vc),
+});
 
 const TAG_TIMEOUT: u64 = 1;
 

@@ -95,49 +95,12 @@ pub enum TwoDeltaMsg {
 gcl_types::wire_struct!(Fig10Proposal { value, sig });
 gcl_types::wire_struct!(Fig10Vote { value, sig });
 
-/// Wire codec: one tag byte per protocol step.
-mod wire_codec {
-    use super::*;
-    use gcl_types::{Decode, Encode, WireError};
-
-    impl Encode for TwoDeltaMsg {
-        fn encode(&self, buf: &mut Vec<u8>) {
-            match self {
-                TwoDeltaMsg::Propose(p) => {
-                    buf.push(1);
-                    p.encode(buf);
-                }
-                TwoDeltaMsg::Vote(v) => {
-                    buf.push(2);
-                    v.encode(buf);
-                }
-                TwoDeltaMsg::VoteBundle(vs) => {
-                    buf.push(3);
-                    vs.encode(buf);
-                }
-                TwoDeltaMsg::Ba(m) => {
-                    buf.push(4);
-                    m.encode(buf);
-                }
-            }
-        }
-    }
-
-    impl Decode for TwoDeltaMsg {
-        fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-            match u8::decode(input)? {
-                1 => Ok(TwoDeltaMsg::Propose(Decode::decode(input)?)),
-                2 => Ok(TwoDeltaMsg::Vote(Decode::decode(input)?)),
-                3 => Ok(TwoDeltaMsg::VoteBundle(Decode::decode(input)?)),
-                4 => Ok(TwoDeltaMsg::Ba(Decode::decode(input)?)),
-                tag => Err(WireError::BadTag {
-                    ty: "TwoDeltaMsg",
-                    tag,
-                }),
-            }
-        }
-    }
-}
+gcl_types::wire_enum!(TwoDeltaMsg {
+    1 => Propose(prop),
+    2 => Vote(vote),
+    3 => VoteBundle(votes),
+    4 => Ba(msg),
+});
 
 const TAG_BA_START: u64 = 1;
 

@@ -132,54 +132,13 @@ gcl_types::wire_struct!(Fig5Proposal { value, sig });
 gcl_types::wire_struct!(Fig5Vote { prop, sig });
 gcl_types::wire_struct!(Fig5Commit { value, sig });
 
-/// Wire codec: one tag byte per protocol step.
-mod wire_codec {
-    use super::*;
-    use gcl_types::{Decode, Encode, WireError};
-
-    impl Encode for ThirdMsg {
-        fn encode(&self, buf: &mut Vec<u8>) {
-            match self {
-                ThirdMsg::Propose(p) => {
-                    buf.push(1);
-                    p.encode(buf);
-                }
-                ThirdMsg::Vote(v) => {
-                    buf.push(2);
-                    v.encode(buf);
-                }
-                ThirdMsg::VoteBundle(vs) => {
-                    buf.push(3);
-                    vs.encode(buf);
-                }
-                ThirdMsg::Commit(c) => {
-                    buf.push(4);
-                    c.encode(buf);
-                }
-                ThirdMsg::Ba(m) => {
-                    buf.push(5);
-                    m.encode(buf);
-                }
-            }
-        }
-    }
-
-    impl Decode for ThirdMsg {
-        fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-            match u8::decode(input)? {
-                1 => Ok(ThirdMsg::Propose(Decode::decode(input)?)),
-                2 => Ok(ThirdMsg::Vote(Decode::decode(input)?)),
-                3 => Ok(ThirdMsg::VoteBundle(Decode::decode(input)?)),
-                4 => Ok(ThirdMsg::Commit(Decode::decode(input)?)),
-                5 => Ok(ThirdMsg::Ba(Decode::decode(input)?)),
-                tag => Err(WireError::BadTag {
-                    ty: "ThirdMsg",
-                    tag,
-                }),
-            }
-        }
-    }
-}
+gcl_types::wire_enum!(ThirdMsg {
+    1 => Propose(prop),
+    2 => Vote(vote),
+    3 => VoteBundle(votes),
+    4 => Commit(commit),
+    5 => Ba(msg),
+});
 
 const TAG_VOTE_TIMER: u64 = 1;
 const TAG_STEP4: u64 = 2;

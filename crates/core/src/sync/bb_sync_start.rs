@@ -95,49 +95,12 @@ pub enum SyncStartMsg {
 gcl_types::wire_struct!(Fig6Proposal { value, sig });
 gcl_types::wire_struct!(Fig6Vote { d, prop, sig });
 
-/// Wire codec: one tag byte per protocol step.
-mod wire_codec {
-    use super::*;
-    use gcl_types::{Decode, Encode, WireError};
-
-    impl Encode for SyncStartMsg {
-        fn encode(&self, buf: &mut Vec<u8>) {
-            match self {
-                SyncStartMsg::Propose(p) => {
-                    buf.push(1);
-                    p.encode(buf);
-                }
-                SyncStartMsg::Vote(v) => {
-                    buf.push(2);
-                    v.encode(buf);
-                }
-                SyncStartMsg::VoteBundle(vs) => {
-                    buf.push(3);
-                    vs.encode(buf);
-                }
-                SyncStartMsg::Ba(m) => {
-                    buf.push(4);
-                    m.encode(buf);
-                }
-            }
-        }
-    }
-
-    impl Decode for SyncStartMsg {
-        fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-            match u8::decode(input)? {
-                1 => Ok(SyncStartMsg::Propose(Decode::decode(input)?)),
-                2 => Ok(SyncStartMsg::Vote(Decode::decode(input)?)),
-                3 => Ok(SyncStartMsg::VoteBundle(Decode::decode(input)?)),
-                4 => Ok(SyncStartMsg::Ba(Decode::decode(input)?)),
-                tag => Err(WireError::BadTag {
-                    ty: "SyncStartMsg",
-                    tag,
-                }),
-            }
-        }
-    }
-}
+gcl_types::wire_enum!(SyncStartMsg {
+    1 => Propose(prop),
+    2 => Vote(vote),
+    3 => VoteBundle(votes),
+    4 => Ba(msg),
+});
 
 const TAG_BA_START: u64 = 1;
 const TAG_CHECK_BASE: u64 = 100;

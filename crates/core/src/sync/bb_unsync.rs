@@ -104,49 +104,12 @@ pub enum UnsyncMsg {
 gcl_types::wire_struct!(Fig9Proposal { value, sig });
 gcl_types::wire_struct!(Fig9Vote { d, prop, sig });
 
-/// Wire codec: one tag byte per protocol step.
-mod wire_codec {
-    use super::*;
-    use gcl_types::{Decode, Encode, WireError};
-
-    impl Encode for UnsyncMsg {
-        fn encode(&self, buf: &mut Vec<u8>) {
-            match self {
-                UnsyncMsg::Propose(p) => {
-                    buf.push(1);
-                    p.encode(buf);
-                }
-                UnsyncMsg::Vote(v) => {
-                    buf.push(2);
-                    v.encode(buf);
-                }
-                UnsyncMsg::VoteBundle(vs) => {
-                    buf.push(3);
-                    vs.encode(buf);
-                }
-                UnsyncMsg::Ba(m) => {
-                    buf.push(4);
-                    m.encode(buf);
-                }
-            }
-        }
-    }
-
-    impl Decode for UnsyncMsg {
-        fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-            match u8::decode(input)? {
-                1 => Ok(UnsyncMsg::Propose(Decode::decode(input)?)),
-                2 => Ok(UnsyncMsg::Vote(Decode::decode(input)?)),
-                3 => Ok(UnsyncMsg::VoteBundle(Decode::decode(input)?)),
-                4 => Ok(UnsyncMsg::Ba(Decode::decode(input)?)),
-                tag => Err(WireError::BadTag {
-                    ty: "UnsyncMsg",
-                    tag,
-                }),
-            }
-        }
-    }
-}
+gcl_types::wire_enum!(UnsyncMsg {
+    1 => Propose(prop),
+    2 => Vote(vote),
+    3 => VoteBundle(votes),
+    4 => Ba(msg),
+});
 
 const TAG_BA_START: u64 = 1;
 const TAG_VOTE_BASE: u64 = 100;

@@ -110,8 +110,8 @@ impl fmt::Debug for Signer {
 /// extracted through it.
 pub struct Pki {
     keys: Vec<SecretKey>,
-    /// Process-wide second-level MAC cache shared by every [`crate::Verifier`]
-    /// over this key universe. `compute_mac` is a pure function of `keys`, so
+    /// The MAC cache shared by every [`crate::Verifier`] over this key
+    /// universe. `compute_mac` is a pure function of `keys`, so
     /// a recomputed MAC answers any party's later lookup byte-identically;
     /// only recomputed values are ever stored (never attacker-asserted ones),
     /// so a Byzantine signature can't poison it. Bounded FIFO keeps memory
@@ -184,6 +184,9 @@ impl fmt::Debug for Pki {
     }
 }
 
+/// Bound on cached `(signer, digest) → mac` entries per key universe.
+const SHARED_SIG_CAPACITY: usize = 1 << 16;
+
 /// The trusted-setup key generator: derives all `n` keypairs from a seed.
 ///
 /// # Examples
@@ -204,6 +207,12 @@ pub struct Keychain {
 impl Keychain {
     /// Derives keys for `n` parties from `seed`.
     pub fn generate(n: usize, seed: u64) -> Keychain {
+        Self::with_shared_capacity(n, seed, SHARED_SIG_CAPACITY)
+    }
+
+    /// [`Keychain::generate`] with an explicit bound on the `Pki`-shared MAC
+    /// cache, so tests can exercise its eviction boundary.
+    pub(crate) fn with_shared_capacity(n: usize, seed: u64, capacity: usize) -> Keychain {
         let keys = (0..n as u32)
             .map(|i| SecretKey::derive(seed, PartyId::new(i)))
             .collect();
@@ -211,7 +220,7 @@ impl Keychain {
             seed,
             pki: Arc::new(Pki {
                 keys,
-                shared_sigs: Mutex::new(BoundedMap::new(crate::verify::DEFAULT_SIG_CAPACITY)),
+                shared_sigs: Mutex::new(BoundedMap::new(capacity)),
             }),
         }
     }
@@ -239,8 +248,8 @@ impl Keychain {
     }
 
     /// A fresh amortizing [`Verifier`](crate::Verifier) over this chain's
-    /// [`Pki`]. One per party instance — verifiers hold per-party caches and
-    /// are not shared.
+    /// [`Pki`]. One per party instance — each holds its own memo cache and
+    /// counters; the MAC cache is the `Pki`'s.
     pub fn verifier(&self) -> crate::Verifier {
         crate::Verifier::new(self.pki())
     }

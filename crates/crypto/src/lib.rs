@@ -15,16 +15,11 @@
 //!   (allowed in the paper's model) but cannot mint new ones.
 //! * [`Digestible`] — canonical hashing of protocol payloads without a
 //!   serialization framework (protocol messages stay plain Rust values).
-//! * [`QuorumCert`] — multi-signature accumulation with distinct-signer
-//!   counting, used by every voting protocol.
 //! * [`Verifier`] / [`Verify`] — amortized verification: bounded
 //!   verify-once caches for MACs and composite artifacts whose hits are
 //!   byte-identical to recomputation (see the [`verify`](crate::Verifier)
 //!   module docs for the soundness argument), plus a [`VerifyProbe`]
 //!   counting MACs vs. cache hits for the bench rows.
-//! * [`EquivocationEvidence`] — a transferable proof that one signer signed
-//!   two conflicting payloads; the `(5f−1)`-psync-VBB and the synchronous
-//!   protocols key their commit rules on detecting exactly this.
 //!
 //! # Examples
 //!
@@ -43,16 +38,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cert;
 mod digest;
-mod evidence;
 mod keys;
 mod sha256;
 mod verify;
 
-pub use cert::QuorumCert;
 pub use digest::{Digest, Digestible};
-pub use evidence::EquivocationEvidence;
 pub use keys::{Keychain, Pki, Signature, Signer};
 pub use sha256::Sha256;
 pub use verify::{MemoTag, Verifier, Verify, VerifyProbe};

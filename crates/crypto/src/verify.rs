@@ -4,21 +4,26 @@
 //! The protocols in this workspace re-deliver the same signed artifacts many
 //! times — Dolev–Strong relays carry ever-growing chains past every party,
 //! brb2 `Forward` bundles repeat votes the receiver already holds, and a
-//! quorum cert arrives once per sender. Recomputing a SHA-256 MAC per
+//! psync certificate arrives once per sender. Recomputing a SHA-256 MAC per
 //! signature per delivery makes crypto the dominant hot-path cost (~30x
 //! below the structural ceiling in `BENCH_sim.json`).
 //!
 //! [`Verifier`] removes that cost without changing a single verdict:
 //!
-//! * **Signature cache** — keyed by `(signer, digest)`, storing the
-//!   *recomputed true MAC* for that pair. A hit answers any claimed
+//! * **Signature cache** — one per key universe, owned by the [`Pki`] and
+//!   shared by every verifier over it: keyed by `(signer, digest)`, storing
+//!   the *recomputed true MAC* for that pair, so in an n-party run the
+//!   first verifier pays the hash and the other n−1 take a hit. There is
+//!   no per-party level behind it: one existed and answered no lookup on
+//!   any benchmark row. A hit answers any claimed
 //!   signature by byte-comparing the stored MAC against the claimed one, so
 //!   the verdict covers the exact `(signer, digest, mac)` tuple and is
 //!   byte-identical to recomputation for positives **and** negatives alike:
 //!   caching cannot weaken unforgeability. (MACs here are deterministic —
 //!   one valid MAC exists per `(signer, digest)` — which is what makes a
 //!   single stored value a complete oracle for that pair.)
-//! * **Memo cache** — maps an artifact fingerprint (a [`MemoTag`]-prefixed
+//! * **Memo cache** — per [`Verifier`] (per party instance), lock-free:
+//!   maps an artifact fingerprint (a [`MemoTag`]-prefixed
 //!   byte key built from the artifact's wire encoding) to the boolean
 //!   verdict a full verification produced. Protocols use it to make cert
 //!   and chain re-verification O(1) on re-delivery; because the key covers
@@ -26,10 +31,11 @@
 //!   signature bytes), a hit is again byte-identical to recomputation.
 //!
 //! Both caches are bounded with deterministic FIFO eviction, so memory is
-//! O(capacity) regardless of run length and behavior is identical at any
-//! thread count. The caches are per-[`Verifier`] (per party instance);
-//! nothing is shared across parties, keeping [`Verifier`] `Send` for
-//! thread-per-party backends.
+//! O(capacity) regardless of run length, and since neither verdict depends
+//! on cache state, behavior is identical at any thread count. The shared
+//! signature cache sits behind the [`Pki`]'s mutex; everything a
+//! [`Verifier`] owns is single-threaded, keeping it `Send` for the wall
+//! engine's worker pool.
 //!
 //! The [`Verify`] trait abstracts over [`Pki`] (always recompute) and
 //! [`Verifier`] (amortize), so protocol helpers accept either.
@@ -106,9 +112,6 @@ impl Hasher for CacheHasher {
 
 pub(crate) type CacheHash = BuildHasherDefault<CacheHasher>;
 
-/// Default bound on cached `(signer, digest) → mac` entries per verifier.
-pub const DEFAULT_SIG_CAPACITY: usize = 1 << 16;
-
 /// Default bound on memoized artifact verdicts per verifier.
 pub const DEFAULT_MEMO_CAPACITY: usize = 1 << 12;
 
@@ -179,8 +182,6 @@ pub enum MemoTag {
     Cert = 2,
     /// `psync` status message (certificate + carrier signature).
     Status = 3,
-    /// [`crate::QuorumCert`] signature-set validity.
-    QuorumCert = 4,
     /// `pbft3` prepared certificate.
     Prepared = 5,
     /// `pbft3` view-change message.
@@ -279,10 +280,6 @@ impl<K: Eq + Hash + Clone, V> BoundedMap<K, V> {
             }
         }
     }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
 }
 
 /// An amortizing verification handle wrapping a shared [`Pki`].
@@ -294,7 +291,6 @@ impl<K: Eq + Hash + Clone, V> BoundedMap<K, V> {
 /// unchanged against constructors taking `impl Into<Verifier>`.
 pub struct Verifier {
     pki: Arc<Pki>,
-    sigs: RefCell<BoundedMap<(PartyId, Digest), [u8; 32]>>,
     memo: RefCell<BoundedMap<Box<[u8]>, bool>>,
     macs: Cell<u64>,
     hits: Cell<u64>,
@@ -304,15 +300,14 @@ pub struct Verifier {
 impl Verifier {
     /// A verifier with default cache bounds.
     pub fn new(pki: Arc<Pki>) -> Self {
-        Self::with_capacity(pki, DEFAULT_SIG_CAPACITY, DEFAULT_MEMO_CAPACITY)
+        Self::with_capacity(pki, DEFAULT_MEMO_CAPACITY)
     }
 
-    /// A verifier with explicit cache bounds (min 1 each); used by tests to
-    /// exercise eviction boundaries.
-    pub fn with_capacity(pki: Arc<Pki>, sig_capacity: usize, memo_capacity: usize) -> Self {
+    /// A verifier with an explicit memo-cache bound (min 1); used by tests
+    /// to exercise the eviction boundary.
+    pub fn with_capacity(pki: Arc<Pki>, memo_capacity: usize) -> Self {
         Verifier {
             pki,
-            sigs: RefCell::new(BoundedMap::new(sig_capacity)),
             memo: RefCell::new(BoundedMap::new(memo_capacity)),
             macs: Cell::new(0),
             hits: Cell::new(0),
@@ -342,39 +337,18 @@ impl Verifier {
         self.hits.get()
     }
 
-    /// Number of live entries in the signature cache (tests).
-    pub fn sig_cache_len(&self) -> usize {
-        self.sigs.borrow().len()
-    }
-
     /// The true MAC for `(claimed, digest)`, from cache or recomputed.
     /// `None` exactly when `claimed` is out of range.
     fn true_mac(&self, claimed: PartyId, digest: Digest) -> Option<[u8; 32]> {
-        // First level: the `Pki`-wide cache shared by every verifier over
-        // the same key universe. `true_mac` is a pure function of the keys,
-        // so a MAC one party recomputed answers every other party's lookup
-        // byte-identically — in an n-party run the first verifier pays the
-        // hash, the other n-1 take a shared hit (43k computes collapse to
-        // ~n on the brb2 quorum path). Checked before the local map: the
-        // dominant workloads verify each pair once per party, so the local
-        // lookup would be a guaranteed miss paying a second key hash.
-        let key = (claimed, digest);
+        // `true_mac` is a pure function of the keys, so a MAC one party
+        // recomputed answers every other party's lookup byte-identically
+        // (43k computes collapse to ~n on the brb2 quorum path).
         if let Some(mac) = self.pki.shared_mac_lookup(claimed, digest) {
             self.hits.set(self.hits.get() + 1);
             return Some(mac);
         }
-        // Second level: this verifier's own map — only consulted on a
-        // shared miss, i.e. after FIFO eviction at the shared level. Still
-        // sized to hold a protocol instance's working set, so eviction of a
-        // hot pair from the shared map costs a lock-free lookup, not a
-        // recompute.
-        if let Some(mac) = self.sigs.borrow().get(&key) {
-            self.hits.set(self.hits.get() + 1);
-            return Some(*mac);
-        }
         let mac = self.pki.shared_mac_store(claimed, digest)?;
         self.macs.set(self.macs.get() + 1);
-        self.sigs.borrow_mut().insert(key, mac);
         Some(mac)
     }
 }
@@ -422,9 +396,8 @@ impl fmt::Debug for Verifier {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "Verifier(n={}, sigs={}, macs={}, hits={})",
+            "Verifier(n={}, macs={}, hits={})",
             self.pki.n(),
-            self.sigs.borrow().len(),
             self.macs.get(),
             self.hits.get()
         )
@@ -497,8 +470,8 @@ mod tests {
 
     #[test]
     fn fifo_eviction_keeps_verdicts_exact() {
-        let chain = Keychain::generate(2, 14);
-        let v = Verifier::with_capacity(chain.pki(), 2, 2);
+        let chain = Keychain::with_shared_capacity(2, 14, 2);
+        let v = Verifier::new(chain.pki());
         let sigs: Vec<_> = (0..5)
             .map(|i| chain.signer(PartyId::new(0)).sign(digest(i)))
             .collect();
@@ -510,8 +483,11 @@ mod tests {
                 );
                 assert!(!v.verify(PartyId::new(0), digest(99), sig));
             }
-            assert!(v.sig_cache_len() <= 2);
         }
+        // Six distinct pairs through two shared slots: evicted pairs were
+        // recomputed, pairs still resident were hits.
+        assert!(v.macs_computed() > 6, "{v:?}");
+        assert!(v.cache_hits() > 0, "{v:?}");
     }
 
     #[test]
@@ -536,7 +512,7 @@ mod tests {
     #[test]
     fn memo_eviction_recomputes() {
         let chain = Keychain::generate(2, 16);
-        let v = Verifier::with_capacity(chain.pki(), 4, 1);
+        let v = Verifier::with_capacity(chain.pki(), 1);
         let mut key_a = MemoTag::Chain.key(1);
         key_a.push(0xa);
         let mut key_b = MemoTag::Chain.key(1);
@@ -586,13 +562,15 @@ mod tests {
     }
 
     /// The issue's core equivalence body: over random valid / forged /
-    /// cross-universe signatures — and across cache-eviction churn on a
-    /// tiny cache — `Verifier` answers exactly as raw `Pki::verify`.
+    /// cross-universe signatures — and across eviction churn on a
+    /// two-entry shared cache — `Verifier` answers exactly as raw
+    /// `Pki::verify`.
     fn check_verifier_equals_pki(seed: u64, payloads: Vec<u64>) -> bool {
         let chain = Keychain::generate(3, seed);
         let foreign = Keychain::generate(3, seed.wrapping_add(1));
         let pki = chain.pki();
-        let tiny = Verifier::with_capacity(chain.pki(), 2, 2);
+        // Same seed, same keys: only the shared-cache bound differs.
+        let tiny = Verifier::new(Keychain::with_shared_capacity(3, seed, 2).pki());
         let roomy = Verifier::new(chain.pki());
         for packed in payloads {
             // One packed case: signer, claimed (sometimes out of range),

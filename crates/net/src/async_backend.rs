@@ -57,18 +57,18 @@
 //! [`Outcome::sched_counters`] and lands in the benchmark rows.
 
 use crate::engine::{
-    await_honest_done, engine_plan, outcome_from_raw, parse_delivery, parse_submission,
-    stream_pair, ClientHandle, Delivery, DeliveryFrame, DeliveryHeap, EnginePlan, FrameBuffer,
-    FrameTooLarge, OutBuf, PartyCore, RawCommit, RawRun, Step, Stream, Submission, SubmissionKind,
-    IDLE_POLL, KIND_MULTICAST, KIND_STOP, KIND_TIMER, KIND_UNICAST,
+    await_honest_done, engine_plan, micros, parse_delivery, parse_submission, stream_pair,
+    ClientHandle, Delivery, DeliveryFrame, DeliveryHeap, EnginePlan, FrameBuffer, FrameTooLarge,
+    OutBuf, PartyCore, Step, Stream, Submission, SubmissionKind, IDLE_POLL, KIND_MULTICAST,
+    KIND_STOP, KIND_TIMER, KIND_UNICAST,
 };
 use crate::wheel::TimerWheel;
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use gcl_sim::{
-    Backend, ErasedMsg, ErasedSlot, MsgCodec, Outcome, ScenarioError, ScenarioRegistry,
-    ScenarioSpec, SchedCounters, Strategy,
+    Backend, CommitRecord, ErasedMsg, ErasedSlot, MsgCodec, Outcome, ScenarioError,
+    ScenarioRegistry, ScenarioSpec, SchedCounters, Strategy,
 };
-use gcl_types::{Encode, PartyId};
+use gcl_types::{Encode, GlobalTime, PartyId};
 use mio::{Events, Interest, Poll, Registry, Token};
 use parking_lot::Mutex;
 use std::io::{self, Read, Write};
@@ -431,7 +431,12 @@ impl WorkerParty {
 
     /// Runs one event through the party core and encodes the effects as
     /// submission frames.
-    fn step(&mut self, step: Step<ErasedMsg>, commits: &Mutex<Vec<RawCommit>>, done: &Sender<()>) {
+    fn step(
+        &mut self,
+        step: Step<ErasedMsg>,
+        commits: &Mutex<Vec<CommitRecord>>,
+        done: &Sender<()>,
+    ) {
         if self.terminated {
             return;
         }
@@ -472,7 +477,7 @@ impl WorkerParty {
     /// Pops and handles every complete frame in the reassembly buffer.
     /// Only called once started; a terminated party discards instead of
     /// handling (the draining state).
-    fn drain(&mut self, codec: &MsgCodec, commits: &Mutex<Vec<RawCommit>>, done: &Sender<()>) {
+    fn drain(&mut self, codec: &MsgCodec, commits: &Mutex<Vec<CommitRecord>>, done: &Sender<()>) {
         loop {
             // An oversized prefix is a garbled stream, like a corrupt
             // frame header below.
@@ -551,7 +556,7 @@ fn sync_party_interest(registry: &Registry, party: &mut WorkerParty, token: Toke
 fn worker_loop(
     mut parties: Vec<WorkerParty>,
     codec: MsgCodec,
-    commits: Arc<Mutex<Vec<RawCommit>>>,
+    commits: Arc<Mutex<Vec<CommitRecord>>>,
     done: Sender<()>,
     chunk: Option<usize>,
 ) -> (Vec<(usize, bool, u64)>, u64, usize) {
@@ -637,14 +642,14 @@ pub(crate) fn run_async_slots(
     codec: MsgCodec,
     workers: usize,
     driver: Option<Box<dyn FnOnce(ClientHandle) + Send>>,
-) -> RawRun {
+) -> Outcome {
     let n = plan.config.n();
     assert_eq!(slots.len(), n, "one slot per party");
     assert_eq!(plan.links.len(), n * n, "full link matrix");
     assert_eq!(plan.starts.len(), n, "one start offset per party");
     let honest: Vec<bool> = slots.iter().map(|(_, h)| *h).collect();
     let epoch = Instant::now();
-    let commits: Arc<Mutex<Vec<RawCommit>>> = Arc::new(Mutex::new(Vec::new()));
+    let commits: Arc<Mutex<Vec<CommitRecord>>> = Arc::new(Mutex::new(Vec::new()));
     let w = workers.clamp(1, n.max(1));
     let chunk = plan.read_chunk;
 
@@ -756,22 +761,25 @@ pub(crate) fn run_async_slots(
         }
     }
 
-    let mut collected = std::mem::take(&mut *commits.lock());
-    collected.sort_by_key(|c| c.elapsed);
-    RawRun {
-        commits: collected,
-        terminated,
+    let mut commits = std::mem::take(&mut *commits.lock());
+    commits.sort_by_key(|c| c.global);
+    Outcome::from_wall_run(
+        plan.config,
+        plan.broadcaster,
+        GlobalTime::from_micros(micros(plan.starts[plan.broadcaster.as_usize()])),
         honest,
+        terminated,
+        commits,
+        GlobalTime::from_micros(micros(epoch.elapsed())),
         events_handled,
         messages_sent,
         peak_queue,
-        elapsed: epoch.elapsed(),
-        sched: SchedCounters {
+        SchedCounters {
             workers: w,
             wakeups,
             peak_outbound_bytes: peak_out,
         },
-    }
+    )
 }
 
 /// Runs registry scenarios on the wall engine: every party a state
@@ -864,14 +872,13 @@ impl AsyncBackend {
         codec: MsgCodec,
         driver: impl FnOnce(ClientHandle) + Send + 'static,
     ) -> Outcome {
-        let raw = run_async_slots(
+        run_async_slots(
             engine_plan(spec, self.deadline),
             slots.into_iter().map(|s| (s.strategy, s.honest)).collect(),
             codec,
             self.pool_size(),
             Some(Box::new(driver)),
-        );
-        outcome_from_raw(spec, raw)
+        )
     }
 }
 
@@ -887,14 +894,13 @@ impl Backend for AsyncBackend {
     }
 
     fn execute(&self, spec: &ScenarioSpec, slots: Vec<ErasedSlot>, codec: MsgCodec) -> Outcome {
-        let raw = run_async_slots(
+        run_async_slots(
             engine_plan(spec, self.deadline),
             slots.into_iter().map(|s| (s.strategy, s.honest)).collect(),
             codec,
             self.pool_size(),
             None,
-        );
-        outcome_from_raw(spec, raw)
+        )
     }
 }
 
@@ -1022,14 +1028,13 @@ mod tests {
             });
             let mut plan = engine_plan(&spec, Duration::from_secs(10));
             plan.read_chunk = chunk;
-            let raw = run_async_slots(
+            run_async_slots(
                 plan,
                 slots.into_iter().map(|s| (s.strategy, s.honest)).collect(),
                 MsgCodec::of::<Brb2Msg>(),
                 2,
                 None,
-            );
-            outcome_from_raw(&spec, raw)
+            )
         };
         let chunked = run_with(Some(1));
         let normal = run_with(None);
@@ -1199,6 +1204,7 @@ mod tests {
         let n = 512;
         let plan = EnginePlan {
             config: Config::new(n, 1).expect("valid shape"),
+            broadcaster: PartyId::new(0),
             links: vec![Duration::ZERO; n * n],
             starts: vec![Duration::ZERO; n],
             deadline: Duration::from_secs(30),
@@ -1218,18 +1224,14 @@ mod tests {
         // Sample mid-run: parties are armed and waiting on their timers.
         thread::sleep(Duration::from_millis(60));
         let during = live_threads();
-        let raw = run.join().expect("run completes");
+        let o = run.join().expect("run completes");
         let delta = during.saturating_sub(before);
         assert!(
             delta < 64,
             "expected O(workers) threads at n = 512, saw {delta} extra"
         );
-        assert!(raw.terminated.iter().all(|t| *t), "every party terminated");
-        assert_eq!(
-            raw.commits.iter().filter(|c| c.first).count(),
-            n,
-            "every party committed"
-        );
-        assert_eq!(raw.sched.workers, 4);
+        assert!(o.all_honest_terminated(), "every party terminated");
+        assert_eq!(o.commits().len(), n, "every party committed");
+        assert_eq!(o.sched_counters().map(|s| s.workers), Some(4));
     }
 }

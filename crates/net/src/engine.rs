@@ -27,8 +27,9 @@
 //!   into the contiguous outbound buffer and parsed as borrowed slices of
 //!   the reassembly buffer, with a `STOP` frame closing the run — the
 //!   shutdown choreography that keeps every join finite;
-//! * the **audit fold** ([`outcome_from_raw`]): first-commit-per-party
-//!   into the simulator-comparable [`Outcome`].
+//! * the **audit record**: [`PartyCore::handle`] logs each party's first
+//!   commit as a `gcl_sim::CommitRecord`, the simulator's contract, which
+//!   the run hands to `Outcome::from_wall_run`.
 //!
 //! Frame reads are robust to short reads at *arbitrary* byte boundaries
 //! and to `EINTR`/`WouldBlock`: [`FrameBuffer`] accumulates whatever
@@ -37,9 +38,7 @@
 //! [`MAX_FRAME`] marks the peer as garbled instead of being buffered for.
 
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
-use gcl_sim::{
-    CommitRecord, Context, Outcome, OutcomeParts, ScenarioSpec, SchedCounters, Strategy,
-};
+use gcl_sim::{CommitRecord, Context, ScenarioSpec, Strategy};
 use gcl_types::{
     Config, Decode, Duration as SimDuration, Encode, GlobalTime, LocalTime, PartyId, Value,
 };
@@ -65,6 +64,7 @@ pub(crate) const IDLE_POLL: Duration = Duration::from_millis(50);
 /// Everything the engine needs to know about the environment of one run.
 pub(crate) struct EnginePlan {
     pub config: Config,
+    pub broadcaster: PartyId,
     /// Injected wall latency per `(from, to)` link, `from * n + to`
     /// indexing, zero on the diagonal.
     pub links: Vec<Duration>,
@@ -76,39 +76,6 @@ pub(crate) struct EnginePlan {
     /// reassembly through arbitrary short-read boundaries. `None` (the
     /// default everywhere outside tests) reads full buffers.
     pub read_chunk: Option<usize>,
-}
-
-/// One commit as recorded by the engine (all commits, not just firsts).
-pub(crate) struct RawCommit {
-    pub party: PartyId,
-    pub value: Value,
-    /// Since engine start.
-    pub elapsed: Duration,
-    /// Since the party's own start.
-    pub local: Duration,
-    /// Causal round tag at the commit (1 + max delivered round).
-    pub round: u32,
-    /// The party's handled-event count at the commit.
-    pub step: u64,
-    /// Whether this is the party's first commit.
-    pub first: bool,
-}
-
-/// Raw observations of one engine run.
-pub(crate) struct RawRun {
-    pub commits: Vec<RawCommit>,
-    pub terminated: Vec<bool>,
-    pub honest: Vec<bool>,
-    /// Handler invocations summed over all parties.
-    pub events_handled: u64,
-    /// Point-to-point messages scheduled (multicast counts `n`).
-    pub messages_sent: u64,
-    /// High-water mark of pending deliveries in the dispatcher.
-    pub peak_queue: usize,
-    /// Wall time from engine start to shutdown.
-    pub elapsed: Duration,
-    /// Worker-pool counters.
-    pub sched: SchedCounters,
 }
 
 /// Converts a simulated duration (integer µs) to a wall-clock one.
@@ -129,6 +96,7 @@ pub(crate) fn engine_plan(spec: &ScenarioSpec, deadline: Duration) -> EnginePlan
     let skew = spec.skew_schedule();
     EnginePlan {
         config,
+        broadcaster: spec.broadcaster,
         links: spec.link_delays().into_iter().map(wall).collect(),
         starts: (0..n)
             .map(|i| {
@@ -141,44 +109,6 @@ pub(crate) fn engine_plan(spec: &ScenarioSpec, deadline: Duration) -> EnginePlan
         deadline,
         read_chunk: None,
     }
-}
-
-/// Folds a raw engine run into the simulator-comparable [`Outcome`]: each
-/// party's first commit (the simulator's contract), plus the engine-level
-/// counters. The raw multi-commit stream stays an engine observation.
-pub(crate) fn outcome_from_raw(spec: &ScenarioSpec, raw: RawRun) -> Outcome {
-    let config = spec.config().expect("validated by the registry");
-    let skew = spec.skew_schedule();
-    let commits = raw
-        .commits
-        .iter()
-        .filter(|c| c.first)
-        .map(|c| CommitRecord {
-            party: c.party,
-            value: c.value,
-            global: GlobalTime::from_micros(micros(c.elapsed)),
-            local: LocalTime::from_micros(micros(c.local)),
-            round: c.round,
-            step: c.step,
-        })
-        .collect();
-    Outcome::from(OutcomeParts {
-        config,
-        honest: raw.honest,
-        commits,
-        terminated: raw.terminated,
-        broadcaster: spec.broadcaster,
-        broadcaster_start: skew.start_of(spec.broadcaster),
-        end_time: GlobalTime::from_micros(micros(raw.elapsed)),
-        events_processed: raw.events_handled,
-        messages_sent: raw.messages_sent,
-        peak_queue_depth: raw.peak_queue,
-        // Simulator-only metrics: the wall engine delivers over real
-        // sockets, so there is no enqueue-drop path or retained queue.
-        drops_at_enqueue: 0,
-        queue_bytes: 0,
-        sched: Some(raw.sched),
-    })
 }
 
 /// The party-side [`Context`] of the wall engine. Effects buffer here and
@@ -261,9 +191,9 @@ pub(crate) enum Step<M> {
 /// The per-party bookkeeping around a handler call:
 /// the handled-event count, the causal round tag, and first-commit
 /// detection. [`PartyCore::handle`] runs one event through the strategy
-/// and records any commits; the caller encodes the returned [`NetCtx`]'s
-/// sends/multicasts/timers as submission frames and reads `terminate` off
-/// it.
+/// and records the party's first commit; the caller encodes the returned
+/// [`NetCtx`]'s sends/multicasts/timers as submission frames and reads
+/// `terminate` off it.
 pub(crate) struct PartyCore {
     pub me: PartyId,
     pub config: Config,
@@ -296,13 +226,14 @@ impl PartyCore {
         self.max_round.map_or(0, |r| r + 1)
     }
 
-    /// Runs one event through `strategy`, records commits into the shared
-    /// log, and returns the effect buffer for the caller to drain.
+    /// Runs one event through `strategy`, records the party's first commit
+    /// into the shared log, and returns the effect buffer for the caller
+    /// to drain.
     pub(crate) fn handle<M: 'static>(
         &mut self,
         strategy: &mut dyn Strategy<M>,
         step: Step<M>,
-        commits: &Mutex<Vec<RawCommit>>,
+        commits: &Mutex<Vec<CommitRecord>>,
     ) -> NetCtx<M> {
         self.handled += 1;
         let mut ctx = NetCtx::new(
@@ -318,23 +249,16 @@ impl PartyCore {
             }
             Step::Timer(tag) => strategy.on_timer(tag, &mut ctx),
         }
-        if !ctx.commit_values.is_empty() {
-            let out_round = self.out_round();
-            let elapsed = self.epoch.elapsed();
-            let local = self.local_start.elapsed();
-            let mut log = commits.lock();
-            for value in ctx.commit_values.drain(..) {
-                log.push(RawCommit {
-                    party: self.me,
-                    value,
-                    elapsed,
-                    local,
-                    round: out_round,
-                    step: self.handled,
-                    first: !self.committed,
-                });
-                self.committed = true;
-            }
+        if let (false, Some(&value)) = (self.committed, ctx.commit_values.first()) {
+            self.committed = true;
+            commits.lock().push(CommitRecord {
+                party: self.me,
+                value,
+                global: GlobalTime::from_micros(micros(self.epoch.elapsed())),
+                local: LocalTime::from_micros(micros(self.local_start.elapsed())),
+                round: self.out_round(),
+                step: self.handled,
+            });
         }
         ctx
     }

@@ -74,7 +74,7 @@ pub use network::{
     DelayOracle, DelayRule, FixedDelay, LinkDelay, MsgEnvelope, MsgPredicate, PartySet,
     RandomDelay, ScheduleOracle, TimingModel,
 };
-pub use outcome::{CommitRecord, Outcome, OutcomeParts, SchedCounters};
+pub use outcome::{CommitRecord, Outcome, SchedCounters};
 pub use runner::{Simulation, SimulationBuilder};
 pub use scenario::{
     derive_cell_seed, Admission, AdversaryMix, AdversaryRole, DelayChoice, FamilyParams, FnFamily,

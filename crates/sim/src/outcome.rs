@@ -60,67 +60,47 @@ pub struct Outcome {
     pub(crate) trace: Vec<TraceEntry>,
 }
 
-/// The raw observations a non-simulator execution backend assembles into
-/// an [`Outcome`] (via `Outcome::from`). The simulator fills its outcomes
-/// in directly; wall-clock backends like `gcl_net` measure these on real
-/// clocks. Round-boundary bookkeeping (`last_delivery_of_round`) and
-/// traces are simulator-only and start empty.
-#[derive(Debug, Clone)]
-pub struct OutcomeParts {
-    /// The run's `(n, f)` configuration.
-    pub config: Config,
-    /// Per-slot honesty flags.
-    pub honest: Vec<bool>,
-    /// First commit per party (at most one record per slot).
-    pub commits: Vec<CommitRecord>,
-    /// Per-slot termination flags.
-    pub terminated: Vec<bool>,
-    /// The designated broadcaster.
-    pub broadcaster: PartyId,
-    /// The broadcaster's (nominal) protocol start instant.
-    pub broadcaster_start: GlobalTime,
-    /// When the run ended.
-    pub end_time: GlobalTime,
-    /// Handler invocations across all parties.
-    pub events_processed: u64,
-    /// Point-to-point messages sent (multicast counts `n`).
-    pub messages_sent: u64,
-    /// High-water mark of in-flight scheduled events.
-    pub peak_queue_depth: usize,
-    /// Sends discarded at enqueue because the recipient had already
-    /// terminated (simulator-only; wall backends report 0 — their dead
-    /// peers' sockets absorb traffic on the wire instead).
-    pub drops_at_enqueue: u64,
-    /// Bytes of event-queue capacity retained at the end of the run
-    /// (simulator-only; wall backends report 0).
-    pub queue_bytes: u64,
-    /// Worker-pool scheduler counters (`None` on the simulator).
-    pub sched: Option<SchedCounters>,
-}
-
-impl From<OutcomeParts> for Outcome {
-    fn from(parts: OutcomeParts) -> Outcome {
+impl Outcome {
+    /// The outcome of a run the wall engine measured on real clocks (the
+    /// simulator fills its outcomes in directly). `commits` holds each
+    /// party's first commit, at most one record per slot. What only the
+    /// simulator observes starts empty: no trace, no enqueue drops or
+    /// retained queue bytes (dead peers' sockets absorb traffic on the
+    /// wire instead), and no round-boundary table, so
+    /// [`Outcome::round_of_commit`] falls back to each commit's causal tag.
+    #[allow(clippy::too_many_arguments)] // one caller, one value per observation
+    pub fn from_wall_run(
+        config: Config,
+        broadcaster: PartyId,
+        broadcaster_start: GlobalTime,
+        honest: Vec<bool>,
+        terminated: Vec<bool>,
+        commits: Vec<CommitRecord>,
+        end_time: GlobalTime,
+        events_processed: u64,
+        messages_sent: u64,
+        peak_queue_depth: usize,
+        sched: SchedCounters,
+    ) -> Outcome {
         Outcome {
-            config: parts.config,
-            honest: parts.honest,
-            commits: parts.commits,
-            terminated: parts.terminated,
-            broadcaster: parts.broadcaster,
-            broadcaster_start: parts.broadcaster_start,
-            end_time: parts.end_time,
-            events_processed: parts.events_processed,
-            messages_sent: parts.messages_sent,
-            peak_queue_depth: parts.peak_queue_depth,
-            drops_at_enqueue: parts.drops_at_enqueue,
-            queue_bytes: parts.queue_bytes,
-            sched: parts.sched,
+            config,
+            honest,
+            commits,
+            terminated,
+            broadcaster,
+            broadcaster_start,
+            end_time,
+            events_processed,
+            messages_sent,
+            peak_queue_depth,
+            drops_at_enqueue: 0,
+            queue_bytes: 0,
+            sched: Some(sched),
             last_delivery_of_round: Vec::new(),
             trace: Vec::new(),
         }
     }
-}
 
-impl Outcome {
     /// The run's `(n, f)` configuration.
     pub fn config(&self) -> Config {
         self.config

@@ -29,6 +29,12 @@ impl Simulation {
 /// `None` until filled by the builder.
 type Slot<M> = Option<(Box<dyn Strategy<M>>, bool)>;
 
+/// Horizon after which a run stops: 600 simulated seconds.
+const MAX_TIME: GlobalTime = GlobalTime::from_micros(600_000_000);
+
+/// Delivery fallback for `Never` on honest links under asynchrony.
+const ASYNC_FALLBACK: Duration = Duration::from_millis(1_000);
+
 /// Configures and runs one execution.
 ///
 /// Slots left unfilled by [`SimulationBuilder::byzantine`] /
@@ -41,9 +47,7 @@ pub struct SimulationBuilder<M> {
     skew: SkewSchedule,
     slots: Vec<Slot<M>>,
     broadcaster: PartyId,
-    max_time: GlobalTime,
     max_events: u64,
-    async_fallback: Duration,
     record_trace: bool,
     queue_delta: Duration,
     drop_dead_sends: bool,
@@ -59,9 +63,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> SimulationBuilder<M> {
             skew: SkewSchedule::synchronized(n),
             slots: (0..n).map(|_| None).collect(),
             broadcaster: PartyId::new(0),
-            max_time: GlobalTime::from_micros(600_000_000),
             max_events: 20_000_000,
-            async_fallback: Duration::from_millis(1_000),
             record_trace: false,
             queue_delta: Duration::from_micros(1),
             drop_dead_sends: true,
@@ -102,13 +104,6 @@ impl<M: Clone + fmt::Debug + Send + 'static> SimulationBuilder<M> {
         self
     }
 
-    /// Horizon after which the run stops (default: 600 simulated seconds).
-    #[must_use]
-    pub fn max_time(mut self, t: GlobalTime) -> Self {
-        self.max_time = t;
-        self
-    }
-
     /// Event budget after which the run stops (default: 20 million). A
     /// truncated run still yields a well-formed [`Outcome`]; metrics that
     /// need every honest party to commit (e.g.
@@ -116,13 +111,6 @@ impl<M: Clone + fmt::Debug + Send + 'static> SimulationBuilder<M> {
     #[must_use]
     pub fn max_events(mut self, budget: u64) -> Self {
         self.max_events = budget;
-        self
-    }
-
-    /// Delivery fallback for `Never` on honest links under asynchrony.
-    #[must_use]
-    pub fn async_fallback(mut self, d: Duration) -> Self {
-        self.async_fallback = d;
         self
     }
 
@@ -207,9 +195,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> SimulationBuilder<M> {
             skew,
             slots,
             broadcaster,
-            max_time,
             max_events,
-            async_fallback,
             record_trace,
             queue_delta,
             drop_dead_sends,
@@ -232,7 +218,6 @@ impl<M: Clone + fmt::Debug + Send + 'static> SimulationBuilder<M> {
             messages_sent: 0,
             drops_at_enqueue: 0,
             timing,
-            async_fallback,
             n,
             honest,
             // Termination lives with the router so `route` can discard
@@ -264,7 +249,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> SimulationBuilder<M> {
         let mut now = GlobalTime::ZERO;
 
         while let Some(ev) = net.queue.pop() {
-            if ev.at > max_time || events_processed >= max_events {
+            if ev.at > MAX_TIME || events_processed >= max_events {
                 break;
             }
             now = ev.at;
@@ -461,7 +446,6 @@ struct Router<M> {
     /// Sends discarded at enqueue because the recipient had terminated.
     drops_at_enqueue: u64,
     timing: TimingModel,
-    async_fallback: Duration,
     n: usize,
     honest: Vec<bool>,
     /// Per-slot termination flags — owned here so `route` can check the
@@ -519,8 +503,7 @@ impl<M> Router<M> {
         };
         let choice = self.oracle.delay(&env);
         let honest_link = env.honest_link();
-        if let Some(at) = clamp_delivery(self.timing, now, choice, honest_link, self.async_fallback)
-        {
+        if let Some(at) = clamp_delivery(self.timing, now, choice, honest_link, ASYNC_FALLBACK) {
             // Round-boundary bookkeeping sees every scheduled delivery,
             // dropped or not — latency/round metrics are identical with
             // drops on and off; only queue traffic changes.

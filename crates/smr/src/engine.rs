@@ -43,8 +43,7 @@ use gcl_core::psync::{VbbFiveFMinusOne, VbbMsg};
 use gcl_crypto::{Digest, Pki, Signer, Verifier};
 use gcl_sim::{Context, Protocol};
 use gcl_types::{
-    accept_all, Batch, Config, Decode, Duration, Encode, LocalTime, PartyId, SlotId, Value, View,
-    WireError,
+    accept_all, Batch, Config, Duration, Encode, LocalTime, PartyId, SlotId, Value, View,
 };
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
@@ -100,75 +99,14 @@ pub enum SmrMsg {
     },
 }
 
-const TAG_SLOT: u8 = 1;
-const TAG_PAYLOAD: u8 = 2;
-const TAG_PULL: u8 = 3;
-const TAG_SUBMIT: u8 = 4;
-const TAG_ACK: u8 = 5;
-const TAG_REJECT: u8 = 6;
-
-impl Encode for SmrMsg {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            SmrMsg::Slot { slot, inner } => {
-                buf.push(TAG_SLOT);
-                slot.encode(buf);
-                inner.encode(buf);
-            }
-            SmrMsg::Payload { slot, batch } => {
-                buf.push(TAG_PAYLOAD);
-                slot.encode(buf);
-                batch.encode(buf);
-            }
-            SmrMsg::PayloadPull { slot } => {
-                buf.push(TAG_PULL);
-                slot.encode(buf);
-            }
-            SmrMsg::Submit { cmd } => {
-                buf.push(TAG_SUBMIT);
-                cmd.encode(buf);
-            }
-            SmrMsg::Ack { cmd, slot } => {
-                buf.push(TAG_ACK);
-                cmd.encode(buf);
-                slot.encode(buf);
-            }
-            SmrMsg::Reject { cmd } => {
-                buf.push(TAG_REJECT);
-                cmd.encode(buf);
-            }
-        }
-    }
-}
-
-impl Decode for SmrMsg {
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        match u8::decode(input)? {
-            TAG_SLOT => Ok(SmrMsg::Slot {
-                slot: Decode::decode(input)?,
-                inner: Decode::decode(input)?,
-            }),
-            TAG_PAYLOAD => Ok(SmrMsg::Payload {
-                slot: Decode::decode(input)?,
-                batch: Decode::decode(input)?,
-            }),
-            TAG_PULL => Ok(SmrMsg::PayloadPull {
-                slot: Decode::decode(input)?,
-            }),
-            TAG_SUBMIT => Ok(SmrMsg::Submit {
-                cmd: Decode::decode(input)?,
-            }),
-            TAG_ACK => Ok(SmrMsg::Ack {
-                cmd: Decode::decode(input)?,
-                slot: Decode::decode(input)?,
-            }),
-            TAG_REJECT => Ok(SmrMsg::Reject {
-                cmd: Decode::decode(input)?,
-            }),
-            tag => Err(WireError::BadTag { ty: "SmrMsg", tag }),
-        }
-    }
-}
+gcl_types::wire_enum!(SmrMsg {
+    1 => Slot { slot, inner },
+    2 => Payload { slot, batch },
+    3 => PayloadPull { slot },
+    4 => Submit { cmd },
+    5 => Ack { cmd, slot },
+    6 => Reject { cmd },
+});
 
 /// Timer-tag multiplexing: the slot index is packed above the inner tag.
 /// The inner protocol owns the low `SLOT_TAG_BITS`; slots own the rest.
@@ -948,7 +886,7 @@ mod tests {
     use gcl_core::psync::TimeoutMsg;
     use gcl_crypto::Keychain;
     use gcl_sim::{Crashing, FixedDelay, Outcome, Scripted, Simulation, TimingModel};
-    use gcl_types::{GlobalTime, View};
+    use gcl_types::{Decode, GlobalTime, WireError};
 
     const DELTA: Duration = Duration::from_micros(100);
 

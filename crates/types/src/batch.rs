@@ -7,7 +7,6 @@
 //! the old "replicas know `workload.len()` in advance" rule.
 
 use crate::value::Value;
-use crate::wire::{Decode, Encode, WireError};
 use std::fmt;
 
 /// What one SMR slot decides.
@@ -56,30 +55,10 @@ impl Batch {
     }
 }
 
-const TAG_COMMANDS: u8 = 0;
-const TAG_SEAL: u8 = 1;
-
-impl Encode for Batch {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            Batch::Commands(cmds) => {
-                buf.push(TAG_COMMANDS);
-                cmds.encode(buf);
-            }
-            Batch::Seal => buf.push(TAG_SEAL),
-        }
-    }
-}
-
-impl Decode for Batch {
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        match u8::decode(input)? {
-            TAG_COMMANDS => Ok(Batch::Commands(Vec::decode(input)?)),
-            TAG_SEAL => Ok(Batch::Seal),
-            tag => Err(WireError::BadTag { ty: "Batch", tag }),
-        }
-    }
-}
+crate::wire_enum!(Batch {
+    0 => Commands(cmds),
+    1 => Seal,
+});
 
 impl fmt::Display for Batch {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -94,6 +73,7 @@ impl fmt::Display for Batch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{Decode, Encode, WireError};
 
     #[test]
     fn batch_round_trips() {

@@ -12,17 +12,19 @@
 //! * fixed-width little-endian integers (`u8`/`u16`/`u32`/`u64`);
 //! * `bool` and `Option` as one tag byte (any value other than 0/1 is a
 //!   decode error, so a flipped bit never aliases);
-//! * sequences (`Vec`, `String`, `BTreeMap`) as a `u32` length followed by
-//!   the elements;
-//! * structs as their fields in declaration order (the [`wire_struct!`]
-//!   macro writes those impls);
+//! * sequences (`Vec`, `String`) as a `u32` length followed by the
+//!   elements;
+//! * structs as their fields in declaration order (the
+//!   [`wire_struct!`](crate::wire_struct) macro writes those impls);
 //! * enums as a one-byte variant tag followed by the variant's fields
-//!   (hand-written per enum: protocols are small and explicit beats
-//!   clever).
+//!   (the [`wire_enum!`](crate::wire_enum) macro writes those impls from
+//!   an explicit `tag => Variant` table, so every message enum in the
+//!   workspace shares one decoder shape).
 //!
 //! Decoding is strict: unknown tags, truncated input and trailing bytes
 //! are all [`WireError`]s, never panics — the wall engine feeds sockets
-//! straight into [`Decode::from_wire`].
+//! straight into [`Decode::from_wire`]. No codec is written by hand
+//! outside this module.
 //!
 //! # Examples
 //!
@@ -37,7 +39,6 @@
 use crate::id::{PartyId, View};
 use crate::time::{Duration, GlobalTime, LocalTime};
 use crate::value::{SlotId, Value};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Why a byte string failed to decode.
@@ -261,29 +262,6 @@ impl Decode for String {
     }
 }
 
-impl<K: Encode, V: Encode> Encode for BTreeMap<K, V> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        encode_len(self.len(), buf);
-        for (k, v) in self {
-            k.encode(buf);
-            v.encode(buf);
-        }
-    }
-}
-
-impl<K: Decode + Ord, V: Decode> Decode for BTreeMap<K, V> {
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        let len = decode_len(input)?;
-        let mut out = BTreeMap::new();
-        for _ in 0..len {
-            let k = K::decode(input)?;
-            let v = V::decode(input)?;
-            out.insert(k, v);
-        }
-        Ok(out)
-    }
-}
-
 impl<A: Encode, B: Encode> Encode for (A, B) {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.0.encode(buf);
@@ -351,6 +329,67 @@ macro_rules! wire_newtype {
     };
 }
 
+/// Implements [`Encode`]/[`Decode`] for an enum from an explicit
+/// `tag => Variant` table: one tag byte, then the variant's fields in the
+/// order listed. Unit, tuple (`Variant(a, b)`) and named-field
+/// (`Variant { a, b }`) variants are supported; the names inside a tuple
+/// variant are just binders. A tag byte no row claims decodes to
+/// [`WireError::BadTag`] naming the enum; a tag claimed twice is an
+/// unreachable-pattern lint.
+///
+/// # Examples
+///
+/// ```
+/// use gcl_types::{wire_enum, Decode, Encode, Value, WireError};
+///
+/// #[derive(Debug, Clone, PartialEq)]
+/// pub enum Step {
+///     Propose(Value),
+///     Vote { value: Value, round: u32 },
+///     Abort,
+/// }
+/// wire_enum!(Step {
+///     1 => Propose(value),
+///     2 => Vote { value, round },
+///     3 => Abort,
+/// });
+///
+/// let vote = Step::Vote { value: Value::new(9), round: 2 };
+/// assert_eq!(Step::from_wire(&vote.to_wire()).unwrap(), vote);
+/// assert_eq!(Step::Abort.to_wire(), [3]);
+/// assert_eq!(Step::from_wire(&[4]), Err(WireError::BadTag { ty: "Step", tag: 4 }));
+/// ```
+#[macro_export]
+macro_rules! wire_enum {
+    ($ty:ident { $(
+        $tag:literal => $variant:ident $( ( $($elem:ident),+ ) )? $( { $($field:ident),+ } )?
+    ),+ $(,)? }) => {
+        impl $crate::Encode for $ty {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                match self {$(
+                    $ty::$variant $( ( $($elem),+ ) )? $( { $($field),+ } )? => {
+                        buf.push($tag);
+                        $( $( $crate::Encode::encode($elem, buf); )+ )?
+                        $( $( $crate::Encode::encode($field, buf); )+ )?
+                    }
+                )+}
+            }
+        }
+        impl $crate::Decode for $ty {
+            fn decode(input: &mut &[u8]) -> Result<Self, $crate::WireError> {
+                match <u8 as $crate::Decode>::decode(input)? {
+                    $( $tag => {
+                        $( $( let $elem = $crate::Decode::decode(input)?; )+ )?
+                        $( $( let $field = $crate::Decode::decode(input)?; )+ )?
+                        Ok($ty::$variant $( ( $($elem),+ ) )? $( { $($field),+ } )?)
+                    } )+
+                    tag => Err($crate::WireError::BadTag { ty: stringify!($ty), tag }),
+                }
+            }
+        }
+    };
+}
+
 macro_rules! wire_via_u64 {
     ($($ty:ident: $get:ident / $make:ident),* $(,)?) => {$(
         impl Encode for $ty {
@@ -413,10 +452,6 @@ mod tests {
         round_trip(vec![1u64, 2, 3]);
         round_trip(Vec::<u8>::new());
         round_trip((3u8, vec![String::from("x")]));
-        let mut m = BTreeMap::new();
-        m.insert(2u32, String::from("b"));
-        m.insert(1u32, String::from("a"));
-        round_trip(m);
     }
 
     #[test]
@@ -488,5 +523,39 @@ mod tests {
         struct Wrapped(Vec<u16>);
         wire_newtype!(Wrapped);
         round_trip(Wrapped(vec![1, 2, 3]));
+    }
+
+    #[test]
+    fn macro_enum_covers_every_variant_shape() {
+        #[derive(Debug, Clone, PartialEq)]
+        enum Shape {
+            Unit,
+            Tuple(u16, Option<Value>),
+            Named { a: u32, b: Vec<u8> },
+        }
+        wire_enum!(Shape {
+            0 => Unit,
+            1 => Tuple(x, y),
+            7 => Named { a, b },
+        });
+        assert_eq!(Shape::Unit.to_wire(), [0], "tag 0 is an ordinary tag");
+        assert_eq!(Shape::Tuple(0x0201, None).to_wire(), [1, 1, 2, 0]);
+        let named = Shape::Named {
+            a: 5,
+            b: vec![8, 9],
+        };
+        assert_eq!(named.to_wire(), [7, 5, 0, 0, 0, 2, 0, 0, 0, 8, 9]);
+        round_trip(Shape::Unit);
+        round_trip(Shape::Tuple(3, Some(Value::new(4))));
+        round_trip(named);
+        // Hostile bytes: unclaimed tag (between and past the claimed ones),
+        // empty input, a truncated payload, a trailing byte.
+        for tag in [2, 6, 8, u8::MAX] {
+            let err = WireError::BadTag { ty: "Shape", tag };
+            assert_eq!(Shape::from_wire(&[tag, 0, 0]), Err(err));
+        }
+        assert_eq!(Shape::from_wire(&[]), Err(WireError::Truncated));
+        assert_eq!(Shape::from_wire(&[1, 1]), Err(WireError::Truncated));
+        assert_eq!(Shape::from_wire(&[0, 0]), Err(WireError::Trailing(1)));
     }
 }
