@@ -131,8 +131,6 @@ pub const LOAD_CONFIGS: [(usize, usize); 3] = [(1, 4), (4, 4), (32, 8)];
 
 /// Retries the client may spend per unacknowledged request.
 const RETRY_BUDGET: u32 = 3;
-/// How long a request stays unacknowledged before the client retries it.
-const RETRY_AFTER: Duration = Duration::from_millis(300);
 /// How long the client keeps waiting after the last acknowledgement made
 /// progress before it gives up on the stragglers.
 const ACK_PATIENCE: Duration = Duration::from_secs(3);
@@ -295,26 +293,37 @@ struct ClientReport {
     rejects: u64,
 }
 
-/// Decodes one client-addressed delivery, recording a fresh ack. Returns
-/// whether the delivery acknowledged a previously-unacked request.
-fn note_delivery(bytes: &[u8], report: &mut ClientReport) -> bool {
+/// What one client-addressed delivery told the client.
+enum Delivery {
+    /// The first acknowledgement of a request.
+    FreshAck,
+    /// Request `.0` (an index into the report) was refused admission.
+    Reject(usize),
+    /// A repeated ack, or nothing the client tracks.
+    Other,
+}
+
+/// Decodes one client-addressed delivery, recording a fresh ack or
+/// counting a reject.
+fn note_delivery(bytes: &[u8], report: &mut ClientReport) -> Delivery {
+    let tracked = report.acks.len();
+    let index = |cmd: Value| {
+        let idx = cmd.as_u64().checked_sub(1)? as usize;
+        (idx < tracked).then_some(idx)
+    };
     match SmrMsg::from_wire(bytes) {
-        Ok(SmrMsg::Ack { cmd, .. }) => {
-            let Some(idx) = cmd.as_u64().checked_sub(1) else {
-                return false;
-            };
-            let idx = idx as usize;
-            if idx < report.acks.len() && report.acks[idx].is_none() {
+        Ok(SmrMsg::Ack { cmd, .. }) => match index(cmd) {
+            Some(idx) if report.acks[idx].is_none() => {
                 report.acks[idx] = Some(Instant::now());
-                return true;
+                Delivery::FreshAck
             }
-            false
-        }
-        Ok(SmrMsg::Reject { .. }) => {
+            _ => Delivery::Other,
+        },
+        Ok(SmrMsg::Reject { cmd }) => {
             report.rejects += 1;
-            false
+            index(cmd).map_or(Delivery::Other, Delivery::Reject)
         }
-        _ => false,
+        _ => Delivery::Other,
     }
 }
 
@@ -322,7 +331,21 @@ fn note_delivery(bytes: &[u8], report: &mut ClientReport) -> bool {
 /// schedule, fanning each out to every replica (all serving replicas
 /// admit, so a failover leader holds the command), drains
 /// acknowledgements, and retries unacked requests on a budget.
-fn drive_open_loop(client: &ClientHandle, n: usize, requests: u64) -> ClientReport {
+///
+/// `retry_after` is as long as the service may legitimately take: every
+/// replica holds the request, so one caught by leader failures is
+/// acknowledged without any help one view-timeout chain per dead leader
+/// later, and a retransmission sooner than that only adds duplicates for
+/// every pool to refuse. Each further attempt waits twice as long; a
+/// request a replica *refused* (`Reject`) has no in-flight copy to wait
+/// for and is retried at once.
+fn drive_open_loop(
+    client: &ClientHandle,
+    n: usize,
+    requests: u64,
+    retry_after: Duration,
+    round_trip: Duration,
+) -> ClientReport {
     let submit_fan = |client: &ClientHandle, i: u64| -> bool {
         let frame = SmrMsg::Submit {
             cmd: Value::new(i + 1),
@@ -343,6 +366,7 @@ fn drive_open_loop(client: &ClientHandle, n: usize, requests: u64) -> ClientRepo
     };
     let mut last_attempt: Vec<Instant> = Vec::with_capacity(requests as usize);
     let mut budget = vec![RETRY_BUDGET; requests as usize];
+    let mut refused = vec![false; requests as usize];
     let mut live = true;
 
     // Submission phase: request i goes out at `start + i·GAP` no matter
@@ -365,8 +389,9 @@ fn drive_open_loop(client: &ClientHandle, n: usize, requests: u64) -> ClientRepo
     }
 
     // Drain-and-retry phase: wait for the stragglers, retransmitting any
-    // request unacked past RETRY_AFTER while its budget lasts. Gives up
-    // once nothing has been acknowledged for ACK_PATIENCE.
+    // request refused, or unacked past its (doubling) wait, while its
+    // budget lasts. Gives up once nothing has been acknowledged for
+    // ACK_PATIENCE.
     let mut last_progress = Instant::now();
     while live
         && last_progress.elapsed() < ACK_PATIENCE
@@ -374,18 +399,28 @@ fn drive_open_loop(client: &ClientHandle, n: usize, requests: u64) -> ClientRepo
             .iter()
             .any(Option::is_none)
     {
-        if let Some(bytes) = client.recv_timeout(Duration::from_millis(20)) {
-            if note_delivery(&bytes, &mut report) {
-                last_progress = Instant::now();
-            }
-        }
+        let delivery = client
+            .recv_timeout(Duration::from_millis(20))
+            .map(|bytes| note_delivery(&bytes, &mut report));
         let now = Instant::now();
+        match delivery {
+            Some(Delivery::FreshAck) => last_progress = now,
+            // Every replica refuses an attempt separately: only a reject
+            // that can answer the *latest* attempt (a round trip old)
+            // earns another.
+            Some(Delivery::Reject(i)) => {
+                refused[i] |= now.duration_since(last_attempt[i]) >= round_trip;
+            }
+            Some(Delivery::Other) | None => {}
+        }
         for i in 0..report.sends.len() {
+            let wait = retry_after * (1 << (RETRY_BUDGET - budget[i]));
             if report.acks[i].is_none()
                 && budget[i] > 0
-                && now.duration_since(last_attempt[i]) >= RETRY_AFTER
+                && (refused[i] || now.duration_since(last_attempt[i]) >= wait)
             {
                 budget[i] -= 1;
+                refused[i] = false;
                 last_attempt[i] = now;
                 report.retries += 1;
                 if !submit_fan(client, i as u64) {
@@ -457,8 +492,13 @@ pub fn run_load(spec: &ScenarioSpec, batch: usize, pipeline: usize, requests: u6
     let report: Arc<Mutex<ClientReport>> = Arc::new(Mutex::new(ClientReport::default()));
     let client_report = Arc::clone(&report);
     let n = spec.n;
+    // One view-timeout chain (4Δ′ + 2δ′) for each of the `f` leaders the
+    // shape lets fail in a row, and one more for the queue behind them.
+    let wall = |d: gcl_types::Duration| Duration::from_micros(d.as_micros());
+    let round_trip = wall(spec.delta * 2);
+    let retry_after = wall((spec.big_delta * 4 + spec.delta * 2) * (spec.f as u64 + 1));
     let driver = move |client: ClientHandle| {
-        *client_report.lock() = drive_open_loop(&client, n, requests);
+        *client_report.lock() = drive_open_loop(&client, n, requests, retry_after, round_trip);
     };
     let backend = wall_backend(RUN_DEADLINE);
     let o = backend.execute_with_client(spec, slots, MsgCodec::of::<SmrMsg>(), driver);

@@ -371,6 +371,32 @@ impl VbbFiveFMinusOne {
         ctx.multicast(VbbMsg::Timeout(tm));
     }
 
+    /// Abstains from `view` ahead of time: multicasts this party's `⊥`
+    /// timeout for a view it has not entered yet and never votes there.
+    /// Always safe — a timeout only ever *withholds* a vote, and a party
+    /// that has not entered `view` has not voted in it — so an embedding
+    /// layer that already knows `view`'s leader to be dead can cross it
+    /// without waiting `4Δ` there. A no-op for the current and past views
+    /// (those time out through [`Protocol::on_timer`]), for a view this
+    /// party leads (its proposal there is a vote), after commit, and when
+    /// repeated.
+    pub fn forfeit(&mut self, view: View, ctx: &mut dyn Context<VbbMsg>) {
+        if !self.committed && view > self.view && self.leader(view) != self.me() {
+            self.send_own_timeout(view, ctx);
+        }
+    }
+
+    /// The view whose vote quorum this party committed on (`None` before
+    /// it commits). Handlers stop at the commit, so exactly one bucket
+    /// ever holds a quorum.
+    pub fn commit_view(&self) -> Option<View> {
+        let q = self.q();
+        self.votes
+            .iter()
+            .find(|(_, bucket)| bucket.len() >= q)
+            .map(|(&(view, _), _)| view)
+    }
+
     // ----- Step 5: new view -----------------------------------------------
 
     fn try_advance(&mut self, ctx: &mut dyn Context<VbbMsg>) {
@@ -958,6 +984,100 @@ mod tests {
             .run();
         o.assert_agreement();
         assert!(o.all_honest_committed(), "termination after GST");
+    }
+
+    /// Records what a party driven by hand sends.
+    struct Rec {
+        me: PartyId,
+        cfg: Config,
+        multicast: Vec<VbbMsg>,
+        committed: Vec<Value>,
+    }
+
+    impl Context<VbbMsg> for Rec {
+        fn me(&self) -> PartyId {
+            self.me
+        }
+        fn config(&self) -> Config {
+            self.cfg
+        }
+        fn now(&self) -> gcl_types::LocalTime {
+            gcl_types::LocalTime::ZERO
+        }
+        fn send(&mut self, _to: PartyId, _msg: VbbMsg) {}
+        fn multicast(&mut self, msg: VbbMsg) {
+            self.multicast.push(msg);
+        }
+        fn multicast_except(&mut self, _msg: VbbMsg, _skip: PartyId) {}
+        fn set_timer(&mut self, _delay: Duration, _tag: u64) {}
+        fn commit(&mut self, value: Value) {
+            self.committed.push(value);
+        }
+        fn terminate(&mut self) {}
+    }
+
+    #[test]
+    fn forfeit_abstains_from_a_future_view_exactly_once() {
+        let cfg = Config::new(4, 1).unwrap();
+        let chain = Keychain::generate(4, 27);
+        let signer = |i: u32| chain.signer(PartyId::new(i));
+        let me = PartyId::new(2); // leads view 3
+        let two = View::new(2);
+        // Party 2 up to the moment view 2's leader proposes, with or
+        // without having forfeited view 2 first.
+        let run = |forfeit: bool| {
+            let mut p =
+                VbbFiveFMinusOne::new(cfg, signer(2), chain.pki(), accept_all(), DELTA, None);
+            let mut ctx = Rec {
+                me,
+                cfg,
+                multicast: Vec::new(),
+                committed: Vec::new(),
+            };
+            Protocol::start(&mut p, &mut ctx);
+            if forfeit {
+                p.forfeit(two, &mut ctx);
+                p.forfeit(two, &mut ctx); // idempotent
+                p.forfeit(View::FIRST, &mut ctx); // the current view: not its job
+                p.forfeit(View::new(3), &mut ctx); // its own view: never
+                assert_eq!(
+                    ctx.multicast,
+                    [VbbMsg::Timeout(TimeoutMsg::bot(&signer(2), two))],
+                    "exactly one ⊥ timeout, for the forfeited view"
+                );
+            }
+            for q in [0, 1, 3] {
+                let tm = TimeoutMsg::bot(&signer(q), View::FIRST);
+                Protocol::on_message(&mut p, PartyId::new(q), VbbMsg::Timeout(tm), &mut ctx);
+            }
+            assert_eq!(p.view, two, "a quorum of view-1 timeouts enters view 2");
+            let statuses = [0, 1, 3]
+                .map(|q| StatusMsg::new(&signer(q), View::FIRST, Certificate::Genesis))
+                .to_vec();
+            let propose = VbbMsg::Propose {
+                ls: LeaderSigned::new(&signer(1), Value::new(5), two),
+                proof: Proof::Statuses(statuses),
+            };
+            Protocol::on_message(&mut p, PartyId::new(1), propose, &mut ctx);
+            let voted = ctx
+                .multicast
+                .iter()
+                .any(|m| matches!(m, VbbMsg::Vote(v) if v.ls.view == two));
+            (p, ctx, voted)
+        };
+        assert!(run(false).2, "control: the proposal is one it votes for");
+        let (mut p, mut ctx, voted) = run(true);
+        assert!(!voted, "a forfeited view is never voted in");
+        // Nothing is forfeited after the commit.
+        assert_eq!(p.commit_view(), None);
+        let ls = LeaderSigned::new(&signer(0), Value::new(9), View::FIRST);
+        let votes = [0, 1, 3].map(|q| VoteMsg::new(&signer(q), ls)).to_vec();
+        Protocol::on_message(&mut p, PartyId::new(0), VbbMsg::VoteBundle(votes), &mut ctx);
+        assert_eq!(ctx.committed, [Value::new(9)]);
+        assert_eq!(p.commit_view(), Some(View::FIRST));
+        let sent = ctx.multicast.len();
+        p.forfeit(View::new(8), &mut ctx);
+        assert_eq!(ctx.multicast.len(), sent, "a no-op after commit");
     }
 
     #[test]

@@ -33,9 +33,11 @@
 //! `[applied, applied + PAYLOAD_WINDOW]` (messages naming slots outside the
 //! window are dropped — a Byzantine peer cannot allocate unbounded
 //! instances by naming far-future slots), and instances, commit records,
-//! and payloads more than [`PAYLOAD_RETENTION`] slots *behind* the frontier
-//! are pruned. A replica that misses a payload re-requests it with
-//! [`SmrMsg::PayloadPull`], re-armed on a timer until the bytes arrive.
+//! skipped-view records and payloads more than [`PAYLOAD_RETENTION`] slots
+//! *behind* the frontier are pruned (the failover suspect set — see
+//! [`SlotEngine`] — holds at most one entry per party). A replica that
+//! misses a payload re-requests it with [`SmrMsg::PayloadPull`], re-armed
+//! on a timer until the bytes arrive.
 
 use crate::machine::StateMachine;
 use crate::mempool::{AdmissionError, Mempool, MempoolStats};
@@ -46,6 +48,7 @@ use gcl_types::{
     accept_all, Batch, Config, Duration, Encode, LocalTime, PartyId, SlotId, Value, View,
 };
 use parking_lot::Mutex;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -222,6 +225,46 @@ struct PoolState {
 /// command applies exactly once whatever the crash schedule. The state
 /// machine sits behind an `Arc<Mutex<…>>` so tests and applications can
 /// observe it after (or during) the run.
+///
+/// # Failover
+///
+/// Every slot's instance starts at view 1 under party 0, so a dead primary
+/// would cost each slot its `4Δ` view timer — and `k` dead leaders `k` of
+/// them — forever. The slots cannot simply *start* in a later view: two
+/// honest replicas may commit the same slot in different views, so "the
+/// view the last slot committed in" is not a function of the agreed log,
+/// and replicas that disagree on a slot's leader schedule reject each
+/// other's leader-signed timeouts. What a replica may always change
+/// without asking anyone is how long *it* waits: VBB's safety never
+/// depends on a timer's length. So each replica keeps a private set of
+/// **suspects** — never encoded, never sent, not configurable — and pays
+/// for a dead leader once, not once per slot:
+///
+/// 1. **Learn.** A slot that commits a real (non-no-op) batch in view `w`
+///    got there over timeout certificates for views `1..w`: their leaders
+///    become suspects. Views this replica itself skipped (rule 2) prove
+///    nothing twice and are excluded; so are timed-out no-op slots — an
+///    idle leader is not a dead one — and this replica itself.
+/// 2. **Skip.** When a slot instance asks for the view timer of a
+///    suspect, the timer is not armed: it fires right after the
+///    interaction, and the suspects leading the views directly behind it
+///    are abstained from in the same step
+///    ([`VbbFiveFMinusOne::forfeit`]). Once a quorum suspects the same
+///    `k` consecutive leaders, a slot crosses all `k` views in **one**
+///    message delay. Safe: firing early is a fast local clock, and
+///    forfeiting only ever withholds a vote.
+/// 3. **Stay live.** Only in the slot's first round-robin cycle, views
+///    `1..=n`. From view `n + 1` on every leader gets its full `4Δ`, so a
+///    slot is the unmodified protocol once every party has been tried,
+///    whatever the suspect sets say.
+/// 4. **Forgive.** A slot message from a suspect for a slot opened at
+///    least `pipeline` slots after the one that convicted it shows it
+///    outlived that slot, and clears it; so does a commit in a view it
+///    leads. A wrongly suspected live primary leads again within about
+///    `2 · pipeline` slots.
+///
+/// With no suspects — every fault-free run — the engine sends and arms
+/// exactly what it did without them.
 pub struct SlotEngine<S> {
     config: Config,
     signer: Signer,
@@ -241,6 +284,14 @@ pub struct SlotEngine<S> {
     committed: BTreeMap<SlotId, Value>,
     payloads: BTreeMap<SlotId, BTreeMap<Value, Batch>>,
     pulled: BTreeSet<SlotId>,
+    /// Leaders this replica has watched fail, each with the latest slot
+    /// that convicted it (see "Failover" in the type docs). Local
+    /// knowledge only: never encoded, never sent, at most `n − 1` entries.
+    suspects: BTreeMap<PartyId, SlotId>,
+    /// `(slot, view)` pairs whose view timer this replica fired at once
+    /// instead of arming it — views that say nothing new about their
+    /// leader when the slot commits past them.
+    skipped: BTreeSet<(SlotId, u64)>,
     /// Leader-side proposal cursor: the next slot index this leader will
     /// try to propose at. Advanced only by the leader itself (proposing,
     /// or skipping a slot that other parties' view change already opened)
@@ -297,6 +348,8 @@ impl<S: StateMachine> SlotEngine<S> {
             committed: BTreeMap::new(),
             payloads: BTreeMap::new(),
             pulled: BTreeSet::new(),
+            suspects: BTreeMap::new(),
+            skipped: BTreeSet::new(),
             next_propose: 0,
             applied: 0,
             trailing_noops: 0,
@@ -311,7 +364,7 @@ impl<S: StateMachine> SlotEngine<S> {
     /// # Panics
     ///
     /// Panics if a workload command is not admissible (the reserved
-    /// [`Value::NO_OP`] encoding).
+    /// [`Value::NO_OP`] encoding, or a command listed twice).
     #[must_use]
     pub fn with_workload(self, workload: Vec<Value>) -> Self {
         {
@@ -320,6 +373,9 @@ impl<S: StateMachine> SlotEngine<S> {
                 st.mempool = Mempool::new(workload.len());
             }
             for cmd in workload {
+                // A fresh pool sized to the workload is never `Full` and has
+                // nothing `Committed`: only a caller's own mistake — the
+                // reserved encoding, a repeated command — can fail here.
                 st.mempool
                     .submit(cmd)
                     .expect("workload commands must be admissible");
@@ -399,15 +455,21 @@ impl<S: StateMachine> SlotEngine<S> {
         }
     }
 
-    /// Creates (and starts) the slot instance if absent, then routes `f`
-    /// into it, recording any commit it produces. New leader-side
-    /// instances created *here* (i.e. not through the propose path) carry
-    /// the explicit empty proposal — the slot is being driven by other
-    /// parties' view change, and the leader has nothing queued for it.
-    fn with_slot(
+    /// The one place a slot instance is touched: creates (and starts) it
+    /// if absent, routes `f` into it, crosses the views of suspected
+    /// leaders, and records the commit — and what it says about the
+    /// leaders ([`Self::judge`]) — if one results.
+    ///
+    /// `proposal` is the view-1 input a *new* instance gets on the stable
+    /// primary: the batch digest on the propose path, the explicit empty
+    /// proposal when the slot is being opened by other parties' view
+    /// change (the primary has nothing queued for it). Followers' new
+    /// instances are inputless watchers with the view timer armed.
+    fn drive(
         &mut self,
         slot: SlotId,
         ctx: &mut dyn Context<SmrMsg>,
+        proposal: Value,
         f: impl FnOnce(&mut VbbFiveFMinusOne, &mut SubCtx<'_>),
     ) {
         if slot.index() >= MAX_SLOT_INDEX {
@@ -423,7 +485,6 @@ impl<S: StateMachine> SlotEngine<S> {
             if slot.index() < self.applied || slot.index() > self.applied + PAYLOAD_WINDOW {
                 return;
             }
-            let input = self.is_leader().then_some(Value::NO_OP);
             // Each slot instance gets its own `Verifier`: vote bundles,
             // timeout bundles, and re-proposed certificates inside one slot
             // amortize to cache hits without any cross-slot sharing.
@@ -433,27 +494,76 @@ impl<S: StateMachine> SlotEngine<S> {
                 Verifier::new(Arc::clone(&self.pki)),
                 accept_all(),
                 self.big_delta,
-                input,
+                self.is_leader().then_some(proposal),
             )
             .with_fallback(Value::NO_OP)
             .with_fallback_source(self.rotation_source(slot));
             self.slots.insert(slot, inst);
         }
-        let inst = self.slots.get_mut(&slot).expect("present");
+        let Some(inst) = self.slots.get_mut(&slot) else {
+            return;
+        };
         let mut sub = SubCtx {
             outer: ctx,
             slot,
             commits: Vec::new(),
+            suspects: &self.suspects,
+            unarmed: Vec::new(),
         };
         if created {
             Protocol::start(inst, &mut sub);
         }
         f(inst, &mut sub);
-        let commits = sub.commits;
-        if let Some(v) = commits.first() {
-            self.committed.entry(slot).or_insert(*v);
+        // Rule 2 (skip): every view timer the interaction would have armed
+        // for a suspected leader fires now instead, and the suspected
+        // views directly behind it are forfeited in the same breath, so a
+        // run of dead leaders costs one message delay. Firing may enter
+        // (and skip) further views; a stale tag is a no-op in the instance.
+        let mut fired = 0;
+        while let Some(&tag) = sub.unarmed.get(fired) {
+            fired += 1;
+            self.skipped.insert((slot, tag));
+            Protocol::on_timer(inst, tag, &mut sub);
+            let mut next = View::new(tag).next();
+            while sub.suspects_leader_of(next.number()) {
+                self.skipped.insert((slot, next.number()));
+                inst.forfeit(next, &mut sub);
+                next = next.next();
+            }
+        }
+        let decided = sub
+            .commits
+            .first()
+            .map(|&value| (value, inst.commit_view()));
+        if let Some((value, Some(view))) = decided {
+            if let Entry::Vacant(first) = self.committed.entry(slot) {
+                first.insert(value);
+                self.judge(slot, value, view);
+            }
         }
         self.flush_staged(ctx);
+    }
+
+    /// What `slot` committing `value` on view `view`'s quorum says about
+    /// the leaders (rules 4 and 1 of "Failover").
+    fn judge(&mut self, slot: SlotId, value: Value, view: View) {
+        let n = self.config.n();
+        // Forgive: the leader of the committing view works.
+        self.suspects.remove(&view.leader(n));
+        // Learn: a real batch committed only after the views before it
+        // were timed out — on timers this replica armed in full, so a view
+        // it skipped is not evidence against its leader a second time, and
+        // the leaders repeat after `n` views.
+        if value.is_no_op() {
+            return;
+        }
+        for past in 1..view.number().min(n as u64 + 1) {
+            let leader = View::new(past).leader(n);
+            if leader != self.me() && !self.skipped.contains(&(slot, past)) {
+                let convicted = self.suspects.entry(leader).or_insert(slot);
+                *convicted = (*convicted).max(slot);
+            }
+        }
     }
 
     /// Applies every batch decided at the frontier, in slot order. Stalls
@@ -491,6 +601,7 @@ impl<S: StateMachine> SlotEngine<S> {
             self.slots = self.slots.split_off(&keep);
             self.committed = self.committed.split_off(&keep);
             self.my_proposals = self.my_proposals.split_off(&keep);
+            self.skipped = self.skipped.split_off(&(keep, 0));
             if batch.is_seal() {
                 self.finish(ctx);
                 break;
@@ -628,7 +739,7 @@ impl<S: StateMachine> SlotEngine<S> {
                 let slot = SlotId::new(index);
                 if !self.slots.contains_key(&slot) {
                     // Watcher instance: no input, view timer armed at start.
-                    self.with_slot(slot, ctx, |_, _| {});
+                    self.drive(slot, ctx, Value::NO_OP, |_, _| {});
                     progressed = true;
                 }
             }
@@ -657,30 +768,8 @@ impl<S: StateMachine> SlotEngine<S> {
             });
         }
         self.my_proposals.entry(slot).or_default().push(batch);
-        let inst = VbbFiveFMinusOne::new(
-            self.config,
-            self.signer.clone(),
-            Verifier::new(Arc::clone(&self.pki)),
-            accept_all(),
-            self.big_delta,
-            Some(value),
-        )
-        .with_fallback(Value::NO_OP)
-        .with_fallback_source(self.rotation_source(slot));
-        self.slots.insert(slot, inst);
         self.next_propose = self.next_propose.max(slot.index() + 1);
-        let inst = self.slots.get_mut(&slot).expect("just inserted");
-        let mut sub = SubCtx {
-            outer: ctx,
-            slot,
-            commits: Vec::new(),
-        };
-        Protocol::start(inst, &mut sub);
-        let commits = sub.commits;
-        if let Some(v) = commits.first() {
-            self.committed.entry(slot).or_insert(*v);
-        }
-        self.flush_staged(ctx);
+        self.drive(slot, ctx, value, |_, _| {});
     }
 
     /// The drive loop: apply decided batches, extend the in-flight window,
@@ -732,7 +821,14 @@ impl<S: StateMachine> Protocol for SlotEngine<S> {
         }
         match msg {
             SmrMsg::Slot { slot, inner } => {
-                self.with_slot(slot, ctx, |inst, sub| {
+                // Rule 4 (forgive): a suspect speaking in a slot that opened
+                // a full window after its conviction outlived that slot.
+                if let Some(convicted) = self.suspects.get(&from) {
+                    if slot.index() >= convicted.index() + self.params.pipeline as u64 {
+                        self.suspects.remove(&from);
+                    }
+                }
+                self.drive(slot, ctx, Value::NO_OP, |inst, sub| {
                     Protocol::on_message(inst, from, inner, sub);
                 });
                 self.pump(ctx);
@@ -794,7 +890,7 @@ impl<S: StateMachine> Protocol for SlotEngine<S> {
             self.retry_pull(slot, ctx);
             return;
         }
-        self.with_slot(slot, ctx, |inst, sub| {
+        self.drive(slot, ctx, Value::NO_OP, |inst, sub| {
             Protocol::on_timer(inst, inner_tag, sub);
         });
         self.pump(ctx);
@@ -818,6 +914,21 @@ struct SubCtx<'a> {
     outer: &'a mut dyn Context<SmrMsg>,
     slot: SlotId,
     commits: Vec<Value>,
+    /// The replica's suspected leaders (see [`SlotEngine`], "Failover").
+    suspects: &'a BTreeMap<PartyId, SlotId>,
+    /// View timers the instance asked for and did not get, in order:
+    /// [`SlotEngine::drive`] fires them right after the interaction.
+    unarmed: Vec<u64>,
+}
+
+impl SubCtx<'_> {
+    /// Rule 3 (stay live): whether `view`'s timer is skipped — its leader
+    /// is suspected *and* the slot is still in its first round-robin cycle.
+    /// From view `n + 1` on every leader gets its full timer again.
+    fn suspects_leader_of(&self, view: u64) -> bool {
+        let n = self.outer.config().n();
+        view <= n as u64 && self.suspects.contains_key(&View::new(view).leader(n))
+    }
 }
 
 impl Context<VbbMsg> for SubCtx<'_> {
@@ -857,6 +968,11 @@ impl Context<VbbMsg> for SubCtx<'_> {
         );
     }
     fn set_timer(&mut self, delay: Duration, tag: u64) {
+        // The instance's timer tags are view numbers.
+        if self.suspects_leader_of(tag) {
+            self.unarmed.push(tag);
+            return;
+        }
         // Checked packing: an out-of-range pair would alias another slot's
         // timers — and the top inner tag is reserved for the engine's own
         // pull-retry timer — so both are rejected (debug builds flag it
@@ -885,7 +1001,10 @@ mod tests {
     use crate::machine::{Counter, KvStore};
     use gcl_core::psync::TimeoutMsg;
     use gcl_crypto::Keychain;
-    use gcl_sim::{Crashing, FixedDelay, Outcome, Scripted, Simulation, TimingModel};
+    use gcl_sim::{
+        Crashing, DelayRule, FixedDelay, LinkDelay, Outcome, PartySet, ScheduleOracle, Scripted,
+        Simulation, TimingModel,
+    };
     use gcl_types::{Decode, GlobalTime, WireError};
 
     const DELTA: Duration = Duration::from_micros(100);
@@ -1529,12 +1648,15 @@ mod tests {
             Arc::new(Mutex::new(Counter::default())),
         );
         let mut ctx = RecordingCtx::new(PartyId::new(1), cfg);
+        // A suspected primary, so every slot also leaves a skipped-view record.
+        eng.suspects.insert(PartyId::new(0), SlotId::FIRST);
         for i in 0..total {
             let slot = SlotId::new(i);
-            eng.with_slot(slot, &mut ctx, |_, _| {});
+            eng.drive(slot, &mut ctx, Value::NO_OP, |_, _| {});
             eng.committed.insert(slot, Value::NO_OP);
         }
         assert_eq!(eng.slots.len() as u64, total);
+        assert_eq!(eng.skipped.len() as u64, total);
         eng.pump(&mut ctx);
         assert_eq!(eng.applied, total);
         assert!(!eng.terminated, "quiesce_after is above the no-op run");
@@ -1550,6 +1672,11 @@ mod tests {
             eng.committed.len()
         );
         assert!(eng.payloads.len() <= bound);
+        assert!(
+            eng.skipped.len() <= bound,
+            "skipped-view records must be pruned: {} > {bound}",
+            eng.skipped.len()
+        );
     }
 
     #[test]
@@ -1636,6 +1763,19 @@ mod tests {
         seed: u64,
         crashes: &[(u32, usize)], // (party, handled events before crash)
     ) -> (Outcome, Vec<Arc<Mutex<Counter>>>) {
+        run_with_crashes_over(DELTA, n, f, commands, p, seed, crashes)
+    }
+
+    /// [`run_with_crashes`] over links of delay `hop` (Δ stays [`DELTA`]).
+    fn run_with_crashes_over(
+        hop: Duration,
+        n: usize,
+        f: usize,
+        commands: u64,
+        p: SmrParams,
+        seed: u64,
+        crashes: &[(u32, usize)],
+    ) -> (Outcome, Vec<Arc<Mutex<Counter>>>) {
         let cfg = Config::new(n, f).unwrap();
         let chain = Keychain::generate(n, seed);
         let workload: Vec<Value> = (1..=commands).map(Value::new).collect();
@@ -1648,7 +1788,7 @@ mod tests {
                 gst: GlobalTime::ZERO,
                 big_delta: DELTA,
             })
-            .oracle(FixedDelay::new(DELTA));
+            .oracle(FixedDelay::new(hop));
         for &(party, handled) in crashes {
             let replica = SlotEngine::new(
                 cfg,
@@ -1717,7 +1857,7 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             rng >> 33
         };
-        for case in 0..6u64 {
+        for case in 0..24u64 {
             let commands = 8 + next() % 10;
             let two_crashes = case % 2 == 1;
             let (n, f) = if two_crashes { (9, 2) } else { (4, 1) };
@@ -1748,5 +1888,293 @@ mod tests {
                 );
             }
         }
+    }
+    #[test]
+    fn second_leader_crashing_at_the_hand_off_loses_nothing() {
+        // Every crash budget of the second leader in a contiguous range
+        // around the first view change. With the primary dead after 8
+        // events, party 1 is handed view 2 of slot 2 in its 48th handled
+        // event and of slot 3 in its 55th, so the range kills it just
+        // before a hand-off, in the very event after one, and between its
+        // status quorum, its proposal and the votes for it.
+        let commands = 12;
+        for budget in 40..=64 {
+            let crashes = [(0, 8), (1, budget)];
+            let (o, machines) = run_with_crashes(9, 2, commands, params(2, 2), 180, &crashes);
+            assert!(o.agreement_holds(), "budget {budget}: digests agree");
+            assert!(o.all_honest_committed(), "budget {budget}: run terminates");
+            for m in &machines[2..] {
+                let m = m.lock();
+                assert_eq!(
+                    (m.applied(), m.total()),
+                    (commands, (1..=commands).sum()),
+                    "budget {budget}: a command was lost or applied twice"
+                );
+            }
+        }
+    }
+
+    /// Link delay of the failover tests: Δ/10, so a `4Δ` view timer and a
+    /// message hop are an order of magnitude apart.
+    const HOP: Duration = Duration::from_micros(10);
+
+    #[test]
+    fn leader_cascade_pays_each_dead_leader_once() {
+        // (9, 2), the first two rotation leaders die one after the other
+        // mid-log. Each costs the slots then in flight one 4Δ timer; every
+        // later slot crosses both dead views in one hop (timeouts, statuses,
+        // proposal, votes + slack: 5 hops). Before suspects every window of
+        // `pipeline` slots re-burnt both timers: ≥ slots/pipeline × 8Δ.
+        let (commands, batch, pipeline) = (48u64, 2usize, 2usize);
+        for (first, second) in [(20, 60), (40, 300), (10, 400)] {
+            let (o, machines) = run_with_crashes_over(
+                HOP,
+                9,
+                2,
+                commands,
+                params(batch, pipeline),
+                170,
+                &[(0, first), (1, second)],
+            );
+            assert!(o.agreement_holds() && o.all_honest_committed());
+            let slots = commands / batch as u64 + 1; // + the seal
+            let bound = DELTA * 4 * 2 + HOP * 5 * slots;
+            assert!(
+                o.end_time().since(GlobalTime::ZERO) <= bound,
+                "crashes at {first}/{second}: {} exceeds two timers + 5 hops a slot ({bound})",
+                o.end_time()
+            );
+            for m in &machines[2..] {
+                let m = m.lock();
+                assert_eq!(
+                    (m.applied(), m.total()),
+                    (commands, (1..=commands).sum()),
+                    "every command applies exactly once"
+                );
+            }
+        }
+    }
+
+    /// What an [`Observed`] replica has decided and whom it has suspected.
+    #[derive(Debug, Default)]
+    struct Observation {
+        /// Per slot: the decided value and the view of the committing quorum.
+        decided: BTreeMap<SlotId, (Value, View)>,
+        /// Every party that was ever in the suspect set.
+        ever_suspected: BTreeSet<PartyId>,
+        /// The suspect set after the last handled event.
+        suspects: BTreeSet<PartyId>,
+    }
+
+    /// A replica that publishes its failover state after every event.
+    struct Observed {
+        inner: SlotEngine<Counter>,
+        seen: Arc<Mutex<Observation>>,
+    }
+
+    impl Observed {
+        fn publish(&mut self) {
+            let mut seen = self.seen.lock();
+            for (slot, inst) in &self.inner.slots {
+                if let (Some(value), Some(view)) =
+                    (self.inner.committed.get(slot), inst.commit_view())
+                {
+                    seen.decided.insert(*slot, (*value, view));
+                }
+            }
+            seen.suspects = self.inner.suspects.keys().copied().collect();
+            let now = seen.suspects.clone();
+            seen.ever_suspected.extend(now);
+        }
+    }
+
+    impl Protocol for Observed {
+        type Msg = SmrMsg;
+        fn start(&mut self, ctx: &mut dyn Context<SmrMsg>) {
+            Protocol::start(&mut self.inner, ctx);
+            self.publish();
+        }
+        fn on_message(&mut self, from: PartyId, msg: SmrMsg, ctx: &mut dyn Context<SmrMsg>) {
+            Protocol::on_message(&mut self.inner, from, msg, ctx);
+            self.publish();
+        }
+        fn on_timer(&mut self, tag: u64, ctx: &mut dyn Context<SmrMsg>) {
+            Protocol::on_timer(&mut self.inner, tag, ctx);
+            self.publish();
+        }
+    }
+
+    #[test]
+    fn slow_primary_is_suspected_then_forgiven_within_two_windows() {
+        // A live primary whose messages for one window of slots are held
+        // past 4Δ (before GST, so the model allows it): the followers time
+        // those slots out, convict it, route the next slots around it — and
+        // its own traffic for a slot a full window later clears it, so it
+        // is back to 2-round view-1 commits within 2·pipeline + 1 slots.
+        let (n, commands, pipeline) = (4, 40u64, 2usize);
+        let held = 6..6 + pipeline as u64; // one window of slots
+        let cfg = Config::new(n, 1).unwrap();
+        let chain = Keychain::generate(n, 171);
+        let workload: Vec<Value> = (1..=commands).map(Value::new).collect();
+        let held_slots = held.clone();
+        let oracle: ScheduleOracle<SmrMsg> = ScheduleOracle::new(HOP).rule(
+            DelayRule::link(
+                PartySet::One(PartyId::new(0)),
+                PartySet::Any,
+                LinkDelay::Finite(DELTA * 6),
+            )
+            .when(move |m: &SmrMsg| match m {
+                SmrMsg::Slot { slot, .. } | SmrMsg::Payload { slot, .. } => {
+                    held_slots.contains(&slot.index())
+                }
+                _ => false,
+            }),
+        );
+        let seen: Vec<Arc<Mutex<Observation>>> = (0..n).map(|_| Arc::default()).collect();
+        let probes = seen.clone();
+        let o = Simulation::build(cfg)
+            .timing(TimingModel::PartialSynchrony {
+                gst: GlobalTime::from_micros(1_000_000),
+                big_delta: DELTA,
+            })
+            .oracle(oracle)
+            .spawn_honest(move |q| Observed {
+                inner: SlotEngine::new(
+                    cfg,
+                    chain.signer(q),
+                    chain.pki(),
+                    DELTA,
+                    params(1, pipeline),
+                    Arc::new(Mutex::new(Counter::default())),
+                )
+                .with_workload(workload.clone()),
+                seen: probes[q.as_usize()].clone(),
+            })
+            .run();
+        assert!(o.agreement_holds() && o.all_honest_committed());
+        for (q, seen) in seen.iter().enumerate().skip(1) {
+            let seen = seen.lock();
+            assert!(
+                seen.ever_suspected.contains(&PartyId::new(0)),
+                "replica {q} never suspected the slow primary"
+            );
+            assert!(seen.suspects.is_empty(), "replica {q} never forgave it");
+            for slot in held.clone() {
+                let (_, view) = seen.decided[&SlotId::new(slot)];
+                assert!(view > View::FIRST, "slot {slot} cannot commit in view 1");
+            }
+            let back = held.end + 2 * pipeline as u64 + 1;
+            for (slot, (_, view)) in seen.decided.range(SlotId::new(back)..) {
+                assert_eq!(
+                    *view,
+                    View::FIRST,
+                    "replica {q}: slot {slot} still routed around the live primary"
+                );
+            }
+            assert!(seen.decided.contains_key(&SlotId::new(back)));
+        }
+    }
+
+    #[test]
+    fn idle_gap_convicts_nobody() {
+        // Serving mode, no traffic: the first window of slots times the idle
+        // primary out and decides no-ops in view 2. An idle leader is not a
+        // dead one — when a command then arrives (party 3 plays the client)
+        // nobody is suspected and the primary commits it in view 1.
+        let n = 4;
+        let cfg = Config::new(n, 1).unwrap();
+        let chain = Keychain::generate(n, 172);
+        let replicas: Vec<PartyId> = (0..3).map(PartyId::new).collect();
+        let submit = SmrMsg::Submit {
+            cmd: Value::new(77),
+        };
+        let arrives = LocalTime::from_micros(DELTA.as_micros() * 6);
+        let client = Scripted::multicast_at(arrives, &replicas, submit);
+        let seen: Vec<Arc<Mutex<Observation>>> = (0..n).map(|_| Arc::default()).collect();
+        let probes = seen.clone();
+        let o = Simulation::build(cfg)
+            .timing(TimingModel::PartialSynchrony {
+                gst: GlobalTime::ZERO,
+                big_delta: DELTA,
+            })
+            .oracle(FixedDelay::new(HOP))
+            .byzantine(PartyId::new(3), client)
+            .spawn_honest(move |q| Observed {
+                inner: SlotEngine::new(
+                    cfg,
+                    chain.signer(q),
+                    chain.pki(),
+                    DELTA,
+                    SmrParams {
+                        quiesce_after: 6,
+                        ..SmrParams::default()
+                    },
+                    Arc::new(Mutex::new(Counter::default())),
+                ),
+                seen: probes[q.as_usize()].clone(),
+            })
+            .run();
+        assert!(o.agreement_holds() && o.all_honest_committed());
+        for seen in &seen[..3] {
+            let seen = seen.lock();
+            assert_eq!(seen.ever_suspected, BTreeSet::new(), "idle is not dead");
+            let timed_out_idle = seen
+                .decided
+                .values()
+                .filter(|(value, view)| value.is_no_op() && *view > View::FIRST)
+                .count();
+            assert!(timed_out_idle >= 4, "the idle window timed out first");
+            let busy: Vec<_> = seen
+                .decided
+                .iter()
+                .filter(|(_, (value, _))| !value.is_no_op())
+                .collect();
+            assert_eq!(busy.len(), 1, "one command, one busy slot");
+            assert_eq!(busy[0].1 .1, View::FIRST, "committed under the primary");
+        }
+    }
+
+    #[test]
+    fn suspects_are_skipped_in_the_first_cycle_only() {
+        // Party 3 of 4 suspects everybody else. Opening a slot fires view 1
+        // and forfeits views 2 and 3 in the same step — three ⊥ timeouts,
+        // no view timer — and once timeout quorums carry the slot past
+        // them, its own view 4 and party 0's *second* turn (view n + 1)
+        // both get the full 4Δ.
+        let cfg = Config::new(4, 1).unwrap();
+        let chain = Keychain::generate(4, 173);
+        let me = PartyId::new(3);
+        let mut eng = SlotEngine::new(
+            cfg,
+            chain.signer(me),
+            chain.pki(),
+            DELTA,
+            params(4, 1),
+            Arc::new(Mutex::new(Counter::default())),
+        );
+        for q in 0..3 {
+            eng.suspects.insert(PartyId::new(q), SlotId::FIRST);
+        }
+        let mut ctx = RecordingCtx::new(me, cfg);
+        Protocol::start(&mut eng, &mut ctx);
+        let bot = |view: u64| SmrMsg::Slot {
+            slot: SlotId::FIRST,
+            inner: VbbMsg::Timeout(TimeoutMsg::bot(&chain.signer(me), View::new(view))),
+        };
+        assert_eq!(ctx.multicast, [bot(1), bot(2), bot(3)]);
+        assert_eq!(ctx.timers, [], "no timer is armed for a suspect");
+        for view in 1..=4 {
+            for q in 0..3 {
+                let sender = chain.signer(PartyId::new(q));
+                let inner = VbbMsg::Timeout(TimeoutMsg::bot(&sender, View::new(view)));
+                let msg = SmrMsg::Slot {
+                    slot: SlotId::FIRST,
+                    inner,
+                };
+                Protocol::on_message(&mut eng, PartyId::new(q), msg, &mut ctx);
+            }
+        }
+        let armed = |view| (DELTA * 4, pack_slot_tag(SlotId::FIRST, view).unwrap());
+        assert_eq!(ctx.timers, [armed(4), armed(5)]);
     }
 }
