@@ -13,15 +13,12 @@
 //!   row with no latency more than 25× the baseline's. Anything tighter
 //!   would gate machine noise across CI runners.
 
-use gcl_bench::netlat::{net_latency_rows, render_json, scale_rows, SCHEMA};
+use gcl_bench::netlat::{net_latency_rows, render_json, SCHEMA};
 use gcl_bench::trajectory::{emit, Args};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args = Args::parse("net_latency", "BENCH_net.json", false);
-    eprintln!("measuring wall-clock good-case latencies...");
-    let mut rows = net_latency_rows();
-    eprintln!("measuring scale rows...");
-    rows.extend(scale_rows());
-    emit(&SCHEMA, &render_json(&rows), &args)
+    eprintln!("measuring wall-clock good-case latencies, then the scale rows...");
+    emit(&SCHEMA, &render_json(&net_latency_rows()), &args)
 }

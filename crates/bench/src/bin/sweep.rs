@@ -3,75 +3,49 @@
 //! safety and validity.
 //!
 //! ```text
-//! sweep [--quick] [--threads N] [--seed S] [--out PATH]
+//! sweep [--quick] [--out PATH] [--check BASELINE]
 //! ```
 //!
 //! * `--quick` — the CI smoke grid (2 shapes/family, 1 seed) instead of
 //!   the full grid (4 shapes/family, jittered delays, 2 seeds).
-//! * `--threads N` — worker threads (default: available parallelism,
-//!   at least 4 so the smoke job exercises real concurrency).
-//! * `--seed S` — base seed; per-cell seeds derive from it (default 1).
 //! * `--out PATH` — where to write the `gcl-bench/sweep/v1` report
 //!   (default `BENCH_sweep.json` in the current directory).
+//! * `--check BASELINE` — also diff the report against an earlier one:
+//!   the same grid cells on both sides.
 //!
+//! The grid runs on at least 4 worker threads (so the smoke job exercises
+//! real concurrency) from base seed 1; per-cell seeds derive from it.
 //! Exit is nonzero on any agreement (safety) or validity violation, and
-//! on a malformed report (the binary re-parses its own output through
+//! on a malformed report (the binary reads its own output back through
 //! the strict validator before declaring success) — exactly what the CI
 //! `sweep-smoke` job gates on.
 
-use gcl_bench::sweep::{render_report, run_default, validate_report};
+use gcl_bench::sweep::{render_report, run_default, validate_report, SCHEMA};
+use gcl_bench::trajectory::{emit, Args};
 use std::process::ExitCode;
 
+/// Base seed of every sweep; per-cell seeds derive from it.
+const SEED: u64 = 1;
+
 fn main() -> ExitCode {
-    let mut quick = false;
-    let mut threads = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(4)
-        .max(4);
-    let mut seed = 1u64;
-    let mut out = String::from("BENCH_sweep.json");
-
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--threads" => match args.next().and_then(|x| x.parse().ok()) {
-                Some(x) if x >= 1 => threads = x,
-                _ => return usage("--threads needs a positive integer"),
-            },
-            "--seed" => match args.next().and_then(|x| x.parse().ok()) {
-                Some(x) => seed = x,
-                None => return usage("--seed needs an integer"),
-            },
-            "--out" => match args.next() {
-                Some(p) => out = p,
-                None => return usage("--out needs a path"),
-            },
-            other => return usage(&format!("unknown argument {other:?}")),
-        }
-    }
-
-    let mode = if quick { "quick" } else { "full" };
-    eprintln!("sweeping the scenario grid ({mode} mode, {threads} threads, base seed {seed})...");
-    let report = run_default(quick, threads, seed);
+    let args = Args::parse("sweep", "BENCH_sweep.json", true);
+    let mode = if args.quick { "quick" } else { "full" };
+    let threads = std::thread::available_parallelism().map_or(4, |n| n.get().max(4));
+    eprintln!("sweeping the scenario grid ({mode} mode, {threads} threads, base seed {SEED})...");
+    let report = run_default(args.quick, threads, SEED);
     eprintln!(
-        "  {} cells ({} run, {} skipped), commit rate {:.1}%, \
-         p50 latency {:?}us, {:.0} events/sec aggregate",
+        "  {} cells ({} run, {} skipped), commit rate {:.1}%, p50 latency {:?}us, \
+         {:.0} events/sec aggregate, {} safety / {} validity violations",
         report.cells.len(),
         report.cells_run(),
         report.cells_skipped(),
         report.commit_rate() * 100.0,
         report.latency_percentile(0.5),
         report.events_per_sec(),
+        report.safety_violations().count(),
+        report.validity_violations().count(),
     );
-
-    let doc = render_report(&report, mode, seed);
-    if let Err(e) = std::fs::write(&out, &doc) {
-        eprintln!("error: cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("wrote {out}");
-
+    let doc = render_report(&report, mode, SEED);
     let mut failed = false;
     for cell in report.safety_violations() {
         eprintln!("SAFETY VIOLATION: {}", cell.label);
@@ -81,28 +55,13 @@ fn main() -> ExitCode {
         eprintln!("VALIDITY VIOLATION: {}", cell.label);
         failed = true;
     }
-    match validate_report(&doc) {
-        Ok(summary) => eprintln!(
-            "report validated: {} cells, {} run, {} safety / {} validity violations",
-            summary.cells,
-            summary.cells_run,
-            summary.safety_violations,
-            summary.validity_violations
-        ),
-        Err(e) => {
-            eprintln!("error: emitted report is malformed: {e}");
-            failed = true;
-        }
+    if let Err(e) = validate_report(&doc) {
+        eprintln!("error: emitted report is malformed: {e}");
+        failed = true;
     }
+    let written = emit(&SCHEMA, &doc, &args);
     if failed {
         return ExitCode::FAILURE;
     }
-    eprintln!("sweep clean: no safety or validity violations");
-    ExitCode::SUCCESS
-}
-
-fn usage(err: &str) -> ExitCode {
-    eprintln!("error: {err}");
-    eprintln!("usage: sweep [--quick] [--threads N] [--seed S] [--out PATH]");
-    ExitCode::FAILURE
+    written
 }

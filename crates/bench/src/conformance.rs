@@ -31,7 +31,7 @@
 
 use crate::registry;
 use gcl_net::AsyncBackend;
-use gcl_sim::{Backend, ScenarioRegistry, ScenarioSpec};
+use gcl_sim::{Backend, Outcome, ScenarioRegistry, ScenarioSpec};
 use gcl_types::{Duration as SimDuration, Value};
 use std::time::{Duration, Instant};
 
@@ -76,61 +76,44 @@ pub fn wall_spec(reg: &ScenarioRegistry, key: &str) -> ScenarioSpec {
     spec
 }
 
-/// The wall engine's result for one family.
-#[derive(Debug, Clone)]
-pub struct BackendRun {
-    /// The backend's stable name (`"async"`).
-    pub backend: &'static str,
-    /// The committed value (agreement already folded in: `None` means
-    /// disagreement or nobody committed).
-    pub value: Option<Value>,
-    /// Whether every honest party committed.
-    pub all_committed: bool,
-    /// Whether agreement held.
-    pub agreement: bool,
-    /// Good-case wall latency in µs, when every honest party committed.
-    pub latency_us: Option<u64>,
-    /// Wall time of the run.
-    pub wall: Duration,
-}
-
 /// One family's sim-vs-wall comparison.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ConformanceCell {
     /// Registered family key.
     pub family: &'static str,
-    /// Parties in the spec both targets ran.
-    pub n: usize,
-    /// Fault budget of that spec.
-    pub f: usize,
     /// The simulator's committed value — the oracle the wall run must hit.
     pub sim_value: Option<Value>,
-    /// The wall engine's run.
-    pub wall: BackendRun,
+    /// The wall backend's stable name (`"async"`).
+    pub backend: &'static str,
+    /// The wall run's outcome.
+    pub wall: Outcome,
+    /// How long the wall run took.
+    pub elapsed: Duration,
 }
 
 impl ConformanceCell {
     /// The conformance criterion: the wall run upholds agreement, commits
     /// everywhere honest, and lands on exactly the simulator's value.
     pub fn holds(&self) -> bool {
-        self.wall.agreement && self.wall.all_committed && self.wall.value == self.sim_value
+        let o = &self.wall;
+        o.agreement_holds() && o.all_honest_committed() && o.committed_value() == self.sim_value
     }
 
     /// One-line human rendering (used in assertion messages and the
     /// example).
     pub fn describe(&self) -> String {
-        let r = &self.wall;
+        let o = &self.wall;
         format!(
             "{} (n={}, f={}): sim={:?} | {}={:?} agreement={} all_committed={} wall={:?}",
             self.family,
-            self.n,
-            self.f,
+            o.config().n(),
+            o.config().f(),
             self.sim_value,
-            r.backend,
-            r.value,
-            r.agreement,
-            r.all_committed,
-            r.wall
+            self.backend,
+            o.committed_value(),
+            o.agreement_holds(),
+            o.all_honest_committed(),
+            self.elapsed
         )
     }
 }
@@ -154,22 +137,15 @@ pub fn conformance_cells(deadline: Duration) -> Vec<ConformanceCell> {
                 .run(&spec)
                 .unwrap_or_else(|e| panic!("{key}: sim run rejected: {e}"));
             let started = Instant::now();
-            let o = reg
+            let wall = reg
                 .run_on(&spec, &backend)
                 .unwrap_or_else(|e| panic!("{key}: {} run rejected: {e}", backend.name()));
             ConformanceCell {
                 family: key,
-                n: spec.n,
-                f: spec.f,
                 sim_value: sim.committed_value(),
-                wall: BackendRun {
-                    backend: backend.name(),
-                    value: o.committed_value(),
-                    all_committed: o.all_honest_committed(),
-                    agreement: o.agreement_holds(),
-                    latency_us: o.good_case_latency().map(|d| d.as_micros()),
-                    wall: started.elapsed(),
-                },
+                backend: backend.name(),
+                wall,
+                elapsed: started.elapsed(),
             }
         })
         .collect()

@@ -1,98 +1,70 @@
-//! A minimal JSON reader and the one writer for the bench trajectory
-//! files.
+//! The trajectory document format: one writer, `render`, and one
+//! reader, `read`, for exactly the layout the writer emits — the layout
+//! of the three `BENCH_*.json` files and the sweep report:
 //!
-//! The container builds offline (no `serde_json`), and the CI smoke job
-//! must detect a malformed `BENCH_sim.json`, so this is a small strict
-//! recursive-descent parser for the full JSON grammar (including `\uXXXX`
-//! escapes with surrogate pairs). Swap for `serde_json` when a registry
-//! is reachable.
+//! ```text
+//! {
+//!   "schema": "gcl-bench/sim-throughput/v2",
+//!   "mode": "full",
+//!   "rows": [
+//!     {"scenario": "flood_n16", "n": 16, "events_per_sec": 87179.5},
+//!     {"scenario": "flood_n64", "n": 64, "events_per_sec": 421479.2}
+//!   ]
+//! }
+//! ```
 //!
-//! Every trajectory document the workspace emits — the three
-//! `BENCH_*.json` files and the sweep report — is the same
-//! *schema-plus-rows* shape, written by `RowsDoc` on behalf of
-//! [`crate::trajectory::Schema::render`] and read back by [`parse`].
+//! That is valid JSON, so any JSON tool reads it. `read` accepts the
+//! layout and nothing else — one scalar header member per line, one flat
+//! row per line with members separated by `", "`, no other whitespace, no
+//! number form or string escape the writer does not produce — so it
+//! defines the format rather than parsing JSON. Its errors name the line,
+//! and no input makes it panic.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// A parsed JSON value.
+/// One scalar of a read document.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// `null`
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any JSON number (kept as `f64`; the bench files stay well within
-    /// `f64`'s 2^53 integer range).
+    /// A number, as `f64` (the bench files' integers stay below 2^53).
     Number(f64),
     /// A string.
     String(String),
-    /// An array.
-    Array(Vec<Value>),
-    /// An object (keys ordered for determinism).
-    Object(BTreeMap<String, Value>),
 }
 
-impl Value {
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
+/// One flat object of a read document — a row, or the header: its
+/// members in file order, no key twice.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Row(Vec<(String, Value)>);
+
+impl Row {
+    /// Member `key`, if present.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        self.0.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// The member keys, in file order.
+    pub fn keys(&self) -> impl Iterator<Item = &str> {
+        self.0.iter().map(|(k, _)| k.as_str())
+    }
+
+    /// Member `key`'s string payload.
+    pub fn str(&self, key: &str) -> Option<&str> {
+        match self.get(key)? {
             Value::String(s) => Some(s),
             _ => None,
         }
     }
 
-    /// The numeric payload, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Number(x) => Some(*x),
+    /// Member `key` truncated to `u64` (row counters and ns fields).
+    pub fn u64(&self, key: &str) -> Option<u64> {
+        match self.get(key)? {
+            Value::Number(x) => Some(*x as u64),
             _ => None,
         }
-    }
-
-    /// The elements, if this is an array.
-    pub fn as_array(&self) -> Option<&[Value]> {
-        match self {
-            Value::Array(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The members, if this is an object.
-    pub fn as_object(&self) -> Option<&BTreeMap<String, Value>> {
-        match self {
-            Value::Object(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    /// The boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// Object member `k`, if this is an object containing it.
-    pub fn field(&self, k: &str) -> Option<&Value> {
-        self.as_object()?.get(k)
-    }
-
-    /// Object member `k`'s string payload — the one row-reader idiom for
-    /// every schema-plus-rows document.
-    pub fn field_str(&self, k: &str) -> Option<&str> {
-        self.field(k)?.as_str()
-    }
-
-    /// Object member `k` truncated to `u64` (row counters and ns fields).
-    pub fn field_u64(&self, k: &str) -> Option<u64> {
-        self.field(k)?.as_f64().map(|x| x as u64)
-    }
-
-    /// Object member `k` as a boolean.
-    pub fn field_bool(&self, k: &str) -> Option<bool> {
-        self.field(k)?.as_bool()
     }
 }
 
@@ -101,8 +73,7 @@ impl Value {
 pub enum JVal {
     /// An unsigned integer, rendered exactly (no `f64` precision loss).
     U64(u64),
-    /// A float rendered with one decimal (the trajectory format for
-    /// rates like events/sec).
+    /// A float rendered with one decimal (rates like events/sec).
     F1(f64),
     /// A string (escaped on render).
     Str(String),
@@ -117,461 +88,244 @@ impl JVal {
     pub(crate) fn opt_u64(v: Option<u64>) -> JVal {
         v.map_or(JVal::Null, JVal::U64)
     }
-
-    fn render_into(&self, out: &mut String) {
-        match self {
-            JVal::U64(x) => {
-                let _ = write!(out, "{x}");
-            }
-            JVal::F1(x) => {
-                let _ = write!(out, "{x:.1}");
-            }
-            JVal::Str(s) => {
-                let _ = write!(out, "\"{}\"", escape(s));
-            }
-            JVal::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
-            JVal::Null => out.push_str("null"),
-        }
-    }
-}
-
-/// Escapes `\`, `"` and every control character (named escapes where JSON
-/// has them, `\u00XX` otherwise) so arbitrary labels can't produce a
-/// document a conforming parser rejects.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            other => out.push(other),
-        }
-    }
-    out
 }
 
 /// One field of a row or of the document header.
 pub type Field = (&'static str, JVal);
 
-/// The *schema-plus-rows* document writer: a `schema` string, optional
-/// scalar header fields, and an array of flat rows, one row per line.
-/// Output round-trips through [`parse`]. Reached from outside the crate
-/// through [`crate::trajectory::Schema::render`], which names the columns.
-///
-/// # Examples
-///
-/// ```
-/// use gcl_bench::json::{parse, JVal};
-/// use gcl_bench::trajectory::{col, Schema};
-///
-/// static EXAMPLE: Schema = Schema {
-///     tag: "gcl-bench/example/v1",
-///     columns: &[col("name").key(), col("x")],
-///     coverage: |_| Ok(()),
-/// };
-/// let rows = [vec![JVal::Str("a".into()), JVal::U64(1)]];
-/// let text = EXAMPLE.render(vec![("mode", JVal::Str("quick".into()))], rows.into_iter());
-/// assert!(parse(&text).is_ok());
-/// assert_eq!(EXAMPLE.check(&text), Ok(1));
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct RowsDoc {
-    schema: &'static str,
-    top: Vec<Field>,
-    rows: Vec<Vec<Field>>,
+/// Escapes `\`, `"` and every control character (named escapes for
+/// newline, tab and carriage return, `\u00xx` otherwise) so arbitrary
+/// labels can't produce a document a conforming parser rejects.
+fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        let _ = match c {
+            '\\' | '"' => write!(out, "\\{c}"),
+            '\n' => write!(out, "\\n"),
+            '\t' => write!(out, "\\t"),
+            '\r' => write!(out, "\\r"),
+            c if c < ' ' => write!(out, "\\u{:04x}", c as u32),
+            c => write!(out, "{c}"),
+        };
+    }
+    out
 }
 
-impl RowsDoc {
-    /// An empty document carrying `schema`.
-    pub(crate) fn new(schema: &'static str) -> Self {
-        RowsDoc {
-            schema,
-            top: Vec::new(),
-            rows: Vec::new(),
+/// `"key": value`.
+fn member((key, val): &Field) -> String {
+    let val = match val {
+        JVal::U64(x) => x.to_string(),
+        JVal::F1(x) => format!("{x:.1}"),
+        JVal::Str(s) => format!("\"{}\"", escape(s)),
+        JVal::Bool(b) => b.to_string(),
+        JVal::Null => "null".into(),
+    };
+    format!("\"{}\": {val}", escape(key))
+}
+
+/// Renders a document: the `schema` tag and the `top` members one per
+/// line, then one row per line.
+pub(crate) fn render(tag: &str, top: &[Field], rows: impl Iterator<Item = Vec<Field>>) -> String {
+    let mut out = format!("{{\n  \"schema\": \"{}\",\n", escape(tag));
+    for field in top {
+        let _ = writeln!(out, "  {},", member(field));
+    }
+    out.push_str("  \"rows\": [");
+    for (i, row) in rows.enumerate() {
+        let cells: Vec<String> = row.iter().map(member).collect();
+        let sep = if i == 0 { "" } else { "," };
+        let _ = write!(out, "{sep}\n    {{{}}}", cells.join(", "));
+    }
+    out + "\n  ]\n}\n"
+}
+
+/// Reads a document [`render`] wrote: its header (the `schema` tag and
+/// the `top` members) and its rows.
+///
+/// # Errors
+///
+/// `line N: …` for the first line that breaks the layout.
+pub(crate) fn read(text: &str) -> Result<(Row, Vec<Row>), String> {
+    let at = |i: usize, e: &str| format!("line {}: {e}", i + 1);
+    let mut lines: Vec<&str> = text.split('\n').collect();
+    if lines.pop() != Some("") {
+        return Err(at(lines.len(), "no final newline"));
+    }
+    let line = |i: usize| lines.get(i).copied().ok_or_else(|| at(i, "ends early"));
+    if line(0)? != "{" {
+        return Err(at(0, "expected `{`"));
+    }
+    let mut head = Row::default();
+    let mut i = 1;
+    while line(i)? != "  \"rows\": [" {
+        let l = line(i)?;
+        let inner = l.strip_prefix("  ").and_then(|l| l.strip_suffix(','));
+        let mut c = Cursor(inner.ok_or_else(|| at(i, "expected `  \"key\": value,`"))?);
+        c.member(&mut head).map_err(|e| at(i, &e))?;
+        if !c.0.is_empty() {
+            return Err(at(i, "expected one member per header line"));
         }
+        i += 1;
     }
-
-    /// Appends a scalar header field (rendered between `schema` and
-    /// `rows`).
-    pub(crate) fn top(&mut self, key: &'static str, val: JVal) -> &mut Self {
-        self.top.push((key, val));
-        self
-    }
-
-    /// Appends one row.
-    pub(crate) fn row(&mut self, fields: Vec<Field>) -> &mut Self {
-        self.rows.push(fields);
-        self
-    }
-
-    /// Renders the document (pretty header, one row per line — the exact
-    /// layout of every committed trajectory file).
-    pub(crate) fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": \"{}\",", escape(self.schema));
-        for (key, val) in &self.top {
-            let _ = write!(out, "  \"{}\": ", escape(key));
-            val.render_into(&mut out);
-            out.push_str(",\n");
-        }
-        out.push_str("  \"rows\": [\n");
-        for (i, row) in self.rows.iter().enumerate() {
-            out.push_str("    {");
-            for (j, (key, val)) in row.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(out, "\"{}\": ", escape(key));
-                val.render_into(&mut out);
+    let (mut rows, mut comma) = (Vec::new(), true);
+    loop {
+        i += 1;
+        let l = line(i)?;
+        if l == "  ]" {
+            if comma && !rows.is_empty() {
+                return Err(at(i - 1, "trailing comma after the last row"));
             }
-            out.push('}');
-            out.push_str(if i + 1 == self.rows.len() {
-                "\n"
-            } else {
-                ",\n"
+            break;
+        }
+        if !comma {
+            return Err(at(i, "expected `  ]` after a row without a comma"));
+        }
+        comma = l.ends_with("},");
+        let end = if comma { "}," } else { "}" };
+        let inner = l.strip_prefix("    {").and_then(|l| l.strip_suffix(end));
+        let mut c = Cursor(inner.ok_or_else(|| at(i, "expected `    {…}`"))?);
+        let mut row = Row::default();
+        while !c.0.is_empty() {
+            if !row.0.is_empty() {
+                c.expect(", ").map_err(|e| at(i, &e))?;
+            }
+            c.member(&mut row).map_err(|e| at(i, &e))?;
+        }
+        rows.push(row);
+    }
+    if line(i + 1)? != "}" || lines.len() != i + 2 {
+        return Err(at(i + 1, "expected `}` and the end of the document"));
+    }
+    Ok((head, rows))
+}
+
+/// The unread rest of one line.
+struct Cursor<'a>(&'a str);
+
+impl Cursor<'_> {
+    fn expect(&mut self, lit: &str) -> Result<(), String> {
+        let rest = self.0.strip_prefix(lit);
+        self.0 = rest.ok_or_else(|| format!("expected `{lit}`"))?;
+        Ok(())
+    }
+
+    /// `"key": value`, appended to `row`.
+    fn member(&mut self, row: &mut Row) -> Result<(), String> {
+        let key = self.string()?;
+        self.expect(": ")?;
+        let value = if self.0.starts_with('"') {
+            Value::String(self.string()?)
+        } else {
+            self.scalar()?
+        };
+        if row.get(&key).is_some() {
+            return Err(format!("duplicate member {key:?}"));
+        }
+        row.0.push((key, value));
+        Ok(())
+    }
+
+    /// `null`, a boolean, or a number as `U64` or `F1` writes it.
+    fn scalar(&mut self) -> Result<Value, String> {
+        let (token, rest) = self.0.split_at(self.0.find(", ").unwrap_or(self.0.len()));
+        let f1 = |x: &f64| x.is_finite() && format!("{x:.1}") == token;
+        let number = match token.parse::<u64>() {
+            Ok(x) if x.to_string() == token => Some(x as f64),
+            _ => token.parse().ok().filter(f1),
+        };
+        self.0 = rest;
+        Ok(match (token, number) {
+            ("null", _) => Value::Null,
+            ("true" | "false", _) => Value::Bool(token == "true"),
+            (_, Some(x)) => Value::Number(x),
+            _ => return Err(format!("expected a scalar, found {token:?}")),
+        })
+    }
+
+    /// A string carrying only the escapes [`escape`] writes.
+    fn string(&mut self) -> Result<String, String> {
+        self.expect("\"")?;
+        let mut out = String::new();
+        let mut chars = self.0.char_indices();
+        while let Some((i, c)) = chars.next() {
+            out.push(match c {
+                '"' => {
+                    self.0 = &self.0[i + 1..];
+                    return Ok(out);
+                }
+                '\\' => {
+                    // Accepted iff `escape` writes exactly it for some character.
+                    let mut escaped = ['\\', '"'].into_iter().chain((0u8..0x20).map(char::from));
+                    let c = escaped
+                        .find(|c| self.0[i..].starts_with(&escape(&c.to_string())))
+                        .ok_or("an escape the writer never emits")?;
+                    // The rest of the escape, all ASCII.
+                    chars.nth(escape(&c.to_string()).len() - 2);
+                    c
+                }
+                c if c < ' ' => return Err(format!("raw control character {c:?} in a string")),
+                c => c,
             });
         }
-        out.push_str("  ]\n}\n");
-        out
-    }
-}
-
-/// Parses `text` as one JSON document (trailing garbage is an error).
-pub fn parse(text: &str) -> Result<Value, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing content at byte {}", p.pos));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at byte {}, found {:?}",
-                b as char,
-                self.pos,
-                self.peek().map(|c| c as char)
-            ))
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            other => Err(format!(
-                "unexpected {:?} at byte {}",
-                other.map(|c| c as char),
-                self.pos
-            )),
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            map.insert(key, self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(map));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut s = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => s.push('"'),
-                        b'\\' => s.push('\\'),
-                        b'/' => s.push('/'),
-                        b'n' => s.push('\n'),
-                        b't' => s.push('\t'),
-                        b'r' => s.push('\r'),
-                        b'b' => s.push('\u{8}'),
-                        b'f' => s.push('\u{c}'),
-                        b'u' => s.push(self.unicode_escape()?),
-                        other => {
-                            return Err(format!("unsupported escape \\{}", other as char));
-                        }
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so byte
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let ch = std::str::from_utf8(rest)
-                        .map_err(|e| e.to_string())?
-                        .chars()
-                        .next()
-                        .expect("peek saw a byte");
-                    s.push(ch);
-                    self.pos += ch.len_utf8();
-                }
-            }
-        }
-    }
-
-    /// Parses the `XXXX` of a `\uXXXX` escape (the `\u` is consumed),
-    /// combining a UTF-16 surrogate pair into one scalar when present.
-    fn unicode_escape(&mut self) -> Result<char, String> {
-        let unit = self.hex4()?;
-        match unit {
-            0xD800..=0xDBFF => {
-                // High surrogate: a low surrogate must follow.
-                if self.peek() == Some(b'\\') && self.bytes.get(self.pos + 1) == Some(&b'u') {
-                    self.pos += 2;
-                    let low = self.hex4()?;
-                    if !(0xDC00..=0xDFFF).contains(&low) {
-                        return Err(format!("invalid low surrogate {low:04x}"));
-                    }
-                    let scalar =
-                        0x10000 + ((u32::from(unit) - 0xD800) << 10) + (u32::from(low) - 0xDC00);
-                    char::from_u32(scalar).ok_or_else(|| "invalid surrogate pair".to_string())
-                } else {
-                    Err(format!("lone high surrogate \\u{unit:04x}"))
-                }
-            }
-            0xDC00..=0xDFFF => Err(format!("lone low surrogate \\u{unit:04x}")),
-            _ => char::from_u32(u32::from(unit)).ok_or_else(|| "invalid scalar".to_string()),
-        }
-    }
-
-    /// Reads exactly four hex digits (`from_str_radix` alone would also
-    /// accept a leading `+`, which JSON forbids).
-    fn hex4(&mut self) -> Result<u16, String> {
-        let end = self.pos + 4;
-        let digits = self
-            .bytes
-            .get(self.pos..end)
-            .and_then(|b| std::str::from_utf8(b).ok())
-            .ok_or("truncated \\u escape")?;
-        if !digits.bytes().all(|b| b.is_ascii_hexdigit()) {
-            return Err(format!("invalid \\u escape {digits:?}"));
-        }
-        let v = u16::from_str_radix(digits, 16)
-            .map_err(|_| format!("invalid \\u escape {digits:?}"))?;
-        self.pos = end;
-        Ok(v)
-    }
-
-    fn number(&mut self) -> Result<Value, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        // Greedily take every byte a JSON number may contain (including
-        // exponent signs); `f64::parse` rejects malformed arrangements.
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        text.parse::<f64>()
-            .map(Value::Number)
-            .map_err(|_| format!("invalid number {text:?} at byte {start}"))
+        Err("unterminated string".into())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use JVal::{Bool, Null, Str, F1, U64};
+
+    /// Two rows, the first one's `x` written as `x`.
+    fn doc(x: &str) -> String {
+        let row = |name: &str| vec![("name", Str(name.into())), ("x", U64(1))];
+        let text = render("s", &[("m", Null)], [row("a"), row("b")].into_iter());
+        text.replacen("\"x\": 1", &format!("\"x\": {x}"), 1)
+    }
 
     #[test]
     fn parses_scalars() {
-        assert_eq!(parse("null").unwrap(), Value::Null);
-        assert_eq!(parse("true").unwrap(), Value::Bool(true));
-        assert_eq!(parse(" false ").unwrap(), Value::Bool(false));
-        assert_eq!(parse("-12.5e2").unwrap(), Value::Number(-1250.0));
-        assert_eq!(parse("1e-5").unwrap(), Value::Number(1e-5));
-        assert!(parse("1-2").is_err(), "embedded minus is not a number");
-        assert_eq!(
-            parse("\"a\\nb\"").unwrap(),
-            Value::String("a\nb".to_string())
-        );
-    }
-
-    #[test]
-    fn parses_nested_structures() {
-        let v = parse(r#"{"rows": [{"x": 1, "ok": true}, {"x": 2}], "s": "hi"}"#).unwrap();
-        let obj = v.as_object().unwrap();
-        assert_eq!(obj.get("s").unwrap().as_str(), Some("hi"));
-        let rows = obj.get("rows").unwrap().as_array().unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(
-            rows[1].as_object().unwrap().get("x").unwrap().as_f64(),
-            Some(2.0)
-        );
-    }
-
-    #[test]
-    fn rejects_malformed() {
-        for bad in ["{", "[1,]", "{\"a\": }", "1 2", "\"open", "{\"a\" 1}", ""] {
-            assert!(parse(bad).is_err(), "{bad:?} should be rejected");
+        let x = |x: &str| read(&doc(x)).map(|(_, rows)| rows[0].get("x").cloned());
+        assert_eq!(x("null"), Ok(Some(Value::Null)));
+        assert_eq!(x("true"), Ok(Some(Value::Bool(true))));
+        assert_eq!(x("-0.5"), Ok(Some(Value::Number(-0.5))));
+        // Number forms JSON allows but `U64` and `F1` never write.
+        for bad in ["1e-5", "01", "1.", "1.25", ".5", "+1", "NaN", "-"] {
+            assert!(x(bad).is_err(), "{bad}");
         }
     }
 
     #[test]
-    fn empty_containers() {
-        assert_eq!(parse("[]").unwrap(), Value::Array(vec![]));
-        assert_eq!(parse("{}").unwrap(), Value::Object(BTreeMap::new()));
+    fn rejects_malformed() {
+        let one_line = "{\"schema\": \"s\", \"rows\": []}\n";
+        for bad in ["", "{", "{\n", "{\n}\n", "[]\n", one_line] {
+            assert!(read(bad).is_err(), "{bad:?}");
+        }
+        // Other whitespace, separator or line breaks; a key twice.
+        for (from, to) in [(" 1}", "  1}"), (": 1}", ":1}"), ("},", "},\n")] {
+            assert!(read(&doc("1").replacen(from, to, 1)).is_err(), "{to:?}");
+        }
+        assert!(read(&doc("1, \"x\": 2")).unwrap_err().contains("duplicate"));
     }
 
     #[test]
     fn rows_doc_round_trips_through_parser() {
-        let mut doc = RowsDoc::new("gcl-bench/test/v1");
-        doc.top("mode", JVal::Str("full".into()))
-            .top("threads", JVal::U64(4));
-        doc.row(vec![
-            ("name", JVal::Str("a \"quoted\"\nname".into())),
-            ("events", JVal::U64(u64::MAX)),
-            ("rate", JVal::F1(123.456)),
-            ("ok", JVal::Bool(true)),
-            ("latency", JVal::Null),
-        ]);
-        doc.row(vec![("name", JVal::Str("b".into()))]);
-        let text = doc.render();
-        let v = parse(&text).expect("round trip");
-        let obj = v.as_object().unwrap();
-        assert_eq!(
-            obj.get("schema").unwrap().as_str(),
-            Some("gcl-bench/test/v1")
-        );
-        assert_eq!(obj.get("mode").unwrap().as_str(), Some("full"));
-        assert_eq!(obj.get("threads").unwrap().as_f64(), Some(4.0));
-        let rows = obj.get("rows").unwrap().as_array().unwrap();
-        assert_eq!(rows.len(), 2);
-        let r0 = rows[0].as_object().unwrap();
-        assert_eq!(r0.get("name").unwrap().as_str(), Some("a \"quoted\"\nname"));
-        assert_eq!(r0.get("rate").unwrap().as_f64(), Some(123.5));
-        assert_eq!(r0.get("ok"), Some(&Value::Bool(true)));
-        assert_eq!(r0.get("latency"), Some(&Value::Null));
-    }
-
-    #[test]
-    fn unicode_escapes_parse_including_surrogate_pairs() {
-        assert_eq!(
-            parse("\"\\u0041\\u00e9\"").unwrap(),
-            Value::String("Aé".to_string())
-        );
-        assert_eq!(
-            parse("\"\\ud83d\\ude00\"").unwrap(),
-            Value::String("😀".to_string())
-        );
-        assert!(parse("\"\\ud83d\"").is_err(), "lone high surrogate");
-        assert!(parse("\"\\udc00\"").is_err(), "lone low surrogate");
-        assert!(parse("\"\\u12g4\"").is_err(), "bad hex digit");
-        assert!(parse("\"\\u12\"").is_err(), "truncated escape");
-        assert!(parse("\"\\u+0ff\"").is_err(), "leading '+' is not hex");
-        assert_eq!(
-            parse("\"\\b\\f\"").unwrap(),
-            Value::String("\u{8}\u{c}".to_string())
-        );
+        let mut hostile: String = (0u8..0x20).map(char::from).collect();
+        hostile.push_str("\"\\, }{é");
+        let s = Value::String(hostile.clone());
+        let cells = [
+            ("k\"ey, }{\n", Str(hostile.clone()), s),
+            ("u", U64(1 << 53), Value::Number(9_007_199_254_740_992.0)),
+            ("f", F1(123.456), Value::Number(123.5)),
+            ("t", Bool(true), Value::Bool(true)),
+            ("n", Null, Value::Null),
+        ];
+        let row = cells.iter().map(|(k, v, _)| (*k, v.clone())).collect();
+        let top = [("h", Str(hostile.clone()))];
+        let (head, rows) = read(&render(&hostile, &top, [row].into_iter())).unwrap();
+        assert_eq!([head.str("schema"), head.str("h")], [Some(&*hostile); 2]);
+        let want = cells.into_iter().map(|(k, _, v)| (k.to_string(), v));
+        assert_eq!(rows, [Row(want.collect())]);
     }
 
     #[test]
@@ -579,26 +333,48 @@ mod tests {
         // A hostile bench id with an ANSI escape and a backspace must
         // still render into a document a strict parser accepts.
         let hostile = "evil\u{1b}[31m\u{8}name";
-        let mut doc = RowsDoc::new("s");
-        doc.row(vec![("name", JVal::Str(hostile.to_string()))]);
-        let text = doc.render();
-        assert!(
-            !text.contains('\u{1b}') && !text.contains('\u{8}'),
-            "raw control bytes must not reach the document"
-        );
-        let v = parse(&text).expect("round trip");
-        let rows = v.as_object().unwrap().get("rows").unwrap();
-        let row = rows.as_array().unwrap()[0].as_object().unwrap();
-        assert_eq!(row.get("name").unwrap().as_str(), Some(hostile));
+        let text = render("s", &[("x", Str(hostile.into()))], std::iter::empty());
+        let raw = text.contains(['\u{1b}', '\u{8}']);
+        assert!(!raw, "raw control bytes in {text:?}");
+        assert_eq!(read(&text).unwrap().0.str("x"), Some(hostile));
     }
 
     #[test]
     fn rows_doc_empty_rows_is_valid() {
-        let doc = RowsDoc::new("s");
-        let v = parse(&doc.render()).unwrap();
-        assert_eq!(
-            v.as_object().unwrap().get("rows").unwrap().as_array(),
-            Some(&[][..])
-        );
+        let text = render("s", &[], std::iter::empty());
+        assert_eq!(text, "{\n  \"schema\": \"s\",\n  \"rows\": [\n  ]\n}\n");
+        assert_eq!(read(&text).unwrap().1, []);
+    }
+
+    #[test]
+    fn every_prefix_and_one_more_byte_is_rejected() {
+        let text = doc("\"é\\u0001\"");
+        assert!(read(&text).is_ok());
+        for end in (0..text.len()).filter(|&end| text.is_char_boundary(end)) {
+            assert!(read(&text[..end]).is_err(), "{:?}", &text[..end]);
+        }
+        for extra in [" ", "\n", "}", "x", "\0"] {
+            assert!(read(&format!("{text}{extra}")).is_err(), "{extra:?}");
+        }
+    }
+
+    #[test]
+    fn shapes_and_escapes_the_writer_never_emits_are_rejected() {
+        let esc = "line 5: an escape";
+        for (x, why) in [
+            ("\"\u{1}\"", "line 5: raw control character"),
+            ("\"\\/\"", esc),
+            ("\"\\b\"", esc),
+            ("\"\\u0041\"", esc),
+            ("\"\\u000a\"", esc),
+            ("[1]", "line 5: expected a scalar"),
+            ("{\"y\": 1}", "line 5: expected a scalar"),
+        ] {
+            assert!(read(&doc(x)).unwrap_err().starts_with(why), "{x:?}");
+        }
+        let err = read(&doc("1").replace("}\n  ]", "},\n  ]")).unwrap_err();
+        assert!(err.starts_with("line 6: trailing comma"), "{err}");
+        let late = doc("1").replace("  ]\n", "  ]\n  \"late\": 1,\n");
+        assert!(read(&late).unwrap_err().starts_with("line 8: expected `}`"));
     }
 }

@@ -7,11 +7,8 @@
 //!
 //! Binaries (`cargo run -p gcl_bench --release --bin <name>`):
 //!
-//! * `table1` — the complete Table 1 reproduction (paper bound vs measured).
 //! * `fig8` — the Figure 8 latency/communication tradeoff sweep over the
 //!   early-vote grid resolution `m`.
-//! * `lower_bounds` — replays the lower-bound executions and reports which
-//!   strawman broke and which real protocol survived.
 //! * `throughput` — simulator events/sec on the fixed [`throughput`]
 //!   scenarios; writes the repo-root `BENCH_sim.json` trajectory point and
 //!   backs the CI `bench-smoke` regression gate (`--quick --check`).
@@ -21,9 +18,12 @@
 //!   shapes × adversary mixes × seeds, audited for safety/validity and
 //!   emitted as a `gcl-bench/sweep/v1` report (CI `sweep-smoke` gate).
 //!
+//! The four report bins share one command line ([`trajectory::Args`]).
 //! Each trajectory file is described once, by the `SCHEMA` table next to
 //! the code that measures it; [`trajectory`] renders, checks and diffs
-//! every one of them from that table.
+//! every one of them from that table, in the one layout [`json`] defines.
+//! Table 1 and the lower-bound executions are printed by the
+//! `latency_categorization` and `adversary_gallery` examples.
 //!
 //! [`conformance`] runs every registered family on both execution
 //! targets — the simulator and `gcl_net`'s wall engine — and compares
@@ -56,8 +56,8 @@ pub fn registry() -> &'static ScenarioRegistry {
     })
 }
 
-pub use conformance::{conformance_cells, wall_backend, wall_spec, BackendRun, ConformanceCell};
-pub use netlat::{net_latency_rows, scale_rows, NetLatencyRow};
+pub use conformance::{conformance_cells, wall_backend, wall_spec, ConformanceCell};
+pub use netlat::{net_latency_rows, NetLatencyRow};
 pub use scenarios::{
     canonical, fig8_rows, majority_rows, run, table1_rows, Fig8Row, MajorityRow, Table1Row,
 };

@@ -3,9 +3,9 @@
 //!
 //! `BENCH_sim.json` tracks simulator *throughput* per PR; this module
 //! tracks wall-clock *runtime overhead* the same way. For every registered
-//! family it runs the wall-safe conformance spec on the wall engine
-//! ([`crate::conformance::wall_backend`]) and records the good-case wall
-//! latency next to the spec's injected ideal — δ' per hop, so a 2-round
+//! family it takes the wall run of its conformance cell
+//! ([`crate::conformance::conformance_cells`]) and records the good-case
+//! wall latency next to the spec's injected ideal — δ' per hop, so a 2-round
 //! protocol's floor is `2δ'`. The gap between the measured column and the
 //! floor is scheduler, codec and syscall overhead; watching it per PR is
 //! how a runtime regression (a lost fast path, an accidental sleep) shows
@@ -29,11 +29,11 @@
 //! cargo run --release -p gcl_bench --bin net_latency -- --out BENCH_net.json
 //! ```
 
-use crate::conformance::{wall_backend, wall_spec, WALL_DELTA};
+use crate::conformance::{conformance_cells, wall_backend, wall_spec, WALL_DELTA};
 use crate::json::JVal;
 use crate::registry;
 use crate::trajectory::{col, Gate, Need, Schema};
-use gcl_sim::{Backend, ScenarioSpec, SchedCounters};
+use gcl_sim::{Backend, Outcome, ScenarioSpec, SchedCounters};
 use gcl_types::Duration as SimDuration;
 use std::time::Duration;
 
@@ -59,8 +59,7 @@ pub static SCHEMA: Schema = Schema {
     coverage: |rows| {
         let has = |key: &str, n: Option<usize>| {
             rows.iter().any(|r| {
-                r.field_str("family") == Some(key)
-                    && n.is_none_or(|n| r.field_u64("n") == Some(n as u64))
+                r.str("family") == Some(key) && n.is_none_or(|n| r.u64("n") == Some(n as u64))
             })
         };
         if let Some(key) = registry().keys().find(|key| !has(key, None)) {
@@ -117,32 +116,40 @@ pub struct NetLatencyRow {
     pub sched: Option<SchedCounters>,
 }
 
-/// Measures one spec of family `key` on the wall engine.
-fn measure(key: &'static str, spec: &ScenarioSpec, deadline: Duration) -> NetLatencyRow {
-    let backend = wall_backend(deadline);
-    let o = registry()
-        .run_on(spec, &backend)
-        .unwrap_or_else(|e| panic!("{key} n={}: wall run rejected: {e}", spec.n));
-    NetLatencyRow {
-        family: key,
-        backend: backend.name(),
-        n: spec.n,
-        f: spec.f,
-        delta_us: WALL_DELTA.as_micros(),
-        latency_us: o.good_case_latency().map(|d| d.as_micros()),
-        agreement: o.agreement_holds(),
-        messages: o.messages_sent(),
-        sched: o.sched_counters(),
+impl NetLatencyRow {
+    /// The row of one wall run of `family` on `backend`.
+    fn of(family: &'static str, backend: &'static str, o: &Outcome) -> Self {
+        NetLatencyRow {
+            family,
+            backend,
+            n: o.config().n(),
+            f: o.config().f(),
+            delta_us: WALL_DELTA.as_micros(),
+            latency_us: o.good_case_latency().map(|d| d.as_micros()),
+            agreement: o.agreement_holds(),
+            messages: o.messages_sent(),
+            sched: o.sched_counters(),
+        }
     }
 }
 
-/// Runs every registered family's wall-safe spec on the wall engine and
-/// reports rows in family order.
+/// Every `BENCH_net.json` row: one per registered family, taken from its
+/// conformance cell's wall run, then the [`SCALE_FAMILIES`] ×
+/// [`SCALE_NS`] grid (the worker pool at its default `min(cores, 8)`).
 pub fn net_latency_rows() -> Vec<NetLatencyRow> {
-    let reg = registry();
-    reg.keys()
-        .map(|key| measure(key, &wall_spec(reg, key), CATALOG_DEADLINE))
-        .collect()
+    let cells = conformance_cells(CATALOG_DEADLINE).into_iter();
+    let mut rows: Vec<_> = cells
+        .map(|c| NetLatencyRow::of(c.family, c.backend, &c.wall))
+        .collect();
+    let backend = wall_backend(SCALE_DEADLINE);
+    for key in SCALE_FAMILIES {
+        for n in SCALE_NS {
+            let o = registry().run_on(&scale_spec(key, n), &backend);
+            let o = o.unwrap_or_else(|e| panic!("{key} n={n}: wall run rejected: {e}"));
+            rows.push(NetLatencyRow::of(key, backend.name(), &o));
+        }
+    }
+    rows
 }
 
 /// The wall-safe spec of one scale row: the family's conformance spec
@@ -155,19 +162,6 @@ pub fn scale_spec(key: &str, n: usize) -> ScenarioSpec {
     wall_spec(registry(), key)
         .with_shape(n, 1)
         .with_bounds(WALL_DELTA, SimDuration::from_millis(5_000))
-}
-
-/// Measures the [`SCALE_FAMILIES`] × [`SCALE_NS`] grid (the worker pool
-/// at its default `min(cores, 8)`).
-pub fn scale_rows() -> Vec<NetLatencyRow> {
-    SCALE_FAMILIES
-        .iter()
-        .flat_map(|&key| {
-            SCALE_NS
-                .iter()
-                .map(move |&n| measure(key, &scale_spec(key, n), SCALE_DEADLINE))
-        })
-        .collect()
 }
 
 /// Renders rows as the `BENCH_net.json` document.
@@ -202,14 +196,11 @@ mod tests {
     fn rendered_rows_pass_their_own_check() {
         // Two fast families keep the unit test cheap; the full-catalog
         // document is exercised by the net_latency bin and its CI job.
-        let reg = registry();
-        let rows: Vec<NetLatencyRow> = ["brb2", "one_round_brb"]
-            .iter()
-            .map(|key| {
-                let key = reg.family(key).unwrap().key();
-                measure(key, &wall_spec(reg, key), Duration::from_secs(2))
-            })
-            .collect();
+        let (reg, backend) = (registry(), wall_backend(Duration::from_secs(2)));
+        let rows = ["brb2", "one_round_brb"].map(|key| {
+            let o = reg.run_on(&wall_spec(reg, key), &backend).unwrap();
+            NetLatencyRow::of(key, backend.name(), &o)
+        });
         // Both rows pass every cell; the partial document then fails
         // coverage (families are missing), which is what coverage is for.
         let err = SCHEMA.check(&render_json(&rows)).unwrap_err();

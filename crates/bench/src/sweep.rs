@@ -9,9 +9,9 @@
 //! (conditional) validity is a red build — the `sweep` binary and the CI
 //! `sweep-smoke` job both fail on it.
 
-use crate::json::{JVal, Value};
+use crate::json::{JVal, Row, Value};
 use crate::registry;
-use crate::trajectory::{col, rows_of, Need, Schema};
+use crate::trajectory::{col, Need, Schema};
 use gcl_sim::{AdversaryMix, DelayChoice, ScenarioSpec, Sweep, SweepReport};
 use gcl_types::Duration;
 
@@ -254,17 +254,16 @@ pub struct ReportSummary {
 ///
 /// A human-readable description of the first structural problem.
 pub fn validate_report(text: &str) -> Result<ReportSummary, String> {
-    let (doc, ids) = SCHEMA.audit(text)?;
-    let rows = rows_of(&doc);
-    let count = |pred: fn(&Value) -> bool| rows.iter().filter(|r| pred(r)).count();
+    let (head, rows, ids) = SCHEMA.audit(text)?;
+    let count = |pred: fn(&Row) -> bool| rows.iter().filter(|r| pred(r)).count();
     let summary = ReportSummary {
         cells: ids.len(),
-        cells_run: count(|r| r.field("skipped") == Some(&Value::Null)),
-        safety_violations: count(|r| r.field_bool("agreement") != Some(true)),
-        validity_violations: count(|r| r.field_bool("validity") != Some(true)),
+        cells_run: count(|r| r.get("skipped") == Some(&Value::Null)),
+        safety_violations: count(|r| r.get("agreement") != Some(&Value::Bool(true))),
+        validity_violations: count(|r| r.get("validity") != Some(&Value::Bool(true))),
     };
     let header = |k: &str| -> Result<usize, String> {
-        doc.field_u64(k)
+        head.u64(k)
             .map(|x| x as usize)
             .ok_or_else(|| format!("missing numeric header field {k:?}"))
     };
@@ -331,18 +330,23 @@ mod tests {
 
     #[test]
     fn validate_rejects_malformed_and_inconsistent() {
-        assert!(validate_report("{").is_err());
-        assert!(validate_report("{\"schema\": \"nope\", \"rows\": []}").is_err());
-        assert!(
-            validate_report("{\"schema\": \"gcl-bench/sweep/v1\", \"rows\": []}").is_err(),
-            "empty sweep rejected"
-        );
+        // Every case is a rendered report with one edit, so each fails for
+        // the reason it names and not for its layout.
+        let render = |cells: Vec<ScenarioSpec>| {
+            let report = Sweep::new(registry()).cells(cells).seed(7).run();
+            render_report(&report, "test", 7)
+        };
+        let err = validate_report("{").unwrap_err();
+        assert!(err.starts_with("malformed JSON: line 1: "), "{err}");
+        let empty = render(Vec::new());
+        let err = validate_report(&empty).unwrap_err();
+        assert_eq!(err, "empty sweep: no cells");
+        let err = validate_report(&empty.replace("gcl-bench/sweep/v1", "nope")).unwrap_err();
+        assert!(err.starts_with("schema is Some(\"nope\")"), "{err}");
         // A row missing its audit flags is malformed.
-        let bad = "{\"schema\": \"gcl-bench/sweep/v1\", \"cells\": 1, \"cells_run\": 1, \
-                   \"safety_violations\": 0, \"validity_violations\": 0, \
-                   \"rows\": [{\"cell\": \"x\", \"family\": \"y\", \"n\": 4, \"f\": 1, \
-                   \"seed\": 0, \"events\": 1, \"messages\": 1, \"peak_queue\": 1}]}";
-        let err = validate_report(bad).unwrap_err();
-        assert!(err.contains("missing column \"committed\""), "{err}");
+        let one = render(default_grid(true).into_iter().take(1).collect());
+        assert_eq!(validate_report(&one).map(|s| s.cells), Ok(1));
+        let err = validate_report(&one.replace("\"committed\": true, ", "")).unwrap_err();
+        assert_eq!(err, "row 0: missing column \"committed\"");
     }
 }

@@ -19,7 +19,7 @@
 //! anything better never does, and a `null` on either side is not
 //! compared (the column's `Need` decides whether `null` is allowed).
 
-use crate::json::{parse, Field, JVal, RowsDoc, Value};
+use crate::json::{read, render, Field, JVal, Row, Value};
 use std::process::ExitCode;
 
 /// What a cell must satisfy for its row to count as measured.
@@ -39,12 +39,13 @@ pub enum Need {
 
 impl Need {
     fn holds(self, v: &Value) -> bool {
-        match self {
-            Need::Any => true,
-            Need::Some => *v != Value::Null,
-            Need::True => v.as_bool() == Some(true),
-            Need::Positive => v.as_f64().is_some_and(|x| x > 0.0),
-            Need::Is(s) => v.as_str() == Some(s),
+        match (self, v) {
+            (Need::Any, _) => true,
+            (Need::Some, v) => *v != Value::Null,
+            (Need::True, v) => *v == Value::Bool(true),
+            (Need::Positive, Value::Number(x)) => *x > 0.0,
+            (Need::Is(s), Value::String(v)) => v == s,
+            _ => false,
         }
     }
 }
@@ -111,18 +112,11 @@ pub struct Schema {
     /// The columns of every row, in file order; at least one is a key.
     pub columns: &'static [Column],
     /// Which rows must exist, given every row already passed its cells.
-    pub coverage: fn(&[Value]) -> Result<(), String>,
+    pub coverage: fn(&[Row]) -> Result<(), String>,
 }
 
-/// The rows of a document [`Schema::audit`] returned.
-pub(crate) fn rows_of(doc: &Value) -> &[Value] {
-    doc.field("rows")
-        .and_then(Value::as_array)
-        .expect("audited document has rows")
-}
-
-fn cell<'r>(row: &'r Value, c: &Column) -> &'r Value {
-    row.field(c.name).expect("audited row has every column")
+fn cell<'r>(row: &'r Row, c: &Column) -> &'r Value {
+    row.get(c.name).expect("audited row has every column")
 }
 
 /// A cell as it reads in the file, for error messages.
@@ -132,7 +126,6 @@ fn show(v: &Value) -> String {
         Value::Bool(b) => b.to_string(),
         Value::Number(x) => x.to_string(),
         Value::String(s) => format!("{s:?}"),
-        nested => format!("{nested:?}"),
     }
 }
 
@@ -143,16 +136,29 @@ impl Schema {
     /// # Panics
     ///
     /// Panics if a cell list's length differs from the table's.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use gcl_bench::json::JVal;
+    /// use gcl_bench::trajectory::{col, Schema};
+    ///
+    /// static EXAMPLE: Schema = Schema {
+    ///     tag: "gcl-bench/example/v1",
+    ///     columns: &[col("name").key(), col("x")],
+    ///     coverage: |_| Ok(()),
+    /// };
+    /// let rows = [vec![JVal::Str("a".into()), JVal::U64(1)]];
+    /// let text = EXAMPLE.render(vec![("mode", JVal::Str("quick".into()))], rows.into_iter());
+    /// assert!(text.ends_with("  \"rows\": [\n    {\"name\": \"a\", \"x\": 1}\n  ]\n}\n"));
+    /// assert_eq!(EXAMPLE.check(&text), Ok(1));
+    /// ```
     pub fn render(&self, top: Vec<Field>, rows: impl Iterator<Item = Vec<JVal>>) -> String {
-        let mut doc = RowsDoc::new(self.tag);
-        for (key, val) in top {
-            doc.top(key, val);
-        }
-        for cells in rows {
+        let rows = rows.map(|cells| {
             assert_eq!(cells.len(), self.columns.len(), "{}: cell count", self.tag);
-            doc.row(self.columns.iter().map(|c| c.name).zip(cells).collect());
-        }
-        doc.render()
+            self.columns.iter().map(|c| c.name).zip(cells).collect()
+        });
+        render(self.tag, &top, rows)
     }
 
     /// Audits one document; returns its row count.
@@ -163,24 +169,17 @@ impl Schema {
     /// whose column set is not the table's, a cell failing its [`Need`],
     /// two rows with one identity, or a coverage gap.
     pub fn check(&self, text: &str) -> Result<usize, String> {
-        self.audit(text).map(|(_, ids)| ids.len())
+        self.audit(text).map(|(_, rows, _)| rows.len())
     }
 
-    /// [`Schema::check`], handing back the parsed document and each row's
-    /// identity.
-    pub(crate) fn audit(&self, text: &str) -> Result<(Value, Vec<String>), String> {
-        let doc = parse(text).map_err(|e| format!("malformed JSON: {e}"))?;
-        if doc.field_str("schema") != Some(self.tag) {
-            return Err(format!(
-                "schema is {:?}, expected {:?}",
-                doc.field_str("schema"),
-                self.tag
-            ));
+    /// [`Schema::check`], handing back the document's header, its rows
+    /// and each row's identity.
+    pub(crate) fn audit(&self, text: &str) -> Result<(Row, Vec<Row>, Vec<String>), String> {
+        let (head, rows) = read(text).map_err(|e| format!("malformed JSON: {e}"))?;
+        let tag = head.str("schema");
+        if tag != Some(self.tag) {
+            return Err(format!("schema is {tag:?}, expected {:?}", self.tag));
         }
-        let rows = doc
-            .field("rows")
-            .and_then(Value::as_array)
-            .ok_or("missing rows array")?;
         let mut ids = Vec::with_capacity(rows.len());
         for (i, row) in rows.iter().enumerate() {
             let id = self.audit_row(row).map_err(|e| format!("row {i}: {e}"))?;
@@ -189,36 +188,33 @@ impl Schema {
             }
             ids.push(id);
         }
-        (self.coverage)(rows)?;
-        Ok((doc, ids))
+        (self.coverage)(&rows)?;
+        Ok((head, rows, ids))
     }
 
     /// Column set, identity, then every cell's need; returns the identity.
-    fn audit_row(&self, row: &Value) -> Result<String, String> {
-        let cells = row.as_object().ok_or("not an object")?;
-        if let Some(c) = self.columns.iter().find(|c| !cells.contains_key(c.name)) {
+    fn audit_row(&self, row: &Row) -> Result<String, String> {
+        if let Some(c) = self.columns.iter().find(|c| row.get(c.name).is_none()) {
             return Err(format!("missing column {:?}", c.name));
         }
-        if let Some(k) = cells
-            .keys()
-            .find(|k| self.columns.iter().all(|c| c.name != *k))
-        {
+        let known = |k: &str| self.columns.iter().any(|c| c.name == k);
+        if let Some(k) = row.keys().find(|k| !known(k)) {
             return Err(format!("unknown column {k:?}"));
         }
         let mut id = Vec::new();
         for c in self.columns.iter().filter(|c| c.key) {
-            id.push(match &cells[c.name] {
+            id.push(match cell(row, c) {
                 Value::String(s) => format!("{}={s}", c.name),
                 Value::Number(x) => format!("{}={x}", c.name),
                 other => return Err(format!("identity column {} is {}", c.name, show(other))),
             });
         }
         let id = id.join(" ");
-        match self.columns.iter().find(|c| !c.need.holds(&cells[c.name])) {
+        match self.columns.iter().find(|c| !c.need.holds(cell(row, c))) {
             Some(c) => Err(format!(
                 "[{id}] {} is {}, need {:?}",
                 c.name,
-                show(&cells[c.name]),
+                show(cell(row, c)),
                 c.need
             )),
             None => Ok(id),
@@ -233,28 +229,28 @@ impl Schema {
     /// Either document failing [`Schema::check`], a row present on one
     /// side only, or the first gated column that moved too far.
     pub fn diff(&self, baseline: &str, fresh: &str) -> Result<String, String> {
-        let (new, new_ids) = self.audit(fresh).map_err(|e| format!("fresh: {e}"))?;
-        let (base, base_ids) = self.audit(baseline).map_err(|e| format!("baseline: {e}"))?;
+        let (_, new, new_ids) = self.audit(fresh).map_err(|e| format!("fresh: {e}"))?;
+        let (_, base, base_ids) = self.audit(baseline).map_err(|e| format!("baseline: {e}"))?;
         if let Some(id) = new_ids.iter().find(|id| !base_ids.contains(id)) {
             return Err(format!(
                 "fresh row [{id}] is not in the baseline (regenerate the committed file)"
             ));
         }
         let mut worst: Option<(f64, String)> = None;
-        for (id, b) in base_ids.iter().zip(rows_of(&base)) {
+        for (id, b) in base_ids.iter().zip(&base) {
             let Some(at) = new_ids.iter().position(|k| k == id) else {
                 return Err(format!("baseline row [{id}] has no fresh counterpart"));
             };
-            let f = &rows_of(&new)[at];
+            let f = &new[at];
             for c in self.columns {
                 let (b, f) = (cell(b, c), cell(f, c));
                 let moved = |rule: String| {
                     format!("[{id}] {} went {} -> {} ({rule})", c.name, show(b), show(f))
                 };
-                let (k, ratio) = match (c.gate, b.as_f64(), f.as_f64()) {
+                let (k, ratio) = match (c.gate, b, f) {
                     (Gate::Exact, ..) if b != f => return Err(moved("exact column".into())),
-                    (Gate::Lower(k), Some(x), Some(y)) => (k, y / x),
-                    (Gate::Higher(k), Some(x), Some(y)) => (k, x / y),
+                    (Gate::Lower(k), Value::Number(x), Value::Number(y)) => (k, y / x),
+                    (Gate::Higher(k), Value::Number(x), Value::Number(y)) => (k, x / y),
                     _ => continue,
                 };
                 if ratio > k {

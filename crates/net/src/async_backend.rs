@@ -63,7 +63,6 @@ use crate::engine::{
     KIND_STOP, KIND_TIMER, KIND_UNICAST,
 };
 use crate::wheel::TimerWheel;
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use gcl_sim::{
     Backend, CommitRecord, ErasedMsg, ErasedSlot, MsgCodec, Outcome, ScenarioError,
     ScenarioRegistry, ScenarioSpec, SchedCounters, Strategy,
@@ -72,6 +71,7 @@ use gcl_types::{Encode, GlobalTime, PartyId};
 use mio::{Events, Interest, Poll, Registry, Token};
 use parking_lot::Mutex;
 use std::io::{self, Read, Write};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -670,9 +670,9 @@ pub(crate) fn run_async_slots(
     wake_w.set_nonblocking(true).expect("nonblocking");
     let wake_w = Arc::new(wake_w);
 
-    let (sub_tx, sub_rx) = unbounded::<Submission>();
-    let (done_tx, done_rx) = unbounded::<()>();
-    let (client_tx, client_rx) = unbounded::<Vec<u8>>();
+    let (sub_tx, sub_rx) = channel::<Submission>();
+    let (done_tx, done_rx) = channel::<()>();
+    let (client_tx, client_rx) = channel::<Vec<u8>>();
     let shutdown_tx = sub_tx.clone();
     let driver_handle = driver.map(|driver| {
         let handle = ClientHandle::new(sub_tx.clone(), client_rx, Arc::clone(&wake_w));
@@ -1154,8 +1154,8 @@ mod tests {
             open: true,
             registered: None,
         };
-        let (done_tx, _done_rx) = unbounded::<()>();
-        let (result_tx, result_rx) = unbounded();
+        let (done_tx, _done_rx) = channel::<()>();
+        let (result_tx, result_rx) = channel();
         let worker = thread::spawn(move || {
             let commits = Arc::new(Mutex::new(Vec::new()));
             let codec = MsgCodec::of::<u64>();

@@ -37,7 +37,6 @@
 //! is fuzzed one byte at a time in the tests below. A length prefix above
 //! [`MAX_FRAME`] marks the peer as garbled instead of being buffered for.
 
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use gcl_sim::{CommitRecord, Context, ScenarioSpec, Strategy};
 use gcl_types::{
     Config, Decode, Duration as SimDuration, Encode, GlobalTime, LocalTime, PartyId, Value,
@@ -45,6 +44,7 @@ use gcl_types::{
 use parking_lot::Mutex;
 use std::collections::BinaryHeap;
 use std::io::{self, Read, Write};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 

@@ -3,7 +3,7 @@
 //!
 //! A [`Sweep`] takes a registry and a list of cells, derives per-cell
 //! seeds from one base seed, and runs the cells on `threads` workers
-//! (crossbeam channel aggregation, atomic work-stealing cursor). The
+//! (`std::sync::mpsc` channel aggregation, atomic work-stealing cursor). The
 //! resulting [`SweepReport`] is **identical for identical (cells, base
 //! seed)** regardless of thread count or scheduling: each cell is an
 //! independent deterministic simulation, and results are re-assembled in
@@ -55,8 +55,8 @@
 
 use crate::backend::{Backend, SimBackend};
 use crate::scenario::{derive_cell_seed, ScenarioRegistry, ScenarioSpec};
-use crossbeam::channel;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 use std::time::Instant;
 
 /// The default execution target of a sweep.
@@ -277,7 +277,7 @@ impl<'a> Sweep<'a> {
         let mut results: Vec<Option<CellReport>> = (0..cells.len()).map(|_| None).collect();
         if !cells.is_empty() {
             let cursor = AtomicUsize::new(0);
-            let (tx, rx) = channel::unbounded::<(usize, CellReport)>();
+            let (tx, rx) = mpsc::channel::<(usize, CellReport)>();
             let specs: &[ScenarioSpec] = &cells;
             std::thread::scope(|scope| {
                 for _ in 0..threads {

@@ -1,7 +1,6 @@
-//! The complete categorization, live: sweeps every resilience regime of
-//! Table 1 and prints measured good-case latency against the tight bound —
-//! every measurement a registry [`gcl::sim::ScenarioSpec`], no per-protocol
-//! wiring.
+//! The complete categorization, live: every row of the paper's Table 1
+//! measured against its tight bound — every measurement a registry
+//! [`gcl::sim::ScenarioSpec`], no per-protocol wiring.
 //!
 //! ```sh
 //! cargo run --release --example latency_categorization
@@ -11,23 +10,13 @@
 //! its `gcl_core` module (`register_fn(key, description, band, validity,
 //! canonical_spec, runner)`); the catalog printed below, the tables, the
 //! sweep grid and the property suites all pick it up from the registry.
+//! Exits nonzero if any row misses its bound.
 
 use gcl::core::registry;
-use gcl::sim::{Outcome, ScenarioRegistry};
+use gcl_bench::table1_rows;
+use std::process::ExitCode;
 
-fn show(label: &str, bound: &str, o: &Outcome) {
-    println!(
-        "{label:<52} bound {bound:<16} measured {}",
-        o.good_case_latency().expect("good case commits"),
-    );
-}
-
-fn run_row(reg: &ScenarioRegistry, family: &str, n: usize, f: usize) -> Outcome {
-    let spec = reg.spec(family).expect("registered").with_shape(n, f);
-    reg.run(&spec).expect("shape in band")
-}
-
-fn main() {
+fn main() -> ExitCode {
     let reg = registry();
 
     println!("Registered protocol families ({}):", reg.len());
@@ -40,60 +29,37 @@ fn main() {
         );
     }
 
-    println!("\nGood-case latency categorization (δ = 100us, Δ = 1000us)\n");
-
-    // (family, n, f, band label, bound label) — presentation only; the
-    // execution comes entirely from the registry spec.
-    let rows = [
-        (
-            "bb_2delta",
-            4,
-            1,
-            "0 < f < n/3          2δ-BB, n=4 f=1",
-            "2δ = 200us",
-        ),
-        (
-            "bb_third",
-            3,
-            1,
-            "f = n/3              (Δ+δ)-n/3-BB, n=3 f=1",
-            "Δ+δ = 1100us",
-        ),
-        (
-            "bb_sync_start",
-            5,
-            2,
-            "n/3 < f < n/2 sync   (Δ+δ)-BB, n=5 f=2",
-            "Δ+δ = 1100us",
-        ),
-        (
-            "bb_unsync",
-            5,
-            2,
-            "n/3 < f < n/2 unsync (Δ+1.5δ)-BB, n=5 f=2",
-            "Δ+1.5δ = 1150us",
-        ),
-    ];
-    for (family, n, f, label, bound) in rows {
-        show(label, bound, &run_row(&reg, family, n, f));
-    }
-
-    // n/2 ≤ f — Θ(n/(n−f))Δ; the canonical bb_majority spec carries its
-    // all-f-silent adversary mix.
-    for (n, f) in [(4usize, 2usize), (10, 8)] {
-        let o = run_row(&reg, "bb_majority", n, f);
-        let k = n / (n - f);
-        show(
-            &format!("n/2 ≤ f              TrustCast BB, n={n} f={f}"),
-            &format!("Θ({k}·Δ)"),
-            &o,
+    println!("\nTable 1 reproduction (delta = 100us actual, Delta = 1000us conservative)\n");
+    println!(
+        "| {:<38} | {:<20} | {:<34} | n,f   | paper bound          | measured   | rounds | ok |",
+        "problem", "resilience", "protocol"
+    );
+    println!(
+        "|{}|{}|{}|-------|----------------------|------------|--------|----|",
+        "-".repeat(40),
+        "-".repeat(22),
+        "-".repeat(36)
+    );
+    let mut all_ok = true;
+    for row in table1_rows() {
+        all_ok &= row.matches();
+        println!(
+            "| {:<38} | {:<20} | {:<34} | {:>2},{:<2} | {:<20} | {:>7}us | {:<6} | {}  |",
+            row.problem,
+            row.resilience,
+            row.protocol,
+            row.n,
+            row.f,
+            row.paper,
+            row.measured_us,
+            row.rounds.map_or("-".to_string(), |r| r.to_string()),
+            if row.matches() { "y" } else { "N" },
         );
     }
-
-    // Partial synchrony comparison at n = 4 (the Liskov question).
-    let o = run_row(&reg, "vbb5f1", 4, 1);
-    println!(
-        "\npsync n=4 f=1: (5f−1)-VBB commits in {} rounds — PBFT's 3 rounds are NOT optimal.",
-        o.good_case_rounds().expect("commits")
-    );
+    if all_ok {
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("a measured latency exceeds its bound (rows marked N)");
+        ExitCode::FAILURE
+    }
 }
