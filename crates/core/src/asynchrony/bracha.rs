@@ -9,9 +9,9 @@
 //! Echo on the first proposal; ready on `n−f` echoes or `f+1` readies;
 //! deliver (commit) on `n−f` readies. `n ≥ 3f + 1`.
 
+use crate::Tally;
 use gcl_sim::{Context, Protocol};
 use gcl_types::{Config, PartyId, Value};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Wire messages of Bracha's broadcast. Unauthenticated: no signatures;
 /// identity comes from the (authenticated-channel) sender id.
@@ -62,8 +62,8 @@ pub struct BrachaBrb {
     echoed: bool,
     readied: bool,
     committed: bool,
-    echoes: BTreeMap<Value, BTreeSet<PartyId>>,
-    readies: BTreeMap<Value, BTreeSet<PartyId>>,
+    echoes: Tally<Value, ()>,
+    readies: Tally<Value, ()>,
 }
 
 impl BrachaBrb {
@@ -84,8 +84,8 @@ impl BrachaBrb {
             echoed: false,
             readied: false,
             committed: false,
-            echoes: BTreeMap::new(),
-            readies: BTreeMap::new(),
+            echoes: Tally::new(),
+            readies: Tally::new(),
         }
     }
 
@@ -103,10 +103,10 @@ impl BrachaBrb {
         let ready_amplify = f + 1;
         let deliver_quorum = n - f;
 
-        if self.echoes.get(&v).map_or(0, BTreeSet::len) >= echo_quorum {
+        if self.echoes.count(&v) >= echo_quorum {
             self.send_ready(v, ctx);
         }
-        let readies = self.readies.get(&v).map_or(0, BTreeSet::len);
+        let readies = self.readies.count(&v);
         if readies >= ready_amplify {
             self.send_ready(v, ctx);
         }
@@ -146,11 +146,11 @@ impl Protocol for BrachaBrb {
                 }
             }
             BrachaMsg::Echo(v) => {
-                self.echoes.entry(v).or_default().insert(from);
+                let _ = self.echoes.insert(v, from, ());
                 self.check_progress(v, ctx);
             }
             BrachaMsg::Ready(v) => {
-                self.readies.entry(v).or_default().insert(from);
+                let _ = self.readies.insert(v, from, ());
                 self.check_progress(v, ctx);
             }
         }

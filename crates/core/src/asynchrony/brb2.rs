@@ -11,57 +11,21 @@
 //! Good-case latency is exactly 2 asynchronous rounds (propose → vote →
 //! commit), which Theorem 4 shows is optimal: no BRB can commit in 1 round.
 
-use gcl_crypto::{Digest, Signature, Signer, Verifier, Verify};
+use crate::{SignedValue, Tally};
+use gcl_crypto::{Digest, Signer, Verifier, Verify};
 use gcl_sim::{Context, Protocol, Strategy};
 use gcl_types::{Config, PartyId, Value};
-use std::collections::{BTreeMap, HashMap};
-
-/// A vote `⟨vote, v⟩_i`: value plus the voter's signature.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SignedVote {
-    /// The voted value.
-    pub value: Value,
-    /// The voter's signature over `("brb2-vote", value)`.
-    pub sig: Signature,
-}
-
-impl SignedVote {
-    /// The digest a brb2 vote signs.
-    pub fn digest(value: Value) -> Digest {
-        Digest::of(&("brb2-vote", value))
-    }
-
-    /// Creates a vote signed by `signer`.
-    pub fn new(signer: &Signer, value: Value) -> Self {
-        SignedVote {
-            value,
-            sig: signer.sign(Self::digest(value)),
-        }
-    }
-
-    /// Verifies the signature.
-    pub fn verify(&self, v: &impl Verify) -> bool {
-        v.verify_embedded(Self::digest(self.value), &self.sig)
-    }
-
-    /// The voter.
-    pub fn voter(&self) -> PartyId {
-        self.sig.signer()
-    }
-}
 
 /// Wire messages of the 2-round BRB.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Brb2Msg {
     /// Step 1: the broadcaster's proposal.
     Propose(Value),
-    /// Step 2: a signed vote.
-    Vote(SignedVote),
+    /// Step 2: a vote `⟨vote, v⟩_i` (domain `TwoRoundBrb::VOTE`).
+    Vote(SignedValue),
     /// Step 3: the forwarded quorum of votes that justified a commit.
-    Forward(Vec<SignedVote>),
+    Forward(Vec<SignedValue>),
 }
-
-gcl_types::wire_struct!(SignedVote { value, sig });
 
 gcl_types::wire_enum!(Brb2Msg {
     1 => Propose(value),
@@ -110,34 +74,16 @@ pub struct TwoRoundBrb {
     input: Option<Value>,
     voted: bool,
     committed: bool,
-    /// Per-value tally: one outer lookup per vote serves the digest memo,
-    /// the presence check, the byte-equality reference for the
-    /// duplicate-skip, and the bundle source.
-    votes: BTreeMap<Value, ValueState>,
-}
-
-/// Everything this party tracks about one candidate value.
-#[derive(Debug)]
-struct ValueState {
-    /// The vote digest — one SHA-256, memoized so re-checking a vote costs
-    /// a field read, not a hash.
-    digest: Digest,
-    /// Recorded votes keyed by voter. A `HashMap` (recording is the hot
-    /// path at quorum scale); the Forward bundle is sorted by voter at
-    /// commit time, so wire bytes stay independent of hash order.
-    voters: HashMap<PartyId, SignedVote>,
-}
-
-impl ValueState {
-    fn new(value: Value) -> Self {
-        ValueState {
-            digest: SignedVote::digest(value),
-            voters: HashMap::new(),
-        }
-    }
+    votes: Tally<Value, SignedValue>,
+    /// The vote digest of the last value checked: while votes name one
+    /// value, checking a vote costs a comparison, not a SHA-256.
+    digest: Option<(Value, Digest)>,
 }
 
 impl TwoRoundBrb {
+    /// The domain a vote is signed under.
+    pub(crate) const VOTE: &'static str = "brb2-vote";
+
     /// Creates the party-side state.
     ///
     /// `input` must be `Some` exactly when `signer.id() == broadcaster`.
@@ -167,26 +113,30 @@ impl TwoRoundBrb {
             input,
             voted: false,
             committed: false,
-            votes: BTreeMap::new(),
+            votes: Tally::new(),
+            digest: None,
         }
     }
 
-    fn quorum(&self) -> usize {
-        self.config.quorum()
+    fn vote_digest(&mut self, value: Value) -> Digest {
+        match self.digest {
+            Some((memo, digest)) if memo == value => digest,
+            _ => {
+                self.digest
+                    .insert((value, SignedValue::digest(Self::VOTE, value)))
+                    .1
+            }
+        }
     }
 
-    /// Commits `value` given `recorded` votes for it (the caller's tally
-    /// count, saving a second map walk on the per-vote hot path).
+    /// Commits `value` once `recorded` votes for it (the tally's count)
+    /// reach the quorum.
     fn try_commit(&mut self, value: Value, recorded: usize, ctx: &mut dyn Context<Brb2Msg>) {
-        if self.committed || recorded < self.quorum() {
+        if self.committed || recorded < self.config.quorum() {
             return;
         }
         self.committed = true;
-        let mut bundle: Vec<SignedVote> = self.votes[&value].voters.values().copied().collect();
-        // Hash order is arbitrary; sort once so the Forward bundle's wire
-        // bytes are deterministic (ascending voter, the old BTreeMap order).
-        bundle.sort_unstable_by_key(SignedVote::voter);
-        ctx.multicast_except(Brb2Msg::Forward(bundle), ctx.me());
+        ctx.multicast_except(Brb2Msg::Forward(self.votes.bundle(&value)), ctx.me());
         ctx.commit(value);
         ctx.terminate();
     }
@@ -207,28 +157,18 @@ impl Protocol for TwoRoundBrb {
                 // Step 2: vote for the first proposal from the broadcaster.
                 if from == self.broadcaster && !self.voted {
                     self.voted = true;
-                    ctx.multicast(Brb2Msg::Vote(SignedVote::new(&self.signer, v)));
+                    let vote = SignedValue::new(Self::VOTE, &self.signer, v);
+                    ctx.multicast(Brb2Msg::Vote(vote));
                 }
             }
             Brb2Msg::Vote(vote) => {
-                let value = vote.value;
-                let st = self
-                    .votes
-                    .entry(value)
-                    .or_insert_with(|| ValueState::new(value));
-                if !self.verifier.verify_embedded(st.digest, &vote.sig) {
+                let digest = self.vote_digest(vote.value);
+                if !self.verifier.verify_embedded(digest, &vote.sig) {
                     return;
                 }
-                st.voters.entry(vote.voter()).or_insert(vote);
-                let recorded = st.voters.len();
-                if recorded == 8 {
-                    // This value is plausibly headed for quorum: pre-size the
-                    // tally once instead of paying log(q) rehash-growths. Not
-                    // done at creation — a spam value with a handful of votes
-                    // stays a handful of slots.
-                    st.voters.reserve(self.config.quorum());
+                if let Ok(recorded) = self.votes.insert(vote.value, vote.signer(), vote) {
+                    self.try_commit(vote.value, recorded, ctx);
                 }
-                self.try_commit(value, recorded, ctx);
             }
             Brb2Msg::Forward(bundle) => {
                 // A committed party's quorum: adopt every vote. Votes we
@@ -240,30 +180,25 @@ impl Protocol for TwoRoundBrb {
                 // rejects the bundle exactly as full verification would.
                 let Some(first) = bundle.first() else { return };
                 let value = first.value;
-                let st = self
-                    .votes
-                    .entry(value)
-                    .or_insert_with(|| ValueState::new(value));
+                let digest = self.vote_digest(value);
                 for v in &bundle {
                     if v.value != value {
                         return;
                     }
-                    match st.voters.get(&v.voter()) {
+                    match self.votes.get(&value, v.signer()) {
                         Some(recorded) if recorded == v => {}
                         Some(_) => return,
                         None => {
-                            if !self.verifier.verify_embedded(st.digest, &v.sig) {
+                            if !self.verifier.verify_embedded(digest, &v.sig) {
                                 return;
                             }
                         }
                     }
                 }
-                let mut recorded = 0;
                 for vote in bundle {
-                    st.voters.entry(vote.voter()).or_insert(vote);
-                    recorded = st.voters.len();
+                    let _ = self.votes.insert(value, vote.signer(), vote);
                 }
-                self.try_commit(value, recorded, ctx);
+                self.try_commit(value, self.votes.count(&value), ctx);
             }
         }
     }
@@ -507,7 +442,8 @@ mod tests {
         let rogue = Keychain::generate(4, 999);
         let mut bundle = Vec::new();
         for i in 0..3 {
-            bundle.push(SignedVote::new(
+            bundle.push(SignedValue::new(
+                TwoRoundBrb::VOTE,
                 &rogue.signer(PartyId::new(i)),
                 Value::new(3),
             ));
@@ -533,8 +469,16 @@ mod tests {
         let cfg = Config::new(4, 1).unwrap();
         let chain = Keychain::generate(4, 13);
         let bundle = vec![
-            SignedVote::new(&chain.signer(PartyId::new(0)), Value::ZERO),
-            SignedVote::new(&chain.signer(PartyId::new(0)), Value::ONE),
+            SignedValue::new(
+                TwoRoundBrb::VOTE,
+                &chain.signer(PartyId::new(0)),
+                Value::ZERO,
+            ),
+            SignedValue::new(
+                TwoRoundBrb::VOTE,
+                &chain.signer(PartyId::new(0)),
+                Value::ONE,
+            ),
         ];
         let script = gcl_sim::Scripted::multicast_at(
             gcl_types::LocalTime::ZERO,
@@ -583,11 +527,18 @@ mod tests {
     #[test]
     fn vote_roundtrip() {
         let chain = Keychain::generate(2, 4);
-        let v = SignedVote::new(&chain.signer(PartyId::new(1)), Value::new(6));
-        assert!(v.verify(&chain.pki()));
-        assert_eq!(v.voter(), PartyId::new(1));
+        let v = SignedValue::new(
+            TwoRoundBrb::VOTE,
+            &chain.signer(PartyId::new(1)),
+            Value::new(6),
+        );
+        assert!(v.verify_embedded(TwoRoundBrb::VOTE, &chain.pki()));
+        assert_eq!(v.signer(), PartyId::new(1));
         let mut w = v;
         w.value = Value::new(7);
-        assert!(!w.verify(&chain.pki()), "tampered value fails");
+        assert!(
+            !w.verify_embedded(TwoRoundBrb::VOTE, &chain.pki()),
+            "tampered value fails"
+        );
     }
 }

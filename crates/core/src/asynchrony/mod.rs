@@ -14,7 +14,7 @@ mod bracha;
 mod brb2;
 
 pub use bracha::{BrachaBrb, BrachaMsg};
-pub use brb2::{Brb2Msg, EquivocatingBroadcaster, SignedVote, TwoRoundBrb};
+pub use brb2::{Brb2Msg, EquivocatingBroadcaster, TwoRoundBrb};
 
 use gcl_crypto::Keychain;
 use gcl_sim::{Admission, ScenarioRegistry, ScenarioSpec, ValidityMode};

@@ -21,16 +21,18 @@
 //! paper's upper bound row (`O(n/(n−f))Δ` vs the `(⌊n/(n−f)⌋ − 1)Δ` lower
 //! bound of Theorem 19).
 //!
-//! **Scope note** (documented in `DESIGN.md`): safety rests on the
-//! unanimity-of-trusted-voters rule — honest parties never distrust each
-//! other, an honest committer keeps voting its value, so no conflicting
-//! value can ever assemble a fully-trusted vote set. Worst-case *liveness*
-//! against adaptive vote-splitting adversaries needs the full Wan et al.
-//! machinery (randomized leader election, graph-diameter maintenance) and
-//! is out of scope; Table 1 only needs the good case, crash faults and
+//! **Scope note**: safety rests on the unanimity-of-trusted-voters rule —
+//! honest parties never distrust each other, an honest committer keeps
+//! voting its value, so no conflicting value can ever assemble a
+//! fully-trusted vote set. Worst-case *liveness* against adaptive
+//! vote-splitting adversaries needs the full Wan et al. machinery
+//! (randomized leader election, graph-diameter maintenance; `trustcast`
+//! substitutes round-robin epoch leaders and a plain trust set) and is out
+//! of scope; Table 1 only needs the good case, crash faults and
 //! equivocation, which the tests below exercise.
 
 use super::trustcast::{trustcast_deadline, TrustCast, TrustCastMsg, TrustGraph};
+use crate::Tally;
 use gcl_crypto::{Digest, Signature, Signer, Verifier, Verify};
 use gcl_sim::{Context, Protocol};
 use gcl_types::{Config, Duration, PartyId, Value};
@@ -178,7 +180,8 @@ pub struct BbMajority {
     flood: TrustCast,
     /// Proposals seen per epoch (first + any equivocation evidence).
     proposals: BTreeMap<u64, BTreeMap<Value, MajProposal>>,
-    votes: BTreeMap<u64, BTreeMap<PartyId, MajVote>>,
+    /// A voter's first vote per epoch; a second, different one distrusts it.
+    votes: Tally<u64, MajVote>,
     voted: BTreeSet<u64>,
     lock: Option<(Value, u64)>,
     committed: Option<Value>,
@@ -224,7 +227,7 @@ impl BbMajority {
             trust: TrustGraph::new(config),
             flood: TrustCast::new(),
             proposals: BTreeMap::new(),
-            votes: BTreeMap::new(),
+            votes: Tally::new(),
             voted: BTreeSet::new(),
             lock: None,
             committed: None,
@@ -262,7 +265,7 @@ impl BbMajority {
         let vote = MajVote::new(&self.signer, value, epoch);
         let me = self.me();
         self.flood.first_sighting(&vote);
-        self.votes.entry(epoch).or_default().insert(me, vote);
+        let _ = self.votes.insert(epoch, me, vote);
         ctx.multicast_except(MajorityMsg::Vote(vote), self.me());
     }
 
@@ -274,60 +277,50 @@ impl BbMajority {
         if self.flood.first_sighting(&vote) {
             ctx.multicast_except(MajorityMsg::Vote(vote), self.me());
         }
-        let bucket = self.votes.entry(vote.epoch).or_default();
-        match bucket.get(&vote.voter()) {
-            None => {
-                bucket.insert(vote.voter(), vote);
-            }
-            Some(prev) if prev.value != vote.value => {
+        if let Err(prev) = self.votes.insert(vote.epoch, vote.voter(), vote) {
+            if prev.value != vote.value {
                 // Transferable double-vote proof.
                 self.trust.distrust(vote.voter());
             }
-            Some(_) => {}
         }
     }
 
     /// Commit rule: one value voted by every still-trusted party, and no
     /// equivocation proof against the epoch leader.
     fn try_commit(&mut self, epoch: u64, ctx: &mut dyn Context<MajorityMsg>) {
-        if self.committed.is_some() {
-            return;
-        }
-        let Some(bucket) = self.votes.get(&epoch) else {
-            return;
-        };
-        let mut by_value: BTreeMap<Value, BTreeSet<PartyId>> = BTreeMap::new();
-        for (p, v) in bucket {
-            if self.trust.trusts(*p) {
-                by_value.entry(v.value).or_default().insert(*p);
-            }
-        }
         let leader_equivocated = self
             .proposals
             .get(&epoch)
             .is_some_and(|props| props.len() >= 2);
-        if leader_equivocated {
+        if self.committed.is_some() || leader_equivocated {
             return;
         }
-        for (value, voters) in by_value {
-            if self.trust.covered_by(&voters) {
-                self.committed = Some(value);
-                self.lock = Some((value, epoch));
-                let cert: Vec<MajVote> = bucket
-                    .values()
-                    .filter(|v| v.value == value)
-                    .copied()
-                    .collect();
-                ctx.multicast_except(MajorityMsg::CommitCert(cert), self.me());
-                ctx.commit(value);
-                // Stay alive: keep voting `value` so no conflicting
-                // unanimity can ever form; release peers with Done.
-                let done = MajVote::new(&self.signer, value, u64::MAX);
-                ctx.multicast_except(MajorityMsg::Done(done), self.me());
-                self.maybe_halt(ctx);
-                return;
-            }
-        }
+        let unanimous = {
+            let mut voted = self
+                .trust
+                .iter()
+                .map(|p| self.votes.get(&epoch, p).map(|v| v.value));
+            let first = voted.next().flatten();
+            first.filter(|&value| voted.all(|v| v == Some(value)))
+        };
+        let Some(value) = unanimous else {
+            return;
+        };
+        self.committed = Some(value);
+        self.lock = Some((value, epoch));
+        let cert: Vec<MajVote> = self
+            .votes
+            .votes(&epoch)
+            .filter(|(_, v)| v.value == value)
+            .map(|(_, v)| *v)
+            .collect();
+        ctx.multicast_except(MajorityMsg::CommitCert(cert), self.me());
+        ctx.commit(value);
+        // Stay alive: keep voting `value` so no conflicting unanimity can
+        // ever form; release peers with Done.
+        let done = MajVote::new(&self.signer, value, u64::MAX);
+        ctx.multicast_except(MajorityMsg::Done(done), self.me());
+        self.maybe_halt(ctx);
     }
 
     fn on_commit_cert(&mut self, cert: Vec<MajVote>, ctx: &mut dyn Context<MajorityMsg>) {
@@ -465,13 +458,11 @@ impl Protocol for BbMajority {
         if idx.is_multiple_of(2) {
             // Vote deadline: distrust non-voters, then try to commit.
             if epoch == self.epoch && self.committed.is_none() {
-                let voters: BTreeSet<PartyId> = self
-                    .votes
-                    .get(&epoch)
-                    .map(|b| b.keys().copied().collect())
-                    .unwrap_or_default();
-                let missing: Vec<PartyId> =
-                    self.trust.iter().filter(|p| !voters.contains(p)).collect();
+                let missing: Vec<PartyId> = self
+                    .trust
+                    .iter()
+                    .filter(|&p| self.votes.get(&epoch, p).is_none())
+                    .collect();
                 for p in missing {
                     self.trust.distrust(p);
                 }
@@ -486,6 +477,7 @@ impl Protocol for BbMajority {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::by_hand::Rec;
     use gcl_crypto::Keychain;
     use gcl_sim::{FixedDelay, Outcome, Scripted, ScriptedAction, Silent, Simulation, TimingModel};
     use gcl_types::LocalTime;
@@ -680,5 +672,34 @@ mod tests {
         assert!(o.agreement_holds());
         assert!(o.all_honest_committed());
         assert_eq!(o.committed_value(), Some(Value::new(6)));
+    }
+
+    #[test]
+    fn a_voters_first_vote_stands_and_a_second_one_distrusts_it() {
+        // P1 holds votes for 6 from P0 and itself. P3 votes 99, P2 votes 6,
+        // then P3 votes 6 as well: its first vote stands, the second is
+        // proof it voted twice, so P1 distrusts P3 and commits 6 on the
+        // three trusted votes — its certificate carries no vote from P3.
+        let cfg = Config::new(4, 2).unwrap();
+        let chain = Keychain::generate(4, 104);
+        let signer = |i: u32| chain.signer(PartyId::new(i));
+        let vote = |i: u32, v: u64| MajorityMsg::Vote(MajVote::new(&signer(i), Value::new(v), 1));
+        let mut p = BbMajority::new(cfg, signer(1), chain.pki(), DELTA, PartyId::new(0), None);
+        let mut ctx = Rec::new(cfg, 1);
+        Protocol::start(&mut p, &mut ctx);
+        let propose = MajorityMsg::Propose(MajProposal::new(&signer(0), Value::new(6), 1));
+        for (from, msg) in [
+            (0, propose),
+            (0, vote(0, 6)),
+            (3, vote(3, 99)),
+            (2, vote(2, 6)),
+        ] {
+            Protocol::on_message(&mut p, PartyId::new(from), msg, &mut ctx);
+        }
+        assert!(ctx.committed.is_empty(), "P3's 99 blocks unanimity");
+        Protocol::on_message(&mut p, PartyId::new(3), vote(3, 6), &mut ctx);
+        assert_eq!(ctx.committed, [Value::new(6)]);
+        let cert = [0, 1, 2].map(|i| MajVote::new(&signer(i), Value::new(6), 1));
+        assert!(ctx.sent.contains(&MajorityMsg::CommitCert(cert.to_vec())));
     }
 }

@@ -10,7 +10,9 @@
 //! We reproduce the per-party trust set, the flood-with-dedup machinery and
 //! the deadline arithmetic. The full Wan-et-al graph-diameter maintenance
 //! and randomized leader election only affect *expected worst-case* rounds,
-//! which Table 1 does not cover; `DESIGN.md` documents the substitution.
+//! which Table 1 does not cover, so they are substituted: the trust graph is
+//! a plain set (distrust removes a party, not an edge), and epoch leaders
+//! rotate round-robin instead of being elected at random.
 
 use gcl_types::{Config, Duration, PartyId};
 use std::collections::BTreeSet;

@@ -14,8 +14,10 @@
 //! | [`lower_bounds`] | the paper's adversarial executions as runnable schedules | Fig 4, 7/11, 12 |
 //!
 //! All protocols implement [`gcl_sim::Protocol`] and run unmodified on the
-//! discrete-event simulator (`gcl-sim`) and the threaded runtime
-//! (`gcl-net`).
+//! discrete-event simulator (`gcl-sim`) and on `gcl-net`'s `AsyncBackend`
+//! readiness loop. They share one vote layer: every quorum is counted in a
+//! [`Tally`], and most value-plus-signature messages are a [`SignedValue`]
+//! (or, with a view, a [`psync::PhaseVote`]) under a protocol-named domain.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,8 +26,13 @@ pub mod asynchrony;
 pub mod dishonest;
 pub mod lower_bounds;
 pub mod psync;
+mod signed;
 pub mod strawman;
 pub mod sync;
+mod tally;
+
+pub use signed::SignedValue;
+pub use tally::Tally;
 
 use gcl_sim::ScenarioRegistry;
 
@@ -98,5 +105,64 @@ mod registry_tests {
                 "{key}: canonical good case commits"
             );
         }
+    }
+}
+
+/// Drives one party by hand in unit tests.
+#[cfg(test)]
+pub(crate) mod by_hand {
+    use gcl_sim::Context;
+    use gcl_types::{Config, Duration, LocalTime, PartyId, Value};
+
+    /// A party's context at a settable local time that records what the
+    /// party does: its multicasts, its other sends (unicasts and
+    /// forwarded bundles) and its commits.
+    pub(crate) struct Rec<M> {
+        pub me: PartyId,
+        pub cfg: Config,
+        pub now: LocalTime,
+        pub multicast: Vec<M>,
+        pub sent: Vec<M>,
+        pub committed: Vec<Value>,
+    }
+
+    impl<M> Rec<M> {
+        /// Party `me`'s context at local time zero.
+        pub fn new(cfg: Config, me: u32) -> Self {
+            Rec {
+                me: PartyId::new(me),
+                cfg,
+                now: LocalTime::ZERO,
+                multicast: Vec::new(),
+                sent: Vec::new(),
+                committed: Vec::new(),
+            }
+        }
+    }
+
+    impl<M> Context<M> for Rec<M> {
+        fn me(&self) -> PartyId {
+            self.me
+        }
+        fn config(&self) -> Config {
+            self.cfg
+        }
+        fn now(&self) -> LocalTime {
+            self.now
+        }
+        fn send(&mut self, _to: PartyId, msg: M) {
+            self.sent.push(msg);
+        }
+        fn multicast(&mut self, msg: M) {
+            self.multicast.push(msg);
+        }
+        fn multicast_except(&mut self, msg: M, _skip: PartyId) {
+            self.sent.push(msg);
+        }
+        fn set_timer(&mut self, _delay: Duration, _tag: u64) {}
+        fn commit(&mut self, value: Value) {
+            self.committed.push(value);
+        }
+        fn terminate(&mut self) {}
     }
 }

@@ -18,6 +18,7 @@
 //! [module docs](super) for why wall-clock backends reject it.
 
 use crate::sync::{UnsyncBb, UnsyncMsg};
+use crate::SignedValue;
 use gcl_crypto::Keychain;
 use gcl_sim::{
     DelayRule, FixedDelay, LinkDelay, Outcome, PartySet, ScheduleOracle, Scripted, ScriptedAction,
@@ -72,25 +73,14 @@ pub fn adversarial_execution() -> Outcome {
     let cfg = Config::new(5, 2).expect("valid config");
     let chain = Keychain::generate(5, 125);
     let s = chain.signer(PartyId::new(0));
-    let p0 = crate::sync::Fig9Proposal::new(&s, Value::ZERO);
-    let p1 = crate::sync::Fig9Proposal::new(&s, Value::ONE);
-    let actions = vec![
+    let actions = [(1, Value::ZERO), (2, Value::ZERO), (3, Value::ONE)].map(|(to, v)| {
+        let prop = SignedValue::new(UnsyncBb::PROPOSE, &s, v);
         ScriptedAction {
             at: LocalTime::ZERO,
-            to: PartyId::new(1),
-            msg: UnsyncMsg::Propose(p0),
-        },
-        ScriptedAction {
-            at: LocalTime::ZERO,
-            to: PartyId::new(2),
-            msg: UnsyncMsg::Propose(p0),
-        },
-        ScriptedAction {
-            at: LocalTime::ZERO,
-            to: PartyId::new(3),
-            msg: UnsyncMsg::Propose(p1),
-        },
-    ];
+            to: PartyId::new(to),
+            msg: UnsyncMsg::Propose(prop),
+        }
+    });
     let oracle: ScheduleOracle<UnsyncMsg> = ScheduleOracle::new(DELTA).rule(DelayRule::link(
         PartySet::One(PartyId::new(3)),
         PartySet::One(PartyId::new(1)),
@@ -103,7 +93,7 @@ pub fn adversarial_execution() -> Outcome {
             5,
             &[(PartyId::new(3), DELTA.halved())],
         ))
-        .byzantine(PartyId::new(0), Scripted::new(actions))
+        .byzantine(PartyId::new(0), Scripted::new(actions.into()))
         .spawn_honest(|p| {
             UnsyncBb::new(
                 cfg,

@@ -22,7 +22,8 @@
 //! only the deterministic simulator can honor; see the
 //! [module docs](super) for why wall-clock backends reject it.
 
-use crate::strawman::{FabMsg, FabTwoRound, FabViewChange};
+use crate::signed::PhaseVote;
+use crate::strawman::{FabMsg, FabProposal, FabTwoRound, FabViewChange};
 use gcl_crypto::Keychain;
 use gcl_sim::{
     DelayRule, LinkDelay, Outcome, PartySet, ScheduleOracle, Scripted, ScriptedAction, Simulation,
@@ -43,55 +44,31 @@ pub fn split_fab_at_5f_minus_2() -> Outcome {
     let s = chain.signer(PartyId::new(0));
     let x = chain.signer(PartyId::new(7));
 
-    // Byzantine broadcaster s = P0.
-    let mut s_actions = Vec::new();
-    for p in 1..=4u32 {
-        s_actions.push(ScriptedAction {
-            at: LocalTime::ZERO,
-            to: PartyId::new(p),
-            msg: FabMsg::Propose(crate::strawman::fab_proposal(&s, Value::ZERO, View::FIRST)),
-        });
-    }
-    for p in 5..=6u32 {
-        s_actions.push(ScriptedAction {
-            at: LocalTime::ZERO,
-            to: PartyId::new(p),
-            msg: FabMsg::Propose(crate::strawman::fab_proposal(&s, Value::ONE, View::FIRST)),
-        });
-    }
-    // s votes 0 toward P4 only (completing its quorum), then lies "voted 1"
+    let propose = |v| FabMsg::Propose(FabProposal::new(&s, v, View::FIRST, Vec::new()));
+    let vote = |by, v, w| FabMsg::Vote(PhaseVote::new(FabTwoRound::VOTE, by, v, w));
+    let lie = |by| FabMsg::ViewChange(FabViewChange::new(by, View::FIRST, Some(Value::ONE)));
+    let at = |micros, to, msg| ScriptedAction {
+        at: LocalTime::from_micros(micros),
+        to: PartyId::new(to),
+        msg,
+    };
+
+    // Byzantine broadcaster s = P0: proposes 0 to P1..P4 and 1 to P5, P6,
+    // votes 0 toward P4 only (completing its quorum), then lies "voted 1"
     // in the view change, and helps complete the view-2 quorum.
-    s_actions.push(ScriptedAction {
-        at: LocalTime::from_micros(20),
-        to: PartyId::new(4),
-        msg: FabMsg::Vote(crate::strawman::fab_vote(&s, Value::ZERO, View::FIRST)),
-    });
-    for p in 1..=6u32 {
-        s_actions.push(ScriptedAction {
-            at: LocalTime::from_micros(450),
-            to: PartyId::new(p),
-            msg: FabMsg::ViewChange(FabViewChange::new(&s, View::FIRST, Some(Value::ONE))),
-        });
-        s_actions.push(ScriptedAction {
-            at: LocalTime::from_micros(700),
-            to: PartyId::new(p),
-            msg: FabMsg::Vote(crate::strawman::fab_vote(&s, Value::ONE, View::new(2))),
-        });
+    let mut s_actions: Vec<_> = (1..=4)
+        .map(|p| at(0, p, propose(Value::ZERO)))
+        .chain((5..=6).map(|p| at(0, p, propose(Value::ONE))))
+        .collect();
+    s_actions.push(at(20, 4, vote(&s, Value::ZERO, View::FIRST)));
+    for p in 1..=6 {
+        s_actions.push(at(450, p, lie(&s)));
+        s_actions.push(at(700, p, vote(&s, Value::ONE, View::new(2))));
     }
 
     // Byzantine x = P7: same vote toward P4, same view-change lie.
-    let mut x_actions = vec![ScriptedAction {
-        at: LocalTime::from_micros(20),
-        to: PartyId::new(4),
-        msg: FabMsg::Vote(crate::strawman::fab_vote(&x, Value::ZERO, View::FIRST)),
-    }];
-    for p in 1..=6u32 {
-        x_actions.push(ScriptedAction {
-            at: LocalTime::from_micros(450),
-            to: PartyId::new(p),
-            msg: FabMsg::ViewChange(FabViewChange::new(&x, View::FIRST, Some(Value::ONE))),
-        });
-    }
+    let mut x_actions = vec![at(20, 4, vote(&x, Value::ZERO, View::FIRST))];
+    x_actions.extend((1..=6).map(|p| at(450, p, lie(&x))));
 
     // Pre-GST scheduling: view-1 votes reach only P4, and P2's "voted 0"
     // view-change message crawls toward the view-2 leader so the leader's

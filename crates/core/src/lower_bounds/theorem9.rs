@@ -13,8 +13,9 @@
 //! only the deterministic simulator can honor; see the
 //! [module docs](super) for why wall-clock backends reject it.
 
-use crate::strawman::{EarlyCommitBb, EarlyMsg, EarlyVote};
-use crate::sync::{ThirdBb, ThirdMsg};
+use crate::strawman::{EarlyCommitBb, EarlyMsg};
+use crate::sync::{Fig5Vote, ThirdBb, ThirdMsg};
+use crate::SignedValue;
 use gcl_crypto::Keychain;
 use gcl_sim::{FixedDelay, Outcome, Scripted, ScriptedAction, Simulation, TimingModel};
 use gcl_types::{Config, Duration, LocalTime, PartyId, Value};
@@ -29,38 +30,33 @@ fn model() -> TimingModel {
     }
 }
 
+/// The Byzantine broadcaster's script: at time zero it proposes and
+/// votes 0 toward P1 and 1 toward P2.
+fn equivocate<M>(propose: impl Fn(Value) -> M, vote: impl Fn(Value) -> M) -> Scripted<M> {
+    let send = |to, msg| ScriptedAction {
+        at: LocalTime::ZERO,
+        to: PartyId::new(to),
+        msg,
+    };
+    Scripted::new(vec![
+        send(1, propose(Value::ZERO)),
+        send(2, propose(Value::ONE)),
+        send(1, vote(Value::ZERO)),
+        send(2, vote(Value::ONE)),
+    ])
+}
+
 /// Runs the equivocate-and-double-vote schedule against the early-commit
 /// strawman (`n = 3, f = 1`). Agreement is violated below `Δ + δ`.
 pub fn split_early_commit() -> Outcome {
     let cfg = Config::new(3, 1).expect("valid config");
     let chain = Keychain::generate(3, 122);
     let s = chain.signer(PartyId::new(0));
-    let actions = vec![
-        ScriptedAction {
-            at: LocalTime::ZERO,
-            to: PartyId::new(1),
-            msg: EarlyMsg::Propose(Value::ZERO),
-        },
-        ScriptedAction {
-            at: LocalTime::ZERO,
-            to: PartyId::new(2),
-            msg: EarlyMsg::Propose(Value::ONE),
-        },
-        ScriptedAction {
-            at: LocalTime::ZERO,
-            to: PartyId::new(1),
-            msg: EarlyMsg::Vote(EarlyVote::new(&s, Value::ZERO)),
-        },
-        ScriptedAction {
-            at: LocalTime::ZERO,
-            to: PartyId::new(2),
-            msg: EarlyMsg::Vote(EarlyVote::new(&s, Value::ONE)),
-        },
-    ];
+    let vote = |v| EarlyMsg::Vote(SignedValue::new(EarlyCommitBb::VOTE, &s, v));
     Simulation::build(cfg)
         .timing(model())
         .oracle(FixedDelay::new(DELTA))
-        .byzantine(PartyId::new(0), Scripted::new(actions))
+        .byzantine(PartyId::new(0), equivocate(EarlyMsg::Propose, vote))
         .spawn_honest(|p| {
             EarlyCommitBb::new(cfg, chain.signer(p), chain.pki(), PartyId::new(0), None)
         })
@@ -73,34 +69,15 @@ pub fn same_adversary_against_fig5() -> Outcome {
     let cfg = Config::new(3, 1).expect("valid config");
     let chain = Keychain::generate(3, 123);
     let s = chain.signer(PartyId::new(0));
-    let p0 = crate::sync::fig5_proposal(&s, Value::ZERO);
-    let p1 = crate::sync::fig5_proposal(&s, Value::ONE);
-    let actions = vec![
-        ScriptedAction {
-            at: LocalTime::ZERO,
-            to: PartyId::new(1),
-            msg: ThirdMsg::Propose(p0),
-        },
-        ScriptedAction {
-            at: LocalTime::ZERO,
-            to: PartyId::new(2),
-            msg: ThirdMsg::Propose(p1),
-        },
-        ScriptedAction {
-            at: LocalTime::ZERO,
-            to: PartyId::new(1),
-            msg: ThirdMsg::Vote(crate::sync::fig5_vote(&s, p0)),
-        },
-        ScriptedAction {
-            at: LocalTime::ZERO,
-            to: PartyId::new(2),
-            msg: ThirdMsg::Vote(crate::sync::fig5_vote(&s, p1)),
-        },
-    ];
+    let prop = |v| SignedValue::new(ThirdBb::PROPOSE, &s, v);
+    let vote = |v| ThirdMsg::Vote(Fig5Vote::new(&s, prop(v)));
     Simulation::build(cfg)
         .timing(model())
         .oracle(FixedDelay::new(DELTA))
-        .byzantine(PartyId::new(0), Scripted::new(actions))
+        .byzantine(
+            PartyId::new(0),
+            equivocate(|v| ThirdMsg::Propose(prop(v)), vote),
+        )
         .spawn_honest(|p| {
             ThirdBb::new(
                 cfg,

@@ -15,8 +15,9 @@ mod cert;
 mod pbft3;
 mod vbb5f1;
 
+pub use crate::signed::PhaseVote;
 pub use cert::{Certificate, LeaderSigned, Lock, TimeoutMsg, VoteMsg};
-pub use pbft3::{PbftMsg, PbftProposal, PbftPsyncVbb, PhaseVote, PreparedCert, ViewChangeMsg};
+pub use pbft3::{PbftMsg, PbftPsyncVbb, PreparedCert, ViewChangeMsg};
 pub use vbb5f1::{EquivocatingLeader, Proof, StatusMsg, VbbFiveFMinusOne, VbbMsg};
 
 use gcl_crypto::Keychain;

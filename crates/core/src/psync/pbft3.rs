@@ -6,80 +6,12 @@
 //! `3f + 1 ≤ n ≤ 5f − 2`; by Theorem 2 it is one round slower than
 //! necessary whenever `n ≥ 5f − 1` (including the famous `n = 4, f = 1`).
 
+use crate::signed::PhaseVote;
+use crate::Tally;
 use gcl_crypto::{Digest, MemoTag, Signature, Signer, Verifier, Verify};
 use gcl_sim::{Context, Protocol};
 use gcl_types::{Config, Duration, Encode, ExternalValidity, PartyId, Value, View};
 use std::collections::{BTreeMap, BTreeSet};
-
-/// `⟨v, w⟩_{L_w}` with a PBFT-specific signing domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PbftProposal {
-    /// Proposed value.
-    pub value: Value,
-    /// Proposing view.
-    pub view: View,
-    /// Leader signature over `("pbft-prop", value, view)`.
-    pub sig: Signature,
-}
-
-impl PbftProposal {
-    fn digest(value: Value, view: View) -> Digest {
-        Digest::of(&("pbft-prop", value, view))
-    }
-
-    /// Leader-signs a proposal.
-    pub fn new(leader: &Signer, value: Value, view: View) -> Self {
-        PbftProposal {
-            value,
-            view,
-            sig: leader.sign(Self::digest(value, view)),
-        }
-    }
-
-    /// Verifies against the round-robin leader of `view`.
-    pub fn verify(&self, config: Config, v: &impl Verify) -> bool {
-        let leader = self.view.leader(config.n());
-        self.sig.signer() == leader
-            && v.verify(leader, Self::digest(self.value, self.view), &self.sig)
-    }
-}
-
-/// A phase vote (prepare or commit) on `(value, view)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PhaseVote {
-    /// Voted value.
-    pub value: Value,
-    /// Voted view.
-    pub view: View,
-    /// Voter signature over `(phase-tag, value, view)`.
-    pub sig: Signature,
-}
-
-impl PhaseVote {
-    fn digest(phase: &'static str, value: Value, view: View) -> Digest {
-        Digest::of(&(phase, value, view))
-    }
-
-    fn new(phase: &'static str, signer: &Signer, value: Value, view: View) -> Self {
-        PhaseVote {
-            value,
-            view,
-            sig: signer.sign(Self::digest(phase, value, view)),
-        }
-    }
-
-    fn verify(&self, phase: &'static str, v: &impl Verify) -> bool {
-        v.verify_embedded(Self::digest(phase, self.value, self.view), &self.sig)
-    }
-
-    /// The voter.
-    pub fn voter(&self) -> PartyId {
-        self.sig.signer()
-    }
-}
-
-const PREPARE: &str = "pbft-prepare";
-const COMMIT: &str = "pbft-commit";
 
 /// Proof that `n − f` parties prepared `(value, view)` — the object carried
 /// through view changes.
@@ -109,10 +41,11 @@ impl PreparedCert {
             let voters: BTreeSet<PartyId> = self.prepares.iter().map(PhaseVote::voter).collect();
             voters.len() >= config.quorum()
                 && voters.len() == self.prepares.len()
-                && self
-                    .prepares
-                    .iter()
-                    .all(|p| p.value == self.value && p.view == self.view && p.verify(PREPARE, v))
+                && self.prepares.iter().all(|p| {
+                    p.value == self.value
+                        && p.view == self.view
+                        && p.verify_embedded(PbftPsyncVbb::PREPARE, v)
+                })
         })
     }
 }
@@ -131,10 +64,10 @@ pub struct ViewChangeMsg {
 
 impl ViewChangeMsg {
     fn digest(view: View, prepared: &Option<PreparedCert>) -> Digest {
-        let tag = prepared.as_ref().map(|p| (p.value, p.view));
-        match tag {
-            None => Digest::of(&("pbft-vc", view)),
-            Some((v, w)) => Digest::of(&("pbft-vc", view, v, w)),
+        const DOMAIN: &str = "pbft-vc";
+        match prepared {
+            None => Digest::of(&(DOMAIN, view)),
+            Some(p) => Digest::of(&(DOMAIN, view, p.value, p.view)),
         }
     }
 
@@ -178,17 +111,17 @@ impl ViewChangeMsg {
 /// Wire messages of the PBFT baseline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PbftMsg {
-    /// Leader proposal; `proof` is empty for view 1, else `n − f`
-    /// view-change messages of the previous view.
+    /// Leader proposal (domain `PbftPsyncVbb::PROPOSE`); `proof` is empty
+    /// for view 1, else `n − f` view-change messages of the previous view.
     Propose {
         /// Leader-signed proposal.
-        prop: PbftProposal,
+        prop: PhaseVote,
         /// View-change justification (empty for view 1).
         proof: Vec<ViewChangeMsg>,
     },
-    /// Phase-1 vote.
+    /// Phase-1 vote (domain `PbftPsyncVbb::PREPARE`).
     Prepare(PhaseVote),
-    /// Phase-2 vote.
+    /// Phase-2 vote (domain `PbftPsyncVbb::COMMIT`).
     Commit(PhaseVote),
     /// Forwarded commit quorum (termination helper).
     CommitBundle(Vec<PhaseVote>),
@@ -198,8 +131,6 @@ pub enum PbftMsg {
     ViewChangeBundle(Vec<ViewChangeMsg>),
 }
 
-gcl_types::wire_struct!(PbftProposal { value, view, sig });
-gcl_types::wire_struct!(PhaseVote { value, view, sig });
 gcl_types::wire_struct!(PreparedCert {
     value,
     view,
@@ -261,13 +192,20 @@ pub struct PbftPsyncVbb {
     sent_vc: BTreeSet<View>,
     committed: bool,
     proposed: bool,
-    prepares: BTreeMap<(View, Value), BTreeMap<PartyId, PhaseVote>>,
-    commits: BTreeMap<(View, Value), BTreeMap<PartyId, PhaseVote>>,
-    view_changes: BTreeMap<View, BTreeMap<PartyId, ViewChangeMsg>>,
-    pending: BTreeMap<View, (PbftProposal, Vec<ViewChangeMsg>)>,
+    prepares: Tally<(View, Value), PhaseVote>,
+    commits: Tally<(View, Value), PhaseVote>,
+    view_changes: Tally<View, ViewChangeMsg>,
+    pending: BTreeMap<View, (PhaseVote, Vec<ViewChangeMsg>)>,
 }
 
 impl PbftPsyncVbb {
+    /// The domain a leader's proposal is signed under.
+    pub(crate) const PROPOSE: &'static str = "pbft-prop";
+    /// The domain a prepare vote is signed under.
+    pub(crate) const PREPARE: &'static str = "pbft-prepare";
+    /// The domain a commit vote is signed under.
+    pub(crate) const COMMIT: &'static str = "pbft-commit";
+
     /// Creates the party-side state; `input` is `Some` only at the view-1
     /// leader (party 0).
     ///
@@ -301,9 +239,9 @@ impl PbftPsyncVbb {
             sent_vc: BTreeSet::new(),
             committed: false,
             proposed: false,
-            prepares: BTreeMap::new(),
-            commits: BTreeMap::new(),
-            view_changes: BTreeMap::new(),
+            prepares: Tally::new(),
+            commits: Tally::new(),
+            view_changes: Tally::new(),
             pending: BTreeMap::new(),
         }
     }
@@ -327,7 +265,7 @@ impl PbftPsyncVbb {
         view.leader(self.config.n())
     }
 
-    fn proof_justifies(&self, prop: &PbftProposal, proof: &[ViewChangeMsg]) -> bool {
+    fn proof_justifies(&self, prop: &PhaseVote, proof: &[ViewChangeMsg]) -> bool {
         if prop.view == View::FIRST {
             return proof.is_empty();
         }
@@ -354,7 +292,7 @@ impl PbftPsyncVbb {
 
     fn maybe_prepare(
         &mut self,
-        prop: PbftProposal,
+        prop: PhaseVote,
         proof: Vec<ViewChangeMsg>,
         ctx: &mut dyn Context<PbftMsg>,
     ) {
@@ -369,50 +307,58 @@ impl PbftPsyncVbb {
             return;
         }
         self.sent_prepare = Some(prop.view);
-        ctx.multicast(PbftMsg::Prepare(PhaseVote::new(
-            PREPARE,
-            &self.signer,
-            prop.value,
-            prop.view,
-        )));
+        let prepare = PhaseVote::new(Self::PREPARE, &self.signer, prop.value, prop.view);
+        ctx.multicast(PbftMsg::Prepare(prepare));
     }
 
-    fn record_prepare(&mut self, vote: PhaseVote, ctx: &mut dyn Context<PbftMsg>) {
-        let q = self.q();
+    fn on_prepare(&mut self, vote: PhaseVote, ctx: &mut dyn Context<PbftMsg>) {
         let key = (vote.view, vote.value);
-        let bucket = self.prepares.entry(key).or_default();
-        bucket.insert(vote.voter(), vote);
-        if bucket.len() >= q && self.sent_commit != Some(vote.view) && !self.committed {
+        let valid = |v: &PhaseVote| {
+            v.verify_embedded(Self::PREPARE, &self.verifier) && self.validity.check(v.value)
+        };
+        let Some(count) = self.prepares.admit(key, vote.voter(), vote, valid) else {
+            return;
+        };
+        if count >= self.q() && self.sent_commit != Some(vote.view) && !self.committed {
             self.sent_commit = Some(vote.view);
             let pc = PreparedCert {
                 value: vote.value,
                 view: vote.view,
-                prepares: bucket.values().copied().collect(),
+                prepares: self.prepares.bundle(&key),
             };
             if self.prepared.as_ref().is_none_or(|old| old.view < pc.view) {
                 self.prepared = Some(pc);
             }
-            ctx.multicast(PbftMsg::Commit(PhaseVote::new(
-                COMMIT,
-                &self.signer,
-                vote.value,
-                vote.view,
-            )));
+            let commit = PhaseVote::new(Self::COMMIT, &self.signer, vote.value, vote.view);
+            ctx.multicast(PbftMsg::Commit(commit));
         }
     }
 
-    fn record_commit(&mut self, vote: PhaseVote, ctx: &mut dyn Context<PbftMsg>) {
-        let q = self.q();
+    fn on_commit(&mut self, vote: PhaseVote, ctx: &mut dyn Context<PbftMsg>) {
         let key = (vote.view, vote.value);
-        let bucket = self.commits.entry(key).or_default();
-        bucket.insert(vote.voter(), vote);
-        if bucket.len() >= q && !self.committed {
+        let valid = |v: &PhaseVote| {
+            v.verify_embedded(Self::COMMIT, &self.verifier) && self.validity.check(v.value)
+        };
+        let Some(count) = self.commits.admit(key, vote.voter(), vote, valid) else {
+            return;
+        };
+        if count >= self.q() && !self.committed {
             self.committed = true;
-            let bundle: Vec<PhaseVote> = bucket.values().copied().collect();
-            ctx.multicast_except(PbftMsg::CommitBundle(bundle), self.me());
+            ctx.multicast_except(PbftMsg::CommitBundle(self.commits.bundle(&key)), self.me());
             ctx.commit(vote.value);
             ctx.terminate();
         }
+    }
+
+    /// Records a view change for the current or a later view (a sender's
+    /// later one for a view replaces its earlier one); whether it was.
+    fn record_view_change(&mut self, vc: ViewChangeMsg) -> bool {
+        let valid = |m: &ViewChangeMsg| m.verify(self.config, &self.verifier);
+        vc.view >= self.view
+            && self
+                .view_changes
+                .admit(vc.view, vc.sender(), vc, valid)
+                .is_some()
     }
 
     fn send_own_vc(&mut self, view: View, ctx: &mut dyn Context<PbftMsg>) {
@@ -432,13 +378,10 @@ impl PbftPsyncVbb {
                 return;
             }
             let w = self.view;
-            let Some(pool) = self.view_changes.get(&w) else {
-                return;
-            };
-            if pool.len() < self.q() {
+            if self.view_changes.count(&w) < self.q() {
                 return;
             }
-            let bundle: Vec<ViewChangeMsg> = pool.values().cloned().collect();
+            let bundle = self.view_changes.bundle(&w);
             ctx.multicast_except(PbftMsg::ViewChangeBundle(bundle.clone()), self.me());
             self.send_own_vc(w, ctx);
             let new_view = w.next();
@@ -454,45 +397,6 @@ impl PbftPsyncVbb {
         }
     }
 
-    // Byte-equality re-delivery checks: a message identical to the copy
-    // already recorded for its slot was verified when first recorded, so
-    // the verdict is `true` with no verifier work. A differing message in
-    // the same slot (two valid view-changes from one Byzantine sender)
-    // falls through to full verification, preserving overwrite semantics.
-
-    fn prepare_checks(&self, v: &PhaseVote) -> bool {
-        match self
-            .prepares
-            .get(&(v.view, v.value))
-            .and_then(|m| m.get(&v.voter()))
-        {
-            Some(r) if r == v => true,
-            _ => v.verify(PREPARE, &self.verifier) && self.validity.check(v.value),
-        }
-    }
-
-    fn commit_checks(&self, v: &PhaseVote) -> bool {
-        match self
-            .commits
-            .get(&(v.view, v.value))
-            .and_then(|m| m.get(&v.voter()))
-        {
-            Some(r) if r == v => true,
-            _ => v.verify(COMMIT, &self.verifier) && self.validity.check(v.value),
-        }
-    }
-
-    fn view_change_checks(&self, vc: &ViewChangeMsg) -> bool {
-        match self
-            .view_changes
-            .get(&vc.view)
-            .and_then(|m| m.get(&vc.sender()))
-        {
-            Some(r) if r == vc => true,
-            _ => vc.verify(self.config, &self.verifier),
-        }
-    }
-
     fn propose_with(&mut self, proof: Vec<ViewChangeMsg>, ctx: &mut dyn Context<PbftMsg>) {
         if self.committed || self.proposed {
             return;
@@ -503,7 +407,7 @@ impl PbftPsyncVbb {
             .filter_map(|vc| vc.prepared.as_ref())
             .max_by_key(|pc| pc.view)
             .map_or(self.fallback, |pc| pc.value);
-        let prop = PbftProposal::new(&self.signer, value, w);
+        let prop = PhaseVote::new(Self::PROPOSE, &self.signer, value, w);
         self.proposed = true;
         ctx.multicast(PbftMsg::Propose { prop, proof });
     }
@@ -516,7 +420,7 @@ impl Protocol for PbftPsyncVbb {
         ctx.set_timer(self.big_delta * 4, View::FIRST.number());
         if self.leader(View::FIRST) == self.me() {
             let v = self.input.expect("view-1 leader has an input");
-            let prop = PbftProposal::new(&self.signer, v, View::FIRST);
+            let prop = PhaseVote::new(Self::PROPOSE, &self.signer, v, View::FIRST);
             self.proposed = true;
             ctx.multicast(PbftMsg::Propose {
                 prop,
@@ -531,8 +435,9 @@ impl Protocol for PbftPsyncVbb {
         }
         match msg {
             PbftMsg::Propose { prop, proof } => {
-                if from != self.leader(prop.view)
-                    || !prop.verify(self.config, &self.verifier)
+                let leader = self.leader(prop.view);
+                if from != leader
+                    || !prop.verify(Self::PROPOSE, leader, &self.verifier)
                     || !self.validity.check(prop.value)
                 {
                     return;
@@ -543,45 +448,25 @@ impl Protocol for PbftPsyncVbb {
                     self.maybe_prepare(prop, proof, ctx);
                 }
             }
-            PbftMsg::Prepare(v) => {
-                if self.prepare_checks(&v) {
-                    self.record_prepare(v, ctx);
-                }
-            }
-            PbftMsg::Commit(v) => {
-                if self.commit_checks(&v) {
-                    self.record_commit(v, ctx);
-                }
-            }
+            PbftMsg::Prepare(v) => self.on_prepare(v, ctx),
+            PbftMsg::Commit(v) => self.on_commit(v, ctx),
             PbftMsg::CommitBundle(votes) => {
                 for v in votes {
-                    if self.commit_checks(&v) {
-                        self.record_commit(v, ctx);
-                        if self.committed {
-                            break;
-                        }
+                    self.on_commit(v, ctx);
+                    if self.committed {
+                        break;
                     }
                 }
             }
             PbftMsg::ViewChange(vc) => {
-                if vc.view >= self.view && self.view_change_checks(&vc) {
-                    self.view_changes
-                        .entry(vc.view)
-                        .or_default()
-                        .insert(vc.sender(), vc);
+                if self.record_view_change(vc) {
                     self.try_advance(ctx);
                 }
             }
             PbftMsg::ViewChangeBundle(vcs) => {
                 let mut touched = false;
                 for vc in vcs {
-                    if vc.view >= self.view && self.view_change_checks(&vc) {
-                        self.view_changes
-                            .entry(vc.view)
-                            .or_default()
-                            .insert(vc.sender(), vc);
-                        touched = true;
-                    }
+                    touched |= self.record_view_change(vc);
                 }
                 if touched {
                     self.try_advance(ctx);
@@ -605,6 +490,7 @@ impl Protocol for PbftPsyncVbb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::by_hand::Rec;
     use gcl_crypto::Keychain;
     use gcl_sim::{FixedDelay, Outcome, Silent, Simulation, TimingModel};
     use gcl_types::{accept_all, GlobalTime};
@@ -760,7 +646,7 @@ mod tests {
         let prepares: Vec<PhaseVote> = (0..3)
             .map(|i| {
                 PhaseVote::new(
-                    PREPARE,
+                    PbftPsyncVbb::PREPARE,
                     &chain.signer(PartyId::new(i)),
                     Value::new(5),
                     View::FIRST,
@@ -781,8 +667,11 @@ mod tests {
                 )
             })
             .collect();
-        let good = PbftProposal::new(&chain.signer(PartyId::new(1)), Value::new(5), View::new(2));
-        let bad = PbftProposal::new(&chain.signer(PartyId::new(1)), Value::new(6), View::new(2));
+        let propose = |v: u64| {
+            let s1 = chain.signer(PartyId::new(1));
+            PhaseVote::new(PbftPsyncVbb::PROPOSE, &s1, Value::new(v), View::new(2))
+        };
+        let (good, bad) = (propose(5), propose(6));
         assert!(p.proof_justifies(&good, &proof));
         assert!(!p.proof_justifies(&bad, &proof));
     }
@@ -795,7 +684,7 @@ mod tests {
         let prepares: Vec<PhaseVote> = (0..3)
             .map(|i| {
                 PhaseVote::new(
-                    PREPARE,
+                    PbftPsyncVbb::PREPARE,
                     &rogue.signer(PartyId::new(i)),
                     Value::new(5),
                     View::FIRST,
@@ -808,6 +697,59 @@ mod tests {
             prepares,
         };
         assert!(!pc.verify(cfg, &chain.pki()));
+    }
+
+    #[test]
+    fn a_later_view_change_replaces_the_senders_earlier_one() {
+        // P3 sends two view-changes for view 1 to P1, the view-2 leader: one
+        // without and one with a certificate that 5 was prepared. The later
+        // one is what P1 forwards and justifies its proposal with, so it
+        // decides what P1 proposes.
+        use gcl_crypto::Digest;
+        let cfg = Config::new(4, 1).unwrap();
+        let chain = Keychain::generate(4, 37);
+        let signer = |i: u32| chain.signer(PartyId::new(i));
+        let (value, view) = (Value::new(5), View::FIRST);
+        let prepares = (0..3)
+            .map(|q| PhaseVote {
+                value,
+                view,
+                sig: signer(q).sign(Digest::of(&("pbft-prepare", value, view))),
+            })
+            .collect();
+        let prepared = PreparedCert {
+            value,
+            view,
+            prepares,
+        };
+        let vc = |q: u32, pc: Option<PreparedCert>| ViewChangeMsg::new(&signer(q), view, pc);
+        let plain = vc(3, None);
+        let locked = vc(3, Some(prepared));
+        for (earlier, later, proposed) in [
+            (plain.clone(), locked.clone(), value),
+            (locked, plain, Value::new(2_000_001)),
+        ] {
+            let mut p = PbftPsyncVbb::new(cfg, signer(1), chain.pki(), accept_all(), DELTA, None);
+            let mut ctx = Rec::new(cfg, 1);
+            Protocol::start(&mut p, &mut ctx);
+            for (from, m) in [
+                (3, earlier),
+                (3, later.clone()),
+                (0, vc(0, None)),
+                (2, vc(2, None)),
+            ] {
+                Protocol::on_message(&mut p, PartyId::new(from), PbftMsg::ViewChange(m), &mut ctx);
+            }
+            let quorum = vec![vc(0, None), vc(2, None), later];
+            assert!(ctx
+                .sent
+                .contains(&PbftMsg::ViewChangeBundle(quorum.clone())));
+            let proposal = ctx.multicast.iter().find_map(|m| match m {
+                PbftMsg::Propose { prop, proof } => Some((prop.value, prop.view, proof.clone())),
+                _ => None,
+            });
+            assert_eq!(proposal, Some((proposed, View::new(2), quorum)));
+        }
     }
 
     #[test]

@@ -24,6 +24,7 @@
 //!    statuses (or the certificate itself).
 
 use super::cert::{Certificate, LeaderSigned, Lock, TimeoutMsg, VoteMsg};
+use crate::Tally;
 use gcl_crypto::{Digest, MemoTag, Signature, Signer, Verifier, Verify};
 use gcl_sim::{Context, Protocol, Strategy};
 use gcl_types::{Config, Duration, Encode, ExternalValidity, PartyId, Value, View};
@@ -191,9 +192,9 @@ pub struct VbbFiveFMinusOne {
     timed_out: BTreeSet<View>,
     committed: bool,
     proposed: bool,
-    votes: BTreeMap<(View, Value), BTreeMap<PartyId, VoteMsg>>,
-    timeouts: BTreeMap<View, BTreeMap<PartyId, TimeoutMsg>>,
-    statuses: BTreeMap<View, BTreeMap<PartyId, StatusMsg>>,
+    votes: Tally<(View, Value), VoteMsg>,
+    timeouts: Tally<View, TimeoutMsg>,
+    statuses: Tally<View, StatusMsg>,
     pending: BTreeMap<View, (LeaderSigned, Proof)>,
 }
 
@@ -249,9 +250,9 @@ impl VbbFiveFMinusOne {
             timed_out: BTreeSet::new(),
             committed: false,
             proposed: false,
-            votes: BTreeMap::new(),
-            timeouts: BTreeMap::new(),
-            statuses: BTreeMap::new(),
+            votes: Tally::new(),
+            timeouts: Tally::new(),
+            statuses: Tally::new(),
             pending: BTreeMap::new(),
         }
     }
@@ -344,15 +345,16 @@ impl VbbFiveFMinusOne {
 
     // ----- Step 3: commit -------------------------------------------------
 
-    fn record_vote(&mut self, vote: VoteMsg, ctx: &mut dyn Context<VbbMsg>) {
-        let q = self.q();
+    fn on_vote(&mut self, vote: VoteMsg, ctx: &mut dyn Context<VbbMsg>) {
         let key = (vote.ls.view, vote.ls.value);
-        let bucket = self.votes.entry(key).or_default();
-        bucket.insert(vote.voter(), vote);
-        if !self.committed && bucket.len() >= q {
+        let valid =
+            |v: &VoteMsg| v.verify(self.config, &self.verifier) && self.validity.check(v.ls.value);
+        let Some(count) = self.votes.admit(key, vote.voter(), vote, valid) else {
+            return;
+        };
+        if !self.committed && count >= self.q() {
             self.committed = true;
-            let bundle: Vec<VoteMsg> = bucket.values().copied().collect();
-            ctx.multicast_except(VbbMsg::VoteBundle(bundle), self.me());
+            ctx.multicast_except(VbbMsg::VoteBundle(self.votes.bundle(&key)), self.me());
             ctx.commit(key.1);
             ctx.terminate();
         }
@@ -387,17 +389,24 @@ impl VbbFiveFMinusOne {
     }
 
     /// The view whose vote quorum this party committed on (`None` before
-    /// it commits). Handlers stop at the commit, so exactly one bucket
-    /// ever holds a quorum.
+    /// it commits). Handlers stop at the commit, so exactly one key ever
+    /// holds a quorum.
     pub fn commit_view(&self) -> Option<View> {
-        let q = self.q();
-        self.votes
-            .iter()
-            .find(|(_, bucket)| bucket.len() >= q)
-            .map(|(&(view, _), _)| view)
+        self.votes.reached(self.q()).next().map(|&(view, _)| view)
     }
 
     // ----- Step 5: new view -----------------------------------------------
+
+    /// Records a timeout for the current or a later view (a sender's later
+    /// timeout for a view replaces its earlier one); whether it was.
+    fn record_timeout(&mut self, tm: TimeoutMsg) -> bool {
+        let valid = |t: &TimeoutMsg| t.verify(self.config, &self.verifier, &self.validity);
+        tm.view() >= self.view
+            && self
+                .timeouts
+                .admit(tm.view(), tm.sender(), tm, valid)
+                .is_some()
+    }
 
     fn try_advance(&mut self, ctx: &mut dyn Context<VbbMsg>) {
         loop {
@@ -406,26 +415,17 @@ impl VbbFiveFMinusOne {
             }
             let w = self.view;
             let leader = self.leader(w);
-            let Some(pool) = self.timeouts.get(&w) else {
+            let pool = || self.timeouts.votes(&w);
+            let values: BTreeSet<Value> = pool().filter_map(|(_, t)| t.value()).collect();
+            // With leader equivocation visible (two values), wait for a
+            // full quorum from parties other than the leader.
+            let chosen: Vec<TimeoutMsg> = pool()
+                .filter(|&(p, _)| values.len() <= 1 || p != leader)
+                .map(|(_, t)| *t)
+                .collect();
+            if chosen.len() < self.q() {
                 return;
-            };
-            let values: BTreeSet<Value> = pool.values().filter_map(TimeoutMsg::value).collect();
-            let chosen: Vec<TimeoutMsg> = if values.len() <= 1 && pool.len() >= self.q() {
-                pool.values().copied().collect()
-            } else {
-                // Leader equivocation visible: wait for a full quorum from
-                // parties other than the leader.
-                let non_leader: Vec<TimeoutMsg> = pool
-                    .iter()
-                    .filter(|(p, _)| **p != leader)
-                    .map(|(_, t)| *t)
-                    .collect();
-                if non_leader.len() >= self.q() {
-                    non_leader
-                } else {
-                    return;
-                }
-            };
+            }
 
             // Forward the quorum so laggards advance too.
             ctx.multicast_except(VbbMsg::TimeoutBundle(chosen.clone()), self.me());
@@ -460,49 +460,6 @@ impl VbbFiveFMinusOne {
         }
     }
 
-    // ----- Amortized re-delivery checks ------------------------------------
-    //
-    // Each helper first compares the incoming message byte-for-byte against
-    // the copy already recorded for the same slot. Equality means the exact
-    // message was verified when it was first recorded, so the verdict is
-    // `true` without touching the verifier. A *different* message in the
-    // same slot (possible from a Byzantine sender — e.g. two valid timeouts
-    // for one view) falls through to full verification, preserving the
-    // original overwrite semantics of `BTreeMap::insert`.
-
-    fn vote_checks(&self, vote: &VoteMsg) -> bool {
-        let recorded = self
-            .votes
-            .get(&(vote.ls.view, vote.ls.value))
-            .and_then(|m| m.get(&vote.voter()));
-        match recorded {
-            Some(r) if r == vote => true,
-            _ => vote.verify(self.config, &self.verifier) && self.validity.check(vote.ls.value),
-        }
-    }
-
-    fn timeout_checks(&self, tm: &TimeoutMsg) -> bool {
-        let recorded = self
-            .timeouts
-            .get(&tm.view())
-            .and_then(|m| m.get(&tm.sender()));
-        match recorded {
-            Some(r) if r == tm => true,
-            _ => tm.verify(self.config, &self.verifier, &self.validity),
-        }
-    }
-
-    fn status_checks(&self, st: &StatusMsg) -> bool {
-        let recorded = self
-            .statuses
-            .get(&st.view)
-            .and_then(|m| m.get(&st.sender()));
-        match recorded {
-            Some(r) if r == st => true,
-            _ => st.verify(self.config, &self.verifier, &self.validity),
-        }
-    }
-
     // ----- Step 6: status / propose ----------------------------------------
 
     fn try_propose(&mut self, ctx: &mut dyn Context<VbbMsg>) {
@@ -510,34 +467,20 @@ impl VbbFiveFMinusOne {
             return;
         }
         let w = self.view;
-        if w == View::FIRST {
-            let v = self.input.expect("view-1 leader has an input");
-            let ls = LeaderSigned::new(&self.signer, v, w);
-            self.proposed = true;
-            self.voted = Some(ls);
-            let vote = VoteMsg::new(&self.signer, ls);
-            ctx.multicast(VbbMsg::Propose {
-                ls,
-                proof: Proof::Bootstrap,
-            });
-            ctx.multicast(VbbMsg::Vote(vote));
-            return;
-        }
         let prev = w.prev();
-        let Some(pool) = self.statuses.get(&prev) else {
+        let (value, proof) = if w == View::FIRST {
+            let v = self.input.expect("view-1 leader has an input");
+            (v, Proof::Bootstrap)
+        } else if self.statuses.count(&prev) < self.q() {
             return;
-        };
-        if pool.len() < self.q() {
-            return;
-        }
-        let (value, proof) = if self.cert.view() == prev {
+        } else if self.cert.view() == prev {
             let v = match self.cert.lock(self.config) {
                 Some(Lock::Exactly(v)) => v,
                 _ => unreachable!("assembled certs are stored only when they lock"),
             };
             (v, Proof::Cert(self.cert.clone()))
         } else {
-            let statuses: Vec<StatusMsg> = pool.values().cloned().collect();
+            let statuses = self.statuses.bundle(&prev);
             let highest = statuses
                 .iter()
                 .map(|s| &s.cert)
@@ -603,51 +546,36 @@ impl Protocol for VbbFiveFMinusOne {
                     self.maybe_vote(ls, proof, ctx);
                 }
             }
-            VbbMsg::Vote(vote) => {
-                if self.vote_checks(&vote) {
-                    self.record_vote(vote, ctx);
-                }
-            }
+            VbbMsg::Vote(vote) => self.on_vote(vote, ctx),
             VbbMsg::VoteBundle(votes) => {
                 for vote in votes {
-                    if self.vote_checks(&vote) {
-                        self.record_vote(vote, ctx);
-                        if self.committed {
-                            break;
-                        }
+                    self.on_vote(vote, ctx);
+                    if self.committed {
+                        break;
                     }
                 }
             }
             VbbMsg::Timeout(tm) => {
-                if tm.view() >= self.view && self.timeout_checks(&tm) {
-                    self.timeouts
-                        .entry(tm.view())
-                        .or_default()
-                        .insert(tm.sender(), tm);
+                if self.record_timeout(tm) {
                     self.try_advance(ctx);
                 }
             }
             VbbMsg::TimeoutBundle(tms) => {
                 let mut touched = false;
                 for tm in tms {
-                    if tm.view() >= self.view && self.timeout_checks(&tm) {
-                        self.timeouts
-                            .entry(tm.view())
-                            .or_default()
-                            .insert(tm.sender(), tm);
-                        touched = true;
-                    }
+                    touched |= self.record_timeout(tm);
                 }
                 if touched {
                     self.try_advance(ctx);
                 }
             }
             VbbMsg::Status(st) => {
-                if self.status_checks(&st) {
-                    self.statuses
-                        .entry(st.view)
-                        .or_default()
-                        .insert(st.sender(), st);
+                let valid = |s: &StatusMsg| s.verify(self.config, &self.verifier, &self.validity);
+                if self
+                    .statuses
+                    .admit(st.view, st.sender(), st, valid)
+                    .is_some()
+                {
                     self.try_propose(ctx);
                 }
             }
@@ -711,6 +639,7 @@ impl Strategy<VbbMsg> for EquivocatingLeader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::by_hand::Rec;
     use gcl_crypto::Keychain;
     use gcl_sim::{
         DelayRule, FixedDelay, LinkDelay, Outcome, PartySet, ScheduleOracle, Silent, Simulation,
@@ -986,54 +915,18 @@ mod tests {
         assert!(o.all_honest_committed(), "termination after GST");
     }
 
-    /// Records what a party driven by hand sends.
-    struct Rec {
-        me: PartyId,
-        cfg: Config,
-        multicast: Vec<VbbMsg>,
-        committed: Vec<Value>,
-    }
-
-    impl Context<VbbMsg> for Rec {
-        fn me(&self) -> PartyId {
-            self.me
-        }
-        fn config(&self) -> Config {
-            self.cfg
-        }
-        fn now(&self) -> gcl_types::LocalTime {
-            gcl_types::LocalTime::ZERO
-        }
-        fn send(&mut self, _to: PartyId, _msg: VbbMsg) {}
-        fn multicast(&mut self, msg: VbbMsg) {
-            self.multicast.push(msg);
-        }
-        fn multicast_except(&mut self, _msg: VbbMsg, _skip: PartyId) {}
-        fn set_timer(&mut self, _delay: Duration, _tag: u64) {}
-        fn commit(&mut self, value: Value) {
-            self.committed.push(value);
-        }
-        fn terminate(&mut self) {}
-    }
-
     #[test]
     fn forfeit_abstains_from_a_future_view_exactly_once() {
         let cfg = Config::new(4, 1).unwrap();
         let chain = Keychain::generate(4, 27);
         let signer = |i: u32| chain.signer(PartyId::new(i));
-        let me = PartyId::new(2); // leads view 3
-        let two = View::new(2);
-        // Party 2 up to the moment view 2's leader proposes, with or
-        // without having forfeited view 2 first.
+        let two = View::new(2); // party 2 leads view 3
+                                // Party 2 up to the moment view 2's leader proposes, with or
+                                // without having forfeited view 2 first.
         let run = |forfeit: bool| {
             let mut p =
                 VbbFiveFMinusOne::new(cfg, signer(2), chain.pki(), accept_all(), DELTA, None);
-            let mut ctx = Rec {
-                me,
-                cfg,
-                multicast: Vec::new(),
-                committed: Vec::new(),
-            };
+            let mut ctx = Rec::new(cfg, 2);
             Protocol::start(&mut p, &mut ctx);
             if forfeit {
                 p.forfeit(two, &mut ctx);
@@ -1078,6 +971,103 @@ mod tests {
         let sent = ctx.multicast.len();
         p.forfeit(View::new(8), &mut ctx);
         assert_eq!(ctx.multicast.len(), sent, "a no-op after commit");
+    }
+
+    /// Party `me` of (4, 1), started by hand.
+    fn started(chain: &Keychain, me: u32) -> (VbbFiveFMinusOne, Rec<VbbMsg>) {
+        let cfg = Config::new(4, 1).unwrap();
+        let signer = chain.signer(PartyId::new(me));
+        let mut p = VbbFiveFMinusOne::new(cfg, signer, chain.pki(), accept_all(), DELTA, None);
+        let mut ctx = Rec::new(cfg, me);
+        Protocol::start(&mut p, &mut ctx);
+        (p, ctx)
+    }
+
+    #[test]
+    fn a_later_timeout_replaces_the_senders_earlier_one() {
+        // P3 sends a ⊥ and a value timeout for view 1, in both orders. The
+        // one that arrived last is what P2's view-1 quorum forwards and what
+        // its certificate (hence its status to the view-2 leader) is made of.
+        let chain = Keychain::generate(4, 28);
+        let signer = |i: u32| chain.signer(PartyId::new(i));
+        let ls = LeaderSigned::new(&signer(0), Value::new(5), View::FIRST);
+        let bot = TimeoutMsg::bot(&signer(3), View::FIRST);
+        let val = TimeoutMsg::val(&signer(3), ls);
+        for (earlier, later) in [(bot, val), (val, bot)] {
+            let (mut p, mut ctx) = started(&chain, 2);
+            let quorum = [(3, earlier), (3, later)]
+                .into_iter()
+                .chain([0, 1].map(|q| (q, TimeoutMsg::bot(&signer(q), View::FIRST))));
+            for (from, tm) in quorum {
+                Protocol::on_message(&mut p, PartyId::new(from), VbbMsg::Timeout(tm), &mut ctx);
+            }
+            let entries = vec![
+                TimeoutMsg::bot(&signer(0), View::FIRST),
+                TimeoutMsg::bot(&signer(1), View::FIRST),
+                later,
+            ];
+            let cert = if later == val {
+                Certificate::assemble(View::FIRST, entries.clone())
+            } else {
+                Certificate::Genesis // an all-⊥ quorum locks nothing
+            };
+            let status = StatusMsg::new(&signer(2), View::FIRST, cert);
+            assert_eq!(
+                ctx.sent,
+                [VbbMsg::TimeoutBundle(entries), VbbMsg::Status(status)]
+            );
+        }
+    }
+
+    #[test]
+    fn a_later_status_replaces_the_senders_earlier_one() {
+        // P3 sends two statuses for view 1 to P1, the view-2 leader: one
+        // with the genesis certificate, one with a certificate locking 5.
+        // The later one is what P1's proposal proof carries, so it decides
+        // what P1 proposes.
+        let chain = Keychain::generate(4, 29);
+        let signer = |i: u32| chain.signer(PartyId::new(i));
+        let ls = LeaderSigned::new(&signer(0), Value::new(5), View::FIRST);
+        let locking = Certificate::assemble(
+            View::FIRST,
+            vec![
+                TimeoutMsg::bot(&signer(0), View::FIRST),
+                TimeoutMsg::bot(&signer(1), View::FIRST),
+                TimeoutMsg::val(&signer(3), ls),
+            ],
+        );
+        let status =
+            |q: u32, cert: &Certificate| StatusMsg::new(&signer(q), View::FIRST, cert.clone());
+        let plain = status(3, &Certificate::Genesis);
+        let locked = status(3, &locking);
+        for (earlier, later, proposed) in [
+            (plain.clone(), locked.clone(), Value::new(5)),
+            (locked.clone(), plain.clone(), Value::new(1_000_001)),
+        ] {
+            let (mut p, mut ctx) = started(&chain, 1);
+            for (from, st) in [
+                (3, earlier),
+                (3, later.clone()),
+                (0, status(0, &Certificate::Genesis)),
+                (2, status(2, &Certificate::Genesis)),
+            ] {
+                Protocol::on_message(&mut p, PartyId::new(from), VbbMsg::Status(st), &mut ctx);
+            }
+            for q in [0, 2, 3] {
+                let tm = TimeoutMsg::bot(&signer(q), View::FIRST);
+                Protocol::on_message(&mut p, PartyId::new(q), VbbMsg::Timeout(tm), &mut ctx);
+            }
+            let proof = Proof::Statuses(vec![
+                status(0, &Certificate::Genesis),
+                status(2, &Certificate::Genesis),
+                later,
+            ]);
+            let propose = VbbMsg::Propose {
+                ls: LeaderSigned::new(&signer(1), proposed, View::new(2)),
+                proof,
+            };
+            assert!(ctx.multicast.contains(&propose), "{:?}", ctx.multicast);
+        }
     }
 
     #[test]

@@ -6,49 +6,20 @@
 //! broadcaster + double-voting accomplices) makes two honest parties
 //! commit different values before any cross-traffic can warn them.
 
-use gcl_crypto::{Digest, Signature, Signer, Verifier, Verify};
+use crate::{SignedValue, Tally};
+use gcl_crypto::{Signer, Verifier};
 use gcl_sim::{Context, Protocol};
 use gcl_types::{Config, PartyId, Value};
-use std::collections::{BTreeMap, BTreeSet};
-
-/// Signed vote (same shape as Figure 5's, no embedded proposal needed for
-/// the strawman).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EarlyVote {
-    /// Voted value.
-    pub value: Value,
-    /// Voter signature.
-    pub sig: Signature,
-}
-
-impl EarlyVote {
-    fn digest(value: Value) -> Digest {
-        Digest::of(&("early-vote", value))
-    }
-
-    /// Signs a vote.
-    pub fn new(signer: &Signer, value: Value) -> Self {
-        EarlyVote {
-            value,
-            sig: signer.sign(Self::digest(value)),
-        }
-    }
-
-    fn verify(&self, v: &impl Verify) -> bool {
-        v.verify_embedded(Self::digest(self.value), &self.sig)
-    }
-}
 
 /// Wire messages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EarlyMsg {
     /// Proposal (unsigned — the strawman's voters trust the sender id).
     Propose(Value),
-    /// Signed vote.
-    Vote(EarlyVote),
+    /// Signed vote (domain `EarlyCommitBb::VOTE`; Figure 5's shape without
+    /// the embedded proposal).
+    Vote(SignedValue),
 }
-
-gcl_types::wire_struct!(EarlyVote { value, sig });
 
 gcl_types::wire_enum!(EarlyMsg {
     1 => Propose(value),
@@ -65,10 +36,13 @@ pub struct EarlyCommitBb {
     input: Option<Value>,
     voted: bool,
     committed: bool,
-    votes: BTreeMap<Value, BTreeSet<PartyId>>,
+    votes: Tally<Value, ()>,
 }
 
 impl EarlyCommitBb {
+    /// The domain a vote is signed under.
+    pub(crate) const VOTE: &'static str = "early-vote";
+
     /// Creates the party-side state.
     pub fn new(
         config: Config,
@@ -86,7 +60,7 @@ impl EarlyCommitBb {
             input,
             voted: false,
             committed: false,
-            votes: BTreeMap::new(),
+            votes: Tally::new(),
         }
     }
 }
@@ -105,16 +79,18 @@ impl Protocol for EarlyCommitBb {
             EarlyMsg::Propose(v) => {
                 if from == self.broadcaster && !self.voted {
                     self.voted = true;
-                    ctx.multicast(EarlyMsg::Vote(EarlyVote::new(&self.signer, v)));
+                    let vote = SignedValue::new(Self::VOTE, &self.signer, v);
+                    ctx.multicast(EarlyMsg::Vote(vote));
                 }
             }
             EarlyMsg::Vote(vote) => {
-                if !vote.verify(&self.verifier) {
+                if !vote.verify_embedded(Self::VOTE, &self.verifier) {
                     return;
                 }
-                let set = self.votes.entry(vote.value).or_default();
-                set.insert(vote.sig.signer());
-                if set.len() >= self.config.quorum() && !self.committed {
+                let Ok(count) = self.votes.insert(vote.value, vote.signer(), ()) else {
+                    return;
+                };
+                if count >= self.config.quorum() && !self.committed {
                     self.committed = true;
                     ctx.commit(vote.value); // no Δ wait: the flaw
                     ctx.terminate();

@@ -10,6 +10,8 @@
 //!
 //! Only two views are modeled — enough to realize the Figure 4 violation.
 
+use crate::signed::PhaseVote;
+use crate::Tally;
 use gcl_crypto::{Digest, Signature, Signer, Verifier, Verify};
 use gcl_sim::{Context, Protocol};
 use gcl_types::{Config, Duration, PartyId, Value, View};
@@ -22,55 +24,21 @@ pub struct FabProposal {
     pub value: Value,
     /// View.
     pub view: View,
-    /// Leader signature.
+    /// Leader signature (domain `FabTwoRound::PROPOSE`).
     pub sig: Signature,
     /// View ≥ 2: the view-change quorum justifying the value.
     pub proof: Vec<FabViewChange>,
 }
 
 impl FabProposal {
-    fn digest(value: Value, view: View) -> Digest {
-        Digest::of(&("fab-prop", value, view))
-    }
-
     /// Signs a proposal.
     pub fn new(signer: &Signer, value: Value, view: View, proof: Vec<FabViewChange>) -> Self {
         FabProposal {
             value,
             view,
-            sig: signer.sign(Self::digest(value, view)),
+            sig: signer.sign(PhaseVote::digest(FabTwoRound::PROPOSE, value, view)),
             proof,
         }
-    }
-}
-
-/// Signed vote.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FabVote {
-    /// Voted value.
-    pub value: Value,
-    /// View.
-    pub view: View,
-    /// Voter signature.
-    pub sig: Signature,
-}
-
-impl FabVote {
-    fn digest(value: Value, view: View) -> Digest {
-        Digest::of(&("fab-vote", value, view))
-    }
-
-    /// Signs a vote.
-    pub fn new(signer: &Signer, value: Value, view: View) -> Self {
-        FabVote {
-            value,
-            view,
-            sig: signer.sign(Self::digest(value, view)),
-        }
-    }
-
-    fn verify(&self, v: &impl Verify) -> bool {
-        v.verify_embedded(Self::digest(self.value, self.view), &self.sig)
     }
 }
 
@@ -109,23 +77,13 @@ impl FabViewChange {
     }
 }
 
-/// Convenience for adversarial scripts: a proposal with an empty proof.
-pub fn fab_proposal(signer: &Signer, value: Value, view: View) -> FabProposal {
-    FabProposal::new(signer, value, view, Vec::new())
-}
-
-/// Convenience for adversarial scripts: a signed vote.
-pub fn fab_vote(signer: &Signer, value: Value, view: View) -> FabVote {
-    FabVote::new(signer, value, view)
-}
-
 /// Wire messages.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FabMsg {
     /// Leader proposal (view 1 or 2).
     Propose(FabProposal),
-    /// Vote.
-    Vote(FabVote),
+    /// Vote (domain `FabTwoRound::VOTE`).
+    Vote(PhaseVote),
     /// View change (sent on timeout of view 1).
     ViewChange(FabViewChange),
 }
@@ -136,7 +94,6 @@ gcl_types::wire_struct!(FabProposal {
     sig,
     proof
 });
-gcl_types::wire_struct!(FabVote { value, view, sig });
 gcl_types::wire_struct!(FabViewChange { view, voted, sig });
 
 gcl_types::wire_enum!(FabMsg {
@@ -160,11 +117,16 @@ pub struct FabTwoRound {
     voted_v2: bool,
     committed: bool,
     proposed_v2: bool,
-    votes: BTreeMap<(View, Value), BTreeSet<PartyId>>,
+    votes: Tally<(View, Value), ()>,
     vcs: BTreeMap<PartyId, FabViewChange>,
 }
 
 impl FabTwoRound {
+    /// The domain a proposal is signed under.
+    pub(crate) const PROPOSE: &'static str = "fab-prop";
+    /// The domain a vote is signed under.
+    pub(crate) const VOTE: &'static str = "fab-vote";
+
     /// Creates the party-side state; `input` only at the view-1 leader
     /// (party 0). View 2's leader is party 1.
     pub fn new(
@@ -186,7 +148,7 @@ impl FabTwoRound {
             voted_v2: false,
             committed: false,
             proposed_v2: false,
-            votes: BTreeMap::new(),
+            votes: Tally::new(),
             vcs: BTreeMap::new(),
         }
     }
@@ -210,14 +172,15 @@ impl FabTwoRound {
             .map(|(v, _)| v)
     }
 
-    fn record_vote(&mut self, vote: FabVote, ctx: &mut dyn Context<FabMsg>) {
-        if !vote.verify(&self.verifier) {
+    fn record_vote(&mut self, vote: PhaseVote, ctx: &mut dyn Context<FabMsg>) {
+        if !vote.verify_embedded(Self::VOTE, &self.verifier) {
             return;
         }
-        let q = self.q();
-        let set = self.votes.entry((vote.view, vote.value)).or_default();
-        set.insert(vote.sig.signer());
-        if set.len() >= q && !self.committed {
+        let key = (vote.view, vote.value);
+        let Ok(count) = self.votes.insert(key, vote.voter(), ()) else {
+            return;
+        };
+        if count >= self.q() && !self.committed {
             self.committed = true;
             ctx.commit(vote.value);
             ctx.terminate();
@@ -259,23 +222,26 @@ impl Protocol for FabTwoRound {
                         && self.view == View::FIRST
                     {
                         self.voted_v1 = Some(prop.value);
-                        ctx.multicast(FabMsg::Vote(FabVote::new(
-                            &self.signer,
-                            prop.value,
-                            View::FIRST,
-                        )));
+                        let vote =
+                            PhaseVote::new(Self::VOTE, &self.signer, prop.value, View::FIRST);
+                        ctx.multicast(FabMsg::Vote(vote));
                     }
                 }
                 _ => {
-                    // View 2: accept if the proof is a quorum of valid VCs
-                    // and the value matches its plain majority.
+                    // View 2: accept if the proof is a quorum of valid view-1
+                    // VCs, one per sender, and the value matches its plain
+                    // majority.
                     if from != PartyId::new(1) || self.voted_v2 {
                         return;
                     }
                     let senders: BTreeSet<PartyId> =
                         prop.proof.iter().map(FabViewChange::sender).collect();
                     if senders.len() < self.q()
-                        || !prop.proof.iter().all(|vc| vc.verify(&self.verifier))
+                        || senders.len() != prop.proof.len()
+                        || !prop
+                            .proof
+                            .iter()
+                            .all(|vc| vc.view == View::FIRST && vc.verify(&self.verifier))
                     {
                         return;
                     }
@@ -283,11 +249,8 @@ impl Protocol for FabTwoRound {
                         return;
                     }
                     self.voted_v2 = true;
-                    ctx.multicast(FabMsg::Vote(FabVote::new(
-                        &self.signer,
-                        prop.value,
-                        View::new(2),
-                    )));
+                    let vote = PhaseVote::new(Self::VOTE, &self.signer, prop.value, View::new(2));
+                    ctx.multicast(FabMsg::Vote(vote));
                 }
             },
             FabMsg::Vote(vote) => self.record_vote(vote, ctx),
@@ -339,6 +302,55 @@ mod tests {
             .run();
         assert!(o.validity_holds(Value::new(9)));
         assert_eq!(o.good_case_rounds(), Some(2));
+    }
+
+    #[test]
+    fn view_two_proof_counts_each_sender_once() {
+        // n = 9 = 5f − 1. Honest P0 proposes 9; view-1 votes reach only P2,
+        // which commits 9. P1 (the view-2 leader) and P8 are Byzantine: P1
+        // justifies 5 with the six honest "voted 9" view changes plus P8's
+        // "voted 5" seven times — seven distinct senders, but a plain
+        // majority of entries for 5. Counted once per sender the proof is
+        // not a quorum, so nobody votes 5 and agreement holds.
+        use gcl_sim::{DelayRule, LinkDelay, PartySet, ScheduleOracle, Scripted, ScriptedAction};
+        use gcl_types::LocalTime;
+        let cfg = Config::new(9, 2).unwrap();
+        let chain = Keychain::generate(9, 113);
+        let signer = |i: u32| chain.signer(PartyId::new(i));
+        let big_delta = Duration::from_micros(100);
+        let vc = |i: u32, v: u64| FabViewChange::new(&signer(i), View::FIRST, Some(Value::new(v)));
+        let mut proof: Vec<FabViewChange> = [0, 3, 4, 5, 6, 7].map(|i| vc(i, 9)).to_vec();
+        proof.extend([vc(8, 5); 7]);
+        let prop = FabProposal::new(&signer(1), Value::new(5), View::new(2), proof);
+        let stuffed = (0..9).filter(|&i| i != 1).map(|i| ScriptedAction {
+            at: LocalTime::from_micros(450),
+            to: PartyId::new(i),
+            msg: FabMsg::Propose(prop.clone()),
+        });
+        let oracle: ScheduleOracle<FabMsg> = ScheduleOracle::new(Duration::from_micros(10)).rule(
+            DelayRule::link(
+                PartySet::Any,
+                PartySet::In([0, 1, 3, 4, 5, 6, 7, 8].map(PartyId::new).to_vec()),
+                LinkDelay::Never,
+            )
+            .when(|m: &FabMsg| matches!(m, FabMsg::Vote(v) if v.view == View::FIRST)),
+        );
+        let party = |i: u32| {
+            let input = (i == 0).then_some(Value::new(9));
+            FabTwoRound::new(cfg, signer(i), chain.pki(), big_delta, input)
+        };
+        let o = Simulation::build(cfg)
+            .timing(TimingModel::Asynchrony)
+            .oracle(oracle)
+            .byzantine(PartyId::new(1), Scripted::new(stuffed.collect()))
+            .byzantine(PartyId::new(8), party(8))
+            .spawn_honest(|p| party(p.index()))
+            .run();
+        assert_eq!(
+            o.commit_of(PartyId::new(2)).map(|c| c.value),
+            Some(Value::new(9))
+        );
+        o.assert_agreement();
     }
 
     #[test]

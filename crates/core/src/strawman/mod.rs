@@ -21,8 +21,8 @@ mod early_commit_bb;
 mod fab2;
 mod one_round_brb;
 
-pub use early_commit_bb::{EarlyCommitBb, EarlyMsg, EarlyVote};
-pub use fab2::{fab_proposal, fab_vote, FabMsg, FabProposal, FabTwoRound, FabViewChange, FabVote};
+pub use early_commit_bb::{EarlyCommitBb, EarlyMsg};
+pub use fab2::{FabMsg, FabProposal, FabTwoRound, FabViewChange};
 pub use one_round_brb::{OneRoundBrb, OneRoundMsg};
 
 use gcl_crypto::Keychain;

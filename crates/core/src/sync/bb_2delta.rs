@@ -15,85 +15,25 @@
 //! parties whenever anyone commits, and BA validity finishes the job.
 
 use super::ba::{BaMsg, LockstepBa, BOT};
-use gcl_crypto::{Digest, Signature, Signer, Verifier, Verify};
+use crate::{SignedValue, Tally};
+use gcl_crypto::{Signer, Verifier};
 use gcl_sim::{Context, Protocol};
 use gcl_types::{Config, Duration, PartyId, Value};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
-
-/// A signed vote `⟨vote, v⟩_i`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Fig10Vote {
-    /// Voted value.
-    pub value: Value,
-    /// Voter signature over `("fig10-vote", value)`.
-    pub sig: Signature,
-}
-
-impl Fig10Vote {
-    fn digest(value: Value) -> Digest {
-        Digest::of(&("fig10-vote", value))
-    }
-
-    fn new(signer: &Signer, value: Value) -> Self {
-        Fig10Vote {
-            value,
-            sig: signer.sign(Self::digest(value)),
-        }
-    }
-
-    fn verify(&self, v: &impl Verify) -> bool {
-        v.verify_embedded(Self::digest(self.value), &self.sig)
-    }
-
-    /// The voter.
-    pub fn voter(&self) -> PartyId {
-        self.sig.signer()
-    }
-}
-
-/// Signed proposal `⟨propose, v⟩_L`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Fig10Proposal {
-    /// Proposed value.
-    pub value: Value,
-    /// Broadcaster signature over `("fig10-prop", value)`.
-    pub sig: Signature,
-}
-
-impl Fig10Proposal {
-    fn digest(value: Value) -> Digest {
-        Digest::of(&("fig10-prop", value))
-    }
-
-    fn new(signer: &Signer, value: Value) -> Self {
-        Fig10Proposal {
-            value,
-            sig: signer.sign(Self::digest(value)),
-        }
-    }
-
-    fn verify(&self, broadcaster: PartyId, v: &impl Verify) -> bool {
-        self.sig.signer() == broadcaster
-            && v.verify(broadcaster, Self::digest(self.value), &self.sig)
-    }
-}
 
 /// Wire messages of the `2δ`-BB protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TwoDeltaMsg {
-    /// Step 1.
-    Propose(Fig10Proposal),
-    /// Step 2.
-    Vote(Fig10Vote),
+    /// Step 1: `⟨propose, v⟩_L` (domain `TwoDeltaBb::PROPOSE`).
+    Propose(SignedValue),
+    /// Step 2: `⟨vote, v⟩_i` (domain `TwoDeltaBb::VOTE`).
+    Vote(SignedValue),
     /// Step 3: forwarded quorum.
-    VoteBundle(Vec<Fig10Vote>),
+    VoteBundle(Vec<SignedValue>),
     /// Step 4: embedded Byzantine agreement traffic.
     Ba(BaMsg),
 }
-
-gcl_types::wire_struct!(Fig10Proposal { value, sig });
-gcl_types::wire_struct!(Fig10Vote { value, sig });
 
 gcl_types::wire_enum!(TwoDeltaMsg {
     1 => Propose(prop),
@@ -144,11 +84,16 @@ pub struct TwoDeltaBb {
     voted: bool,
     committed: bool,
     forwarded: bool,
-    votes: BTreeMap<Value, BTreeMap<PartyId, Fig10Vote>>,
+    votes: Tally<Value, SignedValue>,
     ba: LockstepBa,
 }
 
 impl TwoDeltaBb {
+    /// The domain the broadcaster's proposal is signed under.
+    pub(crate) const PROPOSE: &'static str = "fig10-prop";
+    /// The domain a vote is signed under.
+    pub(crate) const VOTE: &'static str = "fig10-vote";
+
     /// Creates the party-side state. The protocol sets its internal skew
     /// parameter σ := Δ, as the paper prescribes when δ is unknown.
     ///
@@ -183,7 +128,7 @@ impl TwoDeltaBb {
             voted: false,
             committed: false,
             forwarded: false,
-            votes: BTreeMap::new(),
+            votes: Tally::new(),
             ba,
         }
     }
@@ -198,16 +143,14 @@ impl TwoDeltaBb {
         self.big_delta * 5
     }
 
-    fn on_vote(&mut self, vote: Fig10Vote, ctx: &mut dyn Context<TwoDeltaMsg>) {
-        if !vote.verify(&self.verifier) {
+    fn on_vote(&mut self, vote: SignedValue, ctx: &mut dyn Context<TwoDeltaMsg>) {
+        if !vote.verify_embedded(Self::VOTE, &self.verifier) {
             return;
         }
-        let quorum = self.config.quorum();
-        let bucket = self.votes.entry(vote.value).or_default();
-        bucket.insert(vote.voter(), vote);
-        if bucket.len() >= quorum && !self.forwarded {
+        let _ = self.votes.insert(vote.value, vote.signer(), vote);
+        if self.votes.count(&vote.value) >= self.config.quorum() && !self.forwarded {
             self.forwarded = true;
-            let bundle: Vec<Fig10Vote> = bucket.values().copied().collect();
+            let bundle = self.votes.bundle(&vote.value);
             self.lock = vote.value;
             ctx.multicast_except(TwoDeltaMsg::VoteBundle(bundle), self.signer.id());
             if !self.committed && ctx.now().as_micros() <= self.commit_deadline().as_micros() {
@@ -224,7 +167,8 @@ impl Protocol for TwoDeltaBb {
     fn start(&mut self, ctx: &mut dyn Context<TwoDeltaMsg>) {
         ctx.set_timer(self.ba_time(), TAG_BA_START);
         if let Some(v) = self.input {
-            ctx.multicast(TwoDeltaMsg::Propose(Fig10Proposal::new(&self.signer, v)));
+            let prop = SignedValue::new(Self::PROPOSE, &self.signer, v);
+            ctx.multicast(TwoDeltaMsg::Propose(prop));
         }
     }
 
@@ -233,17 +177,18 @@ impl Protocol for TwoDeltaBb {
             TwoDeltaMsg::Propose(prop) => {
                 if from == self.broadcaster
                     && !self.voted
-                    && prop.verify(self.broadcaster, &self.verifier)
+                    && prop.verify(Self::PROPOSE, self.broadcaster, &self.verifier)
                 {
                     self.voted = true;
-                    ctx.multicast(TwoDeltaMsg::Vote(Fig10Vote::new(&self.signer, prop.value)));
+                    let vote = SignedValue::new(Self::VOTE, &self.signer, prop.value);
+                    ctx.multicast(TwoDeltaMsg::Vote(vote));
                 }
             }
             TwoDeltaMsg::Vote(vote) => self.on_vote(vote, ctx),
             TwoDeltaMsg::VoteBundle(votes) => {
                 // Adopt each valid vote; dedup happens in the maps. The
                 // distinct-voter quorum check runs per value as usual.
-                let distinct: BTreeSet<PartyId> = votes.iter().map(Fig10Vote::voter).collect();
+                let distinct: BTreeSet<PartyId> = votes.iter().map(SignedValue::signer).collect();
                 if distinct.len() != votes.len() {
                     return;
                 }
@@ -402,8 +347,8 @@ mod tests {
         let cfg = Config::new(4, 1).unwrap();
         let chain = Keychain::generate(4, 63);
         let s0 = chain.signer(PartyId::new(0));
-        let p0 = Fig10Proposal::new(&s0, Value::ZERO);
-        let p1 = Fig10Proposal::new(&s0, Value::ONE);
+        let p0 = SignedValue::new(TwoDeltaBb::PROPOSE, &s0, Value::ZERO);
+        let p1 = SignedValue::new(TwoDeltaBb::PROPOSE, &s0, Value::ONE);
         let actions = vec![
             ScriptedAction {
                 at: LocalTime::ZERO,

@@ -12,63 +12,37 @@
 //! adopted.
 
 use super::ba::{BaMsg, LockstepBa, BOT};
-use gcl_crypto::{Digest, Signature, Signer, Verifier, Verify};
+use crate::{SignedValue, Tally};
+use gcl_crypto::{Signature, Signer, Verifier, Verify};
 use gcl_sim::{Context, Protocol};
 use gcl_types::{Config, Duration, LocalTime, PartyId, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// Broadcaster-signed proposal `⟨propose, v⟩_L`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Fig5Proposal {
-    /// Proposed value.
-    pub value: Value,
-    /// Broadcaster signature over `("fig5-prop", value)`.
-    pub sig: Signature,
-}
-
-impl Fig5Proposal {
-    fn digest(value: Value) -> Digest {
-        Digest::of(&("fig5-prop", value))
-    }
-
-    fn new(signer: &Signer, value: Value) -> Self {
-        Fig5Proposal {
-            value,
-            sig: signer.sign(Self::digest(value)),
-        }
-    }
-
-    fn verify(&self, broadcaster: PartyId, v: &impl Verify) -> bool {
-        self.sig.signer() == broadcaster
-            && v.verify(broadcaster, Self::digest(self.value), &self.sig)
-    }
-}
-
 /// Vote `⟨vote, ⟨propose, v⟩_L⟩_i` — embeds the signed proposal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fig5Vote {
     /// The embedded, broadcaster-signed proposal.
-    pub prop: Fig5Proposal,
+    pub prop: SignedValue,
     /// Voter signature over `("fig5-vote", value)`.
     pub sig: Signature,
 }
 
 impl Fig5Vote {
-    fn digest(value: Value) -> Digest {
-        Digest::of(&("fig5-vote", value))
-    }
-
-    fn new(signer: &Signer, prop: Fig5Proposal) -> Self {
+    /// Signs a vote for `prop`.
+    pub fn new(signer: &Signer, prop: SignedValue) -> Self {
         Fig5Vote {
             prop,
-            sig: signer.sign(Self::digest(prop.value)),
+            sig: SignedValue::new(ThirdBb::VOTE, signer, prop.value).sig,
         }
     }
 
     fn verify(&self, broadcaster: PartyId, v: &impl Verify) -> bool {
-        self.prop.verify(broadcaster, v)
-            && v.verify_embedded(Self::digest(self.prop.value), &self.sig)
+        self.prop.verify(ThirdBb::PROPOSE, broadcaster, v)
+            && v.verify_embedded(
+                SignedValue::digest(ThirdBb::VOTE, self.prop.value),
+                &self.sig,
+            )
     }
 
     /// The voter.
@@ -77,60 +51,22 @@ impl Fig5Vote {
     }
 }
 
-/// Commit announcement `⟨commit, v⟩_i`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Fig5Commit {
-    /// Committed value.
-    pub value: Value,
-    /// Sender signature over `("fig5-commit", value)`.
-    pub sig: Signature,
-}
-
-impl Fig5Commit {
-    fn digest(value: Value) -> Digest {
-        Digest::of(&("fig5-commit", value))
-    }
-
-    fn new(signer: &Signer, value: Value) -> Self {
-        Fig5Commit {
-            value,
-            sig: signer.sign(Self::digest(value)),
-        }
-    }
-
-    fn verify(&self, v: &impl Verify) -> bool {
-        v.verify_embedded(Self::digest(self.value), &self.sig)
-    }
-}
-
-/// Convenience for adversarial scripts: a broadcaster-signed proposal.
-pub fn fig5_proposal(signer: &Signer, value: Value) -> Fig5Proposal {
-    Fig5Proposal::new(signer, value)
-}
-
-/// Convenience for adversarial scripts: a signed vote embedding `prop`.
-pub fn fig5_vote(signer: &Signer, prop: Fig5Proposal) -> Fig5Vote {
-    Fig5Vote::new(signer, prop)
-}
-
 /// Wire messages of the `(Δ+δ)-n/3`-BB protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ThirdMsg {
-    /// Step 1.
-    Propose(Fig5Proposal),
+    /// Step 1 (domain `ThirdBb::PROPOSE`).
+    Propose(SignedValue),
     /// Step 2.
     Vote(Fig5Vote),
     /// Step 3: forwarded quorum.
     VoteBundle(Vec<Fig5Vote>),
-    /// Step 3: commit announcement.
-    Commit(Fig5Commit),
+    /// Step 3: commit announcement (domain `ThirdBb::COMMIT`).
+    Commit(SignedValue),
     /// Step 4: embedded BA traffic.
     Ba(BaMsg),
 }
 
-gcl_types::wire_struct!(Fig5Proposal { value, sig });
 gcl_types::wire_struct!(Fig5Vote { prop, sig });
-gcl_types::wire_struct!(Fig5Commit { value, sig });
 
 gcl_types::wire_enum!(ThirdMsg {
     1 => Propose(prop),
@@ -182,7 +118,7 @@ pub struct ThirdBb {
     forwarded: BTreeSet<Value>,
     /// Distinct proposal values provably signed by the broadcaster.
     proposals_seen: BTreeSet<Value>,
-    votes: BTreeMap<Value, BTreeMap<PartyId, Fig5Vote>>,
+    votes: Tally<Value, Fig5Vote>,
     /// When each value's quorum was first completed (local clock).
     quorum_at: BTreeMap<Value, LocalTime>,
     commits_received: BTreeMap<PartyId, Value>,
@@ -190,6 +126,13 @@ pub struct ThirdBb {
 }
 
 impl ThirdBb {
+    /// The domain the broadcaster's proposal is signed under.
+    pub(crate) const PROPOSE: &'static str = "fig5-prop";
+    /// The domain a vote is signed under.
+    pub(crate) const VOTE: &'static str = "fig5-vote";
+    /// The domain a commit announcement is signed under.
+    pub(crate) const COMMIT: &'static str = "fig5-commit";
+
     /// Creates the party-side state (internal σ := Δ).
     ///
     /// # Panics
@@ -228,7 +171,7 @@ impl ThirdBb {
             committed: false,
             forwarded: BTreeSet::new(),
             proposals_seen: BTreeSet::new(),
-            votes: BTreeMap::new(),
+            votes: Tally::new(),
             quorum_at: BTreeMap::new(),
             commits_received: BTreeMap::new(),
             ba,
@@ -249,17 +192,12 @@ impl ThirdBb {
         self.big_delta * 5
     }
 
-    fn note_proposal(&mut self, prop: Fig5Proposal) {
-        self.proposals_seen.insert(prop.value);
-    }
-
     fn record_vote(&mut self, vote: Fig5Vote, now: LocalTime) {
-        self.note_proposal(vote.prop);
-        let quorum = self.config.quorum();
-        let bucket = self.votes.entry(vote.prop.value).or_default();
-        bucket.insert(vote.voter(), vote);
-        if bucket.len() >= quorum {
-            self.quorum_at.entry(vote.prop.value).or_insert(now);
+        let value = vote.prop.value;
+        self.proposals_seen.insert(value);
+        let _ = self.votes.insert(value, vote.voter(), vote);
+        if self.votes.count(&value) >= self.config.quorum() {
+            self.quorum_at.entry(value).or_insert(now);
         }
     }
 
@@ -268,16 +206,10 @@ impl ThirdBb {
         if !self.vote_timer_expired || self.equivocation_detected() {
             return;
         }
-        let quorum = self.config.quorum();
-        let ready: Vec<Value> = self
-            .votes
-            .iter()
-            .filter(|(_, b)| b.len() >= quorum)
-            .map(|(v, _)| *v)
-            .collect();
+        let ready: Vec<Value> = self.votes.reached(self.config.quorum()).copied().collect();
         for v in ready {
             if self.forwarded.insert(v) {
-                let bundle: Vec<Fig5Vote> = self.votes[&v].values().copied().collect();
+                let bundle = self.votes.bundle(&v);
                 ctx.multicast_except(ThirdMsg::VoteBundle(bundle), self.signer.id());
             }
             let timely = self.quorum_at[&v].as_micros() <= self.commit_deadline().as_micros();
@@ -285,20 +217,15 @@ impl ThirdBb {
                 self.committed = true;
                 self.lock = v;
                 ctx.commit(v);
-                ctx.multicast(ThirdMsg::Commit(Fig5Commit::new(&self.signer, v)));
+                let commit = SignedValue::new(Self::COMMIT, &self.signer, v);
+                ctx.multicast(ThirdMsg::Commit(commit));
             }
         }
     }
 
     /// Step 4 at `3Δ + 2σ`: lock, Byzantine identification, BA.
     fn step4(&mut self, ctx: &mut dyn Context<ThirdMsg>) {
-        let quorum = self.config.quorum();
-        let quorum_values: Vec<Value> = self
-            .votes
-            .iter()
-            .filter(|(_, b)| b.len() >= quorum)
-            .map(|(v, _)| *v)
-            .collect();
+        let quorum_values: Vec<Value> = self.votes.reached(self.config.quorum()).copied().collect();
         match quorum_values.as_slice() {
             [v] => {
                 if !self.committed {
@@ -310,20 +237,17 @@ impl ThirdBb {
                 // hence is entirely Byzantine; with f = n/3 that is *all*
                 // Byzantine parties, so a commit message from outside it is
                 // from an honest party.
-                let set_a: BTreeSet<PartyId> = self.votes[a].keys().copied().collect();
-                let set_b: BTreeSet<PartyId> = self.votes[b].keys().copied().collect();
-                let byzantine: BTreeSet<PartyId> = set_a.intersection(&set_b).copied().collect();
+                let double_voted =
+                    |p: PartyId| self.votes.get(a, p).is_some() && self.votes.get(b, p).is_some();
                 if let Some((_, v)) = self
                     .commits_received
                     .iter()
-                    .find(|(p, _)| !byzantine.contains(*p))
+                    .find(|(p, _)| !double_voted(**p))
                 {
+                    self.lock = *v;
                     if !self.committed {
                         self.committed = true;
-                        self.lock = *v;
                         ctx.commit(*v);
-                    } else {
-                        self.lock = *v;
                     }
                 }
             }
@@ -340,17 +264,18 @@ impl Protocol for ThirdBb {
     fn start(&mut self, ctx: &mut dyn Context<ThirdMsg>) {
         ctx.set_timer(self.step4_time(), TAG_STEP4);
         if let Some(v) = self.input {
-            ctx.multicast(ThirdMsg::Propose(Fig5Proposal::new(&self.signer, v)));
+            let prop = SignedValue::new(Self::PROPOSE, &self.signer, v);
+            ctx.multicast(ThirdMsg::Propose(prop));
         }
     }
 
     fn on_message(&mut self, from: PartyId, msg: ThirdMsg, ctx: &mut dyn Context<ThirdMsg>) {
         match msg {
             ThirdMsg::Propose(prop) => {
-                if !prop.verify(self.broadcaster, &self.verifier) {
+                if !prop.verify(Self::PROPOSE, self.broadcaster, &self.verifier) {
                     return;
                 }
-                self.note_proposal(prop);
+                self.proposals_seen.insert(prop.value);
                 if from == self.broadcaster && !self.voted {
                     self.voted = true;
                     ctx.multicast(ThirdMsg::Vote(Fig5Vote::new(&self.signer, prop)));
@@ -374,8 +299,8 @@ impl Protocol for ThirdBb {
                 self.try_fast_commit(ctx);
             }
             ThirdMsg::Commit(c) => {
-                if c.verify(&self.verifier) {
-                    self.commits_received.insert(c.sig.signer(), c.value);
+                if c.verify_embedded(Self::COMMIT, &self.verifier) {
+                    self.commits_received.insert(c.signer(), c.value);
                 }
             }
             ThirdMsg::Ba(m) => {
@@ -527,8 +452,8 @@ mod tests {
         let cfg = Config::new(3, 1).unwrap();
         let chain = Keychain::generate(3, 73);
         let s0 = chain.signer(PartyId::new(0));
-        let p0 = Fig5Proposal::new(&s0, Value::ZERO);
-        let p1 = Fig5Proposal::new(&s0, Value::ONE);
+        let p0 = SignedValue::new(ThirdBb::PROPOSE, &s0, Value::ZERO);
+        let p1 = SignedValue::new(ThirdBb::PROPOSE, &s0, Value::ONE);
         let actions = vec![
             ScriptedAction {
                 at: gcl_types::LocalTime::ZERO,
@@ -573,8 +498,8 @@ mod tests {
         let chain = Keychain::generate(6, 74);
         let s0 = chain.signer(PartyId::new(0));
         let s5 = chain.signer(PartyId::new(5));
-        let p0 = Fig5Proposal::new(&s0, Value::ZERO);
-        let p1 = Fig5Proposal::new(&s0, Value::ONE);
+        let p0 = SignedValue::new(ThirdBb::PROPOSE, &s0, Value::ZERO);
+        let p1 = SignedValue::new(ThirdBb::PROPOSE, &s0, Value::ONE);
         // Broadcaster: 0 to P1,P2; 1 to P3,P4. P5 (Byz) votes for both.
         let bcast_script = vec![
             ScriptedAction {

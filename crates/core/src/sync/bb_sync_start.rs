@@ -11,66 +11,47 @@
 //! ([`super::UnsyncBb`]).
 
 use super::ba::{BaMsg, LockstepBa, BOT};
+use crate::{SignedValue, Tally};
 use gcl_crypto::{Digest, Signature, Signer, Verifier, Verify};
 use gcl_sim::{Context, Protocol};
 use gcl_types::{Config, Duration, LocalTime, PartyId, Value};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// Broadcaster-signed proposal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Fig6Proposal {
-    /// Proposed value.
-    pub value: Value,
-    /// Broadcaster signature over `("fig6-prop", value)`.
-    pub sig: Signature,
-}
-
-impl Fig6Proposal {
-    fn digest(value: Value) -> Digest {
-        Digest::of(&("fig6-prop", value))
-    }
-
-    fn new(signer: &Signer, value: Value) -> Self {
-        Fig6Proposal {
-            value,
-            sig: signer.sign(Self::digest(value)),
-        }
-    }
-
-    fn verify(&self, broadcaster: PartyId, v: &impl Verify) -> bool {
-        self.sig.signer() == broadcaster
-            && v.verify(broadcaster, Self::digest(self.value), &self.sig)
-    }
-}
-
-/// Timed vote `⟨vote, d, ⟨propose, v⟩_L⟩_i`.
+/// Timed vote `⟨vote, d, ⟨propose, v⟩_L⟩_i`: Figure 6's vote (`d` = the
+/// local time the voter received the proposal) and Figure 9's early vote
+/// (`d` = its guess of δ), each under its own pair of domains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fig6Vote {
-    /// Local time at which the voter received the proposal.
+    /// The timestamp or δ-guess.
     pub d: Duration,
     /// The embedded signed proposal.
-    pub prop: Fig6Proposal,
-    /// Voter signature over `("fig6-vote", d, value)`.
+    pub prop: SignedValue,
+    /// Voter signature over `(domain, d, value)`.
     pub sig: Signature,
 }
 
 impl Fig6Vote {
-    fn digest(d: Duration, value: Value) -> Digest {
-        Digest::of(&("fig6-vote", d, value))
-    }
-
-    fn new(signer: &Signer, d: Duration, prop: Fig6Proposal) -> Self {
+    /// Signs a vote for `prop` with parameter `d` under `domain`.
+    pub(crate) fn new(domain: &str, signer: &Signer, d: Duration, prop: SignedValue) -> Self {
         Fig6Vote {
             d,
             prop,
-            sig: signer.sign(Self::digest(d, prop.value)),
+            sig: signer.sign(Digest::of(&(domain, d, prop.value))),
         }
     }
 
-    fn verify(&self, broadcaster: PartyId, v: &impl Verify) -> bool {
-        self.prop.verify(broadcaster, v)
-            && v.verify_embedded(Self::digest(self.d, self.prop.value), &self.sig)
+    /// Verifies the embedded proposal (signed by `broadcaster` under
+    /// `propose`) and the vote (under `vote`).
+    pub(crate) fn verify(
+        &self,
+        propose: &str,
+        vote: &str,
+        broadcaster: PartyId,
+        v: &impl Verify,
+    ) -> bool {
+        self.prop.verify(propose, broadcaster, v)
+            && v.verify_embedded(Digest::of(&(vote, self.d, self.prop.value)), &self.sig)
     }
 
     /// The voter.
@@ -82,8 +63,8 @@ impl Fig6Vote {
 /// Wire messages of the synchronized-start `(Δ+δ)`-BB protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SyncStartMsg {
-    /// Step 1.
-    Propose(Fig6Proposal),
+    /// Step 1 (domain `SyncStartBb::PROPOSE`).
+    Propose(SignedValue),
     /// Step 2.
     Vote(Fig6Vote),
     /// Step 3: forwarded `f + 1` votes backing a commit.
@@ -92,7 +73,6 @@ pub enum SyncStartMsg {
     Ba(BaMsg),
 }
 
-gcl_types::wire_struct!(Fig6Proposal { value, sig });
 gcl_types::wire_struct!(Fig6Vote { d, prop, sig });
 
 gcl_types::wire_enum!(SyncStartMsg {
@@ -145,7 +125,8 @@ pub struct SyncStartBb {
     proposals_seen: BTreeSet<Value>,
     /// First local time at which equivocation became detectable.
     equivocation_at: Option<LocalTime>,
-    votes: BTreeMap<Value, BTreeMap<PartyId, Fig6Vote>>,
+    /// A voter's later vote for a value replaces its earlier one.
+    votes: Tally<Value, Fig6Vote>,
     /// Scheduled commit checks: tag index → (value, t).
     pending: Vec<(Value, Duration)>,
     forwarded: BTreeSet<Value>,
@@ -153,6 +134,11 @@ pub struct SyncStartBb {
 }
 
 impl SyncStartBb {
+    /// The domain the broadcaster's proposal is signed under.
+    pub(crate) const PROPOSE: &'static str = "fig6-prop";
+    /// The domain a timed vote is signed under.
+    pub(crate) const VOTE: &'static str = "fig6-vote";
+
     /// Creates the party-side state.
     ///
     /// # Panics
@@ -188,7 +174,7 @@ impl SyncStartBb {
             committed: false,
             proposals_seen: BTreeSet::new(),
             equivocation_at: None,
-            votes: BTreeMap::new(),
+            votes: Tally::new(),
             pending: Vec::new(),
             forwarded: BTreeSet::new(),
             ba,
@@ -207,15 +193,25 @@ impl SyncStartBb {
         self.equivocation_at.is_none_or(|e| e > deadline)
     }
 
+    /// Records a valid vote with `d ≤ Δ`; whether it was.
+    fn record_vote(&mut self, vote: Fig6Vote, now: LocalTime) -> bool {
+        let valid = vote.verify(Self::PROPOSE, Self::VOTE, self.broadcaster, &self.verifier)
+            && vote.d <= self.big_delta;
+        if valid {
+            self.note_proposal(vote.prop.value, now);
+            self.votes.replace(vote.prop.value, vote.voter(), vote);
+        }
+        valid
+    }
+
     /// `t` = the (f+1)-th smallest vote timestamp for `value`, if ≥ f+1
     /// votes exist.
     fn witness_t(&self, value: Value) -> Option<Duration> {
-        let bucket = self.votes.get(&value)?;
         let need = self.config.honest_witness();
-        if bucket.len() < need {
+        if self.votes.count(&value) < need {
             return None;
         }
-        let mut ds: Vec<Duration> = bucket.values().map(|v| v.d).collect();
+        let mut ds: Vec<Duration> = self.votes.votes(&value).map(|(_, v)| v.d).collect();
         ds.sort_unstable();
         Some(ds[need - 1])
     }
@@ -227,7 +223,7 @@ impl SyncStartBb {
         self.committed = true;
         if self.forwarded.insert(value) {
             let need = self.config.honest_witness();
-            let mut votes: Vec<Fig6Vote> = self.votes[&value].values().copied().collect();
+            let mut votes = self.votes.bundle(&value);
             votes.sort_unstable_by_key(|v| v.d);
             votes.truncate(need);
             ctx.multicast_except(SyncStartMsg::VoteBundle(votes), self.signer.id());
@@ -271,7 +267,8 @@ impl Protocol for SyncStartBb {
     fn start(&mut self, ctx: &mut dyn Context<SyncStartMsg>) {
         ctx.set_timer(self.big_delta * 4, TAG_BA_START);
         if let Some(v) = self.input {
-            ctx.multicast(SyncStartMsg::Propose(Fig6Proposal::new(&self.signer, v)));
+            let prop = SignedValue::new(Self::PROPOSE, &self.signer, v);
+            ctx.multicast(SyncStartMsg::Propose(prop));
         }
     }
 
@@ -283,7 +280,7 @@ impl Protocol for SyncStartBb {
     ) {
         match msg {
             SyncStartMsg::Propose(prop) => {
-                if !prop.verify(self.broadcaster, &self.verifier) {
+                if !prop.verify(Self::PROPOSE, self.broadcaster, &self.verifier) {
                     return;
                 }
                 let now = ctx.now();
@@ -294,28 +291,19 @@ impl Protocol for SyncStartBb {
                 {
                     self.voted = true;
                     let d = Duration::from_micros(now.as_micros());
-                    ctx.multicast(SyncStartMsg::Vote(Fig6Vote::new(&self.signer, d, prop)));
+                    let vote = Fig6Vote::new(Self::VOTE, &self.signer, d, prop);
+                    ctx.multicast(SyncStartMsg::Vote(vote));
                 }
             }
             SyncStartMsg::Vote(vote) => {
-                if vote.verify(self.broadcaster, &self.verifier) && vote.d <= self.big_delta {
-                    self.note_proposal(vote.prop.value, ctx.now());
-                    self.votes
-                        .entry(vote.prop.value)
-                        .or_default()
-                        .insert(vote.voter(), vote);
+                if self.record_vote(vote, ctx.now()) {
                     self.on_new_votes(vote.prop.value, ctx);
                 }
             }
             SyncStartMsg::VoteBundle(votes) => {
                 let mut touched = BTreeSet::new();
                 for vote in votes {
-                    if vote.verify(self.broadcaster, &self.verifier) && vote.d <= self.big_delta {
-                        self.note_proposal(vote.prop.value, ctx.now());
-                        self.votes
-                            .entry(vote.prop.value)
-                            .or_default()
-                            .insert(vote.voter(), vote);
+                    if self.record_vote(vote, ctx.now()) {
                         touched.insert(vote.prop.value);
                     }
                 }
@@ -360,6 +348,7 @@ impl Protocol for SyncStartBb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::by_hand::Rec;
     use gcl_crypto::Keychain;
     use gcl_sim::{FixedDelay, Outcome, Scripted, ScriptedAction, Silent, Simulation, TimingModel};
     use gcl_types::LocalTime;
@@ -439,8 +428,8 @@ mod tests {
         let cfg = Config::new(5, 2).unwrap();
         let chain = Keychain::generate(5, 82);
         let s0 = chain.signer(PartyId::new(0));
-        let p0 = Fig6Proposal::new(&s0, Value::ZERO);
-        let p1 = Fig6Proposal::new(&s0, Value::ONE);
+        let p0 = SignedValue::new(SyncStartBb::PROPOSE, &s0, Value::ZERO);
+        let p1 = SignedValue::new(SyncStartBb::PROPOSE, &s0, Value::ONE);
         let actions = vec![
             ScriptedAction {
                 at: LocalTime::ZERO,
@@ -496,14 +485,15 @@ mod tests {
         let cfg = Config::new(5, 2).unwrap();
         let chain = Keychain::generate(5, 83);
         let s0 = chain.signer(PartyId::new(0));
-        let p9 = Fig6Proposal::new(&s0, Value::new(9));
-        let p5 = Fig6Proposal::new(&s0, Value::new(5));
+        let p9 = SignedValue::new(SyncStartBb::PROPOSE, &s0, Value::new(9));
+        let p5 = SignedValue::new(SyncStartBb::PROPOSE, &s0, Value::new(5));
         let mut fake = Vec::new();
         for (signer_id, to) in [(0u32, 1u32), (0, 2), (4, 1), (4, 2)] {
             fake.push(ScriptedAction {
                 at: LocalTime::from_micros(1),
                 to: PartyId::new(to),
                 msg: SyncStartMsg::Vote(Fig6Vote::new(
+                    SyncStartBb::VOTE,
                     &chain.signer(PartyId::new(signer_id)),
                     Duration::ZERO,
                     p9,
@@ -552,14 +542,20 @@ mod tests {
         let cfg = Config::new(5, 2).unwrap();
         let chain = Keychain::generate(5, 84);
         let s0 = chain.signer(PartyId::new(0));
-        let prop = Fig6Proposal::new(&s0, Value::new(5));
+        let prop = SignedValue::new(SyncStartBb::PROPOSE, &s0, Value::new(5));
         let vote = Fig6Vote::new(
+            SyncStartBb::VOTE,
             &chain.signer(PartyId::new(1)),
             BIG_DELTA + Duration::from_micros(1),
             prop,
         );
         assert!(
-            vote.verify(PartyId::new(0), &chain.pki()),
+            vote.verify(
+                SyncStartBb::PROPOSE,
+                SyncStartBb::VOTE,
+                PartyId::new(0),
+                &chain.pki()
+            ),
             "sig itself fine"
         );
         // Protocol-level rejection is exercised in the protocol: a d > Δ
@@ -572,10 +568,7 @@ mod tests {
             PartyId::new(0),
             None,
         );
-        bb.votes
-            .entry(Value::new(5))
-            .or_default()
-            .insert(vote.voter(), vote);
+        bb.votes.replace(Value::new(5), vote.voter(), vote);
         assert_eq!(bb.witness_t(Value::new(5)), None, "below f+1 anyway");
     }
 
@@ -592,5 +585,51 @@ mod tests {
             PartyId::new(0),
             Some(Value::ZERO),
         );
+    }
+
+    /// `voter`'s timed vote `⟨vote, d, ⟨propose, 5⟩_P0⟩`, put together from
+    /// its wire bytes and signatures.
+    fn timed_vote(chain: &Keychain, voter: u32, d: u64) -> Fig6Vote {
+        use gcl_crypto::Digest;
+        use gcl_types::{Decode, Encode};
+        let (v, d) = (Value::new(5), Duration::from_micros(d));
+        let prop_sig = chain
+            .signer(PartyId::new(0))
+            .sign(Digest::of(&("fig6-prop", v)));
+        let vote_sig = chain
+            .signer(PartyId::new(voter))
+            .sign(Digest::of(&("fig6-vote", d, v)));
+        let mut bytes = Vec::new();
+        d.encode(&mut bytes);
+        v.encode(&mut bytes);
+        prop_sig.encode(&mut bytes);
+        vote_sig.encode(&mut bytes);
+        Fig6Vote::from_wire(&bytes).unwrap()
+    }
+
+    #[test]
+    fn a_voters_later_timed_vote_replaces_its_earlier_one() {
+        // P2 votes for 5 with d = 700, then with d = 200. Once P0 (d = 100)
+        // and P3 (d = 300) have voted too, P1 holds f + 1 = 3 votes and,
+        // past t + Δ, commits and forwards them: the bundle carries P2's
+        // later vote, so t = 300, not 700.
+        let cfg = Config::new(5, 2).unwrap();
+        let chain = Keychain::generate(5, 85);
+        let mut p = SyncStartBb::new(
+            cfg,
+            chain.signer(PartyId::new(1)),
+            chain.pki(),
+            BIG_DELTA,
+            PartyId::new(0),
+            None,
+        );
+        let mut ctx = Rec::new(cfg, 1);
+        ctx.now = LocalTime::from_micros(2_000);
+        for (voter, d) in [(2, 700), (2, 200), (0, 100), (3, 300)] {
+            let vote = SyncStartMsg::Vote(timed_vote(&chain, voter, d));
+            Protocol::on_message(&mut p, PartyId::new(voter), vote, &mut ctx);
+        }
+        let forwarded = [(0, 100), (2, 200), (3, 300)].map(|(i, d)| timed_vote(&chain, i, d));
+        assert_eq!(ctx.sent, [SyncStartMsg::VoteBundle(forwarded.to_vec())]);
     }
 }

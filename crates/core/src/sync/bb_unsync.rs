@@ -19,90 +19,27 @@
 //! `m`.
 
 use super::ba::{BaMsg, LockstepBa, BOT};
-use gcl_crypto::{Digest, Signature, Signer, Verifier, Verify};
+use super::bb_sync_start::Fig6Vote;
+use crate::{SignedValue, Tally};
+use gcl_crypto::{Signer, Verifier};
 use gcl_sim::{Context, Protocol};
 use gcl_types::{Config, Duration, LocalTime, PartyId, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// Broadcaster-signed proposal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Fig9Proposal {
-    /// Proposed value.
-    pub value: Value,
-    /// Broadcaster signature over `("fig9-prop", value)`.
-    pub sig: Signature,
-}
-
-impl Fig9Proposal {
-    fn digest(value: Value) -> Digest {
-        Digest::of(&("fig9-prop", value))
-    }
-
-    /// Signs a proposal as the broadcaster.
-    pub fn new(signer: &Signer, value: Value) -> Self {
-        Fig9Proposal {
-            value,
-            sig: signer.sign(Self::digest(value)),
-        }
-    }
-
-    fn verify(&self, broadcaster: PartyId, v: &impl Verify) -> bool {
-        self.sig.signer() == broadcaster
-            && v.verify(broadcaster, Self::digest(self.value), &self.sig)
-    }
-}
-
-/// Early vote `⟨vote, d, ⟨propose, v⟩_L⟩_i`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Fig9Vote {
-    /// The δ-guess parameter.
-    pub d: Duration,
-    /// The embedded signed proposal.
-    pub prop: Fig9Proposal,
-    /// Voter signature over `("fig9-vote", d, value)`.
-    pub sig: Signature,
-}
-
-impl Fig9Vote {
-    fn digest(d: Duration, value: Value) -> Digest {
-        Digest::of(&("fig9-vote", d, value))
-    }
-
-    fn new(signer: &Signer, d: Duration, prop: Fig9Proposal) -> Self {
-        Fig9Vote {
-            d,
-            prop,
-            sig: signer.sign(Self::digest(d, prop.value)),
-        }
-    }
-
-    fn verify(&self, broadcaster: PartyId, v: &impl Verify) -> bool {
-        self.prop.verify(broadcaster, v)
-            && v.verify_embedded(Self::digest(self.d, self.prop.value), &self.sig)
-    }
-
-    /// The voter.
-    pub fn voter(&self) -> PartyId {
-        self.sig.signer()
-    }
-}
-
 /// Wire messages of the `(Δ+1.5δ)`-BB protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum UnsyncMsg {
-    /// Step 1–2: original or forwarded proposal.
-    Propose(Fig9Proposal),
-    /// Step 3.
-    Vote(Fig9Vote),
+    /// Step 1–2: original or forwarded proposal (domain `UnsyncBb::PROPOSE`).
+    Propose(SignedValue),
+    /// Step 3: an early vote, Figure 6's timed vote under the domains
+    /// `UnsyncBb::{PROPOSE, VOTE}`.
+    Vote(Fig6Vote),
     /// Step 4: forwarded `f + 1` votes of one `(d, v)`.
-    VoteBundle(Vec<Fig9Vote>),
+    VoteBundle(Vec<Fig6Vote>),
     /// Step 5: embedded BA traffic.
     Ba(BaMsg),
 }
-
-gcl_types::wire_struct!(Fig9Proposal { value, sig });
-gcl_types::wire_struct!(Fig9Vote { d, prop, sig });
 
 gcl_types::wire_enum!(UnsyncMsg {
     1 => Propose(prop),
@@ -159,20 +96,24 @@ pub struct UnsyncBb {
     rank: Duration,
     direct_rcv: bool,
     t_prop: Option<LocalTime>,
-    prop: Option<Fig9Proposal>,
+    prop: Option<SignedValue>,
     proposals_seen: BTreeSet<Value>,
     equivocation_at: Option<LocalTime>,
     committed: bool,
-    votes: BTreeMap<(Duration, Value), BTreeMap<PartyId, Fig9Vote>>,
+    votes: Tally<(Duration, Value), Fig6Vote>,
     /// First completion time of each `(d, v)` quorum.
     quorum_at: BTreeMap<(Duration, Value), LocalTime>,
-    forwarded: BTreeSet<(Duration, Value)>,
     /// Scheduled commit checks: index → (d, value).
     pending: Vec<(Duration, Value)>,
     ba: LockstepBa,
 }
 
 impl UnsyncBb {
+    /// The domain the broadcaster's proposal is signed under.
+    pub(crate) const PROPOSE: &'static str = "fig9-prop";
+    /// The domain an early vote is signed under.
+    pub(crate) const VOTE: &'static str = "fig9-vote";
+
     /// Creates the party-side state with an `m`-point grid (σ := Δ
     /// internally, as the paper prescribes).
     ///
@@ -215,9 +156,8 @@ impl UnsyncBb {
             proposals_seen: BTreeSet::new(),
             equivocation_at: None,
             committed: false,
-            votes: BTreeMap::new(),
+            votes: Tally::new(),
             quorum_at: BTreeMap::new(),
-            forwarded: BTreeSet::new(),
             pending: Vec::new(),
             ba,
         }
@@ -244,7 +184,7 @@ impl UnsyncBb {
     fn adopt_proposal(
         &mut self,
         from: PartyId,
-        prop: Fig9Proposal,
+        prop: SignedValue,
         ctx: &mut dyn Context<UnsyncMsg>,
     ) {
         self.note_proposal(prop.value, ctx.now());
@@ -270,10 +210,8 @@ impl UnsyncBb {
         let Some(t_prop) = self.t_prop else { return };
         let now = ctx.now();
         let t_votes = self.quorum_at[&key];
-        if self.forwarded.insert(key) {
-            let bundle: Vec<Fig9Vote> = self.votes[&key].values().copied().collect();
-            ctx.multicast_except(UnsyncMsg::VoteBundle(bundle), self.signer.id());
-        }
+        let bundle = self.votes.bundle(&key);
+        ctx.multicast_except(UnsyncMsg::VoteBundle(bundle), self.signer.id());
         // Step 4b: lock if t_votes − t_prop ≤ 4.5Δ and rank improves.
         if t_votes.since(t_prop).as_micros() <= (self.big_delta * 9 / 2).as_micros()
             && d < self.rank
@@ -301,14 +239,18 @@ impl UnsyncBb {
         }
     }
 
-    fn record_vote(&mut self, vote: Fig9Vote, ctx: &mut dyn Context<UnsyncMsg>) {
+    fn record_vote(&mut self, vote: Fig6Vote, ctx: &mut dyn Context<UnsyncMsg>) {
+        if !vote.verify(Self::PROPOSE, Self::VOTE, self.broadcaster, &self.verifier)
+            || vote.d > self.big_delta
+        {
+            return;
+        }
         // A vote embeds the proposal, so it doubles as a forwarded proposal.
         self.adopt_proposal(vote.voter(), vote.prop, ctx);
         self.note_proposal(vote.prop.value, ctx.now());
         let key = (vote.d, vote.prop.value);
-        let bucket = self.votes.entry(key).or_default();
-        bucket.insert(vote.voter(), vote);
-        if bucket.len() >= self.config.honest_witness() && !self.quorum_at.contains_key(&key) {
+        // Each (d, v) quorum completes, and is forwarded, exactly once.
+        if self.votes.insert(key, vote.voter(), vote) == Ok(self.config.honest_witness()) {
             self.quorum_at.insert(key, ctx.now());
             self.on_new_quorum(key, ctx);
         }
@@ -321,27 +263,22 @@ impl Protocol for UnsyncBb {
     fn start(&mut self, ctx: &mut dyn Context<UnsyncMsg>) {
         ctx.set_timer(self.ba_time(), TAG_BA_START);
         if let Some(v) = self.input {
-            ctx.multicast(UnsyncMsg::Propose(Fig9Proposal::new(&self.signer, v)));
+            let prop = SignedValue::new(Self::PROPOSE, &self.signer, v);
+            ctx.multicast(UnsyncMsg::Propose(prop));
         }
     }
 
     fn on_message(&mut self, from: PartyId, msg: UnsyncMsg, ctx: &mut dyn Context<UnsyncMsg>) {
         match msg {
             UnsyncMsg::Propose(prop) => {
-                if prop.verify(self.broadcaster, &self.verifier) {
+                if prop.verify(Self::PROPOSE, self.broadcaster, &self.verifier) {
                     self.adopt_proposal(from, prop, ctx);
                 }
             }
-            UnsyncMsg::Vote(vote) => {
-                if vote.verify(self.broadcaster, &self.verifier) && vote.d <= self.big_delta {
-                    self.record_vote(vote, ctx);
-                }
-            }
+            UnsyncMsg::Vote(vote) => self.record_vote(vote, ctx),
             UnsyncMsg::VoteBundle(votes) => {
                 for vote in votes {
-                    if vote.verify(self.broadcaster, &self.verifier) && vote.d <= self.big_delta {
-                        self.record_vote(vote, ctx);
-                    }
+                    self.record_vote(vote, ctx);
                 }
             }
             UnsyncMsg::Ba(m) => {
@@ -382,7 +319,7 @@ impl Protocol for UnsyncBb {
                 return;
             };
             if self.equivocation_at.is_none() {
-                let vote = Fig9Vote::new(&self.signer, d, prop);
+                let vote = Fig6Vote::new(Self::VOTE, &self.signer, d, prop);
                 // Votes count as messages "containing different values
                 // signed by the broadcaster" for receivers, and our own
                 // vote reaches us immediately via multicast.
@@ -556,8 +493,8 @@ mod tests {
         let cfg = Config::new(5, 2).unwrap();
         let chain = Keychain::generate(5, 94);
         let s0 = chain.signer(PartyId::new(0));
-        let p0 = Fig9Proposal::new(&s0, Value::ZERO);
-        let p1 = Fig9Proposal::new(&s0, Value::ONE);
+        let p0 = SignedValue::new(UnsyncBb::PROPOSE, &s0, Value::ZERO);
+        let p1 = SignedValue::new(UnsyncBb::PROPOSE, &s0, Value::ONE);
         let actions = vec![
             ScriptedAction {
                 at: LocalTime::ZERO,

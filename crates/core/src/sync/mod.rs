@@ -25,10 +25,10 @@ mod bb_unsync;
 mod dolev_strong;
 
 pub use ba::{BaMsg, LockstepBa, BOT};
-pub use bb_2delta::{Fig10Proposal, Fig10Vote, TwoDeltaBb, TwoDeltaMsg};
-pub use bb_n3::{fig5_proposal, fig5_vote, Fig5Commit, Fig5Proposal, Fig5Vote, ThirdBb, ThirdMsg};
-pub use bb_sync_start::{Fig6Proposal, Fig6Vote, SyncStartBb, SyncStartMsg};
-pub use bb_unsync::{Fig9Proposal, Fig9Vote, UnsyncBb, UnsyncMsg};
+pub use bb_2delta::{TwoDeltaBb, TwoDeltaMsg};
+pub use bb_n3::{Fig5Vote, ThirdBb, ThirdMsg};
+pub use bb_sync_start::{Fig6Vote, SyncStartBb, SyncStartMsg};
+pub use bb_unsync::{UnsyncBb, UnsyncMsg};
 pub use dolev_strong::{DolevStrongBb, DsMsg, DsRelay};
 
 use gcl_crypto::Keychain;

@@ -1061,18 +1061,17 @@ mod tests {
         // changes, each carrying a prepared certificate of n − f votes
         // (psync-VBB status bundles have the same structure), inside the
         // unicast delivery header.
-        use gcl_core::psync::{PbftMsg, PbftProposal, PhaseVote, PreparedCert, ViewChangeMsg};
-        use gcl_crypto::Keychain;
+        use gcl_core::psync::{PbftMsg, PhaseVote, PreparedCert, ViewChangeMsg};
+        use gcl_crypto::{Digest, Keychain};
         use gcl_types::View;
         let (n, f) = (1024, 341);
         let chain = Keychain::generate(n, 1);
         let signer = chain.signer(PartyId::new(0));
         let (value, view) = (Value::new(u64::MAX), View::new(u64::MAX));
-        let prop = PbftProposal::new(&signer, value, view);
         let vote = PhaseVote {
             value,
             view,
-            sig: prop.sig,
+            sig: signer.sign(Digest::of(&value)),
         };
         let prepared = PreparedCert {
             value,
@@ -1081,7 +1080,7 @@ mod tests {
         };
         let change = ViewChangeMsg::new(&signer, view, Some(prepared));
         let msg = PbftMsg::Propose {
-            prop,
+            prop: vote,
             proof: vec![change; n - f],
         };
         let mut out = OutBuf::new();

@@ -15,17 +15,17 @@
 //! truncated, over-long or mis-tagged frame must be an error, never a
 //! panic. [`golden_wire_bytes`] pins the format itself.
 
-use gcl_core::asynchrony::{BrachaMsg, Brb2Msg, SignedVote};
+use gcl_core::asynchrony::{BrachaMsg, Brb2Msg};
 use gcl_core::dishonest::{MajProposal, MajVote, MajorityMsg};
 use gcl_core::psync::{
-    Certificate, LeaderSigned, PbftMsg, PbftProposal, PhaseVote, PreparedCert, Proof, StatusMsg,
-    TimeoutMsg, VbbMsg, ViewChangeMsg, VoteMsg,
+    Certificate, LeaderSigned, PbftMsg, PhaseVote, PreparedCert, Proof, StatusMsg, TimeoutMsg,
+    VbbMsg, ViewChangeMsg, VoteMsg,
 };
-use gcl_core::strawman::{EarlyMsg, EarlyVote, FabMsg, FabProposal, FabViewChange, FabVote};
+use gcl_core::strawman::{EarlyMsg, FabMsg, FabProposal, FabViewChange};
 use gcl_core::sync::{
-    BaMsg, DsMsg, DsRelay, Fig10Proposal, Fig10Vote, Fig5Commit, Fig5Proposal, Fig5Vote,
-    Fig6Proposal, Fig6Vote, Fig9Proposal, Fig9Vote, SyncStartMsg, ThirdMsg, TwoDeltaMsg, UnsyncMsg,
+    BaMsg, DsMsg, DsRelay, Fig5Vote, Fig6Vote, SyncStartMsg, ThirdMsg, TwoDeltaMsg, UnsyncMsg,
 };
+use gcl_core::SignedValue;
 use gcl_crypto::{Digest, Keychain, Signature};
 use gcl_smr::SmrMsg;
 use gcl_types::{Batch, Decode, Duration, Encode, PartyId, SlotId, Value, View, WireError};
@@ -204,6 +204,13 @@ fn vbb_msg(rng: &mut StdRng, chain: &Keychain, variant: u32) -> VbbMsg {
     }
 }
 
+fn signed_value(rng: &mut StdRng, chain: &Keychain) -> SignedValue {
+    SignedValue {
+        value: value(rng),
+        sig: sig(rng, chain),
+    }
+}
+
 fn phase_vote(rng: &mut StdRng, chain: &Keychain) -> PhaseVote {
     PhaseVote {
         value: value(rng),
@@ -227,13 +234,10 @@ fn view_change(rng: &mut StdRng, chain: &Keychain) -> ViewChangeMsg {
 }
 
 fn brb2(rng: &mut StdRng, chain: &Keychain, w: &mut Wire) {
-    let vote = |rng: &mut StdRng| SignedVote {
-        value: value(rng),
-        sig: sig(rng, chain),
-    };
     w.tagged(Brb2Msg::Propose(value(rng)));
-    w.tagged(Brb2Msg::Vote(vote(rng)));
-    w.tagged(Brb2Msg::Forward((0..3).map(|_| vote(rng)).collect()));
+    w.tagged(Brb2Msg::Vote(signed_value(rng, chain)));
+    let votes = (0..3).map(|_| signed_value(rng, chain)).collect();
+    w.tagged(Brb2Msg::Forward(votes));
 }
 
 fn bracha(rng: &mut StdRng, _: &Keychain, w: &mut Wire) {
@@ -248,31 +252,24 @@ fn dolev_strong_and_ba(rng: &mut StdRng, chain: &Keychain, w: &mut Wire) {
 }
 
 fn bb_2delta(rng: &mut StdRng, chain: &Keychain, w: &mut Wire) {
-    let vote = |rng: &mut StdRng| Fig10Vote {
-        value: value(rng),
-        sig: sig(rng, chain),
-    };
-    let prop = Fig10Proposal {
-        value: value(rng),
-        sig: sig(rng, chain),
-    };
-    w.tagged(TwoDeltaMsg::Propose(prop));
-    w.tagged(TwoDeltaMsg::Vote(vote(rng)));
-    w.tagged(TwoDeltaMsg::VoteBundle((0..2).map(|_| vote(rng)).collect()));
+    w.tagged(TwoDeltaMsg::Propose(signed_value(rng, chain)));
+    w.tagged(TwoDeltaMsg::Vote(signed_value(rng, chain)));
+    let votes = (0..2).map(|_| signed_value(rng, chain)).collect();
+    w.tagged(TwoDeltaMsg::VoteBundle(votes));
     w.tagged(TwoDeltaMsg::Ba(BaMsg(relay(rng, chain))));
 }
 
-fn bb_sync_start(rng: &mut StdRng, chain: &Keychain, w: &mut Wire) {
-    let prop = |rng: &mut StdRng| Fig6Proposal {
-        value: value(rng),
-        sig: sig(rng, chain),
-    };
-    let vote = |rng: &mut StdRng| Fig6Vote {
+fn timed_vote(rng: &mut StdRng, chain: &Keychain) -> Fig6Vote {
+    Fig6Vote {
         d: duration(rng),
-        prop: prop(rng),
+        prop: signed_value(rng, chain),
         sig: sig(rng, chain),
-    };
-    w.tagged(SyncStartMsg::Propose(prop(rng)));
+    }
+}
+
+fn bb_sync_start(rng: &mut StdRng, chain: &Keychain, w: &mut Wire) {
+    let vote = |rng: &mut StdRng| timed_vote(rng, chain);
+    w.tagged(SyncStartMsg::Propose(signed_value(rng, chain)));
     w.tagged(SyncStartMsg::Vote(vote(rng)));
     w.tagged(SyncStartMsg::VoteBundle(
         (0..2).map(|_| vote(rng)).collect(),
@@ -281,38 +278,22 @@ fn bb_sync_start(rng: &mut StdRng, chain: &Keychain, w: &mut Wire) {
 }
 
 fn bb_unsync(rng: &mut StdRng, chain: &Keychain, w: &mut Wire) {
-    let prop = |rng: &mut StdRng| Fig9Proposal {
-        value: value(rng),
-        sig: sig(rng, chain),
-    };
-    let vote = |rng: &mut StdRng| Fig9Vote {
-        d: duration(rng),
-        prop: prop(rng),
-        sig: sig(rng, chain),
-    };
-    w.tagged(UnsyncMsg::Propose(prop(rng)));
+    let vote = |rng: &mut StdRng| timed_vote(rng, chain);
+    w.tagged(UnsyncMsg::Propose(signed_value(rng, chain)));
     w.tagged(UnsyncMsg::Vote(vote(rng)));
     w.tagged(UnsyncMsg::VoteBundle((0..2).map(|_| vote(rng)).collect()));
     w.tagged(UnsyncMsg::Ba(BaMsg(relay(rng, chain))));
 }
 
 fn bb_third(rng: &mut StdRng, chain: &Keychain, w: &mut Wire) {
-    let prop = |rng: &mut StdRng| Fig5Proposal {
-        value: value(rng),
-        sig: sig(rng, chain),
-    };
     let vote = |rng: &mut StdRng| Fig5Vote {
-        prop: prop(rng),
+        prop: signed_value(rng, chain),
         sig: sig(rng, chain),
     };
-    w.tagged(ThirdMsg::Propose(prop(rng)));
+    w.tagged(ThirdMsg::Propose(signed_value(rng, chain)));
     w.tagged(ThirdMsg::Vote(vote(rng)));
     w.tagged(ThirdMsg::VoteBundle((0..2).map(|_| vote(rng)).collect()));
-    let commit = Fig5Commit {
-        value: value(rng),
-        sig: sig(rng, chain),
-    };
-    w.tagged(ThirdMsg::Commit(commit));
+    w.tagged(ThirdMsg::Commit(signed_value(rng, chain)));
     w.tagged(ThirdMsg::Ba(BaMsg(relay(rng, chain))));
 }
 
@@ -337,11 +318,7 @@ fn bb_majority(rng: &mut StdRng, chain: &Keychain, w: &mut Wire) {
 fn strawman(rng: &mut StdRng, chain: &Keychain, w: &mut Wire) {
     w.msg(gcl_core::strawman::OneRoundMsg(value(rng)));
     w.tagged(EarlyMsg::Propose(value(rng)));
-    let vote = EarlyVote {
-        value: value(rng),
-        sig: sig(rng, chain),
-    };
-    w.tagged(EarlyMsg::Vote(vote));
+    w.tagged(EarlyMsg::Vote(signed_value(rng, chain)));
 }
 
 fn fab(rng: &mut StdRng, chain: &Keychain, w: &mut Wire) {
@@ -357,21 +334,12 @@ fn fab(rng: &mut StdRng, chain: &Keychain, w: &mut Wire) {
         proof: (0..2).map(|_| vc(rng)).collect(),
     };
     w.tagged(FabMsg::Propose(prop));
-    let vote = FabVote {
-        value: value(rng),
-        view: view(rng),
-        sig: sig(rng, chain),
-    };
-    w.tagged(FabMsg::Vote(vote));
+    w.tagged(FabMsg::Vote(phase_vote(rng, chain)));
     w.tagged(FabMsg::ViewChange(vc(rng)));
 }
 
 fn pbft(rng: &mut StdRng, chain: &Keychain, w: &mut Wire) {
-    let prop = PbftProposal {
-        value: value(rng),
-        view: view(rng),
-        sig: sig(rng, chain),
-    };
+    let prop = phase_vote(rng, chain);
     let proof = (0..2).map(|_| view_change(rng, chain)).collect();
     w.tagged(PbftMsg::Propose { prop, proof });
     w.tagged(PbftMsg::Prepare(phase_vote(rng, chain)));
