@@ -37,14 +37,14 @@ use std::time::{Duration, Instant};
 
 /// Wall-clock δ for conformance runs: 2 ms injected link latency —
 /// comfortably above channel/scheduler overhead, far below any timeout.
-pub const WALL_DELTA: SimDuration = SimDuration::from_millis(2);
+pub(crate) const WALL_DELTA: SimDuration = SimDuration::from_millis(2);
 
 /// Wall-clock Δ floor. Every family's Δ is scaled 20× from canonical and
 /// raised to at least this, so view-change and round timers (≥ 4Δ on the
 /// tightest family, i.e. ≥ 80 ms here) cannot fire spuriously even when a
 /// noisy machine stalls a worker thread for tens of milliseconds. Timers
 /// never fire on the good-case path, so the floor costs no wall time.
-pub const WALL_BIG_DELTA_FLOOR: SimDuration = SimDuration::from_millis(20);
+pub(crate) const WALL_BIG_DELTA_FLOOR: SimDuration = SimDuration::from_millis(20);
 
 /// The wall-safe conformance spec of one registered family: the family's
 /// canonical spec (its seed, skew, adversary mix and input are kept, so
@@ -84,11 +84,11 @@ pub struct ConformanceCell {
     /// The simulator's committed value — the oracle the wall run must hit.
     pub sim_value: Option<Value>,
     /// The wall backend's stable name (`"async"`).
-    pub backend: &'static str,
+    pub(crate) backend: &'static str,
     /// The wall run's outcome.
-    pub wall: Outcome,
+    pub(crate) wall: Outcome,
     /// How long the wall run took.
-    pub elapsed: Duration,
+    pub(crate) elapsed: Duration,
 }
 
 impl ConformanceCell {
@@ -120,7 +120,7 @@ impl ConformanceCell {
 
 /// The wall engine the conformance suite compares against the simulator,
 /// with the given per-run deadline.
-pub fn wall_backend(deadline: Duration) -> AsyncBackend {
+pub(crate) fn wall_backend(deadline: Duration) -> AsyncBackend {
     AsyncBackend::new().deadline(deadline)
 }
 

@@ -24,7 +24,7 @@ use std::fmt::Write as _;
 
 /// One scalar of a read document.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Value {
+pub(crate) enum Value {
     /// `null`
     Null,
     /// `true` / `false`
@@ -42,17 +42,17 @@ pub struct Row(Vec<(String, Value)>);
 
 impl Row {
     /// Member `key`, if present.
-    pub fn get(&self, key: &str) -> Option<&Value> {
+    pub(crate) fn get(&self, key: &str) -> Option<&Value> {
         self.0.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
     /// The member keys, in file order.
-    pub fn keys(&self) -> impl Iterator<Item = &str> {
+    pub(crate) fn keys(&self) -> impl Iterator<Item = &str> {
         self.0.iter().map(|(k, _)| k.as_str())
     }
 
     /// Member `key`'s string payload.
-    pub fn str(&self, key: &str) -> Option<&str> {
+    pub(crate) fn str(&self, key: &str) -> Option<&str> {
         match self.get(key)? {
             Value::String(s) => Some(s),
             _ => None,
@@ -60,7 +60,7 @@ impl Row {
     }
 
     /// Member `key` truncated to `u64` (row counters and ns fields).
-    pub fn u64(&self, key: &str) -> Option<u64> {
+    pub(crate) fn u64(&self, key: &str) -> Option<u64> {
         match self.get(key)? {
             Value::Number(x) => Some(*x as u64),
             _ => None,
@@ -91,7 +91,7 @@ impl JVal {
 }
 
 /// One field of a row or of the document header.
-pub type Field = (&'static str, JVal);
+pub(crate) type Field = (&'static str, JVal);
 
 /// Escapes `\`, `"` and every control character (named escapes for
 /// newline, tab and carriage return, `\u00xx` otherwise) so arbitrary

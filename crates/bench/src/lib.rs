@@ -31,6 +31,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod conformance;
 pub mod json;
@@ -56,10 +57,4 @@ pub fn registry() -> &'static ScenarioRegistry {
     })
 }
 
-pub use conformance::{conformance_cells, wall_backend, wall_spec, ConformanceCell};
-pub use netlat::{net_latency_rows, NetLatencyRow};
-pub use scenarios::{
-    canonical, fig8_rows, majority_rows, run, table1_rows, Fig8Row, MajorityRow, Table1Row,
-};
-pub use sweep::{default_grid, grid, render_report, validate_report, GridOptions, ReportSummary};
-pub use throughput::{throughput_rows, ThroughputRow};
+pub use scenarios::{canonical, fig8_rows, majority_rows, run, table1_rows};

@@ -11,7 +11,7 @@
 //! how a runtime regression (a lost fast path, an accidental sleep) shows
 //! up before anyone reads a profile.
 //!
-//! The **scale rows** are [`SCALE_FAMILIES`] × [`SCALE_NS`]: the readiness
+//! The **scale rows** are `SCALE_FAMILIES` × `SCALE_NS`: the readiness
 //! loop multiplexes n = 1024 over a handful of workers. Every row carries
 //! the engine's [`SchedCounters`]: worker-pool size, readiness wakeups,
 //! and the peak outbound-queue depth, so a backpressure regression is
@@ -86,34 +86,34 @@ const SCALE_DEADLINE: Duration = Duration::from_secs(120);
 /// Families measured at scale: the pure event-loop
 /// stress (`flood`, `O(n²)` trivial messages) and the crypto-bearing
 /// 2-round broadcast (`brb2`, `O(n²)` signed votes).
-pub const SCALE_FAMILIES: [&str; 2] = ["flood", "brb2"];
+pub(crate) const SCALE_FAMILIES: [&str; 2] = ["flood", "brb2"];
 
 /// Party counts of the scale rows — up to the simulator's own largest
 /// measured shape (`BENCH_sim.json` stops at n = 1024 too).
-pub const SCALE_NS: [usize; 3] = [256, 512, 1024];
+pub(crate) const SCALE_NS: [usize; 3] = [256, 512, 1024];
 
 /// One family × shape wall-clock measurement.
 #[derive(Debug, Clone)]
 pub struct NetLatencyRow {
     /// Registered family key.
-    pub family: &'static str,
+    pub(crate) family: &'static str,
     /// Wall backend that produced the row (`"async"`).
-    pub backend: &'static str,
+    pub(crate) backend: &'static str,
     /// Parties in the measured spec.
-    pub n: usize,
+    pub(crate) n: usize,
     /// Fault budget.
-    pub f: usize,
+    pub(crate) f: usize,
     /// Injected per-hop link latency in µs (the spec's δ').
-    pub delta_us: u64,
+    pub(crate) delta_us: u64,
     /// Measured good-case wall latency in µs (`None`: not every honest
     /// party committed — a liveness failure the check rejects).
-    pub latency_us: Option<u64>,
+    pub(crate) latency_us: Option<u64>,
     /// Whether agreement held.
-    pub agreement: bool,
+    pub(crate) agreement: bool,
     /// Point-to-point messages delivered.
-    pub messages: u64,
+    pub(crate) messages: u64,
     /// Worker-pool scheduler counters.
-    pub sched: Option<SchedCounters>,
+    pub(crate) sched: Option<SchedCounters>,
 }
 
 impl NetLatencyRow {
@@ -134,8 +134,8 @@ impl NetLatencyRow {
 }
 
 /// Every `BENCH_net.json` row: one per registered family, taken from its
-/// conformance cell's wall run, then the [`SCALE_FAMILIES`] ×
-/// [`SCALE_NS`] grid (the worker pool at its default `min(cores, 8)`).
+/// conformance cell's wall run, then the `SCALE_FAMILIES` ×
+/// `SCALE_NS` grid (the worker pool at its default `min(cores, 8)`).
 pub fn net_latency_rows() -> Vec<NetLatencyRow> {
     let cells = conformance_cells(CATALOG_DEADLINE).into_iter();
     let mut rows: Vec<_> = cells
@@ -158,7 +158,7 @@ pub fn net_latency_rows() -> Vec<NetLatencyRow> {
 /// Δ' (tens of ms) would let view timers fire spuriously mid-round.
 /// Timers never fire on the good-case path, so the huge Δ' costs no wall
 /// time.
-pub fn scale_spec(key: &str, n: usize) -> ScenarioSpec {
+pub(crate) fn scale_spec(key: &str, n: usize) -> ScenarioSpec {
     wall_spec(registry(), key)
         .with_shape(n, 1)
         .with_bounds(WALL_DELTA, SimDuration::from_millis(5_000))

@@ -14,7 +14,7 @@ use gcl_sim::{Outcome, ScenarioSpec, SkewChoice};
 use gcl_types::{Config, Duration};
 
 /// Canonical δ for all scenarios: 100µs.
-pub const DELTA: Duration = Duration::from_micros(100);
+pub(crate) const DELTA: Duration = Duration::from_micros(100);
 /// Canonical conservative Δ: 1000µs (δ ≪ Δ, as in practice).
 pub const BIG_DELTA: Duration = Duration::from_micros(1_000);
 
@@ -239,7 +239,7 @@ pub struct Fig8Row {
 
 /// The spec behind one Figure 8 point: the `bb_unsync` family at
 /// `(5, 2)`, synchronized start (so the measurement is exact), grid `m`.
-pub fn fig8_spec(m: u64) -> ScenarioSpec {
+pub(crate) fn fig8_spec(m: u64) -> ScenarioSpec {
     canonical("bb_unsync", 5, 2)
         .with_seed(208)
         .with_skew(SkewChoice::Synchronized)
@@ -272,8 +272,6 @@ pub fn fig8_rows(ms: &[u64]) -> Vec<Fig8Row> {
 pub struct MajorityRow {
     /// Parties.
     pub n: usize,
-    /// Fault budget.
-    pub f: usize,
     /// `⌊n/(n−f)⌋ − 1` lower-bound factor.
     pub lower_bound_us: u64,
     /// Measured (µs).
@@ -292,7 +290,6 @@ pub fn majority_rows(pairs: &[(usize, usize)]) -> Vec<MajorityRow> {
             let o = run(&canonical("bb_majority", n, f));
             MajorityRow {
                 n,
-                f,
                 lower_bound_us: theorem19::lower_bound(cfg, BIG_DELTA).as_micros(),
                 measured_us: o.good_case_latency().expect("commits").as_micros(),
                 upper_bound_us: theorem19::upper_bound(cfg, BIG_DELTA).as_micros(),

@@ -123,11 +123,11 @@ pub static SCHEMA: Schema = Schema {
 
 /// A shared `(command, apply-instant)` side log one replica's
 /// [`RecordingMachine`] appends to.
-pub type ApplyLog = Arc<Mutex<Vec<(Value, Instant)>>>;
+pub(crate) type ApplyLog = Arc<Mutex<Vec<(Value, Instant)>>>;
 
 /// The measured `(batch, pipeline)` grid: serial baseline, the moderate
 /// default, and a deep/wide point that exercises coalescing under burst.
-pub const LOAD_CONFIGS: [(usize, usize); 3] = [(1, 4), (4, 4), (32, 8)];
+pub(crate) const LOAD_CONFIGS: [(usize, usize); 3] = [(1, 4), (4, 4), (32, 8)];
 
 /// Retries the client may spend per unacknowledged request.
 const RETRY_BUDGET: u32 = 3;
@@ -152,15 +152,15 @@ const FULL_REQUESTS: u64 = 300;
 #[derive(Debug, Clone)]
 pub struct SmrLoadRow {
     /// Serving backend that produced the row (`"async"`).
-    pub backend: &'static str,
+    pub(crate) backend: &'static str,
     /// Proposal batch cap.
-    pub batch: usize,
+    pub(crate) batch: usize,
     /// Pipeline depth.
-    pub pipeline: usize,
+    pub(crate) pipeline: usize,
     /// Parties.
-    pub n: usize,
+    pub(crate) n: usize,
     /// Fault budget.
-    pub f: usize,
+    pub(crate) f: usize,
     /// Leaders crashed by the run's kill schedule.
     pub crashes: u64,
     /// Requests the client submitted.
@@ -170,7 +170,7 @@ pub struct SmrLoadRow {
     /// Retransmissions the client spent.
     pub retries: u64,
     /// Back-pressure rejects the client observed.
-    pub client_rejects: u64,
+    pub(crate) client_rejects: u64,
     /// Requests observed applied at the probe replica.
     pub committed: u64,
     /// Whether replica log digests agreed at termination.
@@ -180,17 +180,17 @@ pub struct SmrLoadRow {
     /// Liveness audit: every acknowledged command is in the probe log.
     pub acked_applied: bool,
     /// First-submit-to-last-apply wall time, µs.
-    pub elapsed_us: u64,
+    pub(crate) elapsed_us: u64,
     /// Sustained commit rate over `elapsed_us`.
     pub commits_per_sec: f64,
     /// Median submit-to-ack latency, µs.
-    pub p50_us: Option<u64>,
+    pub(crate) p50_us: Option<u64>,
     /// 95th-percentile submit-to-ack latency, µs.
-    pub p95_us: Option<u64>,
+    pub(crate) p95_us: Option<u64>,
     /// 99th-percentile submit-to-ack latency, µs.
-    pub p99_us: Option<u64>,
+    pub(crate) p99_us: Option<u64>,
     /// The probe replica's mempool counters at the end of the run.
-    pub mempool: MempoolStats,
+    pub(crate) mempool: MempoolStats,
 }
 
 /// A [`Counter`]-equivalent state machine that also timestamps every
@@ -202,7 +202,7 @@ pub struct SmrLoadRow {
 ///
 /// [`Counter`]: gcl_smr::Counter
 #[derive(Debug)]
-pub struct RecordingMachine {
+pub(crate) struct RecordingMachine {
     total: u64,
     applied: u64,
     log: ApplyLog,
@@ -210,7 +210,7 @@ pub struct RecordingMachine {
 
 impl RecordingMachine {
     /// A fresh machine appending `(command, apply-instant)` to `log`.
-    pub fn new(log: ApplyLog) -> Self {
+    pub(crate) fn new(log: ApplyLog) -> Self {
         RecordingMachine {
             total: 0,
             applied: 0,
@@ -234,7 +234,7 @@ impl StateMachine for RecordingMachine {
 /// The wall-safe serving-mode spec the load runs use: the `smr` family's
 /// conformance bounds (2 ms links, ≥ 20 ms Δ so view timers cannot fire
 /// spuriously between back-to-back requests).
-pub fn load_spec() -> ScenarioSpec {
+pub(crate) fn load_spec() -> ScenarioSpec {
     wall_spec(registry(), "smr")
 }
 
@@ -256,7 +256,7 @@ pub fn failover_spec() -> ScenarioSpec {
 /// shape saturating `n = 5f − 1` at `f = 5`. Δ' is raised so view
 /// timers (leader rotation stays armed throughout) cannot fire spuriously
 /// while one worker drains 24 replicas' traffic.
-pub fn scale_spec() -> ScenarioSpec {
+pub(crate) fn scale_spec() -> ScenarioSpec {
     let spec = load_spec().with_shape(24, 5);
     let big = gcl_types::Duration::from_micros(spec.big_delta.as_micros().max(200_000));
     let delta = spec.delta;
@@ -267,7 +267,7 @@ pub fn scale_spec() -> ScenarioSpec {
 /// [`AdversaryMix::LeaderCascade`] killing the initial leader mid-stream,
 /// so the row measures serving *through* a rotation on the readiness
 /// loop.
-pub fn scale_failover_spec() -> ScenarioSpec {
+pub(crate) fn scale_failover_spec() -> ScenarioSpec {
     scale_spec().with_adversary(AdversaryMix::LeaderCascade {
         count: 1,
         first_handled: 40,
@@ -562,7 +562,7 @@ pub fn run_load(spec: &ScenarioSpec, batch: usize, pipeline: usize, requests: u6
     }
 }
 
-/// Measures every [`LOAD_CONFIGS`] point plus the leader-failover
+/// Measures every `LOAD_CONFIGS` point plus the leader-failover
 /// scenario at the load shape, then the `(24, 5)` scale rows (clean and
 /// leader-crash). `quick` is the CI smoke shape: fewer requests per row.
 pub fn smr_load_rows(quick: bool) -> Vec<SmrLoadRow> {

@@ -55,7 +55,7 @@ pub struct GridOptions {
 impl GridOptions {
     /// The CI smoke grid: small but still touching every family and both
     /// canonical adversary mixes.
-    pub fn quick() -> Self {
+    pub(crate) fn quick() -> Self {
         GridOptions {
             shapes_per_family: 2,
             seeds: 1,
@@ -66,7 +66,7 @@ impl GridOptions {
     }
 
     /// The full default grid.
-    pub fn full() -> Self {
+    pub(crate) fn full() -> Self {
         GridOptions {
             shapes_per_family: 4,
             seeds: 2,
@@ -129,7 +129,7 @@ pub fn grid(opts: GridOptions) -> Vec<ScenarioSpec> {
 }
 
 /// The default grid for one mode (`quick` = the CI smoke grid).
-pub fn default_grid(quick: bool) -> Vec<ScenarioSpec> {
+pub(crate) fn default_grid(quick: bool) -> Vec<ScenarioSpec> {
     grid(if quick {
         GridOptions::quick()
     } else {
@@ -238,13 +238,13 @@ pub fn render_report(report: &SweepReport, mode: &str, base_seed: u64) -> String
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReportSummary {
     /// Total grid cells.
-    pub cells: usize,
+    pub(crate) cells: usize,
     /// Cells that ran.
-    pub cells_run: usize,
+    pub(crate) cells_run: usize,
     /// Cells where agreement was violated.
-    pub safety_violations: usize,
+    pub(crate) safety_violations: usize,
     /// Cells where the validity audit failed.
-    pub validity_violations: usize,
+    pub(crate) validity_violations: usize,
 }
 
 /// Checks a `gcl-bench/sweep/v1` document against [`SCHEMA`] and its

@@ -9,7 +9,7 @@
 //! counter must be equal, events/sec may not fall by more than 3x.
 //!
 //! The measured scenarios are registry specs like everything else
-//! (see [`rows_under_measure`]); this module also registers the two
+//! (see `rows_under_measure`); this module also registers the two
 //! bench-owned families:
 //!
 //! * `flood` — all-to-all flood: every party multicasts once, commits
@@ -33,7 +33,7 @@ use std::time::Instant;
 /// with trivial handlers — the purest stress test of the event loop
 /// itself.
 #[derive(Debug)]
-pub struct AllToAllFlood {
+pub(crate) struct AllToAllFlood {
     heard: u64,
     n: u64,
     commit_value: Value,
@@ -41,7 +41,7 @@ pub struct AllToAllFlood {
 
 impl AllToAllFlood {
     /// A fresh flood participant for an `n`-party run.
-    pub fn new(n: usize, commit_value: Value) -> Self {
+    pub(crate) fn new(n: usize, commit_value: Value) -> Self {
         AllToAllFlood {
             heard: 0,
             n: n as u64,
@@ -111,40 +111,40 @@ pub(crate) fn register(reg: &mut ScenarioRegistry) {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThroughputRow {
     /// Stable scenario key (the regression check joins on it).
-    pub scenario: String,
+    pub(crate) scenario: String,
     /// Parties.
-    pub n: usize,
+    pub(crate) n: usize,
     /// Fault budget.
-    pub f: usize,
+    pub(crate) f: usize,
     /// Events the runner processed in one run.
-    pub events: u64,
+    pub(crate) events: u64,
     /// Point-to-point messages sent in one run.
-    pub messages: u64,
+    pub(crate) messages: u64,
     /// Peak event-queue depth in one run.
-    pub peak_queue: u64,
+    pub(crate) peak_queue: u64,
     /// Bytes the event queue retained at end of run (slab chunks plus
     /// calendar directories) — the memory the engine holds to avoid
     /// per-event allocation.
-    pub queue_bytes: u64,
+    pub(crate) queue_bytes: u64,
     /// Deliveries discarded at enqueue because the recipient had already
     /// terminated — queue traffic the run never paid for. Deterministic:
     /// exact per scenario, like `events`.
-    pub drops_at_enqueue: u64,
+    pub(crate) drops_at_enqueue: u64,
     /// Wall time of the best repetition, nanoseconds.
-    pub wall_ns: u64,
+    pub(crate) wall_ns: u64,
     /// `events / wall` of the best repetition.
-    pub events_per_sec: f64,
+    pub(crate) events_per_sec: f64,
     /// MAC compressions actually computed in one run (the
     /// [`gcl_crypto::VerifyProbe`] delta): the crypto work the verify
     /// caches could not avoid.
-    pub verify_macs: u64,
+    pub(crate) verify_macs: u64,
     /// Signature/memo cache hits in one run: verifications answered
     /// without recomputing a MAC.
-    pub verify_hits: u64,
+    pub(crate) verify_hits: u64,
     /// Repetitions actually measured (best wins; fast scenarios repeat
     /// until a cumulative wall-time floor so one noisy sample can't
     /// dominate).
-    pub reps: u32,
+    pub(crate) reps: u32,
 }
 
 /// The `BENCH_sim.json` table. Everything the simulator counts is a pure
@@ -194,7 +194,7 @@ const MAX_REPS: u32 = 64;
 /// the ones the amortized-verification layer targets; the `n = 1024`
 /// sweep points exist to expose the *next* bottleneck once signature
 /// re-verification stops dominating.
-pub fn rows_under_measure() -> Vec<(&'static str, ScenarioSpec)> {
+pub(crate) fn rows_under_measure() -> Vec<(&'static str, ScenarioSpec)> {
     vec![
         ("flood_n16", canonical("flood", 16, 5)),
         ("flood_n64", canonical("flood", 64, 21)),
@@ -212,7 +212,7 @@ pub fn rows_under_measure() -> Vec<(&'static str, ScenarioSpec)> {
 /// Measures one spec under a stable scenario key: best-of-`min_reps`
 /// wall time (repeating up to the cumulative floor), with the row's
 /// `(n, f)` taken from the spec itself.
-pub fn measure(scenario: &str, spec: &ScenarioSpec, min_reps: u32) -> ThroughputRow {
+pub(crate) fn measure(scenario: &str, spec: &ScenarioSpec, min_reps: u32) -> ThroughputRow {
     let probe = gcl_crypto::VerifyProbe::global();
     let mut best_ns = u64::MAX;
     let mut total_ns: u64 = 0;

@@ -4,14 +4,14 @@
 //! *schema-plus-rows* document. A [`Schema`] describes one of them once —
 //! its tag, its columns in file order, and for each column whether it is
 //! part of a row's identity ([`Column::key`]), what every cell must
-//! satisfy ([`Need`]) and how a fresh measurement is judged against the
-//! committed baseline ([`Gate`]) — plus the one rule no column can state,
+//! satisfy (`Need`) and how a fresh measurement is judged against the
+//! committed baseline (`Gate`) — plus the one rule no column can state,
 //! which rows must exist (`coverage`). The measuring modules declare a
 //! `pub static SCHEMA` next to their typed row and hand
 //! [`Schema::render`] a cell list per row; nothing else re-describes the
 //! file.
 //!
-//! [`Schema::check`] audits one document in isolation, [`Schema::diff`]
+//! [`Schema::check`] audits one document in isolation, `Schema::diff`
 //! judges a fresh one against the baseline, and [`emit`] is the whole
 //! tail of a trajectory bin. `Gate::Exact` is for deterministic counters —
 //! moved by one is moved. `Gate::Lower(k)` / `Gate::Higher(k)` are cliff
@@ -24,7 +24,7 @@ use std::process::ExitCode;
 
 /// What a cell must satisfy for its row to count as measured.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Need {
+pub(crate) enum Need {
     /// Present; `null` allowed (e.g. a latency nobody committed to).
     Any,
     /// Present and not `null`.
@@ -52,7 +52,7 @@ impl Need {
 
 /// How a fresh cell is judged against the baseline cell of the same row.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Gate {
+pub(crate) enum Gate {
     /// Not compared.
     None,
     /// Must be equal: the column is deterministic.
@@ -67,13 +67,13 @@ pub enum Gate {
 #[derive(Debug, Clone, Copy)]
 pub struct Column {
     /// The JSON member name.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Whether the column is part of a row's identity.
-    pub key: bool,
+    pub(crate) key: bool,
     /// The per-cell structure rule.
-    pub need: Need,
+    pub(crate) need: Need,
     /// The baseline rule.
-    pub gate: Gate,
+    pub(crate) gate: Gate,
 }
 
 /// A column that must be present and non-null, is not part of the row
@@ -94,12 +94,12 @@ impl Column {
     }
 
     /// Replaces the per-cell rule.
-    pub const fn need(self, need: Need) -> Self {
+    pub(crate) const fn need(self, need: Need) -> Self {
         Column { need, ..self }
     }
 
     /// Replaces the baseline rule.
-    pub const fn gate(self, gate: Gate) -> Self {
+    pub(crate) const fn gate(self, gate: Gate) -> Self {
         Column { gate, ..self }
     }
 }
@@ -166,7 +166,7 @@ impl Schema {
     /// # Errors
     ///
     /// The first violation: malformed JSON, a foreign schema tag, a row
-    /// whose column set is not the table's, a cell failing its [`Need`],
+    /// whose column set is not the table's, a cell failing its `Need`,
     /// two rows with one identity, or a coverage gap.
     pub fn check(&self, text: &str) -> Result<usize, String> {
         self.audit(text).map(|(_, rows, _)| rows.len())
@@ -228,7 +228,7 @@ impl Schema {
     ///
     /// Either document failing [`Schema::check`], a row present on one
     /// side only, or the first gated column that moved too far.
-    pub fn diff(&self, baseline: &str, fresh: &str) -> Result<String, String> {
+    pub(crate) fn diff(&self, baseline: &str, fresh: &str) -> Result<String, String> {
         let (_, new, new_ids) = self.audit(fresh).map_err(|e| format!("fresh: {e}"))?;
         let (_, base, base_ids) = self.audit(baseline).map_err(|e| format!("baseline: {e}"))?;
         if let Some(id) = new_ids.iter().find(|id| !base_ids.contains(id)) {
@@ -278,9 +278,9 @@ pub struct Args {
     /// The reduced CI shape was asked for.
     pub quick: bool,
     /// Where the fresh document goes.
-    pub out: String,
+    pub(crate) out: String,
     /// The committed baseline to check and diff against, if any.
-    pub check: Option<String>,
+    pub(crate) check: Option<String>,
 }
 
 impl Args {

@@ -56,7 +56,6 @@ gcl_types::wire_enum!(BrachaMsg {
 #[derive(Debug)]
 pub struct BrachaBrb {
     config: Config,
-    me: PartyId,
     broadcaster: PartyId,
     input: Option<Value>,
     echoed: bool,
@@ -78,7 +77,6 @@ impl BrachaBrb {
         assert_eq!(input.is_some(), me == broadcaster);
         BrachaBrb {
             config,
-            me,
             broadcaster,
             input,
             echoed: false,
@@ -115,16 +113,6 @@ impl BrachaBrb {
             ctx.commit(v);
             ctx.terminate();
         }
-    }
-
-    /// Whether this party has delivered (committed).
-    pub fn is_committed(&self) -> bool {
-        self.committed
-    }
-
-    /// This party's id.
-    pub fn id(&self) -> PartyId {
-        self.me
     }
 }
 
@@ -262,14 +250,6 @@ mod tests {
             .run();
         let committed = o.honest_commits().count();
         assert!(committed == 0 || committed == 3);
-    }
-
-    #[test]
-    fn accessors() {
-        let cfg = Config::new(4, 1).unwrap();
-        let b = BrachaBrb::new(cfg, PartyId::new(1), PartyId::new(0), None);
-        assert!(!b.is_committed());
-        assert_eq!(b.id(), PartyId::new(1));
     }
 
     #[test]

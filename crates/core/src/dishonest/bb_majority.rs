@@ -97,7 +97,7 @@ impl MajVote {
     }
 
     /// The voter.
-    pub fn voter(&self) -> PartyId {
+    pub(crate) fn voter(&self) -> PartyId {
         self.sig.signer()
     }
 }
@@ -191,12 +191,12 @@ pub struct BbMajority {
 
 impl BbMajority {
     /// Vote-flood deadline for this configuration.
-    pub fn vote_deadline(config: Config, big_delta: Duration) -> Duration {
+    pub(crate) fn vote_deadline(config: Config, big_delta: Duration) -> Duration {
         trustcast_deadline(config, big_delta)
     }
 
     /// Epoch duration: 1 proposal round + the vote flood deadline + slack.
-    pub fn epoch_duration(config: Config, big_delta: Duration) -> Duration {
+    pub(crate) fn epoch_duration(config: Config, big_delta: Duration) -> Duration {
         big_delta + Self::vote_deadline(config, big_delta) + big_delta
     }
 

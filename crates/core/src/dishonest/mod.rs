@@ -1,16 +1,15 @@
 //! Dishonest-majority Byzantine broadcast (paper Section 5.5).
 //!
 //! For `n/2 ≤ f < n` the paper proves a `(⌊n/(n−f)⌋ − 1)Δ` lower bound
-//! (Theorem 19) and cites Wan et al. [34] for an `O(n/(n−f))Δ` upper bound
+//! (Theorem 19) and cites Wan et al. \[34\] for an `O(n/(n−f))Δ` upper bound
 //! (with the Section C.5 fast path giving ≈ `2n/(n−f)·Δ`). [`BbMajority`]
-//! implements that fast-path protocol on top of [`TrustGraph`] /
-//! [`TrustCast`].
+//! implements that fast-path protocol on top of `TrustGraph` /
+//! `TrustCast`.
 
 mod bb_majority;
 mod trustcast;
 
 pub use bb_majority::{BbMajority, MajProposal, MajVote, MajorityMsg};
-pub use trustcast::{trustcast_deadline, TrustCast, TrustCastMsg, TrustGraph};
 
 use gcl_crypto::Keychain;
 use gcl_sim::{Admission, AdversaryMix, ScenarioRegistry, ScenarioSpec, ValidityMode};

@@ -22,63 +22,38 @@ use std::collections::BTreeSet;
 /// Honest parties never lose each other's trust: every honest unit is
 /// flooded and arrives well inside the deadline, and honest parties never
 /// produce misbehavior proofs against each other.
-///
-/// # Examples
-///
-/// ```
-/// use gcl_core::dishonest::TrustGraph;
-/// use gcl_types::{Config, PartyId};
-///
-/// let cfg = Config::new(4, 2)?;
-/// let mut trust = TrustGraph::new(cfg);
-/// assert_eq!(trust.trusted_count(), 4);
-/// trust.distrust(PartyId::new(3));
-/// assert!(!trust.trusts(PartyId::new(3)));
-/// assert_eq!(trust.trusted_count(), 3);
-/// # Ok::<(), gcl_types::ConfigError>(())
-/// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TrustGraph {
+pub(crate) struct TrustGraph {
     trusted: BTreeSet<PartyId>,
 }
 
 impl TrustGraph {
     /// Everyone starts trusted.
-    pub fn new(config: Config) -> Self {
+    pub(crate) fn new(config: Config) -> Self {
         TrustGraph {
             trusted: config.parties().collect(),
         }
     }
 
-    /// Whether `p` is still trusted.
-    pub fn trusts(&self, p: PartyId) -> bool {
-        self.trusted.contains(&p)
-    }
-
     /// Removes `p`; returns `true` if it was still trusted.
-    pub fn distrust(&mut self, p: PartyId) -> bool {
+    pub(crate) fn distrust(&mut self, p: PartyId) -> bool {
         self.trusted.remove(&p)
     }
 
-    /// Number of still-trusted parties.
-    pub fn trusted_count(&self) -> usize {
-        self.trusted.len()
-    }
-
     /// Iterates over the trusted parties in id order.
-    pub fn iter(&self) -> impl Iterator<Item = PartyId> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = PartyId> + '_ {
         self.trusted.iter().copied()
     }
 
     /// Whether `voters` covers the trusted set.
-    pub fn covered_by(&self, voters: &BTreeSet<PartyId>) -> bool {
+    pub(crate) fn covered_by(&self, voters: &BTreeSet<PartyId>) -> bool {
         self.trusted.is_subset(voters)
     }
 }
 
 /// TrustCast deadline: `(⌊n/(n−f)⌋ + 1) · Δ` — the flood time through a
 /// trust graph whose diameter Wan et al. bound by `n/(n−f)`.
-pub fn trustcast_deadline(config: Config, big_delta: Duration) -> Duration {
+pub(crate) fn trustcast_deadline(config: Config, big_delta: Duration) -> Duration {
     let k = config.n() / (config.n() - config.f());
     big_delta * (k as u64 + 1)
 }
@@ -86,12 +61,12 @@ pub fn trustcast_deadline(config: Config, big_delta: Duration) -> Duration {
 /// Flood-with-dedup bookkeeping: remembers which units were already
 /// forwarded so each is relayed at most once.
 #[derive(Debug, Clone, Default)]
-pub struct TrustCast {
+pub(crate) struct TrustCast {
     seen: BTreeSet<u64>,
 }
 
 /// Units floodable by [`TrustCast`]: anything with a stable dedup key.
-pub trait TrustCastMsg {
+pub(crate) trait TrustCastMsg {
     /// A collision-resistant identity for dedup (e.g. the first 8 bytes of
     /// the unit's digest).
     fn dedup_key(&self) -> u64;
@@ -99,12 +74,12 @@ pub trait TrustCastMsg {
 
 impl TrustCast {
     /// Fresh flood state.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         TrustCast::default()
     }
 
     /// Returns `true` exactly once per unit: the caller should forward it.
-    pub fn first_sighting(&mut self, unit: &impl TrustCastMsg) -> bool {
+    pub(crate) fn first_sighting(&mut self, unit: &impl TrustCastMsg) -> bool {
         self.seen.insert(unit.dedup_key())
     }
 }
@@ -124,9 +99,7 @@ mod tests {
     fn trust_starts_complete() {
         let cfg = Config::new(6, 4).unwrap();
         let t = TrustGraph::new(cfg);
-        assert_eq!(t.trusted_count(), 6);
-        assert!(cfg.parties().all(|p| t.trusts(p)));
-        assert_eq!(t.iter().count(), 6);
+        assert!(t.iter().eq(cfg.parties()));
     }
 
     #[test]
@@ -135,7 +108,7 @@ mod tests {
         let mut t = TrustGraph::new(cfg);
         assert!(t.distrust(PartyId::new(1)));
         assert!(!t.distrust(PartyId::new(1)));
-        assert_eq!(t.trusted_count(), 3);
+        assert_eq!(t.iter().count(), 3);
     }
 
     #[test]

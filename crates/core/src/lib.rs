@@ -21,6 +21,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod asynchrony;
 pub mod dishonest;
@@ -36,19 +37,10 @@ pub use tally::Tally;
 
 use gcl_sim::ScenarioRegistry;
 
-/// Registers every protocol family of this crate into `reg` — one call
-/// per module, one registration per family. Adding a protocol variant is
-/// one `register_fn` in its module; every registry consumer (tables,
+/// A fresh registry holding every family of this crate — one `register`
+/// call per module, one registration per family. Adding a protocol variant
+/// is one `register_fn` in its module; every registry consumer (tables,
 /// sweeps, property suites, examples) picks it up automatically.
-pub fn register_families(reg: &mut ScenarioRegistry) {
-    asynchrony::register(reg);
-    psync::register(reg);
-    sync::register(reg);
-    dishonest::register(reg);
-    strawman::register(reg);
-}
-
-/// A fresh registry holding every family of this crate.
 ///
 /// # Examples
 ///
@@ -61,7 +53,11 @@ pub fn register_families(reg: &mut ScenarioRegistry) {
 /// ```
 pub fn registry() -> ScenarioRegistry {
     let mut reg = ScenarioRegistry::new();
-    register_families(&mut reg);
+    asynchrony::register(&mut reg);
+    psync::register(&mut reg);
+    sync::register(&mut reg);
+    dishonest::register(&mut reg);
+    strawman::register(&mut reg);
     reg
 }
 
@@ -118,17 +114,17 @@ pub(crate) mod by_hand {
     /// party does: its multicasts, its other sends (unicasts and
     /// forwarded bundles) and its commits.
     pub(crate) struct Rec<M> {
-        pub me: PartyId,
-        pub cfg: Config,
-        pub now: LocalTime,
-        pub multicast: Vec<M>,
-        pub sent: Vec<M>,
-        pub committed: Vec<Value>,
+        pub(crate) me: PartyId,
+        pub(crate) cfg: Config,
+        pub(crate) now: LocalTime,
+        pub(crate) multicast: Vec<M>,
+        pub(crate) sent: Vec<M>,
+        pub(crate) committed: Vec<Value>,
     }
 
     impl<M> Rec<M> {
         /// Party `me`'s context at local time zero.
-        pub fn new(cfg: Config, me: u32) -> Self {
+        pub(crate) fn new(cfg: Config, me: u32) -> Self {
             Rec {
                 me: PartyId::new(me),
                 cfg,

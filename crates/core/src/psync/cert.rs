@@ -35,12 +35,12 @@ pub struct LeaderSigned {
 
 impl LeaderSigned {
     /// The digest the leader signs.
-    pub fn digest(value: Value, view: View) -> Digest {
+    pub(crate) fn digest(value: Value, view: View) -> Digest {
         Digest::of(&("psync-prop", value, view))
     }
 
     /// Signs `(value, view)` as leader.
-    pub fn new(leader: &Signer, value: Value, view: View) -> Self {
+    pub(crate) fn new(leader: &Signer, value: Value, view: View) -> Self {
         LeaderSigned {
             value,
             view,
@@ -50,7 +50,7 @@ impl LeaderSigned {
 
     /// Verifies the leader signature against the round-robin leader of
     /// `view`.
-    pub fn verify(&self, config: Config, v: &impl Verify) -> bool {
+    pub(crate) fn verify(&self, config: Config, v: &impl Verify) -> bool {
         let leader = self.view.leader(config.n());
         self.leader_sig.signer() == leader
             && v.verify(
@@ -79,12 +79,12 @@ pub struct VoteMsg {
 
 impl VoteMsg {
     /// The digest the voter signs.
-    pub fn digest(ls: &LeaderSigned) -> Digest {
+    pub(crate) fn digest(ls: &LeaderSigned) -> Digest {
         Digest::of(&("psync-vote", ls.value, ls.view))
     }
 
     /// Creates a vote by `voter` for `ls`.
-    pub fn new(voter: &Signer, ls: LeaderSigned) -> Self {
+    pub(crate) fn new(voter: &Signer, ls: LeaderSigned) -> Self {
         VoteMsg {
             ls,
             voter_sig: voter.sign(Self::digest(&ls)),
@@ -92,12 +92,12 @@ impl VoteMsg {
     }
 
     /// The voting party.
-    pub fn voter(&self) -> PartyId {
+    pub(crate) fn voter(&self) -> PartyId {
         self.voter_sig.signer()
     }
 
     /// Verifies both signatures.
-    pub fn verify(&self, config: Config, v: &impl Verify) -> bool {
+    pub(crate) fn verify(&self, config: Config, v: &impl Verify) -> bool {
         self.ls.verify(config, v) && v.verify_embedded(Self::digest(&self.ls), &self.voter_sig)
     }
 }
@@ -126,7 +126,7 @@ pub enum TimeoutMsg {
 
 impl TimeoutMsg {
     /// Digest for a `⊥` timeout of `view`.
-    pub fn bot_digest(view: View) -> Digest {
+    pub(crate) fn bot_digest(view: View) -> Digest {
         Digest::of(&("psync-bot", view))
     }
 
@@ -139,7 +139,7 @@ impl TimeoutMsg {
     }
 
     /// Creates a value timeout from the vote the party cast.
-    pub fn val(signer: &Signer, ls: LeaderSigned) -> Self {
+    pub(crate) fn val(signer: &Signer, ls: LeaderSigned) -> Self {
         TimeoutMsg::Val {
             ls,
             voter_sig: signer.sign(VoteMsg::digest(&ls)),
@@ -147,7 +147,7 @@ impl TimeoutMsg {
     }
 
     /// The sending party.
-    pub fn sender(&self) -> PartyId {
+    pub(crate) fn sender(&self) -> PartyId {
         match self {
             TimeoutMsg::Bot { sig, .. } => sig.signer(),
             TimeoutMsg::Val { voter_sig, .. } => voter_sig.signer(),
@@ -155,7 +155,7 @@ impl TimeoutMsg {
     }
 
     /// The view this timeout is for.
-    pub fn view(&self) -> View {
+    pub(crate) fn view(&self) -> View {
         match self {
             TimeoutMsg::Bot { view, .. } => *view,
             TimeoutMsg::Val { ls, .. } => ls.view,
@@ -163,7 +163,7 @@ impl TimeoutMsg {
     }
 
     /// The non-⊥ value carried, if any.
-    pub fn value(&self) -> Option<Value> {
+    pub(crate) fn value(&self) -> Option<Value> {
         match self {
             TimeoutMsg::Bot { .. } => None,
             TimeoutMsg::Val { ls, .. } => Some(ls.value),
@@ -171,7 +171,12 @@ impl TimeoutMsg {
     }
 
     /// Verifies signatures and (for values) external validity.
-    pub fn verify(&self, config: Config, v: &impl Verify, validity: &ExternalValidity) -> bool {
+    pub(crate) fn verify(
+        &self,
+        config: Config,
+        v: &impl Verify,
+        validity: &ExternalValidity,
+    ) -> bool {
         match self {
             TimeoutMsg::Bot { view, sig } => v.verify_embedded(Self::bot_digest(*view), sig),
             TimeoutMsg::Val { ls, voter_sig } => {
@@ -210,7 +215,7 @@ gcl_types::wire_enum!(Certificate {
 
 /// What a certificate locks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Lock {
+pub(crate) enum Lock {
     /// Locks any externally valid value (only the genesis certificate).
     Any,
     /// Locks exactly this value.
@@ -219,7 +224,7 @@ pub enum Lock {
 
 impl Lock {
     /// Whether this lock permits proposing/voting `v`.
-    pub fn permits(&self, v: Value) -> bool {
+    pub(crate) fn permits(&self, v: Value) -> bool {
         match self {
             Lock::Any => true,
             Lock::Exactly(locked) => *locked == v,
@@ -243,7 +248,7 @@ pub enum Certificate {
 
 impl Certificate {
     /// The certificate's view (genesis = view 0); certificates rank by it.
-    pub fn view(&self) -> View {
+    pub(crate) fn view(&self) -> View {
         match self {
             Certificate::Genesis => View::ZERO,
             Certificate::Assembled { view, .. } => *view,
@@ -251,7 +256,7 @@ impl Certificate {
     }
 
     /// Assembles a certificate from timeout entries for `view`.
-    pub fn assemble(view: View, entries: Vec<TimeoutMsg>) -> Self {
+    pub(crate) fn assemble(view: View, entries: Vec<TimeoutMsg>) -> Self {
         Certificate::Assembled { view, entries }
     }
 
@@ -264,7 +269,12 @@ impl Certificate {
     /// is per-protocol-instance, which holds a single predicate, so the
     /// name uniquely identifies it) — making re-delivery of a known
     /// certificate O(1) instead of O(q) signature checks.
-    pub fn is_valid(&self, config: Config, v: &impl Verify, validity: &ExternalValidity) -> bool {
+    pub(crate) fn is_valid(
+        &self,
+        config: Config,
+        v: &impl Verify,
+        validity: &ExternalValidity,
+    ) -> bool {
         match self {
             Certificate::Genesis => true,
             Certificate::Assembled { view, entries } => {
@@ -295,7 +305,7 @@ impl Certificate {
     ///
     /// Returns `None` when it locks nothing (e.g. all-⊥ entries); such
     /// certificates never update a party's lock.
-    pub fn lock(&self, config: Config) -> Option<Lock> {
+    pub(crate) fn lock(&self, config: Config) -> Option<Lock> {
         match self {
             Certificate::Genesis => Some(Lock::Any),
             Certificate::Assembled { view, entries } => {
@@ -324,7 +334,7 @@ impl Certificate {
     }
 
     /// True when `self` ranks strictly above `other` (higher view).
-    pub fn ranks_above(&self, other: &Certificate) -> bool {
+    pub(crate) fn ranks_above(&self, other: &Certificate) -> bool {
         self.view() > other.view()
     }
 }

@@ -16,9 +16,9 @@ mod pbft3;
 mod vbb5f1;
 
 pub use crate::signed::PhaseVote;
-pub use cert::{Certificate, LeaderSigned, Lock, TimeoutMsg, VoteMsg};
+pub use cert::{Certificate, LeaderSigned, TimeoutMsg, VoteMsg};
 pub use pbft3::{PbftMsg, PbftPsyncVbb, PreparedCert, ViewChangeMsg};
-pub use vbb5f1::{EquivocatingLeader, Proof, StatusMsg, VbbFiveFMinusOne, VbbMsg};
+pub use vbb5f1::{Proof, StatusMsg, VbbFiveFMinusOne, VbbMsg};
 
 use gcl_crypto::Keychain;
 use gcl_sim::{Admission, ScenarioRegistry, ScenarioSpec, ValidityMode};

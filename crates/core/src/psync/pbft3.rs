@@ -32,7 +32,7 @@ impl PreparedCert {
     /// [`MemoTag::Prepared`]): a certificate carried by every view-change
     /// message of a quorum costs `n − f` MAC checks once, then one lookup
     /// per re-appearance.
-    pub fn verify(&self, config: Config, v: &impl Verify) -> bool {
+    pub(crate) fn verify(&self, config: Config, v: &impl Verify) -> bool {
         let mut key = MemoTag::Prepared.key(56 + 52 * self.prepares.len());
         key.extend_from_slice(&(config.n() as u64).to_le_bytes());
         key.extend_from_slice(&(config.f() as u64).to_le_bytes());
@@ -82,7 +82,7 @@ impl ViewChangeMsg {
     }
 
     /// The sender.
-    pub fn sender(&self) -> PartyId {
+    pub(crate) fn sender(&self) -> PartyId {
         self.sig.signer()
     }
 
@@ -91,7 +91,7 @@ impl ViewChangeMsg {
     /// Memoized whole (tagged [`MemoTag::ViewChange`]), so a message seen
     /// both directly and inside a forwarded [`PbftMsg::ViewChangeBundle`]
     /// or a proposal proof is re-checked in O(1).
-    pub fn verify(&self, config: Config, v: &impl Verify) -> bool {
+    pub(crate) fn verify(&self, config: Config, v: &impl Verify) -> bool {
         let mut key = MemoTag::ViewChange.key(64);
         key.extend_from_slice(&(config.n() as u64).to_le_bytes());
         key.extend_from_slice(&(config.f() as u64).to_le_bytes());
@@ -244,13 +244,6 @@ impl PbftPsyncVbb {
             view_changes: Tally::new(),
             pending: BTreeMap::new(),
         }
-    }
-
-    /// Overrides the no-lock fallback proposal value.
-    #[must_use]
-    pub fn with_fallback(mut self, v: Value) -> Self {
-        self.fallback = v;
-        self
     }
 
     fn me(&self) -> PartyId {

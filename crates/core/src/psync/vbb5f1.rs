@@ -26,7 +26,7 @@
 use super::cert::{Certificate, LeaderSigned, Lock, TimeoutMsg, VoteMsg};
 use crate::Tally;
 use gcl_crypto::{Digest, MemoTag, Signature, Signer, Verifier, Verify};
-use gcl_sim::{Context, Protocol, Strategy};
+use gcl_sim::{Context, Protocol};
 use gcl_types::{Config, Duration, Encode, ExternalValidity, PartyId, Value, View};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -47,13 +47,13 @@ impl StatusMsg {
     }
 
     /// Creates a signed status.
-    pub fn new(signer: &Signer, view: View, cert: Certificate) -> Self {
+    pub(crate) fn new(signer: &Signer, view: View, cert: Certificate) -> Self {
         let sig = signer.sign(Self::digest(view, &cert));
         StatusMsg { view, cert, sig }
     }
 
     /// The sending party.
-    pub fn sender(&self) -> PartyId {
+    pub(crate) fn sender(&self) -> PartyId {
         self.sig.signer()
     }
 
@@ -68,7 +68,12 @@ impl StatusMsg {
     /// validity predicate identity, and the full wire encoding of the
     /// status) is part of the key, and the verdict is a pure function of
     /// those inputs.
-    pub fn verify(&self, config: Config, v: &impl Verify, validity: &ExternalValidity) -> bool {
+    pub(crate) fn verify(
+        &self,
+        config: Config,
+        v: &impl Verify,
+        validity: &ExternalValidity,
+    ) -> bool {
         let name = validity.name().as_bytes();
         let mut key = MemoTag::Status.key(64 + name.len());
         key.extend_from_slice(&(config.n() as u64).to_le_bytes());
@@ -594,48 +599,6 @@ impl Protocol for VbbFiveFMinusOne {
     }
 }
 
-/// Byzantine view-1 leader that equivocates: proposes `value_a` (with a
-/// valid bootstrap proof) to `group_a` and `value_b` to everyone else, then
-/// goes silent — the canonical psync adversary.
-#[derive(Debug)]
-pub struct EquivocatingLeader {
-    /// This leader's signer (it can only sign for itself).
-    pub signer: Signer,
-    /// Recipients of `value_a`.
-    pub group_a: Vec<PartyId>,
-    /// Value proposed to `group_a`.
-    pub value_a: Value,
-    /// Value proposed to the rest.
-    pub value_b: Value,
-}
-
-impl Strategy<VbbMsg> for EquivocatingLeader {
-    fn start(&mut self, ctx: &mut dyn Context<VbbMsg>) {
-        let w = View::FIRST;
-        let ls_a = LeaderSigned::new(&self.signer, self.value_a, w);
-        let ls_b = LeaderSigned::new(&self.signer, self.value_b, w);
-        for p in ctx.config().parties().collect::<Vec<_>>() {
-            if p == self.signer.id() {
-                continue;
-            }
-            let ls = if self.group_a.contains(&p) {
-                ls_a
-            } else {
-                ls_b
-            };
-            ctx.send(
-                p,
-                VbbMsg::Propose {
-                    ls,
-                    proof: Proof::Bootstrap,
-                },
-            );
-        }
-    }
-    fn on_message(&mut self, _from: PartyId, _msg: VbbMsg, _ctx: &mut dyn Context<VbbMsg>) {}
-    fn on_timer(&mut self, _tag: u64, _ctx: &mut dyn Context<VbbMsg>) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -643,7 +606,7 @@ mod tests {
     use gcl_crypto::Keychain;
     use gcl_sim::{
         DelayRule, FixedDelay, LinkDelay, Outcome, PartySet, ScheduleOracle, Silent, Simulation,
-        TimingModel,
+        Strategy, TimingModel,
     };
     use gcl_types::{accept_all, GlobalTime};
     use std::sync::Arc;
@@ -754,6 +717,44 @@ mod tests {
             &[View::new(2)],
             "the source is consulted exactly once, for the view being led"
         );
+    }
+
+    /// Byzantine view-1 leader that equivocates: proposes `value_a` (with a
+    /// valid bootstrap proof) to `group_a` and `value_b` to everyone else,
+    /// then goes silent — the canonical psync adversary.
+    #[derive(Debug)]
+    struct EquivocatingLeader {
+        signer: Signer,
+        group_a: Vec<PartyId>,
+        value_a: Value,
+        value_b: Value,
+    }
+
+    impl Strategy<VbbMsg> for EquivocatingLeader {
+        fn start(&mut self, ctx: &mut dyn Context<VbbMsg>) {
+            let w = View::FIRST;
+            let ls_a = LeaderSigned::new(&self.signer, self.value_a, w);
+            let ls_b = LeaderSigned::new(&self.signer, self.value_b, w);
+            for p in ctx.config().parties().collect::<Vec<_>>() {
+                if p == self.signer.id() {
+                    continue;
+                }
+                let ls = if self.group_a.contains(&p) {
+                    ls_a
+                } else {
+                    ls_b
+                };
+                ctx.send(
+                    p,
+                    VbbMsg::Propose {
+                        ls,
+                        proof: Proof::Bootstrap,
+                    },
+                );
+            }
+        }
+        fn on_message(&mut self, _from: PartyId, _msg: VbbMsg, _ctx: &mut dyn Context<VbbMsg>) {}
+        fn on_timer(&mut self, _tag: u64, _ctx: &mut dyn Context<VbbMsg>) {}
     }
 
     #[test]

@@ -21,12 +21,12 @@ pub struct SignedValue {
 
 impl SignedValue {
     /// The digest a signature under `domain` covers.
-    pub fn digest(domain: &str, value: Value) -> Digest {
+    pub(crate) fn digest(domain: &str, value: Value) -> Digest {
         Digest::of(&(domain, value))
     }
 
     /// Signs `value` under `domain`.
-    pub fn new(domain: &str, signer: &Signer, value: Value) -> Self {
+    pub(crate) fn new(domain: &str, signer: &Signer, value: Value) -> Self {
         SignedValue {
             value,
             sig: signer.sign(Self::digest(domain, value)),
@@ -34,19 +34,19 @@ impl SignedValue {
     }
 
     /// A proposal's check: signed under `domain` by `proposer`.
-    pub fn verify(&self, domain: &str, proposer: PartyId, v: &impl Verify) -> bool {
+    pub(crate) fn verify(&self, domain: &str, proposer: PartyId, v: &impl Verify) -> bool {
         self.sig.signer() == proposer
             && v.verify(proposer, Self::digest(domain, self.value), &self.sig)
     }
 
     /// A vote's or commit's check: signed under `domain` by the party the
     /// signature names.
-    pub fn verify_embedded(&self, domain: &str, v: &impl Verify) -> bool {
+    pub(crate) fn verify_embedded(&self, domain: &str, v: &impl Verify) -> bool {
         v.verify_embedded(Self::digest(domain, self.value), &self.sig)
     }
 
     /// The party the signature names (verify before trusting it).
-    pub fn signer(&self) -> PartyId {
+    pub(crate) fn signer(&self) -> PartyId {
         self.sig.signer()
     }
 }
@@ -65,12 +65,12 @@ pub struct PhaseVote {
 
 impl PhaseVote {
     /// The digest a signature under `domain` covers.
-    pub fn digest(domain: &str, value: Value, view: View) -> Digest {
+    pub(crate) fn digest(domain: &str, value: Value, view: View) -> Digest {
         Digest::of(&(domain, value, view))
     }
 
     /// Signs `(value, view)` under `domain`.
-    pub fn new(domain: &str, signer: &Signer, value: Value, view: View) -> Self {
+    pub(crate) fn new(domain: &str, signer: &Signer, value: Value, view: View) -> Self {
         PhaseVote {
             value,
             view,
@@ -79,7 +79,7 @@ impl PhaseVote {
     }
 
     /// A proposal's check: signed under `domain` by `proposer`.
-    pub fn verify(&self, domain: &str, proposer: PartyId, v: &impl Verify) -> bool {
+    pub(crate) fn verify(&self, domain: &str, proposer: PartyId, v: &impl Verify) -> bool {
         self.sig.signer() == proposer
             && v.verify(
                 proposer,
@@ -90,12 +90,12 @@ impl PhaseVote {
 
     /// A vote's check: signed under `domain` by the party the signature
     /// names.
-    pub fn verify_embedded(&self, domain: &str, v: &impl Verify) -> bool {
+    pub(crate) fn verify_embedded(&self, domain: &str, v: &impl Verify) -> bool {
         v.verify_embedded(Self::digest(domain, self.value, self.view), &self.sig)
     }
 
     /// The party the signature names (verify before trusting it).
-    pub fn voter(&self) -> PartyId {
+    pub(crate) fn voter(&self) -> PartyId {
         self.sig.signer()
     }
 }

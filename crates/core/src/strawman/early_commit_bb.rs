@@ -28,7 +28,7 @@ gcl_types::wire_enum!(EarlyMsg {
 
 /// One party of the early-commit strawman.
 #[derive(Debug)]
-pub struct EarlyCommitBb {
+pub(crate) struct EarlyCommitBb {
     config: Config,
     signer: Signer,
     verifier: Verifier,
@@ -44,7 +44,7 @@ impl EarlyCommitBb {
     pub(crate) const VOTE: &'static str = "early-vote";
 
     /// Creates the party-side state.
-    pub fn new(
+    pub(crate) fn new(
         config: Config,
         signer: Signer,
         verifier: impl Into<Verifier>,

@@ -32,7 +32,12 @@ pub struct FabProposal {
 
 impl FabProposal {
     /// Signs a proposal.
-    pub fn new(signer: &Signer, value: Value, view: View, proof: Vec<FabViewChange>) -> Self {
+    pub(crate) fn new(
+        signer: &Signer,
+        value: Value,
+        view: View,
+        proof: Vec<FabViewChange>,
+    ) -> Self {
         FabProposal {
             value,
             view,
@@ -59,7 +64,7 @@ impl FabViewChange {
     }
 
     /// Signs a view change.
-    pub fn new(signer: &Signer, view: View, voted: Option<Value>) -> Self {
+    pub(crate) fn new(signer: &Signer, view: View, voted: Option<Value>) -> Self {
         FabViewChange {
             view,
             voted,
@@ -72,7 +77,7 @@ impl FabViewChange {
     }
 
     /// The sender.
-    pub fn sender(&self) -> PartyId {
+    pub(crate) fn sender(&self) -> PartyId {
         self.sig.signer()
     }
 }
@@ -106,7 +111,7 @@ const TAG_TIMEOUT: u64 = 1;
 
 /// One party of the FaB-style strawman.
 #[derive(Debug)]
-pub struct FabTwoRound {
+pub(crate) struct FabTwoRound {
     config: Config,
     signer: Signer,
     verifier: Verifier,
@@ -129,7 +134,7 @@ impl FabTwoRound {
 
     /// Creates the party-side state; `input` only at the view-1 leader
     /// (party 0). View 2's leader is party 1.
-    pub fn new(
+    pub(crate) fn new(
         config: Config,
         signer: Signer,
         verifier: impl Into<Verifier>,
@@ -159,7 +164,7 @@ impl FabTwoRound {
 
     /// FaB's rule: the majority `voted` value among the quorum (ties and
     /// all-`None` fall back to the leader's discretion — here `None`).
-    pub fn majority_of(vcs: &[FabViewChange]) -> Option<Value> {
+    pub(crate) fn majority_of(vcs: &[FabViewChange]) -> Option<Value> {
         let mut counts: BTreeMap<Value, usize> = BTreeMap::new();
         for vc in vcs {
             if let Some(v) = vc.voted {

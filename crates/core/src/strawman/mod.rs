@@ -6,13 +6,13 @@
 //! adversarial execution break it. These strawmen are that: correct-looking
 //! protocols whose only flaw is claiming a latency below the tight bound.
 //!
-//! * [`OneRoundBrb`] — commits on the proposal alone (Theorem 4/6: 1 round
+//! * `OneRoundBrb` — commits on the proposal alone (Theorem 4/6: 1 round
 //!   is impossible; the equivocating broadcaster splits it).
-//! * [`FabTwoRound`] — FaB-style 2-round commit with the *plain-majority*
+//! * `FabTwoRound` — FaB-style 2-round commit with the *plain-majority*
 //!   view change, run at `n = 5f − 2` (Theorem 7: below `5f − 1`, 2 rounds
 //!   are impossible; the Figure 4 style schedule splits it across a view
 //!   change).
-//! * [`EarlyCommitBb`] — synchronous BB that skips the Δ equivocation
+//! * `EarlyCommitBb` — synchronous BB that skips the Δ equivocation
 //!   window at `f = n/3` (Theorem 9: commits before `Δ + δ` are unsafe).
 //!
 //! The matching executions live in [`crate::lower_bounds`].
@@ -21,9 +21,12 @@ mod early_commit_bb;
 mod fab2;
 mod one_round_brb;
 
-pub use early_commit_bb::{EarlyCommitBb, EarlyMsg};
-pub use fab2::{FabMsg, FabProposal, FabTwoRound, FabViewChange};
-pub use one_round_brb::{OneRoundBrb, OneRoundMsg};
+pub(crate) use early_commit_bb::EarlyCommitBb;
+pub use early_commit_bb::EarlyMsg;
+pub(crate) use fab2::FabTwoRound;
+pub use fab2::{FabMsg, FabProposal, FabViewChange};
+pub(crate) use one_round_brb::OneRoundBrb;
+pub use one_round_brb::OneRoundMsg;
 
 use gcl_crypto::Keychain;
 use gcl_sim::{Admission, ScenarioRegistry, ScenarioSpec, ValidityMode};

@@ -16,7 +16,7 @@ gcl_types::wire_newtype!(OneRoundMsg);
 
 /// One party of the (unsafe) 1-round BRB.
 #[derive(Debug)]
-pub struct OneRoundBrb {
+pub(crate) struct OneRoundBrb {
     broadcaster: PartyId,
     input: Option<Value>,
     committed: bool,
@@ -24,7 +24,12 @@ pub struct OneRoundBrb {
 
 impl OneRoundBrb {
     /// Creates the party; `input` is `Some` only at the broadcaster.
-    pub fn new(_config: Config, me: PartyId, broadcaster: PartyId, input: Option<Value>) -> Self {
+    pub(crate) fn new(
+        _config: Config,
+        me: PartyId,
+        broadcaster: PartyId,
+        input: Option<Value>,
+    ) -> Self {
         assert_eq!(input.is_some(), me == broadcaster);
         OneRoundBrb {
             broadcaster,

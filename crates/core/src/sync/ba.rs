@@ -23,11 +23,11 @@
 use super::dolev_strong::{DsInstance, DsRelay, BOT_SENTINEL};
 use gcl_crypto::{Signer, Verifier};
 use gcl_sim::Context;
-use gcl_types::{Config, Duration, LocalTime, PartyId, Value};
+use gcl_types::{Config, Duration, LocalTime, Value};
 use std::collections::BTreeMap;
 
 /// Re-export: the `⊥` value committed when agreement yields no real value.
-pub use super::dolev_strong::BOT_SENTINEL as BOT;
+pub(crate) use super::dolev_strong::BOT_SENTINEL as BOT;
 
 const BA_DOMAIN: &str = "ba-ds";
 
@@ -45,7 +45,7 @@ gcl_types::wire_newtype!(BaMsg);
 /// and reserved-range timers; [`LockstepBa::on_timer`] returns
 /// `Some(decision)` at the final round boundary.
 #[derive(Debug)]
-pub struct LockstepBa {
+pub(crate) struct LockstepBa {
     config: Config,
     signer: Signer,
     verifier: Verifier,
@@ -60,20 +60,15 @@ pub struct LockstepBa {
 impl LockstepBa {
     /// Timer tags at or above this value belong to the BA component;
     /// parents must route them to [`LockstepBa::on_timer`].
-    pub const TAG_BASE: u64 = 1_000_000;
+    pub(crate) const TAG_BASE: u64 = 1_000_000;
 
     /// Round duration `3Δ`: absorbs skew ≤ Δ + delay ≤ Δ with margin.
-    pub fn round_duration(big_delta: Duration) -> Duration {
+    pub(crate) fn round_duration(big_delta: Duration) -> Duration {
         big_delta * 3
     }
 
-    /// Total time from invocation to decision: `(f + 1) · 3Δ`.
-    pub fn duration(config: Config, big_delta: Duration) -> Duration {
-        Self::round_duration(big_delta) * (config.f() as u64 + 1)
-    }
-
     /// Creates an idle BA component.
-    pub fn new(
+    pub(crate) fn new(
         config: Config,
         signer: Signer,
         verifier: impl Into<Verifier>,
@@ -93,24 +88,18 @@ impl LockstepBa {
         }
     }
 
-    /// Whether [`invoke`](Self::invoke) has been called.
-    pub fn is_invoked(&self) -> bool {
-        self.start.is_some()
-    }
-
-    /// The decision, once reached.
-    pub fn decision(&self) -> Option<Value> {
-        self.decided
-    }
-
     /// Starts the agreement with this party's `input`, scheduling the
     /// lock-step boundaries. Call exactly once.
     ///
     /// # Panics
     ///
     /// Panics on double invocation.
-    pub fn invoke<M>(&mut self, input: Value, ctx: &mut dyn Context<M>, wrap: impl Fn(BaMsg) -> M)
-    where
+    pub(crate) fn invoke<M>(
+        &mut self,
+        input: Value,
+        ctx: &mut dyn Context<M>,
+        wrap: impl Fn(BaMsg) -> M,
+    ) where
         M: Clone,
     {
         assert!(self.start.is_none(), "BA invoked twice");
@@ -134,7 +123,7 @@ impl LockstepBa {
     /// Handles an incoming relay. No-op before invocation (early messages
     /// from fast peers are tolerated by buffering them into round 1 — the
     /// 3Δ round absorbs the skew).
-    pub fn on_message(&mut self, msg: BaMsg) {
+    pub(crate) fn on_message(&mut self, msg: BaMsg) {
         let relay = msg.0;
         if self.decided.is_some() {
             return;
@@ -172,7 +161,7 @@ impl LockstepBa {
 
     /// Records the local time just before dispatching a message to
     /// [`on_message`](Self::on_message).
-    pub fn note_now(&mut self, now: LocalTime) {
+    pub(crate) fn note_now(&mut self, now: LocalTime) {
         if self.start.is_some() {
             self.current_round = self.round_of(now);
         }
@@ -180,7 +169,7 @@ impl LockstepBa {
 
     /// Handles a reserved-range timer; returns the decision at the final
     /// boundary.
-    pub fn on_timer<M>(
+    pub(crate) fn on_timer<M>(
         &mut self,
         tag: u64,
         ctx: &mut dyn Context<M>,
@@ -222,20 +211,12 @@ impl LockstepBa {
     }
 }
 
-// `current_round` lives outside the constructor for readability.
-impl LockstepBa {
-    /// The party this component signs for.
-    pub fn id(&self) -> PartyId {
-        self.signer.id()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gcl_crypto::Keychain;
     use gcl_sim::{FixedDelay, Outcome, Protocol, Silent, Simulation, TimingModel};
-    use gcl_types::SkewSchedule;
+    use gcl_types::{PartyId, SkewSchedule};
 
     const DELTA: Duration = Duration::from_micros(100);
 
@@ -329,12 +310,6 @@ mod tests {
     }
 
     #[test]
-    fn duration_accessor() {
-        let cfg = Config::new(4, 1).unwrap();
-        assert_eq!(LockstepBa::duration(cfg, DELTA), Duration::from_micros(600));
-    }
-
-    #[test]
     #[should_panic(expected = "invoked twice")]
     fn double_invoke_panics() {
         struct DoubleHost {
@@ -355,15 +330,5 @@ mod tests {
                 ba: LockstepBa::new(cfg, chain.signer(p), chain.pki(), DELTA),
             })
             .run();
-    }
-
-    #[test]
-    fn accessors() {
-        let cfg = Config::new(2, 1).unwrap();
-        let chain = Keychain::generate(2, 53);
-        let ba = LockstepBa::new(cfg, chain.signer(PartyId::new(1)), chain.pki(), DELTA);
-        assert!(!ba.is_invoked());
-        assert_eq!(ba.decision(), None);
-        assert_eq!(ba.id(), PartyId::new(1));
     }
 }

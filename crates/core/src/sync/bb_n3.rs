@@ -30,7 +30,7 @@ pub struct Fig5Vote {
 
 impl Fig5Vote {
     /// Signs a vote for `prop`.
-    pub fn new(signer: &Signer, prop: SignedValue) -> Self {
+    pub(crate) fn new(signer: &Signer, prop: SignedValue) -> Self {
         Fig5Vote {
             prop,
             sig: SignedValue::new(ThirdBb::VOTE, signer, prop.value).sig,
@@ -46,7 +46,7 @@ impl Fig5Vote {
     }
 
     /// The voter.
-    pub fn voter(&self) -> PartyId {
+    pub(crate) fn voter(&self) -> PartyId {
         self.sig.signer()
     }
 }

@@ -55,7 +55,7 @@ impl Fig6Vote {
     }
 
     /// The voter.
-    pub fn voter(&self) -> PartyId {
+    pub(crate) fn voter(&self) -> PartyId {
         self.sig.signer()
     }
 }

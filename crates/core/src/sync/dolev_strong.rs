@@ -23,7 +23,7 @@ use gcl_types::{Config, Duration, Encode, LocalTime, PartyId, Value};
 use std::collections::BTreeSet;
 
 /// The `⊥` encoding used when broadcast/agreement extracts no unique value.
-pub const BOT_SENTINEL: Value = Value::new(u64::MAX);
+pub(crate) const BOT_SENTINEL: Value = Value::new(u64::MAX);
 
 /// A value with its signature chain for one Dolev–Strong instance.
 ///
@@ -42,12 +42,12 @@ pub struct DsRelay {
 
 impl DsRelay {
     /// The digest every signer in a chain signs.
-    pub fn digest(domain: &'static str, instance: PartyId, value: Value) -> Digest {
+    pub(crate) fn digest(domain: &'static str, instance: PartyId, value: Value) -> Digest {
         Digest::of(&(domain, instance, value))
     }
 
     /// Starts a chain as the instance sender.
-    pub fn originate(domain: &'static str, signer: &Signer, value: Value) -> Self {
+    pub(crate) fn originate(domain: &'static str, signer: &Signer, value: Value) -> Self {
         DsRelay {
             instance: signer.id(),
             value,
@@ -57,7 +57,7 @@ impl DsRelay {
 
     /// Extends the chain with `signer`'s signature (no-op if present).
     #[must_use]
-    pub fn extend(&self, domain: &'static str, signer: &Signer) -> Self {
+    pub(crate) fn extend(&self, domain: &'static str, signer: &Signer) -> Self {
         let mut next = self.clone();
         if !next.chain.iter().any(|s| s.signer() == signer.id()) {
             next.chain
@@ -75,7 +75,7 @@ impl DsRelay {
     /// appended signature — O(1) per relay instead of O(round). The
     /// structural checks (distinct signers, sender present) always run;
     /// they are cheap and sig-independent.
-    pub fn verify(&self, domain: &'static str, v: &impl Verify) -> bool {
+    pub(crate) fn verify(&self, domain: &'static str, v: &impl Verify) -> bool {
         let digest = Self::digest(domain, self.instance, self.value);
         let signers: BTreeSet<PartyId> = self.chain.iter().map(Signature::signer).collect();
         if signers.len() != self.chain.len() || !signers.contains(&self.instance) {
@@ -107,13 +107,8 @@ impl DsRelay {
     }
 
     /// Number of distinct signatures.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.chain.len()
-    }
-
-    /// True when the chain is empty (never for constructed chains).
-    pub fn is_empty(&self) -> bool {
-        self.chain.is_empty()
     }
 }
 
@@ -122,7 +117,7 @@ impl DsRelay {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DsInstance {
     /// Extracted values (tracking stops at 2 — enough to know "not unique").
-    pub extracted: BTreeSet<Value>,
+    pub(crate) extracted: BTreeSet<Value>,
 }
 
 impl DsInstance {
@@ -133,7 +128,7 @@ impl DsInstance {
     /// [`DsInstance::accept`] would reject without mutating state, so
     /// skipping verification is observationally identical and saves the
     /// dominant re-delivery cost (relays for already-extracted values).
-    pub fn considers(&self, relay: &DsRelay, round: usize, f: usize) -> bool {
+    pub(crate) fn considers(&self, relay: &DsRelay, round: usize, f: usize) -> bool {
         relay.len() >= round
             && relay.len() <= f + 1
             && self.extracted.len() < 2
@@ -143,7 +138,7 @@ impl DsInstance {
     /// Accepts a verified chain in local round `round` (1-based).
     /// Returns `true` if the value is newly extracted and should be relayed
     /// (i.e. the chain can still grow: `len ≤ f`).
-    pub fn accept(&mut self, relay: &DsRelay, round: usize, f: usize) -> bool {
+    pub(crate) fn accept(&mut self, relay: &DsRelay, round: usize, f: usize) -> bool {
         if relay.len() < round || relay.len() > f + 1 {
             return false;
         }
@@ -155,7 +150,7 @@ impl DsInstance {
     }
 
     /// The decision after round `f + 1`: the unique extracted value or ⊥.
-    pub fn decide(&self) -> Value {
+    pub(crate) fn decide(&self) -> Value {
         if self.extracted.len() == 1 {
             *self.extracted.iter().next().expect("len checked")
         } else {
@@ -219,7 +214,7 @@ pub struct DolevStrongBb {
 
 impl DolevStrongBb {
     /// Round duration: `3Δ` absorbs skew ≤ Δ plus delay ≤ Δ with margin.
-    pub fn round_duration(big_delta: Duration) -> Duration {
+    pub(crate) fn round_duration(big_delta: Duration) -> Duration {
         big_delta * 3
     }
 
@@ -441,7 +436,6 @@ mod tests {
         let r = DsRelay::originate("d", &s0, Value::new(3));
         assert!(r.verify("d", &chain.pki()));
         assert_eq!(r.len(), 1);
-        assert!(!r.is_empty());
         let r2 = r.extend("d", &s1);
         assert_eq!(r2.len(), 2);
         assert!(r2.verify("d", &chain.pki()));

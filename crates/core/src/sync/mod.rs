@@ -12,7 +12,7 @@
 //! | `n/3 < f < n/2` | unsync | `Δ + 1.5δ` | [`UnsyncBb`] (Fig 9) |
 //!
 //! All four commit fast on a good day and fall back to a Byzantine
-//! agreement on `lock` values otherwise; [`LockstepBa`] is that primitive
+//! agreement on `lock` values otherwise; `LockstepBa` is that primitive
 //! (Dolev–Strong over every party's input + plurality, lock-step rounds of
 //! `3Δ` to tolerate clock skew ≤ Δ). [`DolevStrongBb`] is also exposed
 //! stand-alone as the classical `f + 1`-round worst-case-optimal baseline.
@@ -24,7 +24,7 @@ mod bb_sync_start;
 mod bb_unsync;
 mod dolev_strong;
 
-pub use ba::{BaMsg, LockstepBa, BOT};
+pub use ba::BaMsg;
 pub use bb_2delta::{TwoDeltaBb, TwoDeltaMsg};
 pub use bb_n3::{Fig5Vote, ThirdBb, ThirdMsg};
 pub use bb_sync_start::{Fig6Vote, SyncStartBb, SyncStartMsg};

@@ -34,11 +34,6 @@ impl Digest {
     pub const fn as_bytes(&self) -> &[u8; 32] {
         &self.0
     }
-
-    /// Constructs a digest from raw bytes (e.g. a stored hash).
-    pub const fn from_bytes(bytes: [u8; 32]) -> Digest {
-        Digest(bytes)
-    }
 }
 
 // Wire format: the raw 32 bytes.
@@ -258,11 +253,5 @@ mod tests {
         let d = Digest::of(&1u64);
         assert_eq!(d.to_string().len(), 16);
         assert!(format!("{d:?}").starts_with("Digest("));
-    }
-
-    #[test]
-    fn from_bytes_roundtrip() {
-        let d = Digest::of(&9u64);
-        assert_eq!(Digest::from_bytes(*d.as_bytes()), d);
     }
 }

@@ -121,7 +121,7 @@ pub struct Pki {
 
 impl Pki {
     /// Number of registered parties.
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.keys.len()
     }
 
@@ -137,11 +137,6 @@ impl Pki {
             Some(key) => key.mac(digest) == sig.mac,
             None => false,
         }
-    }
-
-    /// Verifies a signature against its embedded signer id.
-    pub fn verify_embedded(&self, digest: Digest, sig: &Signature) -> bool {
-        self.verify(sig.signer, digest, sig)
     }
 
     /// The one valid MAC for `(party, digest)`, or `None` if `party` is out
@@ -246,18 +241,12 @@ impl Keychain {
     pub fn pki(&self) -> Arc<Pki> {
         Arc::clone(&self.pki)
     }
-
-    /// A fresh amortizing [`Verifier`](crate::Verifier) over this chain's
-    /// [`Pki`]. One per party instance — each holds its own memo cache and
-    /// counters; the MAC cache is the `Pki`'s.
-    pub fn verifier(&self) -> crate::Verifier {
-        crate::Verifier::new(self.pki())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Verify;
 
     fn digest(x: u64) -> Digest {
         Digest::of(&x)

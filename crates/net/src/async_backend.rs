@@ -64,8 +64,8 @@ use crate::engine::{
 };
 use crate::wheel::TimerWheel;
 use gcl_sim::{
-    Backend, CommitRecord, ErasedMsg, ErasedSlot, MsgCodec, Outcome, ScenarioError,
-    ScenarioRegistry, ScenarioSpec, SchedCounters, Strategy,
+    Backend, CommitRecord, ErasedMsg, ErasedSlot, MsgCodec, Outcome, ScenarioSpec, SchedCounters,
+    Strategy,
 };
 use gcl_types::{Encode, GlobalTime, PartyId};
 use mio::{Events, Interest, Poll, Registry, Token};
@@ -765,7 +765,6 @@ pub(crate) fn run_async_slots(
     commits.sort_by_key(|c| c.global);
     Outcome::from_wall_run(
         plan.config,
-        plan.broadcaster,
         GlobalTime::from_micros(micros(plan.starts[plan.broadcaster.as_usize()])),
         honest,
         terminated,
@@ -799,7 +798,7 @@ pub(crate) fn run_async_slots(
 ///     .spec("brb2")
 ///     .unwrap()
 ///     .with_bounds(Duration::from_millis(2), Duration::from_millis(20));
-/// let outcome = AsyncBackend::new().run(&reg, &spec).unwrap();
+/// let outcome = reg.run_on(&spec, &AsyncBackend::new()).unwrap();
 /// assert!(outcome.agreement_holds());
 /// assert_eq!(outcome.committed_value(), Some(spec.input));
 /// assert!(outcome.sched_counters().is_some(), "worker-pool observability");
@@ -844,20 +843,6 @@ impl AsyncBackend {
                 .unwrap_or(1)
                 .min(8)
         })
-    }
-
-    /// Convenience: validate and run one spec through a registry on this
-    /// backend (`registry.run_on(spec, self)`).
-    ///
-    /// # Errors
-    ///
-    /// Everything `ScenarioRegistry::validate` rejects.
-    pub fn run(
-        &self,
-        registry: &ScenarioRegistry,
-        spec: &ScenarioSpec,
-    ) -> Result<Outcome, ScenarioError> {
-        registry.run_on(spec, self)
     }
 
     /// Like [`Backend::execute`], but with an external client: `driver`
@@ -907,7 +892,7 @@ impl Backend for AsyncBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcl_sim::{AdversaryMix, Context, DelayChoice, SkewChoice};
+    use gcl_sim::{AdversaryMix, Context, DelayChoice, ScenarioError, SkewChoice};
     use gcl_types::{Duration as SimDuration, Value};
 
     /// Wall-safe bounds: δ' = 2 ms links, Δ' = 20 ms timers — protocol
@@ -923,7 +908,7 @@ mod tests {
     fn brb_family_runs_on_async_backend() {
         let reg = gcl_core::registry();
         let spec = brb_spec();
-        let o = AsyncBackend::new().run(&reg, &spec).unwrap();
+        let o = reg.run_on(&spec, &AsyncBackend::new()).unwrap();
         assert!(o.agreement_holds());
         assert!(o.all_honest_committed());
         assert!(o.all_honest_terminated());
@@ -949,7 +934,7 @@ mod tests {
                 hi: SimDuration::from_millis(2),
             })
             .with_seed(5);
-        let o = AsyncBackend::new().run(&reg, &spec).unwrap();
+        let o = reg.run_on(&spec, &AsyncBackend::new()).unwrap();
         assert!(!o.is_honest(PartyId::new(3)), "trailing slot is Byzantine");
         assert!(
             o.commit_of(PartyId::new(3)).is_none(),
@@ -964,17 +949,30 @@ mod tests {
     fn inadmissible_spec_rejected_before_spawning_threads() {
         let reg = gcl_core::registry();
         let spec = brb_spec().with_shape(4, 2);
-        assert!(AsyncBackend::new().run(&reg, &spec).is_err());
+        assert!(reg.run_on(&spec, &AsyncBackend::new()).is_err());
+    }
+
+    #[test]
+    fn out_of_range_broadcaster_rejected_before_spawning_threads() {
+        let reg = gcl_core::registry();
+        let mut spec = brb_spec();
+        spec.broadcaster = PartyId::new(4);
+        let started = Instant::now();
+        let backend = AsyncBackend::new().deadline(Duration::from_secs(5));
+        let err = reg.run_on(&spec, &backend).unwrap_err();
+        assert!(
+            matches!(err, ScenarioError::PartyOutOfRange { n: 4, .. }),
+            "{err}"
+        );
+        assert!(started.elapsed() < Duration::from_secs(1), "no run started");
     }
 
     #[test]
     fn async_run_exits_early() {
         let reg = gcl_core::registry();
         let started = Instant::now();
-        let o = AsyncBackend::new()
-            .deadline(Duration::from_secs(10))
-            .run(&reg, &brb_spec())
-            .unwrap();
+        let backend = AsyncBackend::new().deadline(Duration::from_secs(10));
+        let o = reg.run_on(&brb_spec(), &backend).unwrap();
         assert!(o.all_honest_committed());
         let wall = started.elapsed();
         assert!(
@@ -991,10 +989,8 @@ mod tests {
             handled: 0,
         });
         let started = Instant::now();
-        let o = AsyncBackend::new()
-            .deadline(Duration::from_millis(200))
-            .run(&reg, &spec)
-            .unwrap();
+        let backend = AsyncBackend::new().deadline(Duration::from_millis(200));
+        let o = reg.run_on(&spec, &backend).unwrap();
         assert!(o.commits().is_empty());
         assert!(!o.all_honest_terminated());
         let wall = started.elapsed();

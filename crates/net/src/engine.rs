@@ -63,19 +63,19 @@ pub(crate) const IDLE_POLL: Duration = Duration::from_millis(50);
 
 /// Everything the engine needs to know about the environment of one run.
 pub(crate) struct EnginePlan {
-    pub config: Config,
-    pub broadcaster: PartyId,
+    pub(crate) config: Config,
+    pub(crate) broadcaster: PartyId,
     /// Injected wall latency per `(from, to)` link, `from * n + to`
     /// indexing, zero on the diagonal.
-    pub links: Vec<Duration>,
+    pub(crate) links: Vec<Duration>,
     /// Per-party protocol start offsets (wall-clock skew schedule).
-    pub starts: Vec<Duration>,
+    pub(crate) starts: Vec<Duration>,
     /// Hard wall-clock budget; honest termination exits earlier.
-    pub deadline: Duration,
+    pub(crate) deadline: Duration,
     /// Test knob: cap every socket read at this many bytes, forcing frame
     /// reassembly through arbitrary short-read boundaries. `None` (the
     /// default everywhere outside tests) reads full buffers.
-    pub read_chunk: Option<usize>,
+    pub(crate) read_chunk: Option<usize>,
 }
 
 /// Converts a simulated duration (integer µs) to a wall-clock one.
@@ -195,15 +195,15 @@ pub(crate) enum Step<M> {
 /// [`NetCtx`]'s sends/multicasts/timers as submission frames and reads
 /// `terminate` off it.
 pub(crate) struct PartyCore {
-    pub me: PartyId,
-    pub config: Config,
+    pub(crate) me: PartyId,
+    pub(crate) config: Config,
     /// Engine start (shared by all parties; commit `elapsed` is measured
     /// from here).
     epoch: Instant,
     /// This party's own clock zero (set when its skew offset elapses).
-    pub local_start: Instant,
+    pub(crate) local_start: Instant,
     max_round: Option<u32>,
-    pub handled: u64,
+    pub(crate) handled: u64,
     committed: bool,
 }
 
@@ -430,7 +430,7 @@ pub(crate) struct OutBuf {
     /// `buf[..head]` is already written to the socket.
     head: usize,
     /// High-water mark of pending bytes over the queue's lifetime.
-    pub peak: usize,
+    pub(crate) peak: usize,
 }
 
 impl OutBuf {
@@ -515,8 +515,8 @@ impl OutBuf {
 
 /// A submission as parsed off a party's socket by the dispatcher.
 pub(crate) struct Submission {
-    pub from: PartyId,
-    pub kind: SubmissionKind,
+    pub(crate) from: PartyId,
+    pub(crate) kind: SubmissionKind,
 }
 
 pub(crate) enum SubmissionKind {
@@ -711,9 +711,9 @@ pub(crate) struct DeliveryHeap {
     /// Deliveries routed and not yet handed out.
     pending: usize,
     /// Point-to-point messages scheduled (multicast counts `n`).
-    pub messages: u64,
+    pub(crate) messages: u64,
     /// High-water mark of pending deliveries.
-    pub peak: usize,
+    pub(crate) peak: usize,
 }
 
 impl DeliveryHeap {

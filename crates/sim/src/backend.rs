@@ -3,13 +3,12 @@
 //!
 //! A family's protocol constructor is generic over its wire message type;
 //! an execution backend is necessarily type-erased (the registry stores
-//! `dyn` families). The bridge is [`ErasedMsg`] — a boxed, clonable,
+//! one boxed runner per family). The bridge is [`ErasedMsg`] — a boxed, clonable,
 //! debuggable message — plus an adapter that re-types a
 //! `Context<ErasedMsg>` as the protocol's native `Context<M>`. A family
 //! registers **once** (its runner closure calls
 //! [`ScenarioSpec::run_protocol_on`]) and every [`Backend`] can execute
-//! it: the inline simulator, `gcl_net`'s wall-clock thread runtime, or any
-//! future process/socket runtime.
+//! it: the inline simulator or `gcl_net`'s `AsyncBackend`.
 //!
 //! The inline simulator stays erasure-free: [`SimBackend`] reports
 //! [`Backend::native_sim`], so `run_protocol_on` routes it through the
@@ -51,7 +50,7 @@ impl<T: WireMsg> AnyMsg for T {
 
 /// A type-erased wire message: any [`WireMsg`] payload behind one pointer.
 /// This is the message type every [`Backend`] runs — each run still
-/// carries exactly one concrete type inside; [`ErasedMsg::downcast`]
+/// carries exactly one concrete type inside; `ErasedMsg::downcast`
 /// recovers it at the protocol boundary, and [`ErasedMsg::encode`] /
 /// [`MsgCodec::decode`] carry it across a byte transport without either
 /// side naming the concrete type.
@@ -59,7 +58,7 @@ pub struct ErasedMsg(Box<dyn AnyMsg>);
 
 impl ErasedMsg {
     /// Wraps a concrete message.
-    pub fn new<M: WireMsg>(msg: M) -> Self {
+    pub(crate) fn new<M: WireMsg>(msg: M) -> Self {
         ErasedMsg(Box::new(msg))
     }
 
@@ -70,7 +69,7 @@ impl ErasedMsg {
     /// Panics if the payload is not an `M` — within one run every slot
     /// speaks the same family's message type, so a mismatch is a backend
     /// wiring bug worth failing loudly on.
-    pub fn downcast<M: 'static>(self) -> M {
+    pub(crate) fn downcast<M: 'static>(self) -> M {
         *self
             .0
             .into_any()
@@ -82,13 +81,6 @@ impl ErasedMsg {
     /// half of the byte bridge, dispatched through the erased vtable.
     pub fn encode(&self, buf: &mut Vec<u8>) {
         self.0.encode_wire(buf);
-    }
-
-    /// The inner message's wire encoding as a fresh byte vector.
-    pub fn to_wire(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        self.encode(&mut buf);
-        buf
     }
 }
 
@@ -119,11 +111,6 @@ impl MsgCodec {
     /// Any [`WireError`] the bytes provoke.
     pub fn decode(&self, bytes: &[u8]) -> Result<ErasedMsg, WireError> {
         (self.decode)(bytes)
-    }
-
-    /// The concrete message type this codec round-trips (diagnostics).
-    pub fn type_name(&self) -> &'static str {
-        self.type_name
     }
 }
 
@@ -186,14 +173,14 @@ impl<M: WireMsg> Context<M> for Reify<'_, M> {
 
 /// Wraps any `Strategy<M>` as a `Strategy<ErasedMsg>`: incoming payloads
 /// downcast to `M`, outgoing effects re-erase through [`Reify`].
-pub struct Erase<M, S> {
+pub(crate) struct Erase<M, S> {
     inner: S,
     _marker: PhantomData<fn() -> M>,
 }
 
 impl<M, S> Erase<M, S> {
     /// Erases `inner`'s message type.
-    pub fn new(inner: S) -> Self {
+    pub(crate) fn new(inner: S) -> Self {
         Erase {
             inner,
             _marker: PhantomData,
@@ -289,26 +276,27 @@ pub trait Backend {
 /// The in-process deterministic simulator as a [`Backend`].
 ///
 /// [`SimBackend::new`] is the default used by
-/// [`ScenarioFamily::run`](crate::ScenarioFamily::run): it reports
+/// [`ScenarioRegistry::run`](crate::ScenarioRegistry::run): it reports
 /// [`Backend::native_sim`], so registered families run without erasure.
 /// [`SimBackend::forced_erased`] disables that shortcut and pushes the run
 /// through the same type-erased slot path every other backend uses —
 /// outcomes must be identical, which is the erasure layer's conformance
 /// test.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct SimBackend {
+pub(crate) struct SimBackend {
     erased: bool,
 }
 
 impl SimBackend {
     /// The native (erasure-free) simulator backend.
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         SimBackend { erased: false }
     }
 
     /// A simulator backend that refuses the native shortcut and runs the
     /// type-erased slot path (for testing the erasure layer).
-    pub const fn forced_erased() -> Self {
+    #[cfg(test)]
+    const fn forced_erased() -> Self {
         SimBackend { erased: true }
     }
 }
@@ -407,13 +395,19 @@ mod tests {
         ErasedMsg::new(7u64).downcast::<WordMsg>();
     }
 
+    fn wire(m: &ErasedMsg) -> Vec<u8> {
+        let mut buf = Vec::new();
+        m.encode(&mut buf);
+        buf
+    }
+
     #[test]
     fn erased_msg_round_trips_through_bytes() {
         let m = ErasedMsg::new(WordMsg("over the wire".into()));
-        let bytes = m.to_wire();
+        let bytes = wire(&m);
         assert_eq!(bytes, WordMsg("over the wire".into()).to_wire());
         let codec = MsgCodec::of::<WordMsg>();
-        assert!(codec.type_name().contains("WordMsg"), "{codec:?}");
+        assert!(format!("{codec:?}").contains("WordMsg"), "{codec:?}");
         let back = codec.decode(&bytes).expect("well-formed frame");
         assert_eq!(back.downcast::<WordMsg>(), WordMsg("over the wire".into()));
     }
@@ -422,7 +416,7 @@ mod tests {
     fn codec_rejects_garbage_frames() {
         let codec = MsgCodec::of::<WordMsg>();
         assert!(codec.decode(&[1, 2]).is_err(), "truncated frame");
-        let mut long = ErasedMsg::new(WordMsg("x".into())).to_wire();
+        let mut long = wire(&ErasedMsg::new(WordMsg("x".into())));
         long.push(0);
         assert!(codec.decode(&long).is_err(), "trailing bytes rejected");
     }

@@ -60,7 +60,7 @@ pub(crate) enum Payload<M> {
 impl<M> Payload<M> {
     /// Borrows the message (for the oracle's [`crate::MsgEnvelope`] and
     /// trace rendering).
-    pub fn get(&self) -> &M {
+    pub(crate) fn get(&self) -> &M {
         match self {
             Payload::Owned(m) => m,
             Payload::Multicast(rc) => rc,
@@ -72,7 +72,7 @@ impl<M: Clone> Payload<M> {
     /// By-value extraction for dispatch: inline payloads move out, the
     /// last in-flight copy of a multicast unwraps for free, earlier ones
     /// clone lazily — a dropped or clamped-away message is never cloned.
-    pub fn into_msg(self) -> M {
+    pub(crate) fn into_msg(self) -> M {
         match self {
             Payload::Owned(m) => *m,
             Payload::Multicast(rc) => Shared::try_unwrap(rc).unwrap_or_else(|s| (*s).clone()),
@@ -106,8 +106,8 @@ pub(crate) enum EventKind<M> {
 
 #[derive(Debug)]
 pub(crate) struct Event<M> {
-    pub at: GlobalTime,
-    pub kind: EventKind<M>,
+    pub(crate) at: GlobalTime,
+    pub(crate) kind: EventKind<M>,
 }
 
 /// Ring size: the near tier covers `NUM_SLOTS × 2^shift` µs ahead of the
@@ -184,7 +184,7 @@ impl<M> EventQueue<M> {
     /// A queue with the default 1 µs bucket width (the builder's default
     /// delay; [`EventQueue::with_delta`] is the tuned constructor).
     #[allow(dead_code)] // exercised by tests; production code tunes via δ
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_delta(Duration::from_micros(1))
     }
 
@@ -192,7 +192,7 @@ impl<M> EventQueue<M> {
     /// one fixed-delay multicast — and typically one whole protocol round
     /// — lands in a single slot, and the ring horizon (`1024` buckets)
     /// covers hundreds of rounds before anything spills to the far tier.
-    pub fn with_delta(delta: Duration) -> Self {
+    pub(crate) fn with_delta(delta: Duration) -> Self {
         let us = delta.as_micros().max(1);
         let shift = if us <= 1 {
             0
@@ -247,7 +247,7 @@ impl<M> EventQueue<M> {
         i
     }
 
-    pub fn push(&mut self, at: GlobalTime, kind: EventKind<M>) {
+    pub(crate) fn push(&mut self, at: GlobalTime, kind: EventKind<M>) {
         let t = at.as_micros();
         let i = self.alloc(kind);
         let slot = t >> self.shift;
@@ -308,7 +308,7 @@ impl<M> EventQueue<M> {
         }
     }
 
-    pub fn pop(&mut self) -> Option<Event<M>> {
+    pub(crate) fn pop(&mut self) -> Option<Event<M>> {
         if self.len == 0 {
             return None;
         }
@@ -422,14 +422,14 @@ impl<M> EventQueue<M> {
     }
 
     #[allow(dead_code)] // exercised by tests; the runner tracks its own count
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// High-water mark of [`EventQueue::len`] over the queue's lifetime —
     /// the capacity-planning metric surfaced as
     /// [`Outcome::peak_queue_depth`](crate::Outcome::peak_queue_depth).
-    pub fn peak(&self) -> usize {
+    pub(crate) fn peak(&self) -> usize {
         self.peak
     }
 
@@ -438,7 +438,7 @@ impl<M> EventQueue<M> {
     /// for parked overflow entries. This is the queue's cache/memory
     /// footprint — the quantity the calendar layout optimizes — surfaced
     /// as `Outcome::queue_bytes` and benched per scenario.
-    pub fn retained_bytes(&self) -> usize {
+    pub(crate) fn retained_bytes(&self) -> usize {
         use std::mem::size_of;
         let slab = self.chunks.len() * CHUNK * size_of::<Node<M>>();
         let directories: usize = self

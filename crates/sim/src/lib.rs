@@ -54,6 +54,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod backend;
 mod context;
@@ -65,21 +66,19 @@ mod scenario;
 mod strategies;
 mod sweep;
 
-pub use backend::{Backend, Erase, ErasedMsg, ErasedSlot, MsgCodec, SimBackend};
+pub use backend::{Backend, ErasedMsg, ErasedSlot, MsgCodec};
 pub use context::{Context, Protocol, Strategy};
 #[doc(hidden)]
-pub use event::queue_stress;
-pub use event::TraceEntry;
+pub use event::{queue_stress, TraceEntry};
 pub use network::{
-    DelayOracle, DelayRule, FixedDelay, LinkDelay, MsgEnvelope, MsgPredicate, PartySet,
-    RandomDelay, ScheduleOracle, TimingModel,
+    DelayOracle, DelayRule, FixedDelay, LinkDelay, MsgEnvelope, PartySet, RandomDelay,
+    ScheduleOracle, TimingModel,
 };
 pub use outcome::{CommitRecord, Outcome, SchedCounters};
 pub use runner::{Simulation, SimulationBuilder};
 pub use scenario::{
-    derive_cell_seed, Admission, AdversaryMix, AdversaryRole, DelayChoice, FamilyParams, FnFamily,
-    ScenarioError, ScenarioFamily, ScenarioRegistry, ScenarioSpec, SkewChoice, TimingKind,
-    ValidityMode,
+    Admission, AdversaryMix, AdversaryRole, DelayChoice, FamilyParams, ScenarioError,
+    ScenarioFamily, ScenarioRegistry, ScenarioSpec, SkewChoice, ValidityMode,
 };
 pub use strategies::{Crashing, Scripted, ScriptedAction, Silent};
 pub use sweep::{CellReport, Sweep, SweepReport};

@@ -50,15 +50,6 @@ impl TimingModel {
             big_delta: delta,
         }
     }
-
-    /// The conservative bound Δ, if the model has one.
-    pub fn big_delta(&self) -> Option<Duration> {
-        match self {
-            TimingModel::Synchrony { big_delta, .. }
-            | TimingModel::PartialSynchrony { big_delta, .. } => Some(*big_delta),
-            TimingModel::Asynchrony => None,
-        }
-    }
 }
 
 /// An oracle's answer for one message.
@@ -75,24 +66,20 @@ pub enum LinkDelay {
 #[derive(Debug)]
 pub struct MsgEnvelope<'a, M> {
     /// Sender.
-    pub from: PartyId,
+    pub(crate) from: PartyId,
     /// Recipient.
-    pub to: PartyId,
-    /// Global send instant.
-    pub sent_at: GlobalTime,
+    pub(crate) to: PartyId,
     /// The message content.
-    pub msg: &'a M,
+    pub(crate) msg: &'a M,
     /// Whether the sender slot is honest.
-    pub from_honest: bool,
+    pub(crate) from_honest: bool,
     /// Whether the recipient slot is honest.
-    pub to_honest: bool,
-    /// Per-(from,to) message counter (0 for the first message on the link).
-    pub link_seq: u64,
+    pub(crate) to_honest: bool,
 }
 
 impl<M> MsgEnvelope<'_, M> {
     /// True iff both endpoints are honest (the only links the model bounds).
-    pub fn honest_link(&self) -> bool {
+    pub(crate) fn honest_link(&self) -> bool {
         self.from_honest && self.to_honest
     }
 }
@@ -167,7 +154,7 @@ pub enum PartySet {
 
 impl PartySet {
     /// Whether `p` is in the set.
-    pub fn contains(&self, p: PartyId) -> bool {
+    pub(crate) fn contains(&self, p: PartyId) -> bool {
         match self {
             PartySet::Any => true,
             PartySet::One(q) => *q == p,
@@ -177,18 +164,18 @@ impl PartySet {
 }
 
 /// A boxed message-content predicate, as used by [`DelayRule::when`].
-pub type MsgPredicate<M> = Box<dyn Fn(&M) -> bool + Send>;
+pub(crate) type MsgPredicate<M> = Box<dyn Fn(&M) -> bool + Send>;
 
 /// One scheduling rule: if `(from, to, when)` match, apply `delay`.
 pub struct DelayRule<M> {
     /// Sender filter.
-    pub from: PartySet,
+    pub(crate) from: PartySet,
     /// Recipient filter.
-    pub to: PartySet,
+    pub(crate) to: PartySet,
     /// Optional message-content filter.
-    pub when: Option<MsgPredicate<M>>,
+    pub(crate) when: Option<MsgPredicate<M>>,
     /// The delay to apply when the rule matches.
-    pub delay: LinkDelay,
+    pub(crate) delay: LinkDelay,
 }
 
 impl<M> DelayRule<M> {
@@ -263,16 +250,6 @@ impl<M> ScheduleOracle<M> {
     pub fn rule(mut self, rule: DelayRule<M>) -> Self {
         self.rules.push(rule);
         self
-    }
-
-    /// Convenience: delay every message from `from` to `to` by `d`.
-    #[must_use]
-    pub fn pairwise(self, from: &[PartyId], to: &[PartyId], d: LinkDelay) -> Self {
-        self.rule(DelayRule::link(
-            PartySet::In(from.to_vec()),
-            PartySet::In(to.to_vec()),
-            d,
-        ))
     }
 }
 
@@ -353,11 +330,9 @@ mod tests {
         MsgEnvelope {
             from: PartyId::new(0),
             to: PartyId::new(1),
-            sent_at: GlobalTime::ZERO,
             msg,
             from_honest: honest,
             to_honest: honest,
-            link_seq: 0,
         }
     }
 
@@ -517,7 +492,5 @@ mod tests {
                 big_delta: D10
             }
         );
-        assert_eq!(TimingModel::Asynchrony.big_delta(), None);
-        assert_eq!(TimingModel::lockstep(D10).big_delta(), Some(D10));
     }
 }

@@ -44,7 +44,6 @@ pub struct Outcome {
     pub(crate) honest: Vec<bool>,
     pub(crate) commits: Vec<CommitRecord>,
     pub(crate) terminated: Vec<bool>,
-    pub(crate) broadcaster: PartyId,
     pub(crate) broadcaster_start: GlobalTime,
     pub(crate) end_time: GlobalTime,
     pub(crate) events_processed: u64,
@@ -67,11 +66,10 @@ impl Outcome {
     /// simulator observes starts empty: no trace, no enqueue drops or
     /// retained queue bytes (dead peers' sockets absorb traffic on the
     /// wire instead), and no round-boundary table, so
-    /// [`Outcome::round_of_commit`] falls back to each commit's causal tag.
+    /// `Outcome::round_of_commit` falls back to each commit's causal tag.
     #[allow(clippy::too_many_arguments)] // one caller, one value per observation
     pub fn from_wall_run(
         config: Config,
-        broadcaster: PartyId,
         broadcaster_start: GlobalTime,
         honest: Vec<bool>,
         terminated: Vec<bool>,
@@ -87,7 +85,6 @@ impl Outcome {
             honest,
             commits,
             terminated,
-            broadcaster,
             broadcaster_start,
             end_time,
             events_processed,
@@ -203,7 +200,7 @@ impl Outcome {
     /// schedule, where this metric is exact. Under adversarially reordered
     /// schedules the causal tag can exceed the official round, making this
     /// an upper-bound approximation.
-    pub fn round_of_commit(&self, c: &CommitRecord) -> u32 {
+    pub(crate) fn round_of_commit(&self, c: &CommitRecord) -> u32 {
         let mut horizon = GlobalTime::ZERO;
         for (k, &l) in self.last_delivery_of_round.iter().enumerate() {
             horizon = horizon.max(l);
@@ -231,11 +228,6 @@ impl Outcome {
             return None;
         }
         self.honest_commits().map(|c| self.round_of_commit(c)).max()
-    }
-
-    /// The designated broadcaster of the run.
-    pub fn broadcaster(&self) -> PartyId {
-        self.broadcaster
     }
 
     /// Global instant at which the last event was processed.
@@ -318,7 +310,6 @@ mod tests {
             honest,
             commits,
             terminated: vec![true; n],
-            broadcaster: PartyId::new(0),
             broadcaster_start: GlobalTime::ZERO,
             end_time: GlobalTime::from_micros(100),
             events_processed: 1,
@@ -417,7 +408,6 @@ mod tests {
     #[test]
     fn accessors() {
         let o = outcome_with(vec![commit(1, 5, 10, 2)], vec![true; 3]);
-        assert_eq!(o.broadcaster(), PartyId::new(0));
         assert!(o.is_honest(PartyId::new(1)));
         assert_eq!(o.commit_of(PartyId::new(1)).unwrap().value, Value::new(5));
         assert!(o.commit_of(PartyId::new(2)).is_none());

@@ -2,10 +2,9 @@
 //!
 //! The hot path is allocation-free at steady state: the per-event effect
 //! buffers (sends, timers, commits) are scratch vectors owned by `run()`
-//! and drained after every handler invocation, per-link sequence counters
-//! live in a flat `n × n` array instead of a hash map, and multicast
-//! payloads are enqueued once behind a shared reference-counted pointer
-//! and shared by all `n` in-flight deliveries (see [`Context::multicast`]).
+//! and drained after every handler invocation, and multicast payloads are
+//! enqueued once behind a shared reference-counted pointer and shared by
+//! all `n` in-flight deliveries (see [`Context::multicast`]).
 
 use crate::context::{Context, Protocol, Strategy};
 use crate::event::{EventKind, EventQueue, Payload, Shared, TraceEntry};
@@ -32,14 +31,18 @@ type Slot<M> = Option<(Box<dyn Strategy<M>>, bool)>;
 /// Horizon after which a run stops: 600 simulated seconds.
 const MAX_TIME: GlobalTime = GlobalTime::from_micros(600_000_000);
 
+/// Event budget after which a run stops. A truncated run still yields a
+/// well-formed [`Outcome`]; metrics that need every honest party to commit
+/// (e.g. [`Outcome::good_case_latency`]) come back `None`.
+const MAX_EVENTS: u64 = 20_000_000;
+
 /// Delivery fallback for `Never` on honest links under asynchrony.
 const ASYNC_FALLBACK: Duration = Duration::from_millis(1_000);
 
 /// Configures and runs one execution.
 ///
-/// Slots left unfilled by [`SimulationBuilder::byzantine`] /
-/// [`SimulationBuilder::honest_at`] are populated by
-/// [`SimulationBuilder::spawn_honest`].
+/// Slots left unfilled by [`SimulationBuilder::byzantine`] are populated
+/// by [`SimulationBuilder::spawn_honest`].
 pub struct SimulationBuilder<M> {
     config: Config,
     timing: TimingModel,
@@ -47,7 +50,6 @@ pub struct SimulationBuilder<M> {
     skew: SkewSchedule,
     slots: Vec<Slot<M>>,
     broadcaster: PartyId,
-    max_events: u64,
     record_trace: bool,
     queue_delta: Duration,
     drop_dead_sends: bool,
@@ -63,7 +65,6 @@ impl<M: Clone + fmt::Debug + Send + 'static> SimulationBuilder<M> {
             skew: SkewSchedule::synchronized(n),
             slots: (0..n).map(|_| None).collect(),
             broadcaster: PartyId::new(0),
-            max_events: 20_000_000,
             record_trace: false,
             queue_delta: Duration::from_micros(1),
             drop_dead_sends: true,
@@ -91,7 +92,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> SimulationBuilder<M> {
     /// Panics if the schedule covers a different number of parties.
     #[must_use]
     pub fn skew(mut self, skew: SkewSchedule) -> Self {
-        assert_eq!(skew.len(), self.config.n(), "skew schedule size mismatch");
+        assert_eq!(skew.n(), self.config.n(), "skew schedule size mismatch");
         self.skew = skew;
         self
     }
@@ -99,18 +100,8 @@ impl<M: Clone + fmt::Debug + Send + 'static> SimulationBuilder<M> {
     /// Declares which party is the designated broadcaster (default: party 0).
     /// Only affects latency accounting, not behavior.
     #[must_use]
-    pub fn broadcaster(mut self, p: PartyId) -> Self {
+    pub(crate) fn broadcaster(mut self, p: PartyId) -> Self {
         self.broadcaster = p;
-        self
-    }
-
-    /// Event budget after which the run stops (default: 20 million). A
-    /// truncated run still yields a well-formed [`Outcome`]; metrics that
-    /// need every honest party to commit (e.g.
-    /// [`Outcome::good_case_latency`]) come back `None`.
-    #[must_use]
-    pub fn max_events(mut self, budget: u64) -> Self {
-        self.max_events = budget;
         self
     }
 
@@ -126,7 +117,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> SimulationBuilder<M> {
     /// oracle). The scenario layer plumbs its spec's δ through here so a
     /// fixed-delay n-way multicast lands in one time slot.
     #[must_use]
-    pub fn queue_delta(mut self, delta: Duration) -> Self {
+    pub(crate) fn queue_delta(mut self, delta: Duration) -> Self {
         self.queue_delta = delta;
         self
     }
@@ -138,8 +129,9 @@ impl<M: Clone + fmt::Debug + Send + 'static> SimulationBuilder<M> {
     /// with drops on it never touches the queue, and the discard is
     /// reported in [`Outcome::drops_at_enqueue`]. Off exists for A/B
     /// semantics tests; commits and audits are identical either way.
+    #[cfg(test)]
     #[must_use]
-    pub fn drop_dead_sends(mut self, yes: bool) -> Self {
+    fn drop_dead_sends(mut self, yes: bool) -> Self {
         self.drop_dead_sends = yes;
         self
     }
@@ -151,18 +143,16 @@ impl<M: Clone + fmt::Debug + Send + 'static> SimulationBuilder<M> {
         self
     }
 
-    /// Installs honest protocol code at slot `p` explicitly.
-    #[must_use]
-    pub fn honest_at(mut self, p: PartyId, protocol: impl Protocol<Msg = M>) -> Self {
-        self.slots[p.as_usize()] = Some((Box::new(protocol), true));
-        self
-    }
-
     /// Installs a pre-boxed strategy at slot `p` with an explicit honesty
     /// flag — the type-erased backend path (see [`crate::SimBackend`]),
     /// where slots arrive already wrapped per the scenario's adversary mix.
     #[must_use]
-    pub fn slot_boxed(mut self, p: PartyId, strategy: Box<dyn Strategy<M>>, honest: bool) -> Self {
+    pub(crate) fn slot_boxed(
+        mut self,
+        p: PartyId,
+        strategy: Box<dyn Strategy<M>>,
+        honest: bool,
+    ) -> Self {
         self.slots[p.as_usize()] = Some((strategy, honest));
         self
     }
@@ -195,7 +185,6 @@ impl<M: Clone + fmt::Debug + Send + 'static> SimulationBuilder<M> {
             skew,
             slots,
             broadcaster,
-            max_events,
             record_trace,
             queue_delta,
             drop_dead_sends,
@@ -213,7 +202,6 @@ impl<M: Clone + fmt::Debug + Send + 'static> SimulationBuilder<M> {
         let mut net = Router {
             queue: EventQueue::with_delta(queue_delta),
             oracle,
-            link_seq: vec![0u64; n * n],
             last_delivery_of_round: Vec::new(),
             messages_sent: 0,
             drops_at_enqueue: 0,
@@ -249,7 +237,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> SimulationBuilder<M> {
         let mut now = GlobalTime::ZERO;
 
         while let Some(ev) = net.queue.pop() {
-            if ev.at > MAX_TIME || events_processed >= max_events {
+            if ev.at > MAX_TIME || events_processed >= MAX_EVENTS {
                 break;
             }
             now = ev.at;
@@ -418,7 +406,6 @@ impl<M: Clone + fmt::Debug + Send + 'static> SimulationBuilder<M> {
             honest: net.honest,
             commits: committed.into_iter().flatten().collect(),
             terminated: net.terminated,
-            broadcaster,
             broadcaster_start: skew.start_of(broadcaster),
             end_time: now,
             events_processed,
@@ -434,13 +421,10 @@ impl<M: Clone + fmt::Debug + Send + 'static> SimulationBuilder<M> {
 }
 
 /// Routing state for every point-to-point message of the run: the event
-/// queue, the adversary's oracle, and flat per-link sequence counters.
+/// queue and the adversary's oracle.
 struct Router<M> {
     queue: EventQueue<M>,
     oracle: Box<dyn DelayOracle<M>>,
-    /// Per-(from, to) message counters, indexed `from * n + to` — a flat
-    /// array beats a `HashMap<(u32, u32), u64>` by the hash per message.
-    link_seq: Vec<u64>,
     last_delivery_of_round: Vec<GlobalTime>,
     messages_sent: u64,
     /// Sends discarded at enqueue because the recipient had terminated.
@@ -489,17 +473,12 @@ impl<M> Router<M> {
             );
             return;
         }
-        let counter = &mut self.link_seq[from.as_usize() * self.n + to.as_usize()];
-        let seq = *counter;
-        *counter += 1;
         let env = MsgEnvelope {
             from,
             to,
-            sent_at: now,
             msg: msg.get(),
             from_honest: self.honest[from.as_usize()],
             to_honest: self.honest[to.as_usize()],
-            link_seq: seq,
         };
         let choice = self.oracle.delay(&env);
         let honest_link = env.honest_link();
@@ -841,26 +820,8 @@ mod tests {
     fn unfilled_slot_panics() {
         let cfg = Config::new(2, 1).unwrap();
         let _ = Simulation::build(cfg)
-            .honest_at(PartyId::new(0), Flood { input: None })
+            .byzantine(PartyId::new(0), Flood { input: None })
             .run();
-    }
-
-    #[test]
-    fn max_events_budget_truncates_run() {
-        let full = flood_sim(10);
-        assert!(full.events_processed() > 2);
-        let cfg = Config::new(4, 1).unwrap();
-        let o = Simulation::build(cfg)
-            .timing(TimingModel::lockstep(Duration::from_micros(10)))
-            .oracle(FixedDelay::new(Duration::from_micros(10)))
-            .max_events(2)
-            .spawn_honest(|p| Flood {
-                input: (p == PartyId::new(0)).then_some(Value::new(3)),
-            })
-            .run();
-        assert_eq!(o.events_processed(), 2, "budget caps the loop");
-        assert!(!o.all_honest_committed());
-        assert_eq!(o.good_case_latency(), None);
     }
 
     #[test]

@@ -60,8 +60,8 @@
 //! The `backend` parameter is what makes a registration execution-target
 //! agnostic: [`ScenarioRegistry::run`] passes the inline simulator, while
 //! [`ScenarioRegistry::run_on`] can pass any other [`Backend`] (e.g.
-//! `gcl_net`'s wall-clock thread runtime) and the same one-line
-//! registration runs there too.
+//! `gcl_net`'s `AsyncBackend`) and the same one-line registration runs
+//! there too.
 
 use crate::backend::{Backend, Erase, ErasedMsg, ErasedSlot, MsgCodec, SimBackend};
 use crate::context::Protocol;
@@ -95,7 +95,7 @@ fn mix_seed(seed: u64) -> u64 {
 /// The timing-model shape of a scenario; [`ScenarioSpec::delta`] /
 /// [`ScenarioSpec::big_delta`] supply the bounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TimingKind {
+pub(crate) enum TimingKind {
     /// Arbitrary finite delays.
     Asynchrony,
     /// GST = 0, post-GST bound `big_delta`.
@@ -239,13 +239,12 @@ pub enum Admission {
 impl Admission {
     /// Whether the band admits `(n, f)`.
     pub fn admits(&self, n: usize, f: usize) -> bool {
-        if n < 2 || f >= n {
+        let Ok(cfg) = Config::new(n, f) else {
             return false;
-        }
+        };
         match self {
-            Admission::Brb => f >= 1 && n > 3 * f,
-            Admission::TwoRoundPsync => f >= 1 && n >= 5 * f - 1,
-            Admission::UnderThird => f >= 1 && 3 * f < n,
+            Admission::Brb | Admission::UnderThird => f >= 1 && cfg.supports_brb(),
+            Admission::TwoRoundPsync => f >= 1 && cfg.supports_two_round_psync(),
             Admission::ExactThird => f >= 1 && 3 * f == n,
             Admission::ThirdToHalf => 3 * f > n && 2 * f < n,
             Admission::Majority => 2 * f >= n,
@@ -295,17 +294,17 @@ pub struct ScenarioSpec {
     /// Fault budget.
     pub f: usize,
     /// Timing-model shape.
-    pub timing: TimingKind,
+    pub(crate) timing: TimingKind,
     /// Actual delay bound δ (also the fixed-oracle delay).
     pub delta: Duration,
     /// Conservative bound Δ handed to protocols that take one.
     pub big_delta: Duration,
     /// Delay-oracle behavior.
-    pub delays: DelayChoice,
+    pub(crate) delays: DelayChoice,
     /// Byzantine population.
     pub adversary: AdversaryMix,
     /// Start-time skew.
-    pub skew: SkewChoice,
+    pub(crate) skew: SkewChoice,
     /// Designated broadcaster.
     pub broadcaster: PartyId,
     /// The broadcast input value.
@@ -321,7 +320,7 @@ impl ScenarioSpec {
     /// A spec with the canonical δ = 100µs / Δ = 1000µs split and every
     /// other field at its default (fixed delays, no adversary, no skew,
     /// broadcaster 0, input 42, seed 0).
-    pub fn new(family: &'static str, timing: TimingKind, n: usize, f: usize) -> Self {
+    pub(crate) fn new(family: &'static str, timing: TimingKind, n: usize, f: usize) -> Self {
         ScenarioSpec {
             family,
             n,
@@ -450,7 +449,7 @@ impl ScenarioSpec {
     }
 
     /// The concrete [`TimingModel`].
-    pub fn timing_model(&self) -> TimingModel {
+    pub(crate) fn timing_model(&self) -> TimingModel {
         match self.timing {
             TimingKind::Asynchrony => TimingModel::Asynchrony,
             TimingKind::PartialSynchrony => TimingModel::PartialSynchrony {
@@ -576,7 +575,7 @@ impl ScenarioSpec {
     ///
     /// Panics if the shape is not a valid [`Config`] (the registry's
     /// [`ScenarioRegistry::run`] validates shapes before getting here).
-    pub fn run_protocol<P: Protocol>(&self, mut make: impl FnMut(PartyId) -> P) -> Outcome {
+    pub(crate) fn run_protocol<P: Protocol>(&self, mut make: impl FnMut(PartyId) -> P) -> Outcome {
         let mut b = self.sim_builder::<P::Msg>();
         for (p, role) in self.adversary_slots() {
             b = match role {
@@ -590,7 +589,7 @@ impl ScenarioSpec {
     }
 
     /// Runs this spec on an arbitrary [`Backend`] — the execution-target-
-    /// agnostic form of [`ScenarioSpec::run_protocol`] that registered
+    /// agnostic form of `ScenarioSpec::run_protocol` that registered
     /// family closures call. The native simulator backend takes the
     /// erasure-free hot loop; every other backend receives the spec's
     /// party slots type-erased via [`ScenarioSpec::erased_slots`] plus the
@@ -617,7 +616,7 @@ impl ScenarioSpec {
     /// slots wrap `make(p)`, Byzantine slots per
     /// [`ScenarioSpec::adversary_slots`] get [`Silent`] or a [`Crashing`]
     /// wrapper around the honest code — exactly the population
-    /// [`ScenarioSpec::run_protocol`] spawns inline.
+    /// `ScenarioSpec::run_protocol` spawns inline.
     pub fn erased_slots<P: Protocol>(&self, mut make: impl FnMut(PartyId) -> P) -> Vec<ErasedSlot> {
         let mut roles: Vec<Option<AdversaryRole>> = vec![None; self.n];
         for (p, role) in self.adversary_slots() {
@@ -731,41 +730,62 @@ fn sample_distinct(rng: &mut StdRng, n: usize, count: usize) -> Vec<u32> {
     ids
 }
 
+/// The spec-driven runner a family registers: it erases the family's
+/// message-type generic behind one call.
+type FamilyRunner = Box<dyn Fn(&ScenarioSpec, &dyn Backend) -> Outcome + Send + Sync>;
+
 /// A registered protocol family: a key, a resilience band, and the
 /// spec-driven runner that erases the family's message-type generic.
-pub trait ScenarioFamily: Send + Sync {
+pub struct ScenarioFamily {
+    key: &'static str,
+    describe: &'static str,
+    admission: Admission,
+    validity: ValidityMode,
+    canonical: ScenarioSpec,
+    run: FamilyRunner,
+}
+
+impl fmt::Debug for ScenarioFamily {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ScenarioFamily")
+            .field("key", &self.key)
+            .field("admission", &self.admission)
+            .finish()
+    }
+}
+
+impl ScenarioFamily {
     /// The registry key.
-    fn key(&self) -> &'static str;
+    pub(crate) fn key(&self) -> &'static str {
+        self.key
+    }
 
     /// One-line human description (protocol + paper reference).
-    fn describe(&self) -> &'static str;
+    pub fn describe(&self) -> &'static str {
+        self.describe
+    }
 
     /// The `(n, f)` shapes this family admits.
-    fn admission(&self) -> Admission;
-
-    /// How [`Self::upholds_validity`] audits outcomes.
-    fn validity_mode(&self) -> ValidityMode {
-        ValidityMode::Broadcast
+    pub fn admission(&self) -> Admission {
+        self.admission
     }
 
     /// The family's canonical spec (its smallest interesting shape with
     /// the family's historical keychain seed).
-    fn canonical(&self) -> ScenarioSpec;
+    pub fn canonical(&self) -> ScenarioSpec {
+        self.canonical.clone()
+    }
 
     /// Runs `spec` (shape already validated by the registry) on the given
     /// execution backend.
-    fn run_on(&self, spec: &ScenarioSpec, backend: &dyn Backend) -> Outcome;
-
-    /// Runs `spec` on the inline simulator — the default, erasure-free
-    /// execution target.
-    fn run(&self, spec: &ScenarioSpec) -> Outcome {
-        self.run_on(spec, &SimBackend::new())
+    pub(crate) fn run_on(&self, spec: &ScenarioSpec, backend: &dyn Backend) -> Outcome {
+        (self.run)(spec, backend)
     }
 
-    /// Audits broadcast validity per [`Self::validity_mode`]: while the
+    /// Audits broadcast validity per the family's [`ValidityMode`]: while the
     /// broadcaster slot is honest, every honest commit equals the input.
-    fn upholds_validity(&self, spec: &ScenarioSpec, outcome: &Outcome) -> bool {
-        match self.validity_mode() {
+    pub fn upholds_validity(&self, spec: &ScenarioSpec, outcome: &Outcome) -> bool {
+        match self.validity {
             ValidityMode::AgreementOnly => true,
             ValidityMode::Broadcast => {
                 !outcome.is_honest(spec.broadcaster)
@@ -775,56 +795,13 @@ pub trait ScenarioFamily: Send + Sync {
     }
 }
 
-/// A [`ScenarioFamily`] built from a plain function — the one-registration
-/// path most families take.
-pub struct FnFamily<F> {
-    key: &'static str,
-    describe: &'static str,
-    admission: Admission,
-    validity: ValidityMode,
-    canonical: ScenarioSpec,
-    run: F,
-}
-
-impl<F> fmt::Debug for FnFamily<F> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FnFamily")
-            .field("key", &self.key)
-            .field("admission", &self.admission)
-            .finish()
-    }
-}
-
-impl<F> ScenarioFamily for FnFamily<F>
-where
-    F: Fn(&ScenarioSpec, &dyn Backend) -> Outcome + Send + Sync,
-{
-    fn key(&self) -> &'static str {
-        self.key
-    }
-    fn describe(&self) -> &'static str {
-        self.describe
-    }
-    fn admission(&self) -> Admission {
-        self.admission
-    }
-    fn validity_mode(&self) -> ValidityMode {
-        self.validity
-    }
-    fn canonical(&self) -> ScenarioSpec {
-        self.canonical.clone()
-    }
-    fn run_on(&self, spec: &ScenarioSpec, backend: &dyn Backend) -> Outcome {
-        (self.run)(spec, backend)
-    }
-}
-
 /// Why a spec could not be run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ScenarioError {
     /// No family registered under the key.
     UnknownFamily(String),
-    /// An [`AdversaryMix::CrashAt`] names a party outside `0..n`.
+    /// The broadcaster or an [`AdversaryMix::CrashAt`] party is outside
+    /// `0..n`.
     PartyOutOfRange {
         /// The family key.
         family: &'static str,
@@ -853,7 +830,7 @@ impl fmt::Display for ScenarioError {
         match self {
             ScenarioError::UnknownFamily(k) => write!(out, "no scenario family {k:?} registered"),
             ScenarioError::PartyOutOfRange { family, party, n } => {
-                write!(out, "{family}: CrashAt party {party} outside 0..{n}")
+                write!(out, "{family}: party {party} outside 0..{n}")
             }
             ScenarioError::Inadmissible { family, n, f, band } => {
                 write!(
@@ -874,7 +851,7 @@ impl std::error::Error for ScenarioError {}
 /// (tables, sweeps, property suites) is deterministic.
 #[derive(Default)]
 pub struct ScenarioRegistry {
-    families: BTreeMap<&'static str, Box<dyn ScenarioFamily>>,
+    families: BTreeMap<&'static str, ScenarioFamily>,
 }
 
 impl fmt::Debug for ScenarioRegistry {
@@ -891,25 +868,12 @@ impl ScenarioRegistry {
         ScenarioRegistry::default()
     }
 
-    /// Registers a family.
+    /// Registers a family from its parts.
     ///
     /// # Panics
     ///
     /// Panics on a duplicate key — two crates claiming one key is a wiring
     /// bug worth failing loudly on.
-    pub fn register(&mut self, family: impl ScenarioFamily + 'static) {
-        let key = family.key();
-        assert!(
-            self.families.insert(key, Box::new(family)).is_none(),
-            "scenario family {key:?} registered twice"
-        );
-    }
-
-    /// Registers a family from its parts — the common one-call path.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a duplicate key.
     pub fn register_fn<F>(
         &mut self,
         key: &'static str,
@@ -921,19 +885,23 @@ impl ScenarioRegistry {
     ) where
         F: Fn(&ScenarioSpec, &dyn Backend) -> Outcome + Send + Sync + 'static,
     {
-        self.register(FnFamily {
+        let family = ScenarioFamily {
             key,
             describe,
             admission,
             validity,
             canonical,
-            run,
-        });
+            run: Box::new(run),
+        };
+        assert!(
+            self.families.insert(key, family).is_none(),
+            "scenario family {key:?} registered twice"
+        );
     }
 
     /// The family registered under `key`.
-    pub fn family(&self, key: &str) -> Option<&dyn ScenarioFamily> {
-        self.families.get(key).map(Box::as_ref)
+    pub fn family(&self, key: &str) -> Option<&ScenarioFamily> {
+        self.families.get(key)
     }
 
     /// All registered keys, sorted.
@@ -967,12 +935,16 @@ impl ScenarioRegistry {
     /// # Errors
     ///
     /// Unknown family, invalid config, or out-of-band shape.
-    pub fn validate(&self, spec: &ScenarioSpec) -> Result<&dyn ScenarioFamily, ScenarioError> {
+    pub fn validate(&self, spec: &ScenarioSpec) -> Result<&ScenarioFamily, ScenarioError> {
         let family = self
             .family(spec.family)
             .ok_or_else(|| ScenarioError::UnknownFamily(spec.family.to_string()))?;
         spec.config().map_err(ScenarioError::Config)?;
-        if let AdversaryMix::CrashAt { party, .. } = spec.adversary {
+        let crash_at = match spec.adversary {
+            AdversaryMix::CrashAt { party, .. } => Some(party),
+            _ => None,
+        };
+        for party in std::iter::once(spec.broadcaster).chain(crash_at) {
             if party.as_usize() >= spec.n {
                 return Err(ScenarioError::PartyOutOfRange {
                     family: family.key(),
@@ -998,12 +970,12 @@ impl ScenarioRegistry {
     ///
     /// Everything [`ScenarioRegistry::validate`] rejects.
     pub fn run(&self, spec: &ScenarioSpec) -> Result<Outcome, ScenarioError> {
-        Ok(self.validate(spec)?.run(spec))
+        Ok(self.validate(spec)?.run_on(spec, &SimBackend::new()))
     }
 
     /// Runs one spec end to end on an arbitrary execution [`Backend`] —
     /// the same validation, the same family registration, a different
-    /// execution target (e.g. `gcl_net`'s wall-clock thread runtime).
+    /// execution target (e.g. `gcl_net`'s `AsyncBackend`).
     ///
     /// # Errors
     ///
@@ -1019,7 +991,7 @@ impl ScenarioRegistry {
 
 /// Derives the seed for grid cell `index` from a sweep-level base seed
 /// (SplitMix64 of the pair, so neighboring cells get unrelated streams).
-pub fn derive_cell_seed(base: u64, index: u64) -> u64 {
+pub(crate) fn derive_cell_seed(base: u64, index: u64) -> u64 {
     mix_seed(base ^ mix_seed(index))
 }
 
@@ -1256,6 +1228,18 @@ mod tests {
             "{err}"
         );
         assert!(err.to_string().contains("outside 0..4"), "{err}");
+    }
+
+    #[test]
+    fn broadcaster_out_of_range_rejected_not_panicking() {
+        let reg = test_registry();
+        let mut spec = reg.spec("flood").unwrap();
+        spec.broadcaster = PartyId::new(4);
+        let err = reg.run(&spec).unwrap_err();
+        assert!(
+            matches!(err, ScenarioError::PartyOutOfRange { n: 4, .. }),
+            "{err}"
+        );
     }
 
     #[test]

@@ -160,13 +160,6 @@ impl<M> Scripted<M> {
                 .collect(),
         }
     }
-
-    /// Appends further actions.
-    #[must_use]
-    pub fn and(mut self, mut more: Vec<ScriptedAction<M>>) -> Self {
-        self.actions.append(&mut more);
-        self
-    }
 }
 
 impl<M: fmt::Debug> fmt::Debug for Scripted<M> {
@@ -225,21 +218,6 @@ mod tests {
         let c = o.commit_of(PartyId::new(1)).unwrap();
         assert_eq!(c.global, GlobalTime::from_micros(45));
         assert_eq!(c.value, Value::new(8));
-    }
-
-    #[test]
-    fn scripted_multicast_and_chain() {
-        let s = Scripted::multicast_at(
-            LocalTime::from_micros(1),
-            &[PartyId::new(1), PartyId::new(2)],
-            Value::new(3),
-        )
-        .and(vec![ScriptedAction {
-            at: LocalTime::from_micros(2),
-            to: PartyId::new(1),
-            msg: Value::new(4),
-        }]);
-        assert_eq!(s.actions.len(), 3);
     }
 
     #[test]

@@ -214,23 +214,15 @@ impl<'a> Sweep<'a> {
         }
     }
 
-    /// Retargets every cell onto `backend` (e.g. `gcl_net`'s wall-clock
-    /// runtimes). Worker threads each drive full backend runs, so pick a
-    /// thread budget with the backend's own thread fan-out in mind: a
-    /// thread-per-party backend at `threads(2)` already runs `2 × n` party
-    /// threads. Wall-clock cells are *not* deterministic in the spec —
+    /// Retargets every cell onto `backend` (e.g. `gcl_net`'s
+    /// `AsyncBackend`). Worker threads each drive full backend runs, so pick
+    /// a thread budget with the backend's own worker pool in mind.
+    /// Wall-clock cells are *not* deterministic in the spec —
     /// latency and event counts reflect the machine — but the audited
     /// agreement/validity columns still gate like simulator sweeps.
     #[must_use]
     pub fn backend(mut self, backend: &'a (dyn Backend + Sync)) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// Appends one cell.
-    #[must_use]
-    pub fn cell(mut self, spec: ScenarioSpec) -> Self {
-        self.cells.push(spec);
         self
     }
 
@@ -249,7 +241,7 @@ impl<'a> Sweep<'a> {
     }
 
     /// Re-seeds every cell deterministically from `base`: cell `i` gets
-    /// [`derive_cell_seed`]`(base, i)`. Without this, cells keep the seeds
+    /// `derive_cell_seed``(base, i)`. Without this, cells keep the seeds
     /// their specs carry.
     #[must_use]
     pub fn seed(mut self, base: u64) -> Self {
@@ -427,9 +419,11 @@ mod tests {
     fn inadmissible_cells_skipped_not_violating() {
         let reg = registry();
         let report = Sweep::new(&reg)
-            .cell(ScenarioSpec::asynchronous("flood", 4, 2)) // outside 3f+1
-            .cell(ScenarioSpec::asynchronous("absent", 4, 1))
-            .cell(ScenarioSpec::asynchronous("flood", 4, 1))
+            .cells([
+                ScenarioSpec::asynchronous("flood", 4, 2), // outside 3f+1
+                ScenarioSpec::asynchronous("absent", 4, 1),
+                ScenarioSpec::asynchronous("flood", 4, 1),
+            ])
             .run();
         assert_eq!(report.cells_run(), 1);
         assert_eq!(report.cells_skipped(), 2);

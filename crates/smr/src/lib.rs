@@ -3,7 +3,7 @@
 //! The paper motivates good-case latency through Primary-Backup SMR: "each
 //! view in BFT SMR is similar to an instance of broadcast with the leader
 //! taking the role of the broadcaster" (Section 1), and its companion
-//! paper [5] turns the `(5f−1)`-psync-VBB into a practical BFT SMR. This
+//! paper \[5\] turns the `(5f−1)`-psync-VBB into a practical BFT SMR. This
 //! crate is that extension in miniature: a [`SlotEngine`] multiplexes one
 //! [`gcl_core::psync::VbbFiveFMinusOne`] instance per log slot, applies
 //! committed batches in order to a replicated [`StateMachine`], and keeps a
@@ -61,6 +61,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod engine;
 mod machine;

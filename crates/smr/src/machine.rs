@@ -82,16 +82,6 @@ impl KvStore {
     pub fn get(&self, key: u32) -> Option<u32> {
         self.map.get(&key).copied()
     }
-
-    /// Number of keys.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
 }
 
 impl StateMachine for KvStore {
@@ -129,12 +119,12 @@ mod tests {
     #[test]
     fn kv_roundtrip() {
         let mut kv = KvStore::default();
-        assert!(kv.is_empty());
+        assert_eq!(kv.get(1), None);
         kv.apply(SlotId::new(0), KvStore::set(1, 2));
         kv.apply(SlotId::new(1), KvStore::set(1, 3)); // overwrite
         kv.apply(SlotId::new(2), KvStore::set(9, 9));
         assert_eq!(kv.get(1), Some(3));
-        assert_eq!(kv.len(), 2);
+        assert_eq!(kv.get(9), Some(9));
     }
 
     #[test]

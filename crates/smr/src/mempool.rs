@@ -146,7 +146,7 @@ impl Mempool {
     /// the capacity bound is deliberately waived (the command was already
     /// admitted once; dropping it here would lose an acknowledged-side
     /// submission).
-    pub fn readmit(&mut self, cmd: Value) -> bool {
+    pub(crate) fn readmit(&mut self, cmd: Value) -> bool {
         if cmd.is_no_op() || self.committed.contains_key(&cmd) || self.pending.contains(&cmd) {
             return false;
         }
@@ -178,11 +178,6 @@ impl Mempool {
         true
     }
 
-    /// The slot a recently committed command landed in, if still retained.
-    pub fn committed_slot(&self, cmd: Value) -> Option<SlotId> {
-        self.committed.get(&cmd).copied()
-    }
-
     /// Drains up to `max` commands (arrival order) into a proposal batch,
     /// or `None` when the pool is empty. Queue entries whose command
     /// committed while waiting (another replica proposed it first) are
@@ -209,38 +204,17 @@ impl Mempool {
     }
 
     /// Commands currently queued (pending proposal).
-    pub fn pending(&self) -> usize {
+    pub(crate) fn pending(&self) -> usize {
         self.pending.len()
     }
 
-    /// Whether nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
-    }
-
-    /// Commands admitted over the pool's lifetime.
-    pub fn admitted(&self) -> u64 {
-        self.admitted
-    }
-
-    /// Commands rejected (reserved, over capacity, or duplicate) over the
-    /// lifetime.
-    pub fn rejected(&self) -> u64 {
-        self.rejected
-    }
-
-    /// Commands re-admitted from view-changed in-flight batches.
-    pub fn requeued(&self) -> u64 {
-        self.requeued
-    }
-
     /// The capacity bound.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
     /// A snapshot of the pool's counters and gauges.
-    pub fn stats(&self) -> MempoolStats {
+    pub(crate) fn stats(&self) -> MempoolStats {
         MempoolStats {
             occupancy: self.pending(),
             admitted: self.admitted,
@@ -277,7 +251,7 @@ mod tests {
             "the protocol filler value must never enter the pool"
         );
         assert_eq!(pool.pending(), 0);
-        assert_eq!(pool.rejected(), 1);
+        assert_eq!(pool.stats().rejected, 1);
     }
 
     #[test]
@@ -326,7 +300,10 @@ mod tests {
             !pool.mark_committed(Value::new(5), SlotId::new(1)),
             "a second slot deciding the same command is not fresh"
         );
-        assert_eq!(pool.committed_slot(Value::new(5)), Some(SlotId::new(0)));
+        assert_eq!(
+            pool.submit(Value::new(5)),
+            Err(AdmissionError::Committed(SlotId::new(0)))
+        );
         assert_eq!(pool.pending(), 0, "committing removes the pending entry");
         assert!(!pool.mark_committed(Value::NO_OP, SlotId::new(2)));
     }
@@ -345,7 +322,7 @@ mod tests {
         assert!(pool.readmit(Value::new(2)), "lost in view change: re-queue");
         assert!(!pool.readmit(Value::new(2)), "idempotent");
         assert!(!pool.readmit(Value::NO_OP));
-        assert_eq!(pool.requeued(), 1);
+        assert_eq!(pool.stats().requeued, 1);
         // Capacity is waived for re-admission even at a full pool.
         pool.submit(Value::new(3)).unwrap();
         assert_eq!(pool.submit(Value::new(4)), Err(AdmissionError::Full));
@@ -366,7 +343,7 @@ mod tests {
             pool.take_batch(8),
             Some(Batch::Commands(vec![Value::new(1), Value::new(3)]))
         );
-        assert!(pool.is_empty());
+        assert_eq!(pool.pending(), 0);
     }
 
     #[test]
@@ -379,13 +356,14 @@ mod tests {
             assert!(pool.mark_committed(cmd, SlotId::new(i)));
         }
         assert_eq!(pool.stats().committed, 20);
-        assert!(
-            pool.committed_slot(Value::new(100)).is_none(),
+        assert_eq!(
+            pool.submit(Value::new(100)),
+            Ok(()),
             "oldest entries evicted in commit order"
         );
         assert_eq!(
-            pool.committed_slot(Value::new(119)),
-            Some(SlotId::new(19)),
+            pool.submit(Value::new(119)),
+            Err(AdmissionError::Committed(SlotId::new(19))),
             "recent entries retained"
         );
     }
@@ -413,8 +391,8 @@ mod tests {
                 drained.extend_from_slice(batch.commands());
             }
             assert_eq!(drained, submitted);
-            assert!(pool.is_empty());
-            assert_eq!(pool.admitted(), count as u64);
+            assert_eq!(pool.pending(), 0);
+            assert_eq!(pool.stats().admitted, count as u64);
         }
     }
 

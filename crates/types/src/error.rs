@@ -18,16 +18,6 @@ pub enum ConfigError {
         /// Offending fault budget.
         f: usize,
     },
-    /// The protocol being instantiated needs a stronger resilience bound
-    /// than `(n, f)` provides.
-    InsufficientResilience {
-        /// Human-readable requirement, e.g. `"n >= 5f - 1"`.
-        requirement: &'static str,
-        /// Party count.
-        n: usize,
-        /// Fault budget.
-        f: usize,
-    },
 }
 
 impl fmt::Display for ConfigError {
@@ -39,57 +29,11 @@ impl fmt::Display for ConfigError {
             ConfigError::TooManyFaults { n, f: faults } => {
                 write!(f, "fault budget {faults} must be below n = {n}")
             }
-            ConfigError::InsufficientResilience {
-                requirement,
-                n,
-                f: faults,
-            } => {
-                write!(
-                    f,
-                    "protocol requires {requirement}, got n = {n}, f = {faults}"
-                )
-            }
         }
     }
 }
 
 impl Error for ConfigError {}
-
-/// A protocol-level fault observed while processing a message.
-///
-/// Honest parties never act on malformed input; these errors are surfaced to
-/// the harness for tracing and to tests asserting that invalid messages are
-/// rejected.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ProtocolError {
-    /// A signature failed verification.
-    BadSignature,
-    /// A certificate or proof did not satisfy its validity rule.
-    InvalidCertificate(String),
-    /// A message arrived that the protocol state machine cannot accept.
-    UnexpectedMessage(String),
-    /// The external-validity predicate rejected a proposed value.
-    ExternallyInvalid,
-}
-
-impl fmt::Display for ProtocolError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ProtocolError::BadSignature => f.write_str("signature verification failed"),
-            ProtocolError::InvalidCertificate(why) => {
-                write!(f, "invalid certificate: {why}")
-            }
-            ProtocolError::UnexpectedMessage(why) => {
-                write!(f, "unexpected message: {why}")
-            }
-            ProtocolError::ExternallyInvalid => {
-                f.write_str("value rejected by external validity predicate")
-            }
-        }
-    }
-}
-
-impl Error for ProtocolError {}
 
 #[cfg(test)]
 mod tests {
@@ -104,35 +48,11 @@ mod tests {
         assert!(ConfigError::TooManyFaults { n: 3, f: 3 }
             .to_string()
             .contains("below n = 3"));
-        assert!(ConfigError::InsufficientResilience {
-            requirement: "n >= 5f - 1",
-            n: 8,
-            f: 2
-        }
-        .to_string()
-        .contains("n >= 5f - 1"));
-    }
-
-    #[test]
-    fn protocol_error_messages() {
-        assert!(ProtocolError::BadSignature
-            .to_string()
-            .contains("signature"));
-        assert!(ProtocolError::InvalidCertificate("too few votes".into())
-            .to_string()
-            .contains("too few votes"));
-        assert!(ProtocolError::UnexpectedMessage("x".into())
-            .to_string()
-            .contains("unexpected"));
-        assert!(ProtocolError::ExternallyInvalid
-            .to_string()
-            .contains("external"));
     }
 
     #[test]
     fn errors_are_std_errors() {
         fn assert_err<E: Error + Send + Sync + 'static>() {}
         assert_err::<ConfigError>();
-        assert_err::<ProtocolError>();
     }
 }

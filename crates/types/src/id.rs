@@ -31,11 +31,6 @@ impl PartyId {
         PartyId(index)
     }
 
-    /// Whether this is the reserved [`PartyId::CLIENT`] address.
-    pub const fn is_client(self) -> bool {
-        self.0 == u32::MAX
-    }
-
     /// Returns the index in `0..n`.
     pub const fn index(self) -> u32 {
         self.0
@@ -143,8 +138,6 @@ mod tests {
 
     #[test]
     fn client_address_is_reserved() {
-        assert!(PartyId::CLIENT.is_client());
-        assert!(!PartyId::new(0).is_client());
         // No realistic party count collides with the client address.
         assert_eq!(PartyId::CLIENT.index(), u32::MAX);
     }

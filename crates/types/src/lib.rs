@@ -12,11 +12,11 @@
 //! # Examples
 //!
 //! ```
-//! use gcl_types::{Config, PartyId, ResilienceRegime, Value};
+//! use gcl_types::{Config, PartyId, Value};
 //!
 //! let cfg = Config::new(4, 1).unwrap();
 //! assert_eq!(cfg.quorum(), 3); // n - f
-//! assert_eq!(cfg.regime(), ResilienceRegime::UnderThird);
+//! assert!(cfg.supports_brb()); // n >= 3f + 1
 //! let v = Value::new(42);
 //! assert_eq!(v.as_u64(), 42);
 //! let p: PartyId = PartyId::new(0);
@@ -25,6 +25,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod batch;
 mod config;
@@ -33,11 +34,11 @@ mod id;
 mod time;
 mod validity;
 mod value;
-pub mod wire;
+pub(crate) mod wire;
 
 pub use batch::Batch;
-pub use config::{Config, ResilienceRegime};
-pub use error::{ConfigError, ProtocolError};
+pub use config::Config;
+pub use error::ConfigError;
 pub use id::{PartyId, View};
 pub use time::{Duration, GlobalTime, LocalTime, SkewSchedule};
 pub use validity::{accept_all, ExternalValidity};

@@ -53,18 +53,6 @@ impl Duration {
     pub const fn halved(self) -> Duration {
         Duration(self.0 / 2)
     }
-
-    /// Saturating subtraction.
-    #[must_use]
-    pub const fn saturating_sub(self, rhs: Duration) -> Duration {
-        Duration(self.0.saturating_sub(rhs.0))
-    }
-
-    /// Checked division by an integer, used to build discretization grids.
-    #[must_use]
-    pub const fn div_ceil(self, rhs: u64) -> Duration {
-        Duration(self.0.div_ceil(rhs))
-    }
 }
 
 impl fmt::Display for Duration {
@@ -177,11 +165,6 @@ impl LocalTime {
     pub const fn since(self, earlier: LocalTime) -> Duration {
         Duration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Converts to global time for a party that started at `start`.
-    pub fn to_global(self, start: GlobalTime) -> GlobalTime {
-        GlobalTime(start.0 + self.0)
-    }
 }
 
 impl fmt::Display for LocalTime {
@@ -223,16 +206,6 @@ impl SkewSchedule {
         }
     }
 
-    /// Explicit start instants, one per party.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `starts` is empty.
-    pub fn from_starts(starts: Vec<GlobalTime>) -> Self {
-        assert!(!starts.is_empty(), "at least one party required");
-        SkewSchedule { starts }
-    }
-
     /// Every party starts at 0 except those listed, which start late.
     pub fn with_late_parties(n: usize, late: &[(PartyId, Duration)]) -> Self {
         let mut starts = vec![GlobalTime::ZERO; n];
@@ -243,13 +216,8 @@ impl SkewSchedule {
     }
 
     /// Number of parties covered.
-    pub fn len(&self) -> usize {
+    pub fn n(&self) -> usize {
         self.starts.len()
-    }
-
-    /// True when no party is covered (never constructible via public API).
-    pub fn is_empty(&self) -> bool {
-        self.starts.is_empty()
     }
 
     /// The global instant at which `party` starts its protocol and clock.
@@ -293,20 +261,10 @@ mod tests {
     }
 
     #[test]
-    fn duration_saturating() {
-        assert_eq!(
-            Duration::from_micros(3).saturating_sub(Duration::from_micros(5)),
-            Duration::ZERO
-        );
-    }
-
-    #[test]
     fn local_global_conversion() {
         let start = GlobalTime::from_micros(100);
-        let l = LocalTime::from_micros(50);
-        let g = l.to_global(start);
-        assert_eq!(g, GlobalTime::from_micros(150));
-        assert_eq!(g.to_local(start), Some(l));
+        let g = GlobalTime::from_micros(150);
+        assert_eq!(g.to_local(start), Some(LocalTime::from_micros(50)));
         assert_eq!(GlobalTime::from_micros(50).to_local(start), None);
     }
 
@@ -321,8 +279,7 @@ mod tests {
     #[test]
     fn skew_schedule_synchronized() {
         let s = SkewSchedule::synchronized(3);
-        assert_eq!(s.len(), 3);
-        assert!(!s.is_empty());
+        assert_eq!(s.n(), 3);
         assert_eq!(s.max_skew(), Duration::ZERO);
     }
 

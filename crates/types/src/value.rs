@@ -84,12 +84,6 @@ impl SlotId {
     pub const fn index(self) -> u64 {
         self.0
     }
-
-    /// The next slot.
-    #[must_use]
-    pub const fn next(self) -> SlotId {
-        SlotId(self.0 + 1)
-    }
 }
 
 impl fmt::Display for SlotId {
@@ -112,8 +106,7 @@ mod tests {
 
     #[test]
     fn slot_sequence() {
-        let s = SlotId::FIRST;
-        assert_eq!(s.next().index(), 1);
-        assert_eq!(s.next().to_string(), "slot 1");
+        assert_eq!(SlotId::FIRST.index(), 0);
+        assert_eq!(SlotId::new(1).to_string(), "slot 1");
     }
 }

@@ -8,7 +8,7 @@
 //! This facade re-exports the workspace crates:
 //!
 //! * [`types`] — ids, values, clocks, resilience configuration.
-//! * [`crypto`] — SHA-256, PKI, signatures, quorum certificates.
+//! * [`crypto`] — SHA-256, PKI, signatures, memoized verification.
 //! * [`sim`] — the deterministic discrete-event execution substrate.
 //! * [`core`] — the broadcast protocols (async / psync / sync / dishonest
 //!   majority), strawmen, and lower-bound executions.
@@ -39,6 +39,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub use gcl_core as core;
 pub use gcl_crypto as crypto;
