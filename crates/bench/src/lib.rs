@@ -16,7 +16,8 @@
 //!   `BENCH_smr.json`), same flags, same gate.
 //! * `sweep` — the multi-threaded scenario grid: every registered family ×
 //!   shapes × adversary mixes × seeds, audited for safety/validity and
-//!   emitted as a `gcl-bench/sweep/v1` report (CI `sweep-smoke` gate).
+//!   diffed exactly against the committed `BENCH_sweep.json` (CI
+//!   `sweep-smoke` gate).
 //!
 //! The four report bins share one command line ([`trajectory::Args`]).
 //! Each trajectory file is described once, by the `SCHEMA` table next to

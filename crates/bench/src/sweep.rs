@@ -8,15 +8,20 @@
 //! hand-picked point per table row. A cell that violates agreement or
 //! (conditional) validity is a red build — the `sweep` binary and the CI
 //! `sweep-smoke` job both fail on it.
+//!
+//! There is one grid and one base seed, so the report is a pure function
+//! of the code: it is committed as `BENCH_sweep.json`, and every per-cell
+//! outcome column gates exactly against it. A change that moves behaviour
+//! shows up in `git diff BENCH_sweep.json` as the cells it moved.
 
 use crate::json::{JVal, Row, Value};
 use crate::registry;
-use crate::trajectory::{col, Need, Schema};
+use crate::trajectory::{col, Gate, Need, Schema};
 use gcl_sim::{AdversaryMix, DelayChoice, ScenarioSpec, Sweep, SweepReport};
 use gcl_types::Duration;
 
 /// Candidate `(n, f)` shapes; each family keeps the ones its resilience
-/// band admits. Ordered small-to-large so shape caps keep the cheap cells.
+/// band admits. Ordered small-to-large so [`grid`] keeps the cheap cells.
 const SHAPE_POOL: &[(usize, usize)] = &[
     (3, 1),
     (4, 1),
@@ -36,91 +41,48 @@ const SHAPE_POOL: &[(usize, usize)] = &[
     (14, 3),
 ];
 
-/// Knobs controlling how large the generated grid is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GridOptions {
-    /// Max admitted shapes per family (smallest first).
-    pub shapes_per_family: usize,
-    /// Seeds per (family, shape, mix, delay) combination.
-    pub seeds: u64,
-    /// Also run every combination under seeded uniform delay jitter.
-    pub jitter: bool,
-    /// Also run a seeded random-crash adversary mix.
-    pub crashes: bool,
-    /// Drop shapes with more than this many parties (debug-build test
-    /// grids cap this; the release-mode `sweep` bin takes everything).
-    pub max_parties: usize,
-}
-
-impl GridOptions {
-    /// The CI smoke grid: small but still touching every family and both
-    /// canonical adversary mixes.
-    pub(crate) fn quick() -> Self {
-        GridOptions {
-            shapes_per_family: 2,
-            seeds: 1,
-            jitter: false,
-            crashes: true,
-            max_parties: usize::MAX,
-        }
-    }
-
-    /// The full default grid.
-    pub(crate) fn full() -> Self {
-        GridOptions {
-            shapes_per_family: 4,
-            seeds: 2,
-            jitter: true,
-            crashes: true,
-            max_parties: usize::MAX,
-        }
-    }
-}
+/// Base seed of every sweep; per-cell seeds derive from it.
+pub(crate) const SEED: u64 = 1;
 
 /// Builds the declarative grid: every registered family crossed with its
-/// admitted shapes, the adversary mixes, the delay choices and `seeds`
-/// seed indices. Per-cell seeds are later derived by
-/// [`gcl_sim::Sweep::seed`]; the seed index here only multiplies cells.
-pub fn grid(opts: GridOptions) -> Vec<ScenarioSpec> {
+/// four smallest admitted shapes, three adversary mixes, fixed and
+/// jittered delays, and two seed slots — 648 cells. Per-cell seeds are
+/// later derived from the grid position by [`gcl_sim::Sweep::seed`]; a
+/// seed slot only doubles the cell.
+pub(crate) fn grid() -> Vec<ScenarioSpec> {
     let reg = registry();
-    let mut mixes = vec![
+    let mixes = [
         AdversaryMix::None,
         AdversaryMix::RandomSilent { count: u32::MAX },
-    ];
-    if opts.crashes {
-        mixes.push(AdversaryMix::RandomCrashing {
+        AdversaryMix::RandomCrashing {
             count: u32::MAX,
             max_handled: 6,
-        });
-    }
-    let mut delays = vec![DelayChoice::Fixed];
-    if opts.jitter {
-        delays.push(DelayChoice::Uniform {
+        },
+    ];
+    let delays = [
+        DelayChoice::Fixed,
+        DelayChoice::Uniform {
             lo: Duration::ZERO,
             hi: Duration::from_micros(200),
-        });
-    }
+        },
+    ];
     let mut cells = Vec::new();
     for key in reg.keys() {
         let family = reg.family(key).expect("listed key");
-        let base = family.canonical();
-        let shapes: Vec<(usize, usize)> = SHAPE_POOL
+        let shapes = SHAPE_POOL
             .iter()
-            .copied()
-            .filter(|&(n, f)| n <= opts.max_parties && family.admission().admits(n, f))
-            .take(opts.shapes_per_family.max(1))
-            .collect();
-        for (n, f) in shapes {
-            for &mix in &mixes {
-                for &delay in &delays {
-                    for _ in 0..opts.seeds.max(1) {
-                        cells.push(
-                            base.clone()
-                                .with_shape(n, f)
-                                .with_adversary(mix)
-                                .with_delays(delay),
-                        );
-                    }
+            .filter(|&&(n, f)| family.admission().admits(n, f))
+            .take(4);
+        for &(n, f) in shapes {
+            for mix in mixes {
+                for delay in delays {
+                    let cell = family
+                        .canonical()
+                        .clone()
+                        .with_shape(n, f)
+                        .with_adversary(mix)
+                        .with_delays(delay);
+                    cells.extend(std::iter::repeat_n(cell, 2));
                 }
             }
         }
@@ -128,29 +90,21 @@ pub fn grid(opts: GridOptions) -> Vec<ScenarioSpec> {
     cells
 }
 
-/// The default grid for one mode (`quick` = the CI smoke grid).
-pub(crate) fn default_grid(quick: bool) -> Vec<ScenarioSpec> {
-    grid(if quick {
-        GridOptions::quick()
-    } else {
-        GridOptions::full()
-    })
-}
-
-/// Runs the default grid with derived per-cell seeds.
-pub fn run_default(quick: bool, threads: usize, base_seed: u64) -> SweepReport {
+/// Runs the grid from base seed 1 on `threads` workers.
+pub fn run_grid(threads: usize) -> SweepReport {
     Sweep::new(registry())
-        .cells(default_grid(quick))
+        .cells(grid())
         .threads(threads)
-        .seed(base_seed)
+        .seed(SEED)
         .run()
 }
 
-/// The sweep report's rows: one per grid cell, keyed by its label (which
-/// carries the derived per-cell seed). `agreement` and `validity` are
-/// counted, not needed — a violation is the bin's red build, and
-/// [`validate_report`] holds the header to the same count. `skipped` is
-/// `null` on every cell that ran, so all rows have one column set.
+/// The `BENCH_sweep.json` table: one row per grid cell, keyed by its label
+/// (which carries the derived per-cell seed). Every outcome column is a
+/// pure function of (grid, base seed) and gates exactly; `agreement` and
+/// `validity` are gated, not needed — a violation is the bin's red build,
+/// and [`validate_report`] holds the header to the same count. `skipped`
+/// is `null` on every cell that ran, so all rows have one column set.
 pub static SCHEMA: Schema = Schema {
     tag: "gcl-bench/sweep/v1",
     columns: &[
@@ -159,14 +113,14 @@ pub static SCHEMA: Schema = Schema {
         col("n"),
         col("f"),
         col("seed"),
-        col("committed"),
-        col("latency_us").need(Need::Any),
-        col("rounds").need(Need::Any),
-        col("events"),
-        col("messages"),
-        col("peak_queue"),
-        col("agreement"),
-        col("validity"),
+        col("committed").gate(Gate::Exact),
+        col("latency_us").need(Need::Any).gate(Gate::Exact),
+        col("rounds").need(Need::Any).gate(Gate::Exact),
+        col("events").gate(Gate::Exact),
+        col("messages").gate(Gate::Exact),
+        col("peak_queue").gate(Gate::Exact),
+        col("agreement").gate(Gate::Exact),
+        col("validity").gate(Gate::Exact),
         col("skipped").need(Need::Any),
     ],
     coverage: |rows| match rows {
@@ -175,12 +129,12 @@ pub static SCHEMA: Schema = Schema {
     },
 };
 
-/// Renders a sweep report as the `gcl-bench/sweep/v1` document.
-pub fn render_report(report: &SweepReport, mode: &str, base_seed: u64) -> String {
+/// Renders a sweep report as the `gcl-bench/sweep/v1` document. Every
+/// member is deterministic: the thread count and wall time stay out, so
+/// regenerating at an unchanged commit rewrites the same bytes.
+pub fn render_report(report: &SweepReport) -> String {
     let top = vec![
-        ("mode", JVal::Str(mode.to_string())),
-        ("base_seed", JVal::U64(base_seed)),
-        ("threads", JVal::U64(report.threads as u64)),
+        ("base_seed", JVal::U64(SEED)),
         ("cells", JVal::U64(report.cells.len() as u64)),
         ("cells_run", JVal::U64(report.cells_run() as u64)),
         ("cells_skipped", JVal::U64(report.cells_skipped() as u64)),
@@ -208,8 +162,6 @@ pub fn render_report(report: &SweepReport, mode: &str, base_seed: u64) -> String
         ("total_events", JVal::U64(report.total_events())),
         ("total_messages", JVal::U64(report.total_messages())),
         ("max_peak_queue", JVal::U64(report.max_peak_queue())),
-        ("wall_ns", JVal::U64(report.wall_ns)),
-        ("events_per_sec", JVal::F1(report.events_per_sec())),
     ];
     SCHEMA.render(
         top,
@@ -281,14 +233,24 @@ pub fn validate_report(text: &str) -> Result<ReportSummary, String> {
 mod tests {
     use super::*;
 
+    /// A sweep of `cells` from [`SEED`], as the bin runs it.
+    fn sweep(cells: Vec<ScenarioSpec>, threads: usize) -> SweepReport {
+        Sweep::new(registry())
+            .cells(cells)
+            .threads(threads)
+            .seed(SEED)
+            .run()
+    }
+
     #[test]
-    fn quick_grid_covers_every_family() {
-        let cells = default_grid(true);
+    fn full_grid_reaches_sweep_scale() {
+        let cells = grid();
+        assert_eq!(cells.len(), 648);
         let reg = registry();
         for key in reg.keys() {
             assert!(
                 cells.iter().any(|c| c.family == key),
-                "family {key} missing from quick grid"
+                "family {key} missing from the grid"
             );
         }
         assert!(
@@ -298,27 +260,33 @@ mod tests {
     }
 
     #[test]
-    fn full_grid_reaches_sweep_scale() {
-        let cells = default_grid(false);
-        assert!(cells.len() >= 200, "only {} cells", cells.len());
+    fn grid_matches_committed_report_at_any_thread_count() {
+        // Scheduling must not leak into any audited number, and the grid at
+        // this commit must reproduce every exact column of the committed
+        // baseline; `git diff BENCH_sweep.json` after regenerating names
+        // the cells a change moved.
+        let four = run_grid(4);
+        let eight = run_grid(8);
+        assert_eq!(four.threads, 4);
+        assert!(
+            four.deterministic_eq(&eight),
+            "sweep report depends on thread count / scheduling"
+        );
+        assert_eq!(four.safety_violations().count(), 0);
+        assert_eq!(four.validity_violations().count(), 0);
+        let committed = include_str!("../../../BENCH_sweep.json");
+        let summary = SCHEMA
+            .diff(committed, &render_report(&four))
+            .unwrap_or_else(|e| panic!("BENCH_sweep.json: {e}"));
+        assert_eq!(summary, "648 rows matched");
     }
 
     #[test]
     fn report_renders_and_validates() {
-        let report = Sweep::new(registry())
-            .cells(grid(GridOptions {
-                shapes_per_family: 1,
-                seeds: 1,
-                jitter: false,
-                crashes: false,
-                max_parties: usize::MAX,
-            }))
-            .threads(2)
-            .seed(7)
-            .run();
+        let report = sweep(grid().into_iter().step_by(12).collect(), 2);
         assert_eq!(report.safety_violations().count(), 0, "sweep must be safe");
         assert_eq!(report.validity_violations().count(), 0);
-        let text = render_report(&report, "test", 7);
+        let text = render_report(&report);
         let summary = validate_report(&text).expect("well-formed report");
         assert_eq!(summary.cells, report.cells.len());
         assert_eq!(summary.cells_run, report.cells_run());
@@ -332,10 +300,7 @@ mod tests {
     fn validate_rejects_malformed_and_inconsistent() {
         // Every case is a rendered report with one edit, so each fails for
         // the reason it names and not for its layout.
-        let render = |cells: Vec<ScenarioSpec>| {
-            let report = Sweep::new(registry()).cells(cells).seed(7).run();
-            render_report(&report, "test", 7)
-        };
+        let render = |cells| render_report(&sweep(cells, 1));
         let err = validate_report("{").unwrap_err();
         assert!(err.starts_with("malformed JSON: line 1: "), "{err}");
         let empty = render(Vec::new());
@@ -344,7 +309,7 @@ mod tests {
         let err = validate_report(&empty.replace("gcl-bench/sweep/v1", "nope")).unwrap_err();
         assert!(err.starts_with("schema is Some(\"nope\")"), "{err}");
         // A row missing its audit flags is malformed.
-        let one = render(default_grid(true).into_iter().take(1).collect());
+        let one = render(grid().into_iter().take(1).collect());
         assert_eq!(validate_report(&one).map(|s| s.cells), Ok(1));
         let err = validate_report(&one.replace("\"committed\": true, ", "")).unwrap_err();
         assert_eq!(err, "row 0: missing column \"committed\"");

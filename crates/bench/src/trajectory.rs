@@ -1,15 +1,14 @@
 //! One schema table per trajectory file: render, check and diff read it.
 //!
-//! Every committed `BENCH_*.json` (and the sweep report) is a
-//! *schema-plus-rows* document. A [`Schema`] describes one of them once —
-//! its tag, its columns in file order, and for each column whether it is
-//! part of a row's identity ([`Column::key`]), what every cell must
-//! satisfy (`Need`) and how a fresh measurement is judged against the
-//! committed baseline (`Gate`) — plus the one rule no column can state,
-//! which rows must exist (`coverage`). The measuring modules declare a
-//! `pub static SCHEMA` next to their typed row and hand
-//! [`Schema::render`] a cell list per row; nothing else re-describes the
-//! file.
+//! Every committed `BENCH_*.json` is a *schema-plus-rows* document. A
+//! [`Schema`] describes one of them once — its tag, its columns in file
+//! order, and for each column whether it is part of a row's identity
+//! ([`Column::key`]), what every cell must satisfy (`Need`) and how a
+//! fresh measurement is judged against the committed baseline (`Gate`) —
+//! plus the one rule no column can state, which rows must exist
+//! (`coverage`). The measuring modules declare a `pub static SCHEMA` next
+//! to their typed row and hand [`Schema::render`] a cell list per row;
+//! nothing else re-describes the file.
 //!
 //! [`Schema::check`] audits one document in isolation, `Schema::diff`
 //! judges a fresh one against the baseline, and [`emit`] is the whole

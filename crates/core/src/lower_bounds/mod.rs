@@ -22,8 +22,8 @@
 //! Every schedule here scripts the adversary at exact local instants
 //! (`gcl_sim::Scripted`) and, for theorems 7/9/10/19, pins per-link
 //! delivery times through a `gcl_sim::ScheduleOracle` — execution 3 of a
-//! proof *is* its delivery schedule. Wall-clock backends (`gcl_net`'s
-//! thread and socket runtimes) cannot honor "this vote arrives at exactly
+//! proof *is* its delivery schedule. The wall engine (`gcl_net`'s
+//! `AsyncBackend`) cannot honor "this vote arrives at exactly
 //! `2δ` and that one at `Δ`" — scheduler jitter would silently turn the
 //! proof's indistinguishability argument into a race, and a "replayed"
 //! violation that only sometimes materializes is worse than none. The

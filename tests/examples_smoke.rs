@@ -4,7 +4,12 @@
 //! already fails the build; this suite additionally *runs* each example
 //! binary to completion so the narrated output paths (the quickstart walk,
 //! the Table 1 digest, the adversary gallery, the SMR KV demo) can't rot
-//! while still compiling.
+//! while still compiling. The two examples that print the paper's
+//! results — the Table 1 reproduction and the lower-bound gallery — are
+//! also compared byte-for-byte against their committed output in
+//! `tests/golden/`, so a measured cell cannot move unnoticed. After a
+//! deliberate change, regenerate with
+//! `cargo run -q --example <name> > tests/golden/<name>.txt`.
 //!
 //! The binaries are located relative to the test executable
 //! (`target/<profile>/deps/<test>` → `target/<profile>/examples/<name>`),
@@ -23,7 +28,8 @@ fn example_path(name: &str) -> PathBuf {
     dir.join("examples").join(name)
 }
 
-fn run_example(name: &str) {
+/// Runs an example to a zero exit and returns its stdout.
+fn run_example(name: &str) -> String {
     let path = example_path(name);
     assert!(
         path.exists(),
@@ -42,6 +48,7 @@ fn run_example(name: &str) {
         String::from_utf8_lossy(&output.stdout),
         String::from_utf8_lossy(&output.stderr)
     );
+    String::from_utf8(output.stdout).expect("utf-8 stdout")
 }
 
 #[test]
@@ -51,12 +58,18 @@ fn quickstart_runs_to_completion() {
 
 #[test]
 fn latency_categorization_runs_to_completion() {
-    run_example("latency_categorization");
+    assert_eq!(
+        run_example("latency_categorization"),
+        include_str!("golden/latency_categorization.txt")
+    );
 }
 
 #[test]
 fn adversary_gallery_runs_to_completion() {
-    run_example("adversary_gallery");
+    assert_eq!(
+        run_example("adversary_gallery"),
+        include_str!("golden/adversary_gallery.txt")
+    );
 }
 
 #[test]
