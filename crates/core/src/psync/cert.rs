@@ -15,56 +15,19 @@
 //! are expressed through `n` and `f`: quorum `q = n − f` (= `4f−1`), rule-1
 //! threshold `q − 2f` (= `2f−1`), rule-2 threshold `q − 2f + 1` (= `2f`).
 
+use super::VbbFiveFMinusOne;
+use crate::signed::PhaseVote;
 use gcl_crypto::{Digest, Digestible, MemoTag, Sha256, Signature, Signer, Verify};
 use gcl_types::{Config, Encode, ExternalValidity, PartyId, Value, View};
 use std::collections::BTreeSet;
 
-/// `⟨v, w⟩_{L_w}`: a value-view pair signed by the leader of view `w`.
+/// Whether `ls` is `⟨v, w⟩_{L_w}`: a value-view pair signed under
+/// [`VbbFiveFMinusOne::PROPOSE`] by the round-robin leader of view `w`.
 ///
-/// This is the unit of equivocation detection: two `LeaderSigned` of the
-/// same view with different values convict the leader.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LeaderSigned {
-    /// The proposed value.
-    pub value: Value,
-    /// The view in which it was proposed.
-    pub view: View,
-    /// The view leader's signature over `(value, view)`.
-    pub leader_sig: Signature,
-}
-
-impl LeaderSigned {
-    /// The digest the leader signs.
-    pub(crate) fn digest(value: Value, view: View) -> Digest {
-        Digest::of(&("psync-prop", value, view))
-    }
-
-    /// Signs `(value, view)` as leader.
-    pub(crate) fn new(leader: &Signer, value: Value, view: View) -> Self {
-        LeaderSigned {
-            value,
-            view,
-            leader_sig: leader.sign(Self::digest(value, view)),
-        }
-    }
-
-    /// Verifies the leader signature against the round-robin leader of
-    /// `view`.
-    pub(crate) fn verify(&self, config: Config, v: &impl Verify) -> bool {
-        let leader = self.view.leader(config.n());
-        self.leader_sig.signer() == leader
-            && v.verify(
-                leader,
-                Self::digest(self.value, self.view),
-                &self.leader_sig,
-            )
-    }
-}
-
-impl Digestible for LeaderSigned {
-    fn absorb(&self, h: &mut Sha256) {
-        ("psync-ls", self.value, self.view).absorb(h);
-    }
+/// This is the unit of equivocation detection: two such pairs of the same
+/// view with different values convict the leader.
+pub(crate) fn leader_signed(ls: &PhaseVote, config: Config, v: &impl Verify) -> bool {
+    ls.verify(VbbFiveFMinusOne::PROPOSE, ls.view.leader(config.n()), v)
 }
 
 /// `⟨vote, ⟨v, w⟩_{L_w, i}⟩_i`: a vote — the leader-signed pair
@@ -72,19 +35,19 @@ impl Digestible for LeaderSigned {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VoteMsg {
     /// The leader-signed proposal being voted.
-    pub ls: LeaderSigned,
+    pub ls: PhaseVote,
     /// The voter's signature.
     pub voter_sig: Signature,
 }
 
 impl VoteMsg {
     /// The digest the voter signs.
-    pub(crate) fn digest(ls: &LeaderSigned) -> Digest {
+    pub(crate) fn digest(ls: &PhaseVote) -> Digest {
         Digest::of(&("psync-vote", ls.value, ls.view))
     }
 
     /// Creates a vote by `voter` for `ls`.
-    pub(crate) fn new(voter: &Signer, ls: LeaderSigned) -> Self {
+    pub(crate) fn new(voter: &Signer, ls: PhaseVote) -> Self {
         VoteMsg {
             ls,
             voter_sig: voter.sign(Self::digest(&ls)),
@@ -98,7 +61,8 @@ impl VoteMsg {
 
     /// Verifies both signatures.
     pub(crate) fn verify(&self, config: Config, v: &impl Verify) -> bool {
-        self.ls.verify(config, v) && v.verify_embedded(Self::digest(&self.ls), &self.voter_sig)
+        leader_signed(&self.ls, config, v)
+            && v.verify_embedded(Self::digest(&self.ls), &self.voter_sig)
     }
 }
 
@@ -118,7 +82,7 @@ pub enum TimeoutMsg {
     /// Timed out after voting for the contained leader-signed value.
     Val {
         /// The leader-signed pair voted for.
-        ls: LeaderSigned,
+        ls: PhaseVote,
         /// The sender's counter-signature (same digest as a vote).
         voter_sig: Signature,
     },
@@ -139,7 +103,7 @@ impl TimeoutMsg {
     }
 
     /// Creates a value timeout from the vote the party cast.
-    pub(crate) fn val(signer: &Signer, ls: LeaderSigned) -> Self {
+    pub(crate) fn val(signer: &Signer, ls: PhaseVote) -> Self {
         TimeoutMsg::Val {
             ls,
             voter_sig: signer.sign(VoteMsg::digest(&ls)),
@@ -181,7 +145,7 @@ impl TimeoutMsg {
             TimeoutMsg::Bot { view, sig } => v.verify_embedded(Self::bot_digest(*view), sig),
             TimeoutMsg::Val { ls, voter_sig } => {
                 validity.check(ls.value)
-                    && ls.verify(config, v)
+                    && leader_signed(ls, config, v)
                     && v.verify_embedded(VoteMsg::digest(ls), voter_sig)
             }
         }
@@ -192,16 +156,13 @@ impl Digestible for TimeoutMsg {
     fn absorb(&self, h: &mut Sha256) {
         match self {
             TimeoutMsg::Bot { view, .. } => ("psync-tm-bot", *view, self.sender()).absorb(h),
-            TimeoutMsg::Val { ls, .. } => ("psync-tm-val", *ls, self.sender()).absorb(h),
+            TimeoutMsg::Val { ls, .. } => {
+                ("psync-tm-val", "psync-ls", ls.value, ls.view, self.sender()).absorb(h)
+            }
         }
     }
 }
 
-gcl_types::wire_struct!(LeaderSigned {
-    value,
-    view,
-    leader_sig
-});
 gcl_types::wire_struct!(VoteMsg { ls, voter_sig });
 
 gcl_types::wire_enum!(TimeoutMsg {
@@ -372,7 +333,8 @@ mod tests {
     use gcl_crypto::Signer;
 
     fn val_tm(chain: &Keychain, cfg: Config, view: View, v: Value, sender: u32) -> TimeoutMsg {
-        let ls = LeaderSigned::new(&leader_of(view, chain, cfg), v, view);
+        let leader = leader_of(view, chain, cfg);
+        let ls = PhaseVote::new(VbbFiveFMinusOne::PROPOSE, &leader, v, view);
         TimeoutMsg::val(&chain.signer(PartyId::new(sender)), ls)
     }
 
@@ -520,12 +482,12 @@ mod tests {
     #[test]
     fn vote_and_leader_signed_verify() {
         let (cfg, chain, _) = setup();
-        let w = View::FIRST;
-        let ls = LeaderSigned::new(&chain.signer(PartyId::new(0)), Value::new(1), w);
-        assert!(ls.verify(cfg, &chain.pki()));
+        let (w, one) = (View::FIRST, Value::new(1));
+        let propose = |by| PhaseVote::new(VbbFiveFMinusOne::PROPOSE, &chain.signer(by), one, w);
+        let ls = propose(PartyId::new(0));
+        assert!(leader_signed(&ls, cfg, &chain.pki()));
         // Signed by a non-leader: rejected.
-        let bad = LeaderSigned::new(&chain.signer(PartyId::new(3)), Value::new(1), w);
-        assert!(!bad.verify(cfg, &chain.pki()));
+        assert!(!leader_signed(&propose(PartyId::new(3)), cfg, &chain.pki()));
         let vote = VoteMsg::new(&chain.signer(PartyId::new(2)), ls);
         assert!(vote.verify(cfg, &chain.pki()));
         assert_eq!(vote.voter(), PartyId::new(2));

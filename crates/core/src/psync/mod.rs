@@ -16,7 +16,7 @@ mod pbft3;
 mod vbb5f1;
 
 pub use crate::signed::PhaseVote;
-pub use cert::{Certificate, LeaderSigned, TimeoutMsg, VoteMsg};
+pub use cert::{Certificate, TimeoutMsg, VoteMsg};
 pub use pbft3::{PbftMsg, PbftPsyncVbb, PreparedCert, ViewChangeMsg};
 pub use vbb5f1::{Proof, StatusMsg, VbbFiveFMinusOne, VbbMsg};
 

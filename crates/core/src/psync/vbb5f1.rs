@@ -23,7 +23,8 @@
 //! 6. **Status** — `L_w` assembles its proposal and proof from `4f−1`
 //!    statuses (or the certificate itself).
 
-use super::cert::{Certificate, LeaderSigned, Lock, TimeoutMsg, VoteMsg};
+use super::cert::{Certificate, Lock, TimeoutMsg, VoteMsg};
+use crate::signed::PhaseVote;
 use crate::Tally;
 use gcl_crypto::{Digest, MemoTag, Signature, Signer, Verifier, Verify};
 use gcl_sim::{Context, Protocol};
@@ -108,7 +109,7 @@ pub enum VbbMsg {
     /// Step 1.
     Propose {
         /// The leader-signed value-view pair.
-        ls: LeaderSigned,
+        ls: PhaseVote,
         /// The justification.
         proof: Proof,
     },
@@ -193,17 +194,20 @@ pub struct VbbFiveFMinusOne {
     fallback_source: Option<Box<dyn FnMut(View) -> Value + Send>>,
     view: View,
     cert: Certificate,
-    voted: Option<LeaderSigned>,
+    voted: Option<PhaseVote>,
     timed_out: BTreeSet<View>,
     committed: bool,
     proposed: bool,
     votes: Tally<(View, Value), VoteMsg>,
     timeouts: Tally<View, TimeoutMsg>,
     statuses: Tally<View, StatusMsg>,
-    pending: BTreeMap<View, (LeaderSigned, Proof)>,
+    pending: BTreeMap<View, (PhaseVote, Proof)>,
 }
 
 impl VbbFiveFMinusOne {
+    /// The domain a leader's proposal `⟨v, w⟩_{L_w}` is signed under.
+    pub(crate) const PROPOSE: &'static str = "psync-prop";
+
     /// Creates the party-side state.
     ///
     /// `input` must be `Some` exactly at the designated broadcaster (the
@@ -301,7 +305,7 @@ impl VbbFiveFMinusOne {
 
     // ----- Step 2: vote ---------------------------------------------------
 
-    fn proof_justifies(&self, ls: &LeaderSigned, proof: &Proof) -> bool {
+    fn proof_justifies(&self, ls: &PhaseVote, proof: &Proof) -> bool {
         match proof {
             Proof::Bootstrap => ls.view == View::FIRST,
             Proof::Cert(c) => {
@@ -332,7 +336,7 @@ impl VbbFiveFMinusOne {
         }
     }
 
-    fn maybe_vote(&mut self, ls: LeaderSigned, proof: Proof, ctx: &mut dyn Context<VbbMsg>) {
+    fn maybe_vote(&mut self, ls: PhaseVote, proof: Proof, ctx: &mut dyn Context<VbbMsg>) {
         if self.committed
             || ls.view != self.view
             || self.voted.is_some()
@@ -500,7 +504,7 @@ impl VbbFiveFMinusOne {
             };
             (v, Proof::Statuses(statuses))
         };
-        let ls = LeaderSigned::new(&self.signer, value, w);
+        let ls = PhaseVote::new(Self::PROPOSE, &self.signer, value, w);
         self.proposed = true;
         self.voted = Some(ls);
         let vote = VoteMsg::new(&self.signer, ls);
@@ -539,8 +543,9 @@ impl Protocol for VbbFiveFMinusOne {
         }
         match msg {
             VbbMsg::Propose { ls, proof } => {
-                if from != self.leader(ls.view)
-                    || !ls.verify(self.config, &self.verifier)
+                let leader = self.leader(ls.view);
+                if from != leader
+                    || !ls.verify(Self::PROPOSE, leader, &self.verifier)
                     || !self.validity.check(ls.value)
                 {
                     return;
@@ -612,6 +617,11 @@ mod tests {
     use std::sync::Arc;
 
     const DELTA: Duration = Duration::from_micros(100);
+
+    /// `⟨v, w⟩_{L_w}`, signed by `leader`.
+    fn propose(leader: &Signer, v: Value, w: View) -> PhaseVote {
+        PhaseVote::new(VbbFiveFMinusOne::PROPOSE, leader, v, w)
+    }
 
     fn psync_gst0() -> TimingModel {
         TimingModel::PartialSynchrony {
@@ -733,8 +743,8 @@ mod tests {
     impl Strategy<VbbMsg> for EquivocatingLeader {
         fn start(&mut self, ctx: &mut dyn Context<VbbMsg>) {
             let w = View::FIRST;
-            let ls_a = LeaderSigned::new(&self.signer, self.value_a, w);
-            let ls_b = LeaderSigned::new(&self.signer, self.value_b, w);
+            let ls_a = propose(&self.signer, self.value_a, w);
+            let ls_b = propose(&self.signer, self.value_b, w);
             for p in ctx.config().parties().collect::<Vec<_>>() {
                 if p == self.signer.id() {
                     continue;
@@ -851,7 +861,7 @@ mod tests {
         let chain = Keychain::generate(n, 24);
         let validity = ExternalValidity::new("under-1000", |v: Value| v.as_u64() < 1_000);
         let signer0 = chain.signer(PartyId::new(0));
-        let bad = LeaderSigned::new(&signer0, Value::new(5_000), View::FIRST);
+        let bad = propose(&signer0, Value::new(5_000), View::FIRST);
         let script = gcl_sim::Scripted::multicast_at(
             gcl_types::LocalTime::ZERO,
             &[PartyId::new(1), PartyId::new(2), PartyId::new(3)],
@@ -949,7 +959,7 @@ mod tests {
                 .map(|q| StatusMsg::new(&signer(q), View::FIRST, Certificate::Genesis))
                 .to_vec();
             let propose = VbbMsg::Propose {
-                ls: LeaderSigned::new(&signer(1), Value::new(5), two),
+                ls: propose(&signer(1), Value::new(5), two),
                 proof: Proof::Statuses(statuses),
             };
             Protocol::on_message(&mut p, PartyId::new(1), propose, &mut ctx);
@@ -964,7 +974,7 @@ mod tests {
         assert!(!voted, "a forfeited view is never voted in");
         // Nothing is forfeited after the commit.
         assert_eq!(p.commit_view(), None);
-        let ls = LeaderSigned::new(&signer(0), Value::new(9), View::FIRST);
+        let ls = propose(&signer(0), Value::new(9), View::FIRST);
         let votes = [0, 1, 3].map(|q| VoteMsg::new(&signer(q), ls)).to_vec();
         Protocol::on_message(&mut p, PartyId::new(0), VbbMsg::VoteBundle(votes), &mut ctx);
         assert_eq!(ctx.committed, [Value::new(9)]);
@@ -991,7 +1001,7 @@ mod tests {
         // its certificate (hence its status to the view-2 leader) is made of.
         let chain = Keychain::generate(4, 28);
         let signer = |i: u32| chain.signer(PartyId::new(i));
-        let ls = LeaderSigned::new(&signer(0), Value::new(5), View::FIRST);
+        let ls = propose(&signer(0), Value::new(5), View::FIRST);
         let bot = TimeoutMsg::bot(&signer(3), View::FIRST);
         let val = TimeoutMsg::val(&signer(3), ls);
         for (earlier, later) in [(bot, val), (val, bot)] {
@@ -1028,7 +1038,7 @@ mod tests {
         // what P1 proposes.
         let chain = Keychain::generate(4, 29);
         let signer = |i: u32| chain.signer(PartyId::new(i));
-        let ls = LeaderSigned::new(&signer(0), Value::new(5), View::FIRST);
+        let ls = propose(&signer(0), Value::new(5), View::FIRST);
         let locking = Certificate::assemble(
             View::FIRST,
             vec![
@@ -1064,7 +1074,7 @@ mod tests {
                 later,
             ]);
             let propose = VbbMsg::Propose {
-                ls: LeaderSigned::new(&signer(1), proposed, View::new(2)),
+                ls: propose(&signer(1), proposed, View::new(2)),
                 proof,
             };
             assert!(ctx.multicast.contains(&propose), "{:?}", ctx.multicast);

@@ -51,8 +51,8 @@ impl SignedValue {
     }
 }
 
-/// `⟨v, w⟩_i` under a domain: PBFT's proposal, prepare and commit, and the
-/// FaB strawman's vote.
+/// `⟨v, w⟩_i` under a domain: PBFT's proposal, prepare and commit, the
+/// `(5f−1)`-psync-VBB leader's proposal, and the FaB strawman's vote.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseVote {
     /// The signed value.
@@ -107,7 +107,9 @@ gcl_types::wire_struct!(PhaseVote { value, view, sig });
 mod tests {
     use super::*;
     use crate::asynchrony::TwoRoundBrb;
-    use crate::psync::PbftPsyncVbb;
+    use crate::psync::{
+        Certificate, PbftPsyncVbb, StatusMsg, TimeoutMsg, VbbFiveFMinusOne, VoteMsg,
+    };
     use crate::strawman::{EarlyCommitBb, FabProposal, FabTwoRound};
     use crate::sync::{Fig5Vote, Fig6Vote, SyncStartBb, ThirdBb, TwoDeltaBb, UnsyncBb};
     use gcl_crypto::Keychain;
@@ -122,9 +124,11 @@ mod tests {
     /// The wire bytes, signature included, of every `SignedValue`,
     /// `PhaseVote` and timed-vote message, for one keychain and one value.
     /// These are the bytes each message's own struct (`Fig5Proposal`,
-    /// `SignedVote`, `PbftProposal`, …) produced, so a changed domain
-    /// string, field order or digest shows here; the golden wire hash
-    /// cannot see a changed signature, since it hashes random ones.
+    /// `SignedVote`, `PbftProposal`, vbb5f1's leader-signed pair, …)
+    /// produced, so a changed domain string, field order or digest shows
+    /// here; the golden wire hash cannot see a changed signature, since it
+    /// hashes random ones. The `vbb5f1` status signs a certificate digest
+    /// that absorbs a value timeout's leader-signed pair.
     #[test]
     fn merged_messages_sign_exactly_as_before() {
         let chain = Keychain::generate(4, 24);
@@ -134,6 +138,8 @@ mod tests {
         let phase = |domain: &str, signer: &Signer| hex(&PhaseVote::new(domain, signer, v, w));
         let timed =
             |[propose, vote]: [&str; 2]| hex(&Fig6Vote::new(vote, &s1, d, value(propose, &s0)));
+        let ls = PhaseVote::new(VbbFiveFMinusOne::PROPOSE, &s0, v, w);
+        let cert = Certificate::assemble(w, vec![TimeoutMsg::val(&s1, ls)]);
         let pins = [
             ("fig5_prop", hex(&value(ThirdBb::PROPOSE, &s0)), "0700000000000000000000005c60f636d10039c37429e327e0d00b9b8420cc504d8e4e6b233cec2c1b4fb118"),
             ("fig5_vote", hex(&Fig5Vote::new(&s1, value(ThirdBb::PROPOSE, &s0))), "0700000000000000000000005c60f636d10039c37429e327e0d00b9b8420cc504d8e4e6b233cec2c1b4fb11801000000dcc0bc7a2b67751cad43d9525cadcd3039271a4f9aa002f99c0564932894d351"),
@@ -151,6 +157,9 @@ mod tests {
             ("pbft_commit", phase(PbftPsyncVbb::COMMIT, &s1), "0700000000000000030000000000000001000000c8b19aacd15d6d02018da50a622609ce8eccf476a31e15966c6ddc3ec947ef51"),
             ("fab_prop", hex(&FabProposal::new(&s0, v, w, Vec::new())), "07000000000000000300000000000000000000007ea16031dc6343aa9d54e7d6cb6ae0cd69ab1e192d560ac8c28d22688e0c979300000000"),
             ("fab_vote", phase(FabTwoRound::VOTE, &s1), "0700000000000000030000000000000001000000942fb2611c4ed3c834fd09651de86e4e2ee2ad8a92fa99a706caf8c44ab5182c"),
+            ("vbb5f1_prop", hex(&ls), "0700000000000000030000000000000000000000b8dd60c9980e93bca8d2767136c54288404bb0ee6f1aabcd42d34de4150eb3ab"),
+            ("vbb5f1_vote", hex(&VoteMsg::new(&s1, ls)), "0700000000000000030000000000000000000000b8dd60c9980e93bca8d2767136c54288404bb0ee6f1aabcd42d34de4150eb3ab010000006e6a3dc69a4fc7a3fd874c2f18cfe63ab4ad54f35b530b9070262ba7736e96f3"),
+            ("vbb5f1_status", hex(&StatusMsg::new(&s1, w, cert)), "030000000000000002030000000000000001000000020700000000000000030000000000000000000000b8dd60c9980e93bca8d2767136c54288404bb0ee6f1aabcd42d34de4150eb3ab010000006e6a3dc69a4fc7a3fd874c2f18cfe63ab4ad54f35b530b9070262ba7736e96f301000000cb91b1324a405c6297e9d9d5d8551398c42738311a6d5891a5047ee30b64947c"),
         ];
         for (name, got, pinned) in pins {
             assert_eq!(got, pinned, "{name}");

@@ -638,7 +638,7 @@ fn worker_loop(
 /// optional driver), independent of n.
 pub(crate) fn run_async_slots(
     plan: EnginePlan,
-    slots: Vec<(Box<dyn Strategy<ErasedMsg>>, bool)>,
+    slots: Vec<ErasedSlot>,
     codec: MsgCodec,
     workers: usize,
     driver: Option<Box<dyn FnOnce(ClientHandle) + Send>>,
@@ -647,7 +647,7 @@ pub(crate) fn run_async_slots(
     assert_eq!(slots.len(), n, "one slot per party");
     assert_eq!(plan.links.len(), n * n, "full link matrix");
     assert_eq!(plan.starts.len(), n, "one start offset per party");
-    let honest: Vec<bool> = slots.iter().map(|(_, h)| *h).collect();
+    let honest: Vec<bool> = slots.iter().map(|s| s.honest).collect();
     let epoch = Instant::now();
     let commits: Arc<Mutex<Vec<CommitRecord>>> = Arc::new(Mutex::new(Vec::new()));
     let w = workers.clamp(1, n.max(1));
@@ -688,14 +688,14 @@ pub(crate) fn run_async_slots(
 
     // Static round-robin shards: party i lives on worker i mod W.
     let mut shards: Vec<Vec<WorkerParty>> = (0..w).map(|_| Vec::new()).collect();
-    for (i, ((strategy, is_honest), stream)) in slots.into_iter().zip(party_ends).enumerate() {
+    for (i, (slot, stream)) in slots.into_iter().zip(party_ends).enumerate() {
         let me = PartyId::new(i as u32);
         let start_at = epoch + plan.starts[i];
         shards[i % w].push(WorkerParty {
             global: i,
             core: PartyCore::new(me, plan.config, epoch, start_at),
-            strategy,
-            honest: is_honest,
+            strategy: slot.strategy,
+            honest: slot.honest,
             stream,
             fb: FrameBuffer::new(),
             out: OutBuf::new(),
@@ -859,7 +859,7 @@ impl AsyncBackend {
     ) -> Outcome {
         run_async_slots(
             engine_plan(spec, self.deadline),
-            slots.into_iter().map(|s| (s.strategy, s.honest)).collect(),
+            slots,
             codec,
             self.pool_size(),
             Some(Box::new(driver)),
@@ -881,7 +881,7 @@ impl Backend for AsyncBackend {
     fn execute(&self, spec: &ScenarioSpec, slots: Vec<ErasedSlot>, codec: MsgCodec) -> Outcome {
         run_async_slots(
             engine_plan(spec, self.deadline),
-            slots.into_iter().map(|s| (s.strategy, s.honest)).collect(),
+            slots,
             codec,
             self.pool_size(),
             None,
@@ -1024,13 +1024,7 @@ mod tests {
             });
             let mut plan = engine_plan(&spec, Duration::from_secs(10));
             plan.read_chunk = chunk;
-            run_async_slots(
-                plan,
-                slots.into_iter().map(|s| (s.strategy, s.honest)).collect(),
-                MsgCodec::of::<Brb2Msg>(),
-                2,
-                None,
-            )
+            run_async_slots(plan, slots, MsgCodec::of::<Brb2Msg>(), 2, None)
         };
         let chunked = run_with(Some(1));
         let normal = run_with(None);
@@ -1206,12 +1200,10 @@ mod tests {
             deadline: Duration::from_secs(30),
             read_chunk: None,
         };
-        let slots: Vec<(Box<dyn Strategy<ErasedMsg>>, bool)> = (0..n)
-            .map(|_| {
-                (
-                    Box::new(TimerThenCommit) as Box<dyn Strategy<ErasedMsg>>,
-                    true,
-                )
+        let slots: Vec<ErasedSlot> = (0..n)
+            .map(|_| ErasedSlot {
+                strategy: Box::new(TimerThenCommit),
+                honest: true,
             })
             .collect();
         let before = live_threads();

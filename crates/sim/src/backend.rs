@@ -7,18 +7,20 @@
 //! debuggable message — plus an adapter that re-types a
 //! `Context<ErasedMsg>` as the protocol's native `Context<M>`. A family
 //! registers **once** (its runner closure calls
-//! [`ScenarioSpec::run_protocol_on`]) and every [`Backend`] can execute
-//! it: the inline simulator or `gcl_net`'s `AsyncBackend`.
+//! [`ScenarioSpec::run_protocol_on`]) and runs wherever that call points:
+//! `None` is the inline simulator, `Some(backend)` any [`Backend`], such as
+//! `gcl_net`'s `AsyncBackend`.
 //!
-//! The inline simulator stays erasure-free: [`SimBackend`] reports
-//! [`Backend::native_sim`], so `run_protocol_on` routes it through the
-//! monomorphic hot loop (no per-message boxing on the measured path). The
-//! erased path is still a real, tested simulator configuration
-//! ([`SimBackend::forced_erased`]), which is how the erasure layer itself
-//! is verified to preserve outcomes.
+//! The inline simulator is not a backend. It installs the spec's party
+//! [`Slot`]s as they are on its monomorphic hot loop (no per-message
+//! boxing on the measured path); a backend receives the same slots, each
+//! wrapped for erasure, as [`ErasedSlot`]s. A unit test runs both forms
+//! of every adversary mix on the simulator and requires equal outcomes,
+//! which is how the erasure layer itself is verified.
 
 use crate::context::{Context, Strategy};
 use crate::outcome::Outcome;
+use crate::runner::Slot;
 use crate::scenario::ScenarioSpec;
 use gcl_types::{Config, Duration, LocalTime, PartyId, Value, WireError, WireMsg};
 use std::any::Any;
@@ -171,34 +173,13 @@ impl<M: WireMsg> Context<M> for Reify<'_, M> {
     }
 }
 
-/// Wraps any `Strategy<M>` as a `Strategy<ErasedMsg>`: incoming payloads
+/// Wraps a `Strategy<M>` as a `Strategy<ErasedMsg>`: incoming payloads
 /// downcast to `M`, outgoing effects re-erase through [`Reify`].
-pub(crate) struct Erase<M, S> {
-    inner: S,
-    _marker: PhantomData<fn() -> M>,
+struct Erase<M> {
+    inner: Box<dyn Strategy<M>>,
 }
 
-impl<M, S> Erase<M, S> {
-    /// Erases `inner`'s message type.
-    pub(crate) fn new(inner: S) -> Self {
-        Erase {
-            inner,
-            _marker: PhantomData,
-        }
-    }
-}
-
-impl<M, S> fmt::Debug for Erase<M, S> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("Erase")
-    }
-}
-
-impl<M, S> Strategy<ErasedMsg> for Erase<M, S>
-where
-    M: WireMsg,
-    S: Strategy<M>,
-{
+impl<M: WireMsg> Strategy<ErasedMsg> for Erase<M> {
     fn start(&mut self, ctx: &mut dyn Context<ErasedMsg>) {
         self.inner.start(&mut Reify {
             ctx,
@@ -226,115 +207,61 @@ where
     }
 }
 
-/// One pre-built party slot handed to a [`Backend`]: the code to run
-/// (honest protocol, or the spec's silent/crashing adversary wrapper) and
-/// whether the slot counts as honest for [`Outcome`] audits.
-pub struct ErasedSlot {
-    /// The party's code.
-    pub strategy: Box<dyn Strategy<ErasedMsg>>,
-    /// Whether the slot is honest.
-    pub honest: bool,
-}
+/// One pre-built party slot handed to a [`Backend`]: a [`Slot`] whose
+/// code speaks [`ErasedMsg`].
+pub type ErasedSlot = Slot<ErasedMsg>;
 
-impl fmt::Debug for ErasedSlot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ErasedSlot")
-            .field("honest", &self.honest)
-            .finish()
+impl<M: WireMsg> Slot<M> {
+    /// The same slot with its message type erased.
+    pub(crate) fn erase(self) -> ErasedSlot {
+        Slot::new(
+            Erase {
+                inner: self.strategy,
+            },
+            self.honest,
+        )
     }
 }
 
-/// An execution backend: anything that can run a validated
-/// [`ScenarioSpec`] over type-erased party slots and report a simulator-
-/// comparable [`Outcome`].
+/// An execution backend: anything other than the inline simulator that
+/// can run a validated [`ScenarioSpec`] over type-erased party slots and
+/// report a simulator-comparable [`Outcome`].
 ///
 /// The slots arrive fully assembled (adversary wrappers already applied
 /// per [`ScenarioSpec::adversary_slots`]); the backend supplies the
 /// *environment* — delivery delays per [`ScenarioSpec::link_delays`],
 /// start skew per [`ScenarioSpec::skew_schedule`], clocks, and transport.
-/// Backends whose transport is bytes (sockets, processes) encode every
-/// in-flight message via [`ErasedMsg::encode`] and re-type delivered
-/// frames with the supplied [`MsgCodec`]; in-memory backends may ignore
-/// the codec and move the erased payloads directly.
+/// A backend's transport carries bytes: it encodes every in-flight
+/// message via [`ErasedMsg::encode`] and re-types delivered frames with
+/// the supplied [`MsgCodec`].
 pub trait Backend {
-    /// Short stable name for reports and labels (`"sim"`, `"async"`, …).
+    /// Short stable name for reports and labels (`"async"`, …).
     fn name(&self) -> &'static str;
 
-    /// True only for the inline simulator, which runs families
-    /// generically: [`ScenarioSpec::run_protocol_on`] then skips erasure
-    /// and takes the monomorphic hot loop.
-    fn native_sim(&self) -> bool {
-        false
-    }
-
     /// Runs `spec` (shape already validated) over the pre-built slots.
-    /// `codec` round-trips the run's message type through bytes for
-    /// transports that need it.
+    /// `codec` re-types the run's message bytes.
     fn execute(&self, spec: &ScenarioSpec, slots: Vec<ErasedSlot>, codec: MsgCodec) -> Outcome;
-}
-
-/// The in-process deterministic simulator as a [`Backend`].
-///
-/// [`SimBackend::new`] is the default used by
-/// [`ScenarioRegistry::run`](crate::ScenarioRegistry::run): it reports
-/// [`Backend::native_sim`], so registered families run without erasure.
-/// [`SimBackend::forced_erased`] disables that shortcut and pushes the run
-/// through the same type-erased slot path every other backend uses —
-/// outcomes must be identical, which is the erasure layer's conformance
-/// test.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct SimBackend {
-    erased: bool,
-}
-
-impl SimBackend {
-    /// The native (erasure-free) simulator backend.
-    pub(crate) const fn new() -> Self {
-        SimBackend { erased: false }
-    }
-
-    /// A simulator backend that refuses the native shortcut and runs the
-    /// type-erased slot path (for testing the erasure layer).
-    #[cfg(test)]
-    const fn forced_erased() -> Self {
-        SimBackend { erased: true }
-    }
-}
-
-impl Backend for SimBackend {
-    fn name(&self) -> &'static str {
-        "sim"
-    }
-
-    fn native_sim(&self) -> bool {
-        !self.erased
-    }
-
-    fn execute(&self, spec: &ScenarioSpec, slots: Vec<ErasedSlot>, _codec: MsgCodec) -> Outcome {
-        let mut b = spec.sim_builder::<ErasedMsg>();
-        for (i, slot) in slots.into_iter().enumerate() {
-            b = b.slot_boxed(PartyId::new(i as u32), slot.strategy, slot.honest);
-        }
-        b.run()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::context::Protocol;
-    use crate::scenario::{AdversaryMix, ScenarioSpec};
+    use crate::scenario::{Admission, AdversaryMix, DelayChoice, ScenarioRegistry, ValidityMode};
     use gcl_types::Encode;
 
     #[derive(Debug, Clone, PartialEq)]
     struct WordMsg(String);
     gcl_types::wire_newtype!(WordMsg);
 
-    /// Broadcaster multicasts a string; everyone commits its length.
-    struct WordFlood {
+    /// Broadcaster multicasts a word; every party echoes the first word it
+    /// hears and commits its length once `n − f` copies are in, so crash
+    /// budgets cut runs mid-protocol.
+    struct WordEcho {
         input: Option<Value>,
+        heard: usize,
     }
-    impl Protocol for WordFlood {
+    impl Protocol for WordEcho {
         type Msg = WordMsg;
         fn start(&mut self, ctx: &mut dyn Context<WordMsg>) {
             if let Some(v) = self.input {
@@ -342,43 +269,83 @@ mod tests {
             }
         }
         fn on_message(&mut self, _from: PartyId, m: WordMsg, ctx: &mut dyn Context<WordMsg>) {
-            ctx.commit(Value::new(m.0.len() as u64));
-            ctx.terminate();
+            self.heard += 1;
+            if self.heard == 1 {
+                ctx.multicast(m.clone());
+            }
+            if self.heard == ctx.config().quorum() {
+                ctx.commit(Value::new(m.0.len() as u64));
+                ctx.terminate();
+            }
         }
     }
 
-    fn spec() -> ScenarioSpec {
-        ScenarioSpec::lockstep("wordflood", 4, 1, Duration::from_micros(10))
-            .with_input(Value::new(6))
-    }
-
-    fn run_on(backend: &dyn Backend) -> Outcome {
-        spec().run_protocol_on(backend, |p| WordFlood {
-            input: spec().input_for(p),
-        })
-    }
-
-    #[test]
-    fn erased_run_matches_native_run() {
-        let native = run_on(&SimBackend::new());
-        let erased = run_on(&SimBackend::forced_erased());
-        assert_eq!(native.committed_value(), Some(Value::new(6)));
-        assert_eq!(erased.committed_value(), native.committed_value());
-        assert_eq!(erased.events_processed(), native.events_processed());
-        assert_eq!(erased.messages_sent(), native.messages_sent());
-        assert_eq!(erased.good_case_latency(), native.good_case_latency());
-        assert_eq!(erased.good_case_rounds(), native.good_case_rounds());
-    }
-
-    #[test]
-    fn erased_run_installs_adversary_slots() {
-        let spec = spec().with_adversary(AdversaryMix::TrailingSilent { count: 1 });
-        let o = spec.run_protocol_on(&SimBackend::forced_erased(), |p| WordFlood {
+    fn echo(spec: &ScenarioSpec, p: PartyId) -> WordEcho {
+        WordEcho {
             input: spec.input_for(p),
-        });
-        assert!(!o.is_honest(PartyId::new(3)), "trailing slot is Byzantine");
-        assert!(o.agreement_holds());
-        assert!(o.all_honest_committed());
+            heard: 0,
+        }
+    }
+
+    /// Events, messages, latency, rounds, honesty vector and commits.
+    fn observed(o: &Outcome) -> impl PartialEq + fmt::Debug + '_ {
+        let metrics = (o.events_processed(), o.messages_sent());
+        let good_case = (o.good_case_latency(), o.good_case_rounds());
+        (metrics, good_case, &o.honest, o.commits())
+    }
+
+    /// The erasure layer's exact reference: for every adversary mix, the
+    /// spec's erased slots on the simulator run exactly as the registry's
+    /// native run of the same spec.
+    #[test]
+    fn erased_slots_run_exactly_like_the_native_population() {
+        let canonical = ScenarioSpec::lockstep("wordecho", 7, 2, Duration::from_micros(10))
+            .with_input(Value::new(6))
+            .with_delays(DelayChoice::Uniform {
+                lo: Duration::from_micros(1),
+                hi: Duration::from_micros(10),
+            })
+            .with_seed(1);
+        let mut reg = ScenarioRegistry::new();
+        reg.register_fn(
+            "wordecho",
+            "echo flood",
+            Admission::Any,
+            ValidityMode::Broadcast,
+            canonical.clone(),
+            |spec, backend| spec.run_protocol_on(backend, |p| echo(spec, p)),
+        );
+        let mixes = [
+            AdversaryMix::None,
+            AdversaryMix::TrailingSilent { count: 2 },
+            AdversaryMix::RandomSilent { count: 2 },
+            AdversaryMix::RandomCrashing {
+                count: 2,
+                max_handled: 4,
+            },
+            AdversaryMix::CrashAt {
+                party: PartyId::new(0),
+                handled: 1,
+            },
+            AdversaryMix::LeaderCascade {
+                count: 2,
+                first_handled: 1,
+                stagger: 2,
+            },
+        ];
+        for mix in mixes {
+            let spec = canonical.clone().with_adversary(mix);
+            let native = reg.run(&spec).unwrap();
+            let erased = spec
+                .sim_builder::<ErasedMsg>()
+                .slots(spec.erased_slots(|p| echo(&spec, p)))
+                .run();
+            let label = spec.label();
+            assert_eq!(observed(&erased), observed(&native), "{label}");
+            assert!(!native.commits().is_empty(), "{label}: the run got going");
+            let all_honest = native.honest.iter().all(|h| *h);
+            assert_eq!(all_honest, mix == AdversaryMix::None, "{label}");
+        }
     }
 
     #[test]

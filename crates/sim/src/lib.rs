@@ -75,7 +75,7 @@ pub use network::{
     ScheduleOracle, TimingModel,
 };
 pub use outcome::{CommitRecord, Outcome, SchedCounters};
-pub use runner::{Simulation, SimulationBuilder};
+pub use runner::{Simulation, SimulationBuilder, Slot};
 pub use scenario::{
     Admission, AdversaryMix, AdversaryRole, DelayChoice, FamilyParams, ScenarioError,
     ScenarioFamily, ScenarioRegistry, ScenarioSpec, SkewChoice, ValidityMode,

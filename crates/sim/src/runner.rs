@@ -24,9 +24,34 @@ impl Simulation {
     }
 }
 
-/// A party slot: the strategy to run plus whether the slot is honest.
-/// `None` until filled by the builder.
-type Slot<M> = Option<(Box<dyn Strategy<M>>, bool)>;
+/// One party slot: the code the party runs and whether it counts as honest
+/// for [`Outcome`] audits. A [`ScenarioSpec`](crate::ScenarioSpec) builds
+/// all `n` of a run; a [`Backend`](crate::Backend) receives them
+/// type-erased, as [`ErasedSlot`](crate::ErasedSlot)s.
+pub struct Slot<M> {
+    /// The party's code.
+    pub strategy: Box<dyn Strategy<M>>,
+    /// Whether the slot is honest.
+    pub honest: bool,
+}
+
+impl<M> Slot<M> {
+    /// A slot running `strategy`, honest or not.
+    pub(crate) fn new(strategy: impl Strategy<M>, honest: bool) -> Self {
+        Slot {
+            strategy: Box::new(strategy),
+            honest,
+        }
+    }
+}
+
+impl<M> fmt::Debug for Slot<M> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Slot")
+            .field("honest", &self.honest)
+            .finish_non_exhaustive()
+    }
+}
 
 /// Horizon after which a run stops: 600 simulated seconds.
 const MAX_TIME: GlobalTime = GlobalTime::from_micros(600_000_000);
@@ -48,7 +73,8 @@ pub struct SimulationBuilder<M> {
     timing: TimingModel,
     oracle: Box<dyn DelayOracle<M>>,
     skew: SkewSchedule,
-    slots: Vec<Slot<M>>,
+    /// `None` until filled.
+    slots: Vec<Option<Slot<M>>>,
     broadcaster: PartyId,
     record_trace: bool,
     queue_delta: Duration,
@@ -139,21 +165,20 @@ impl<M: Clone + fmt::Debug + Send + 'static> SimulationBuilder<M> {
     /// Installs a Byzantine strategy at slot `p`.
     #[must_use]
     pub fn byzantine(mut self, p: PartyId, strategy: impl Strategy<M>) -> Self {
-        self.slots[p.as_usize()] = Some((Box::new(strategy), false));
+        self.slots[p.as_usize()] = Some(Slot::new(strategy, false));
         self
     }
 
-    /// Installs a pre-boxed strategy at slot `p` with an explicit honesty
-    /// flag — the type-erased backend path (see [`crate::SimBackend`]),
-    /// where slots arrive already wrapped per the scenario's adversary mix.
+    /// Fills the slots in party-id order from `slots` — the population a
+    /// [`ScenarioSpec`](crate::ScenarioSpec) builds. Filled in place as the
+    /// iterator yields, so party objects land on the heap as
+    /// [`SimulationBuilder::spawn_honest`] places them; collecting them into
+    /// an intermediate vector first measurably slowed the n = 1024 flood.
     #[must_use]
-    pub(crate) fn slot_boxed(
-        mut self,
-        p: PartyId,
-        strategy: Box<dyn Strategy<M>>,
-        honest: bool,
-    ) -> Self {
-        self.slots[p.as_usize()] = Some((strategy, honest));
+    pub(crate) fn slots(mut self, slots: impl IntoIterator<Item = Slot<M>>) -> Self {
+        for (dst, slot) in self.slots.iter_mut().zip(slots) {
+            *dst = Some(slot);
+        }
         self
     }
 
@@ -166,7 +191,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> SimulationBuilder<M> {
         for i in 0..self.config.n() {
             if self.slots[i].is_none() {
                 let p = PartyId::new(i as u32);
-                self.slots[i] = Some((Box::new(make(p)), true));
+                self.slots[i] = Some(Slot::new(make(p), true));
             }
         }
         self
@@ -194,9 +219,9 @@ impl<M: Clone + fmt::Debug + Send + 'static> SimulationBuilder<M> {
         let mut strategies: Vec<Box<dyn Strategy<M>>> = Vec::with_capacity(n);
         let mut honest = Vec::with_capacity(n);
         for (i, slot) in slots.into_iter().enumerate() {
-            let (s, h) = slot.unwrap_or_else(|| panic!("slot {i} was never filled"));
-            strategies.push(s);
-            honest.push(h);
+            let slot = slot.unwrap_or_else(|| panic!("slot {i} was never filled"));
+            strategies.push(slot.strategy);
+            honest.push(slot.honest);
         }
 
         let mut net = Router {

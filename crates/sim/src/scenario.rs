@@ -58,16 +58,16 @@
 //! ```
 //!
 //! The `backend` parameter is what makes a registration execution-target
-//! agnostic: [`ScenarioRegistry::run`] passes the inline simulator, while
-//! [`ScenarioRegistry::run_on`] can pass any other [`Backend`] (e.g.
-//! `gcl_net`'s `AsyncBackend`) and the same one-line registration runs
-//! there too.
+//! agnostic: [`ScenarioRegistry::run`] passes `None`, the inline
+//! simulator, while [`ScenarioRegistry::run_on`] passes `Some` of any
+//! [`Backend`] (e.g. `gcl_net`'s `AsyncBackend`) and the same one-line
+//! registration runs there too.
 
-use crate::backend::{Backend, Erase, ErasedMsg, ErasedSlot, MsgCodec, SimBackend};
+use crate::backend::{Backend, ErasedSlot, MsgCodec};
 use crate::context::Protocol;
 use crate::network::{FixedDelay, RandomDelay, TimingModel};
 use crate::outcome::Outcome;
-use crate::runner::{Simulation, SimulationBuilder};
+use crate::runner::{Simulation, SimulationBuilder, Slot};
 use crate::strategies::{Crashing, Silent};
 use gcl_types::{Config, ConfigError, Duration, GlobalTime, PartyId, SkewSchedule, Value};
 use rand::rngs::StdRng;
@@ -113,6 +113,7 @@ pub enum DelayChoice {
     Fixed,
     /// Per-message delays drawn uniformly from `[lo, hi]`, seeded from the
     /// spec (the runner still clamps to the timing model on honest links).
+    /// The registry rejects `lo > hi` at validation time.
     Uniform {
         /// Lower bound of the draw.
         lo: Duration,
@@ -179,7 +180,8 @@ pub enum AdversaryMix {
     /// A kill schedule for leader-rotation fault injection: the first
     /// `min(count, f)` parties — the round-robin leaders of views
     /// 1, 2, … — run the honest code wrapped in [`Crashing`], with party
-    /// `i` crashing after `first_handled + i × stagger` handled events.
+    /// `i` crashing after `first_handled + i × stagger` handled events
+    /// (saturating at `u32::MAX`).
     /// The result is `k ≤ f` *successive* leaders dying mid-run, each a
     /// little later than its predecessor, so every crash lands on the
     /// party currently holding proposal rights.
@@ -533,7 +535,7 @@ impl ScenarioSpec {
                     (
                         PartyId::new(i),
                         AdversaryRole::Crash {
-                            handled: first_handled + i * stagger,
+                            handled: first_handled.saturating_add(i.saturating_mul(stagger)),
                         },
                     )
                 })
@@ -565,35 +567,36 @@ impl ScenarioSpec {
         }
     }
 
-    /// Assembles and runs the simulation this spec describes around the
-    /// family's honest protocol constructor. This is the one place where a
-    /// family's message-type generic meets the type-erased spec: timing
-    /// model, delay oracle, skew, Byzantine slots (silent or crashing
-    /// wrappers around `make`) and honest spawning all come from the spec.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shape is not a valid [`Config`] (the registry's
-    /// [`ScenarioRegistry::run`] validates shapes before getting here).
-    pub(crate) fn run_protocol<P: Protocol>(&self, mut make: impl FnMut(PartyId) -> P) -> Outcome {
-        let mut b = self.sim_builder::<P::Msg>();
-        for (p, role) in self.adversary_slots() {
-            b = match role {
-                AdversaryRole::Silent => b.byzantine(p, Silent::<P::Msg>::new()),
-                AdversaryRole::Crash { handled } => {
-                    b.byzantine(p, Crashing::new(make(p), handled as usize))
-                }
+    /// The spec's `n` party slots, yielded in party-id order and each built
+    /// as it is consumed: an honest slot runs `make(p)`, a Byzantine slot
+    /// per [`ScenarioSpec::adversary_slots`] runs [`Silent`] or a
+    /// [`Crashing`] wrapper around `make(p)`. This is the one place an
+    /// adversary role becomes party code: the simulator installs these
+    /// slots as they are, a [`Backend`] gets them erased.
+    pub(crate) fn party_slots<P: Protocol>(
+        &self,
+        mut make: impl FnMut(PartyId) -> P,
+    ) -> impl Iterator<Item = Slot<P::Msg>> {
+        // `adversary_slots` is ascending, so one pass pairs it with the ids.
+        let mut byzantine = self.adversary_slots().into_iter().peekable();
+        (0..self.n as u32).map(PartyId::new).map(move |p| {
+            let Some((_, role)) = byzantine.next_if(|&(q, _)| q == p) else {
+                return Slot::new(make(p), true);
             };
-        }
-        b.spawn_honest(make).run()
+            match role {
+                AdversaryRole::Silent => Slot::new(Silent::<P::Msg>::new(), false),
+                AdversaryRole::Crash { handled } => {
+                    Slot::new(Crashing::new(make(p), handled as usize), false)
+                }
+            }
+        })
     }
 
-    /// Runs this spec on an arbitrary [`Backend`] — the execution-target-
-    /// agnostic form of `ScenarioSpec::run_protocol` that registered
-    /// family closures call. The native simulator backend takes the
-    /// erasure-free hot loop; every other backend receives the spec's
-    /// party slots type-erased via [`ScenarioSpec::erased_slots`] plus the
-    /// [`MsgCodec`] that round-trips the family's message type through
+    /// Runs this spec's population around the family's honest protocol
+    /// constructor — the call every registered family closure makes.
+    /// `None` runs the inline simulator's monomorphic hot loop; `Some`
+    /// hands the [`ScenarioSpec::erased_slots`] to that [`Backend`], with
+    /// the [`MsgCodec`] that round-trips the family's message type through
     /// bytes (this is the one place that still sees the `P::Msg` generic,
     /// so it is where the codec gets monomorphized).
     ///
@@ -602,50 +605,22 @@ impl ScenarioSpec {
     /// Panics if the shape is not a valid [`Config`].
     pub fn run_protocol_on<P: Protocol>(
         &self,
-        backend: &dyn Backend,
+        backend: Option<&dyn Backend>,
         make: impl FnMut(PartyId) -> P,
     ) -> Outcome {
-        if backend.native_sim() {
-            self.run_protocol(make)
-        } else {
-            backend.execute(self, self.erased_slots(make), MsgCodec::of::<P::Msg>())
+        match backend {
+            None => self.sim_builder().slots(self.party_slots(make)).run(),
+            Some(backend) => {
+                backend.execute(self, self.erased_slots(make), MsgCodec::of::<P::Msg>())
+            }
         }
     }
 
-    /// The spec's `n` party slots, type-erased for a [`Backend`]: honest
-    /// slots wrap `make(p)`, Byzantine slots per
-    /// [`ScenarioSpec::adversary_slots`] get [`Silent`] or a [`Crashing`]
-    /// wrapper around the honest code — exactly the population
-    /// `ScenarioSpec::run_protocol` spawns inline.
-    pub fn erased_slots<P: Protocol>(&self, mut make: impl FnMut(PartyId) -> P) -> Vec<ErasedSlot> {
-        let mut roles: Vec<Option<AdversaryRole>> = vec![None; self.n];
-        for (p, role) in self.adversary_slots() {
-            roles[p.as_usize()] = Some(role);
-        }
-        roles
-            .into_iter()
-            .enumerate()
-            .map(|(i, role)| {
-                let p = PartyId::new(i as u32);
-                match role {
-                    None => ErasedSlot {
-                        strategy: Box::new(Erase::<P::Msg, P>::new(make(p))),
-                        honest: true,
-                    },
-                    Some(AdversaryRole::Silent) => ErasedSlot {
-                        strategy: Box::new(Silent::<ErasedMsg>::new()),
-                        honest: false,
-                    },
-                    Some(AdversaryRole::Crash { handled }) => ErasedSlot {
-                        strategy: Box::new(Erase::<P::Msg, _>::new(Crashing::new(
-                            make(p),
-                            handled as usize,
-                        ))),
-                        honest: false,
-                    },
-                }
-            })
-            .collect()
+    /// The spec's `n` party slots — honest `make(p)`, or the silent or
+    /// crashing wrapper [`ScenarioSpec::adversary_slots`] assigns —
+    /// type-erased for a [`Backend`].
+    pub fn erased_slots<P: Protocol>(&self, make: impl FnMut(PartyId) -> P) -> Vec<ErasedSlot> {
+        self.party_slots(make).map(Slot::erase).collect()
     }
 
     /// The per-link delivery delays (`from * n + to` indexing, self-links
@@ -731,8 +706,8 @@ fn sample_distinct(rng: &mut StdRng, n: usize, count: usize) -> Vec<u32> {
 }
 
 /// The spec-driven runner a family registers: it erases the family's
-/// message-type generic behind one call.
-type FamilyRunner = Box<dyn Fn(&ScenarioSpec, &dyn Backend) -> Outcome + Send + Sync>;
+/// message-type generic behind one call (`None`: the inline simulator).
+type FamilyRunner = Box<dyn Fn(&ScenarioSpec, Option<&dyn Backend>) -> Outcome + Send + Sync>;
 
 /// A registered protocol family: a key, a resilience band, and the
 /// spec-driven runner that erases the family's message-type generic.
@@ -777,8 +752,8 @@ impl ScenarioFamily {
     }
 
     /// Runs `spec` (shape already validated by the registry) on the given
-    /// execution backend.
-    pub(crate) fn run_on(&self, spec: &ScenarioSpec, backend: &dyn Backend) -> Outcome {
+    /// execution backend, or on the inline simulator for `None`.
+    pub(crate) fn run_on(&self, spec: &ScenarioSpec, backend: Option<&dyn Backend>) -> Outcome {
         (self.run)(spec, backend)
     }
 
@@ -821,6 +796,15 @@ pub enum ScenarioError {
         /// The band that rejected the shape.
         band: &'static str,
     },
+    /// A [`DelayChoice::Uniform`] range with `lo > hi`.
+    EmptyDelayRange {
+        /// The family key.
+        family: &'static str,
+        /// The range's lower bound.
+        lo: Duration,
+        /// The range's upper bound.
+        hi: Duration,
+    },
     /// The shape is not a valid [`Config`] at all.
     Config(ConfigError),
 }
@@ -837,6 +821,9 @@ impl fmt::Display for ScenarioError {
                     out,
                     "{family}: (n={n}, f={f}) outside resilience band {band}"
                 )
+            }
+            ScenarioError::EmptyDelayRange { family, lo, hi } => {
+                write!(out, "{family}: delay range [{lo}, {hi}] is empty")
             }
             ScenarioError::Config(e) => write!(out, "invalid shape: {e}"),
         }
@@ -883,7 +870,7 @@ impl ScenarioRegistry {
         canonical: ScenarioSpec,
         run: F,
     ) where
-        F: Fn(&ScenarioSpec, &dyn Backend) -> Outcome + Send + Sync + 'static,
+        F: Fn(&ScenarioSpec, Option<&dyn Backend>) -> Outcome + Send + Sync + 'static,
     {
         let family = ScenarioFamily {
             key,
@@ -934,7 +921,8 @@ impl ScenarioRegistry {
     ///
     /// # Errors
     ///
-    /// Unknown family, invalid config, or out-of-band shape.
+    /// Unknown family, invalid config, a party outside `0..n`, an empty
+    /// delay range, or an out-of-band shape.
     pub fn validate(&self, spec: &ScenarioSpec) -> Result<&ScenarioFamily, ScenarioError> {
         let family = self
             .family(spec.family)
@@ -951,6 +939,12 @@ impl ScenarioRegistry {
                     party,
                     n: spec.n,
                 });
+            }
+        }
+        if let DelayChoice::Uniform { lo, hi } = spec.delays {
+            if lo > hi {
+                let family = family.key();
+                return Err(ScenarioError::EmptyDelayRange { family, lo, hi });
             }
         }
         if !family.admission().admits(spec.n, spec.f) {
@@ -970,7 +964,7 @@ impl ScenarioRegistry {
     ///
     /// Everything [`ScenarioRegistry::validate`] rejects.
     pub fn run(&self, spec: &ScenarioSpec) -> Result<Outcome, ScenarioError> {
-        Ok(self.validate(spec)?.run_on(spec, &SimBackend::new()))
+        Ok(self.validate(spec)?.run_on(spec, None))
     }
 
     /// Runs one spec end to end on an arbitrary execution [`Backend`] —
@@ -985,7 +979,7 @@ impl ScenarioRegistry {
         spec: &ScenarioSpec,
         backend: &dyn Backend,
     ) -> Result<Outcome, ScenarioError> {
-        Ok(self.validate(spec)?.run_on(spec, backend))
+        Ok(self.validate(spec)?.run_on(spec, Some(backend)))
     }
 }
 
@@ -1150,6 +1144,18 @@ mod tests {
     }
 
     #[test]
+    fn leader_cascade_budgets_saturate_instead_of_overflowing() {
+        let spec =
+            ScenarioSpec::asynchronous("x", 9, 2).with_adversary(AdversaryMix::LeaderCascade {
+                count: 2,
+                first_handled: u32::MAX - 1,
+                stagger: 5,
+            });
+        let last = spec.adversary_slots()[1].1;
+        assert_eq!(last, AdversaryRole::Crash { handled: u32::MAX });
+    }
+
+    #[test]
     fn trailing_silent_matches_legacy_layout() {
         let spec = ScenarioSpec::lockstep("x", 6, 4, Duration::from_micros(1_000))
             .with_adversary(AdversaryMix::TrailingSilent { count: u32::MAX });
@@ -1240,6 +1246,22 @@ mod tests {
             matches!(err, ScenarioError::PartyOutOfRange { n: 4, .. }),
             "{err}"
         );
+    }
+
+    #[test]
+    fn empty_delay_range_rejected_not_panicking() {
+        let reg = test_registry();
+        let spec = reg
+            .spec("flood")
+            .unwrap()
+            .with_delays(DelayChoice::Uniform {
+                lo: Duration::from_micros(10),
+                hi: Duration::from_micros(5),
+            });
+        let err = reg.run(&spec).unwrap_err();
+        assert!(err.to_string().contains("is empty"), "{err}");
+        let report = crate::Sweep::new(&reg).cells([spec]).run();
+        assert_eq!(report.cells_skipped(), 1, "a sweep skips the cell");
     }
 
     #[test]

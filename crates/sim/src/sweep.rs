@@ -53,14 +53,11 @@
 //! assert_eq!(report.safety_violations().count(), 0);
 //! ```
 
-use crate::backend::{Backend, SimBackend};
+use crate::backend::Backend;
 use crate::scenario::{derive_cell_seed, ScenarioRegistry, ScenarioSpec};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::Instant;
-
-/// The default execution target of a sweep.
-static SIM_BACKEND: SimBackend = SimBackend::new();
 
 /// The audited result of one grid cell. Every field is deterministic in
 /// the cell's spec; two runs of the same sweep compare equal cell-by-cell.
@@ -184,7 +181,8 @@ impl SweepReport {
 /// A configured sweep, ready to [`Sweep::run`].
 pub struct Sweep<'a> {
     registry: &'a ScenarioRegistry,
-    backend: &'a (dyn Backend + Sync),
+    /// `None` is the inline simulator.
+    backend: Option<&'a (dyn Backend + Sync)>,
     cells: Vec<ScenarioSpec>,
     threads: usize,
     seed: Option<u64>,
@@ -193,7 +191,7 @@ pub struct Sweep<'a> {
 impl std::fmt::Debug for Sweep<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Sweep")
-            .field("backend", &self.backend.name())
+            .field("backend", &self.backend.map_or("sim", |b| b.name()))
             .field("cells", &self.cells.len())
             .field("threads", &self.threads)
             .field("seed", &self.seed)
@@ -207,7 +205,7 @@ impl<'a> Sweep<'a> {
     pub fn new(registry: &'a ScenarioRegistry) -> Self {
         Sweep {
             registry,
-            backend: &SIM_BACKEND,
+            backend: None,
             cells: Vec::new(),
             threads: 1,
             seed: None,
@@ -222,7 +220,7 @@ impl<'a> Sweep<'a> {
     /// agreement/validity columns still gate like simulator sweeps.
     #[must_use]
     pub fn backend(mut self, backend: &'a (dyn Backend + Sync)) -> Self {
-        self.backend = backend;
+        self.backend = Some(backend);
         self
     }
 
@@ -278,7 +276,7 @@ impl<'a> Sweep<'a> {
                     scope.spawn(move || loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
                         let Some(spec) = specs.get(i) else { break };
-                        let report = run_cell(registry, backend, spec);
+                        let report = run_cell(registry, backend.map(|b| b as _), spec);
                         if tx.send((i, report)).is_err() {
                             break;
                         }
@@ -301,8 +299,13 @@ impl<'a> Sweep<'a> {
     }
 }
 
-/// Runs and audits one cell on the sweep's execution backend.
-fn run_cell(registry: &ScenarioRegistry, backend: &dyn Backend, spec: &ScenarioSpec) -> CellReport {
+/// Runs and audits one cell on the sweep's execution backend (`None`: the
+/// inline simulator).
+fn run_cell(
+    registry: &ScenarioRegistry,
+    backend: Option<&dyn Backend>,
+    spec: &ScenarioSpec,
+) -> CellReport {
     let label = spec.label();
     match registry.validate(spec) {
         Err(e) => CellReport {

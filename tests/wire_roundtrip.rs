@@ -18,8 +18,8 @@
 use gcl_core::asynchrony::{BrachaMsg, Brb2Msg};
 use gcl_core::dishonest::{MajProposal, MajVote, MajorityMsg};
 use gcl_core::psync::{
-    Certificate, LeaderSigned, PbftMsg, PhaseVote, PreparedCert, Proof, StatusMsg, TimeoutMsg,
-    VbbMsg, ViewChangeMsg, VoteMsg,
+    Certificate, PbftMsg, PhaseVote, PreparedCert, Proof, StatusMsg, TimeoutMsg, VbbMsg,
+    ViewChangeMsg, VoteMsg,
 };
 use gcl_core::strawman::{EarlyMsg, FabMsg, FabProposal, FabViewChange};
 use gcl_core::sync::{
@@ -116,18 +116,10 @@ fn relay(rng: &mut StdRng, chain: &Keychain) -> DsRelay {
     }
 }
 
-fn leader_signed(rng: &mut StdRng, chain: &Keychain) -> LeaderSigned {
-    LeaderSigned {
-        value: value(rng),
-        view: view(rng),
-        leader_sig: sig(rng, chain),
-    }
-}
-
 fn timeout_msg(rng: &mut StdRng, chain: &Keychain, val: bool) -> TimeoutMsg {
     if val {
         TimeoutMsg::Val {
-            ls: leader_signed(rng, chain),
+            ls: phase_vote(rng, chain),
             voter_sig: sig(rng, chain),
         }
     } else {
@@ -184,7 +176,7 @@ fn proof(rng: &mut StdRng, chain: &Keychain, shape: u32) -> Proof {
 
 fn vote_msg(rng: &mut StdRng, chain: &Keychain) -> VoteMsg {
     VoteMsg {
-        ls: leader_signed(rng, chain),
+        ls: phase_vote(rng, chain),
         voter_sig: sig(rng, chain),
     }
 }
@@ -193,7 +185,7 @@ fn vbb_msg(rng: &mut StdRng, chain: &Keychain, variant: u32) -> VbbMsg {
     let pick = rng.gen_range(0u32..3);
     match variant {
         0 => VbbMsg::Propose {
-            ls: leader_signed(rng, chain),
+            ls: phase_vote(rng, chain),
             proof: proof(rng, chain, pick),
         },
         1 => VbbMsg::Vote(vote_msg(rng, chain)),
