@@ -294,11 +294,9 @@ mod tests {
         (metrics, good_case, &o.honest, o.commits())
     }
 
-    /// The erasure layer's exact reference: for every adversary mix, the
-    /// spec's erased slots on the simulator run exactly as the registry's
-    /// native run of the same spec.
-    #[test]
-    fn erased_slots_run_exactly_like_the_native_population() {
+    /// `(native, erased, spec)` for one spec per adversary mix: its registry
+    /// run, and its erased slots run on the simulator.
+    fn erased_and_native_runs() -> [(Outcome, Outcome, ScenarioSpec); 6] {
         let canonical = ScenarioSpec::lockstep("wordecho", 7, 2, Duration::from_micros(10))
             .with_input(Value::new(6))
             .with_delays(DelayChoice::Uniform {
@@ -315,7 +313,7 @@ mod tests {
             canonical.clone(),
             |spec, backend| spec.run_protocol_on(backend, |p| echo(spec, p)),
         );
-        let mixes = [
+        [
             AdversaryMix::None,
             AdversaryMix::TrailingSilent { count: 2 },
             AdversaryMix::RandomSilent { count: 2 },
@@ -332,19 +330,38 @@ mod tests {
                 first_handled: 1,
                 stagger: 2,
             },
-        ];
-        for mix in mixes {
+        ]
+        .map(|mix| {
             let spec = canonical.clone().with_adversary(mix);
-            let native = reg.run(&spec).unwrap();
             let erased = spec
                 .sim_builder::<ErasedMsg>()
                 .slots(spec.erased_slots(|p| echo(&spec, p)))
                 .run();
-            let label = spec.label();
-            assert_eq!(observed(&erased), observed(&native), "{label}");
-            assert!(!native.commits().is_empty(), "{label}: the run got going");
-            let all_honest = native.honest.iter().all(|h| *h);
-            assert_eq!(all_honest, mix == AdversaryMix::None, "{label}");
+            (reg.run(&spec).unwrap(), erased, spec)
+        })
+    }
+
+    /// The erasure layer's exact reference: for every adversary mix, erased
+    /// slots on the simulator run exactly like the registry's native run.
+    #[test]
+    fn erased_run_matches_native_run() {
+        for (native, erased, spec) in erased_and_native_runs() {
+            assert_eq!(observed(&erased), observed(&native), "{}", spec.label());
+        }
+    }
+
+    /// The erased slots put a Byzantine party exactly where
+    /// [`ScenarioSpec::adversary_slots`] names one, and leave the rest honest.
+    #[test]
+    fn erased_run_installs_adversary_slots() {
+        for (_, erased, spec) in erased_and_native_runs() {
+            let (label, byzantine) = (spec.label(), spec.adversary_slots());
+            let dishonest = erased.honest.iter().filter(|h| !**h).count();
+            assert!(byzantine.iter().all(|s| !erased.is_honest(s.0)), "{label}");
+            assert_eq!(dishonest, byzantine.len(), "{label}");
+            assert_eq!(dishonest == 0, spec.adversary == AdversaryMix::None);
+            assert!(!erased.commits().is_empty(), "{label}: the run got going");
+            assert!(erased.agreement_holds(), "{label}");
         }
     }
 
