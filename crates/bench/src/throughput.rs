@@ -300,6 +300,9 @@ pub fn render_json(rows: &[ThroughputRow], mode: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gcl_sim::{AdversaryMix, DelayChoice};
+    use gcl_smr::StateMachine;
+    use gcl_types::SlotId;
 
     type Edit = fn(&mut ThroughputRow);
 
@@ -424,6 +427,31 @@ mod tests {
             SCHEMA.check(&render_json(&rows, "test")),
             Err("no row for scenario \"smr_1k\"".to_string())
         );
+    }
+
+    #[test]
+    fn a_finite_workload_is_applied_in_full() {
+        // Seeds at which a log that ended on an end-of-log seal stopped two
+        // commands short: every honest replica committed the digest of 48
+        // commands (total 1,176). Stopping once the workload is applied
+        // commits all 50 everywhere.
+        let mut full = Counter::default();
+        for cmd in 1..=50 {
+            full.apply(SlotId::new(cmd), Value::new(cmd));
+        }
+        assert_eq!((full.total(), full.applied()), (1_275, 50));
+        let full = Value::new(full.state_digest());
+        for seed in [22, 55, 108, 109, 145] {
+            let spec = canonical("smr", 4, 1)
+                .with_adversary(AdversaryMix::RandomSilent { count: u32::MAX })
+                .with_delays(DelayChoice::Uniform {
+                    lo: Duration::ZERO,
+                    hi: Duration::from_micros(200),
+                })
+                .with_seed(seed);
+            let o = crate::scenarios::run(&spec);
+            assert!(o.validity_holds(full), "{}", spec.label());
+        }
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!
 //! The spec is fully declarative and deterministic: the same spec always
 //! produces the same [`Outcome`], including its seeded adversary mixes
-//! (random Byzantine subsets, crash schedules), seeded in-model delay
-//! oracles and seeded clock skews.
+//! (random Byzantine subsets, crash schedules) and seeded in-model delay
+//! oracles.
 //!
 //! # Examples
 //!
@@ -77,12 +77,10 @@ use std::fmt;
 use std::fmt::Debug;
 
 /// Seed salt for the adversary-placement RNG (kept distinct from the
-/// delay and skew streams so the three draws are independent).
+/// delay stream so the two draws are independent).
 const ADVERSARY_SALT: u64 = 0xad5e_ea17_0000_0001;
 /// Seed salt for the delay-oracle RNG.
 const DELAY_SALT: u64 = 0xde1a_ea17_0000_0002;
-/// Seed salt for the skew-schedule RNG.
-const SKEW_SALT: u64 = 0x5cec_ea17_0000_0003;
 
 /// SplitMix64 step — the canonical way to derive independent sub-seeds.
 fn mix_seed(seed: u64) -> u64 {
@@ -130,12 +128,6 @@ pub enum SkewChoice {
     /// Odd-indexed parties start `δ/2` late — the canonical worst-ish-case
     /// schedule of the Figure 9 unsynchronized-start measurements.
     OddHalfDelta,
-    /// Every non-broadcaster party starts late by a seeded uniform draw
-    /// from `[0, max]`.
-    Random {
-        /// Largest admissible lateness.
-        max: Duration,
-    },
 }
 
 /// The Byzantine population of a scenario. All placements and crash
@@ -312,7 +304,7 @@ pub struct ScenarioSpec {
     /// The broadcast input value.
     pub input: Value,
     /// Master seed: keychain generation, adversary placement, crash
-    /// budgets, random delays and random skews all derive from it.
+    /// budgets and random delays all derive from it.
     pub seed: u64,
     /// Family-specific knobs.
     pub params: FamilyParams,
@@ -473,18 +465,6 @@ impl ScenarioSpec {
                 let late: Vec<(PartyId, Duration)> = (1..self.n as u32)
                     .filter(|i| i % 2 == 1)
                     .map(|i| (PartyId::new(i), self.delta.halved()))
-                    .collect();
-                SkewSchedule::with_late_parties(self.n, &late)
-            }
-            SkewChoice::Random { max } => {
-                let mut rng = StdRng::seed_from_u64(self.seed ^ SKEW_SALT);
-                let late: Vec<(PartyId, Duration)> = (0..self.n as u32)
-                    .map(PartyId::new)
-                    .filter(|&p| p != self.broadcaster)
-                    .map(|p| {
-                        let us = rng.gen_range(0..=max.as_micros());
-                        (p, Duration::from_micros(us))
-                    })
                     .collect();
                 SkewSchedule::with_late_parties(self.n, &late)
             }
@@ -1178,25 +1158,6 @@ mod tests {
                 AdversaryRole::Crash { handled } => assert!(handled <= 9),
                 AdversaryRole::Silent => panic!("crash mix produced silent role"),
             }
-        }
-    }
-
-    #[test]
-    fn random_skew_spares_broadcaster_and_respects_max() {
-        let spec = ScenarioSpec::synchronous("x", 6, 1)
-            .with_skew(SkewChoice::Random {
-                max: Duration::from_micros(40),
-            })
-            .with_seed(11);
-        let sched = spec.skew_schedule();
-        assert_eq!(sched.start_of(PartyId::new(0)), GlobalTime::ZERO);
-        assert!(sched.max_skew() <= Duration::from_micros(40));
-        let again = spec.skew_schedule();
-        for i in 0..6 {
-            assert_eq!(
-                sched.start_of(PartyId::new(i)),
-                again.start_of(PartyId::new(i))
-            );
         }
     }
 

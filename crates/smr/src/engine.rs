@@ -9,22 +9,18 @@
 //!
 //! # Termination
 //!
-//! Replicas no longer know the workload length in advance. The log closes
-//! in one of two ways:
-//!
-//! * **Seal** — a leader whose (closed) command queue has drained proposes
-//!   [`Batch::Seal`]; applying it snapshots the state digest and
-//!   terminates. Under leader rotation any replica can seal: a rotation
-//!   leader whose closed pool has drained stages the seal for its view.
-//! * **Quiesce** — `quiesce_after` consecutive no-op slots at the applied
-//!   frontier terminate the replica with the same digest snapshot. This
-//!   is the trace of a genuinely idle service: a timed-out slot first
-//!   hands proposal rights to the next view's rotation leader, and only
-//!   decides [`Value::NO_OP`] when that leader (and its successors) have
-//!   nothing queued either.
-//!
-//! Both rules are functions of the applied log prefix, so replicas that
-//! agree on the log agree on the stopping point and the digest.
+//! The log has no end-of-log marker. A replica terminates by **quiesce**:
+//! `quiesce_after` consecutive no-op slots at the applied frontier, the
+//! trace of a genuinely idle service (a timed-out slot first hands
+//! proposal rights to the next view's rotation leader, and only decides
+//! [`Value::NO_OP`] when that leader and its successors have nothing
+//! queued either), snapshot the state digest as the replica's commit. A
+//! finite workload ([`SlotEngine::with_workload`]) is the same service
+//! with its commands pre-admitted; such a replica also stops, with the
+//! same snapshot, as soon as it has applied every one of them — a local
+//! observation that sends nothing and spends no slot. Both stopping points
+//! are functions of the applied log prefix, so replicas that agree on the
+//! log stop at the same digest.
 //!
 //! # Windowing and pruning
 //!
@@ -202,12 +198,6 @@ struct PoolState {
     /// dissemination and proposal bookkeeping (flushed by
     /// [`SlotEngine::flush_staged`] right after the slot interaction).
     staged: Vec<(SlotId, Batch)>,
-    /// Whether the command queue is complete (workload mode): a leader
-    /// whose pool drains proposes [`Batch::Seal`].
-    closed: bool,
-    /// The seal has been proposed and not (yet) lost a view change; stop
-    /// proposing further seals.
-    sealed: bool,
 }
 
 /// A replica: one `(5f−1)`-psync-VBB instance per slot, committed batches
@@ -275,7 +265,7 @@ pub struct SlotEngine<S> {
     pool: Arc<Mutex<PoolState>>,
     /// Batches this replica proposed (view 1) or staged for a later view,
     /// per slot: when the slot decides something else, their commands are
-    /// re-queued (and a lost seal un-seals the pool).
+    /// re-queued.
     my_proposals: BTreeMap<SlotId, Vec<Batch>>,
     /// Observability probe: when installed, the pool's counters are
     /// snapshotted here on every pump.
@@ -300,16 +290,17 @@ pub struct SlotEngine<S> {
     next_propose: u64,
     /// Applied frontier: all slots below are applied.
     applied: u64,
+    /// Commands applied so far, each counted once (duplicates filtered
+    /// out by the exactly-once check are not).
+    commands_applied: u64,
     /// Consecutive no-op slots at the applied frontier.
     trailing_noops: u64,
     terminated: bool,
 }
 
 impl<S: StateMachine> SlotEngine<S> {
-    /// Creates a replica in **serving mode**: the log is open-ended, the
-    /// leader proposes whatever clients [`SmrMsg::Submit`], and the run
-    /// ends by quiesce. Use [`SlotEngine::with_workload`] for the closed
-    /// pre-baked-queue mode that seals the log.
+    /// Creates a replica: the log is open-ended, the leader proposes
+    /// whatever clients [`SmrMsg::Submit`], and the run ends by quiesce.
     ///
     /// # Panics
     ///
@@ -331,8 +322,6 @@ impl<S: StateMachine> SlotEngine<S> {
         let pool = PoolState {
             mempool: Mempool::new(params.mempool_capacity),
             staged: Vec::new(),
-            closed: false,
-            sealed: false,
         };
         SlotEngine {
             config,
@@ -352,37 +341,23 @@ impl<S: StateMachine> SlotEngine<S> {
             skipped: BTreeSet::new(),
             next_propose: 0,
             applied: 0,
+            commands_applied: 0,
             trailing_noops: 0,
             terminated: false,
         }
     }
 
-    /// Pre-loads a complete client workload and closes the queue: the
-    /// leader drains it into batches and seals the log behind the last
-    /// command.
+    /// Pre-admits a finite client workload: the replica serves it like
+    /// any other traffic and stops once it has applied all of it (or
+    /// earlier, by quiesce).
     ///
     /// # Panics
     ///
     /// Panics if a workload command is not admissible (the reserved
     /// [`Value::NO_OP`] encoding, or a command listed twice).
     #[must_use]
-    pub fn with_workload(self, workload: Vec<Value>) -> Self {
-        {
-            let mut st = self.pool.lock();
-            if workload.len() > st.mempool.capacity() {
-                st.mempool = Mempool::new(workload.len());
-            }
-            for cmd in workload {
-                // A fresh pool sized to the workload is never `Full` and has
-                // nothing `Committed`: only a caller's own mistake — the
-                // reserved encoding, a repeated command — can fail here.
-                st.mempool
-                    .submit(cmd)
-                    .expect("workload commands must be admissible");
-            }
-            st.closed = true;
-        }
-        self
+    pub fn with_workload(self, workload: Vec<Value>) -> impl Protocol<Msg = SmrMsg> {
+        Finite::new(self, workload)
     }
 
     /// Installs an observability probe: the pool's counters are
@@ -406,27 +381,22 @@ impl<S: StateMachine> SlotEngine<S> {
     /// The per-slot rotation hook: when a view times out and *this*
     /// replica leads the next view, the slot's VBB instance consults this
     /// source for a proposal instead of falling back to the no-op. The
-    /// closure drains a batch from the shared pool (or stages the seal for
-    /// a drained closed pool) and records it in `staged`; the engine
-    /// flushes the staging area — payload dissemination plus re-queue
-    /// bookkeeping — right after the slot interaction returns, because the
-    /// engine itself is mutably borrowed while the closure runs.
+    /// closure drains a batch from the shared pool and records it in
+    /// `staged`; the engine flushes the staging area — payload
+    /// dissemination plus re-queue bookkeeping — right after the slot
+    /// interaction returns, because the engine itself is mutably borrowed
+    /// while the closure runs.
     fn rotation_source(&self, slot: SlotId) -> impl FnMut(View) -> Value + Send + 'static {
         let pool = Arc::clone(&self.pool);
         let batch_cap = self.params.batch;
         move |_view| {
             let mut st = pool.lock();
-            if let Some(batch) = st.mempool.take_batch(batch_cap) {
-                let value = batch_value(&batch);
-                st.staged.push((slot, batch));
-                value
-            } else if st.closed && !st.sealed {
-                st.sealed = true;
-                st.staged.push((slot, Batch::Seal));
-                batch_value(&Batch::Seal)
-            } else {
-                Value::NO_OP
-            }
+            let Some(batch) = st.mempool.take_batch(batch_cap) else {
+                return Value::NO_OP;
+            };
+            let value = batch_value(&batch);
+            st.staged.push((slot, batch));
+            value
         }
     }
 
@@ -567,8 +537,8 @@ impl<S: StateMachine> SlotEngine<S> {
     }
 
     /// Applies every batch decided at the frontier, in slot order. Stalls
-    /// (and pulls) when a decided digest's payload is missing. Handles
-    /// both termination rules. Returns whether the frontier advanced.
+    /// (and pulls) when a decided digest's payload is missing, and
+    /// terminates by quiesce. Returns whether the frontier advanced.
     fn apply_ready(&mut self, ctx: &mut dyn Context<SmrMsg>) -> bool {
         let mut progressed = false;
         while !self.terminated {
@@ -602,19 +572,14 @@ impl<S: StateMachine> SlotEngine<S> {
             self.committed = self.committed.split_off(&keep);
             self.my_proposals = self.my_proposals.split_off(&keep);
             self.skipped = self.skipped.split_off(&(keep, 0));
-            if batch.is_seal() {
-                self.finish(ctx);
-                break;
-            }
             // Apply the decided batch through the exactly-once filter
             // (a command that already committed at an earlier slot — a
             // duplicate proposal from a crashed leader's era — must not
             // apply twice), then re-queue the commands of any proposal of
-            // ours this slot's decision beat (a lost seal re-opens the
-            // pool so a later slot can seal again). Both steps are
-            // deterministic functions of the applied log prefix.
+            // ours this slot's decision beat. Both steps are deterministic
+            // functions of the applied log prefix.
             let mut acks: Vec<Value> = Vec::new();
-            let serving = {
+            {
                 let mut st = self.pool.lock();
                 let mut machine = self.machine.lock();
                 for &cmd in batch.commands() {
@@ -624,23 +589,16 @@ impl<S: StateMachine> SlotEngine<S> {
                     }
                 }
                 for beaten in mine {
-                    if batch_value(&beaten) == decided {
-                        continue;
-                    }
-                    if beaten.is_seal() {
-                        st.sealed = false;
-                    } else {
+                    if batch_value(&beaten) != decided {
                         for &cmd in beaten.commands() {
                             st.mempool.readmit(cmd);
                         }
                     }
                 }
-                !st.closed
-            };
-            if serving {
-                for cmd in acks {
-                    ctx.send(PartyId::CLIENT, SmrMsg::Ack { cmd, slot });
-                }
+            }
+            self.commands_applied += acks.len() as u64;
+            for cmd in acks {
+                ctx.send(PartyId::CLIENT, SmrMsg::Ack { cmd, slot });
             }
             if batch.is_no_op() {
                 self.trailing_noops += 1;
@@ -696,10 +654,10 @@ impl<S: StateMachine> SlotEngine<S> {
     }
 
     /// Keeps `pipeline` slots in flight past the applied frontier: the
-    /// leader proposes drained batches (and finally the seal); followers
-    /// open watcher instances, arming their view timers — this is what
-    /// closes the old "timers only for the first `pipeline` slots"
-    /// liveness hole. Returns whether anything was proposed or armed.
+    /// leader proposes drained batches; followers open watcher instances,
+    /// arming their view timers — this is what closes the old "timers only
+    /// for the first `pipeline` slots" liveness hole. Returns whether
+    /// anything was proposed or armed.
     ///
     /// Followers arm per-slot, straight off the applied frontier: every
     /// slot in `[applied, applied + pipeline)` without an instance gets a
@@ -719,17 +677,7 @@ impl<S: StateMachine> SlotEngine<S> {
                     self.next_propose += 1;
                     continue;
                 }
-                let proposal = {
-                    let mut st = self.pool.lock();
-                    if let Some(b) = st.mempool.take_batch(self.params.batch) {
-                        Some(b)
-                    } else if st.closed && !st.sealed {
-                        st.sealed = true;
-                        Some(Batch::Seal)
-                    } else {
-                        None
-                    }
-                };
+                let proposal = self.pool.lock().mempool.take_batch(self.params.batch);
                 let Some(batch) = proposal else { break };
                 self.propose(slot, batch, ctx);
                 progressed = true;
@@ -808,6 +756,60 @@ fn batch_is_outside_window(slot: SlotId, applied: u64) -> bool {
     slot.index() + PAYLOAD_RETENTION < applied || slot.index() > applied + PAYLOAD_WINDOW
 }
 
+/// A replica serving a finite pre-admitted workload: after every handled
+/// event, stops the engine once all `commands` have been applied. Reads
+/// one counter; takes no lock.
+struct Finite<S> {
+    engine: SlotEngine<S>,
+    commands: u64,
+}
+
+impl<S: StateMachine> Finite<S> {
+    fn new(engine: SlotEngine<S>, workload: Vec<Value>) -> Self {
+        let commands = workload.len() as u64;
+        {
+            let mut st = engine.pool.lock();
+            if workload.len() > st.mempool.capacity() {
+                st.mempool = Mempool::new(workload.len());
+            }
+            for cmd in workload {
+                // A fresh pool sized to the workload is never `Full` and has
+                // nothing `Committed`: only a caller's own mistake — the
+                // reserved encoding, a repeated command — can fail here.
+                st.mempool
+                    .submit(cmd)
+                    .expect("workload commands must be admissible");
+            }
+        }
+        Finite { engine, commands }
+    }
+
+    fn stop_when_applied(&mut self, ctx: &mut dyn Context<SmrMsg>) {
+        if self.engine.commands_applied >= self.commands {
+            self.engine.finish(ctx);
+        }
+    }
+}
+
+impl<S: StateMachine> Protocol for Finite<S> {
+    type Msg = SmrMsg;
+
+    fn start(&mut self, ctx: &mut dyn Context<SmrMsg>) {
+        self.engine.start(ctx);
+        self.stop_when_applied(ctx);
+    }
+
+    fn on_message(&mut self, from: PartyId, msg: SmrMsg, ctx: &mut dyn Context<SmrMsg>) {
+        self.engine.on_message(from, msg, ctx);
+        self.stop_when_applied(ctx);
+    }
+
+    fn on_timer(&mut self, tag: u64, ctx: &mut dyn Context<SmrMsg>) {
+        self.engine.on_timer(tag, ctx);
+        self.stop_when_applied(ctx);
+    }
+}
+
 impl<S: StateMachine> Protocol for SlotEngine<S> {
     type Msg = SmrMsg;
 
@@ -848,17 +850,10 @@ impl<S: StateMachine> Protocol for SlotEngine<S> {
                 }
             }
             SmrMsg::Submit { cmd } => {
-                // Every serving replica admits client traffic (not just
-                // the view-1 leader): a failover leader must hold the
-                // command in its own pool to re-propose it. The workload
-                // modes (closed pools) ignore submissions entirely.
-                let verdict = {
-                    let mut st = self.pool.lock();
-                    if st.closed {
-                        return;
-                    }
-                    st.mempool.submit(cmd)
-                };
+                // Every replica admits client traffic (not just the view-1
+                // leader): a failover leader must hold the command in its
+                // own pool to re-propose it.
+                let verdict = self.pool.lock().mempool.submit(cmd);
                 match verdict {
                     // Committed by the original submission: re-acknowledge
                     // with the recorded slot so a client whose ack was
@@ -1090,11 +1085,11 @@ mod tests {
     #[test]
     fn per_slot_latency_is_two_rounds() {
         // Serial slots, one command each: every decision is one good-case
-        // broadcast (2Δ), plus the sealing slot at the end.
+        // broadcast (2Δ), and the replica stops once the last one applies.
         let slots = 8u64;
         let (o, _) = run_counter(4, 1, slots, params(1, 1));
         assert!(o.all_honest_committed());
-        let bound = DELTA * 2 * (slots + 2);
+        let bound = DELTA * 2 * (slots + 1);
         assert!(
             o.end_time().since(GlobalTime::ZERO) <= bound,
             "{} exceeds ~2 rounds per slot ({bound})",
@@ -1218,7 +1213,7 @@ mod tests {
 
     #[test]
     fn idle_open_log_quiesces() {
-        // Serving mode with zero traffic: followers time the leader out
+        // No workload and zero traffic: followers time the leader out
         // slot after slot until the quiesce rule stops everyone, with
         // identical (empty) logs.
         let n = 4;
@@ -1284,7 +1279,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_workload_seals_immediately() {
+    fn empty_workload_stops_immediately() {
         let (o, machines) = run_counter(4, 1, 0, params(4, 2));
         assert!(o.all_honest_committed());
         assert!(o.all_honest_terminated());
@@ -1335,7 +1330,6 @@ mod tests {
     fn batch_values_never_alias_no_op() {
         assert_eq!(batch_value(&Batch::no_op()), Value::NO_OP);
         let cases = [
-            Batch::Seal,
             Batch::Commands(vec![Value::new(u64::MAX - 1)]),
             Batch::Commands((0..64).map(Value::new).collect()),
         ];
@@ -1724,10 +1718,6 @@ mod tests {
                 slot: SlotId::new(3),
                 batch: Batch::Commands(vec![Value::new(1), Value::new(2)]),
             },
-            SmrMsg::Payload {
-                slot: SlotId::new(4),
-                batch: Batch::Seal,
-            },
             SmrMsg::PayloadPull {
                 slot: SlotId::new(9),
             },
@@ -1937,7 +1927,7 @@ mod tests {
                 &[(0, first), (1, second)],
             );
             assert!(o.agreement_holds() && o.all_honest_committed());
-            let slots = commands / batch as u64 + 1; // + the seal
+            let slots = commands / batch as u64;
             let bound = DELTA * 4 * 2 + HOP * 5 * slots;
             assert!(
                 o.end_time().since(GlobalTime::ZERO) <= bound,
@@ -1968,21 +1958,21 @@ mod tests {
 
     /// A replica that publishes its failover state after every event.
     struct Observed {
-        inner: SlotEngine<Counter>,
+        inner: Finite<Counter>,
         seen: Arc<Mutex<Observation>>,
     }
 
     impl Observed {
         fn publish(&mut self) {
             let mut seen = self.seen.lock();
-            for (slot, inst) in &self.inner.slots {
-                if let (Some(value), Some(view)) =
-                    (self.inner.committed.get(slot), inst.commit_view())
+            let engine = &self.inner.engine;
+            for (slot, inst) in &engine.slots {
+                if let (Some(value), Some(view)) = (engine.committed.get(slot), inst.commit_view())
                 {
                     seen.decided.insert(*slot, (*value, view));
                 }
             }
-            seen.suspects = self.inner.suspects.keys().copied().collect();
+            seen.suspects = engine.suspects.keys().copied().collect();
             let now = seen.suspects.clone();
             seen.ever_suspected.extend(now);
         }
@@ -2039,15 +2029,17 @@ mod tests {
             })
             .oracle(oracle)
             .spawn_honest(move |q| Observed {
-                inner: SlotEngine::new(
-                    cfg,
-                    chain.signer(q),
-                    chain.pki(),
-                    DELTA,
-                    params(1, pipeline),
-                    Arc::new(Mutex::new(Counter::default())),
-                )
-                .with_workload(workload.clone()),
+                inner: Finite::new(
+                    SlotEngine::new(
+                        cfg,
+                        chain.signer(q),
+                        chain.pki(),
+                        DELTA,
+                        params(1, pipeline),
+                        Arc::new(Mutex::new(Counter::default())),
+                    ),
+                    workload.clone(),
+                ),
                 seen: probes[q.as_usize()].clone(),
             })
             .run();
@@ -2077,7 +2069,7 @@ mod tests {
 
     #[test]
     fn idle_gap_convicts_nobody() {
-        // Serving mode, no traffic: the first window of slots times the idle
+        // No workload, no traffic: the first window of slots times the idle
         // primary out and decides no-ops in view 2. An idle leader is not a
         // dead one — when a command then arrives (party 3 plays the client)
         // nobody is suspected and the primary commits it in view 1.
@@ -2100,17 +2092,21 @@ mod tests {
             .oracle(FixedDelay::new(HOP))
             .byzantine(PartyId::new(3), client)
             .spawn_honest(move |q| Observed {
-                inner: SlotEngine::new(
-                    cfg,
-                    chain.signer(q),
-                    chain.pki(),
-                    DELTA,
-                    SmrParams {
-                        quiesce_after: 6,
-                        ..SmrParams::default()
-                    },
-                    Arc::new(Mutex::new(Counter::default())),
-                ),
+                // No workload: a count nothing reaches, so only quiesce stops.
+                inner: Finite {
+                    engine: SlotEngine::new(
+                        cfg,
+                        chain.signer(q),
+                        chain.pki(),
+                        DELTA,
+                        SmrParams {
+                            quiesce_after: 6,
+                            ..SmrParams::default()
+                        },
+                        Arc::new(Mutex::new(Counter::default())),
+                    ),
+                    commands: u64::MAX,
+                },
                 seen: probes[q.as_usize()].clone(),
             })
             .run();

@@ -15,15 +15,18 @@
 //! state is exactly the paper's good-case latency, and throughput scales
 //! with the batch size.
 //!
-//! # Termination: seal or quiesce
+//! # Termination
 //!
-//! Replicas do not know the workload length in advance. A log closes
-//! either by **seal** — the leader of a closed queue proposes
-//! [`gcl_types::Batch::Seal`] after the last command — or by **quiesce** —
+//! The log carries no end-of-log marker. A replica stops by **quiesce** —
 //! `quiesce_after` consecutive no-op slots at the applied frontier, the
-//! trace left by a crashed or silent leader once followers time its slots
-//! out. Both rules are functions of the applied prefix, so replicas agree
-//! on the stopping point and on the final state digest they report.
+//! trace of an idle service or of a crashed or silent leader once
+//! followers time its slots out — and reports its state digest as its
+//! commit. A replica given a finite workload
+//! ([`SlotEngine::with_workload`], which pre-admits the commands into the
+//! same serving engine) also stops as soon as it has applied all of them:
+//! a local observation that sends nothing and spends no slot. Both are
+//! functions of the applied prefix, so replicas that agree on the log stop
+//! at the same digest.
 //!
 //! # Examples
 //!

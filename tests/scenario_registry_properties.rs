@@ -11,7 +11,8 @@
 //! schedules in `gcl_core::lower_bounds` may split them.)
 
 use gcl_sim::{AdversaryMix, DelayChoice};
-use gcl_types::Duration;
+use gcl_smr::{Counter, StateMachine};
+use gcl_types::{Duration, SlotId, Value};
 use proptest::prelude::*;
 
 proptest! {
@@ -61,6 +62,19 @@ proptest! {
                 o.committed_value(),
                 spec.input
             );
+            if key == "smr" {
+                // A finite workload is applied in full before a replica stops.
+                let mut full = Counter::default();
+                for cmd in 1..=spec.params.commands {
+                    full.apply(SlotId::new(cmd), Value::new(cmd));
+                }
+                let full = Value::new(full.state_digest());
+                prop_assert!(
+                    o.honest_commits().all(|c| c.value == full),
+                    "{}: a workload command never applied",
+                    spec.label()
+                );
+            }
         }
     }
 

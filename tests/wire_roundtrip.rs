@@ -364,10 +364,9 @@ fn smr(rng: &mut StdRng, chain: &Keychain, w: &mut Wire) {
     let inner = vbb_msg(rng, chain, variant);
     w.tagged(SmrMsg::Slot { slot, inner });
     let cmds: Vec<Value> = (0..rng.gen_range(0usize..8)).map(|_| value(rng)).collect();
-    for batch in [Batch::Commands(cmds), Batch::Seal] {
-        w.tagged(batch.clone());
-        w.tagged(SmrMsg::Payload { slot, batch });
-    }
+    let batch = Batch::Commands(cmds);
+    w.tagged(batch.clone());
+    w.tagged(SmrMsg::Payload { slot, batch });
     w.tagged(SmrMsg::PayloadPull { slot });
     w.tagged(SmrMsg::Submit { cmd: value(rng) });
     let cmd = value(rng);
@@ -383,6 +382,9 @@ fn flood(rng: &mut StdRng, _: &Keychain, w: &mut Wire) {
 /// instance of every variant of every family message, recorded before the
 /// enum codecs became `wire_enum!` expansions. A change here is a format
 /// change — every tag value and field order is part of the constant.
+/// Re-pinned once when the end-of-log `Batch` (tag 1) was retired: the
+/// previous stream with that batch and its `Payload` frame (11 bytes) cut
+/// out hashes to the constant below.
 #[test]
 fn golden_wire_bytes() {
     let (mut rng, chain, mut w) = (StdRng::seed_from_u64(15), chain(), Wire::default());
@@ -396,7 +398,7 @@ fn golden_wire_bytes() {
         .collect();
     assert_eq!(
         hex,
-        "616f0c0ee1f2b7b6b75254e0f57c7e43b1cfe39299f72d99cf77e53b5e03f3fd",
+        "a8ad2fc1cab3810a0339eb728b4f8ff2696bbffc5bd78150cb5bedf67ecc91bd",
         "{} bytes hashed",
         w.0.len()
     );
