@@ -195,7 +195,6 @@ const SHARED_SIG_CAPACITY: usize = 1 << 16;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Keychain {
-    seed: u64,
     pki: Arc<Pki>,
 }
 
@@ -212,7 +211,6 @@ impl Keychain {
             .map(|i| SecretKey::derive(seed, PartyId::new(i)))
             .collect();
         Keychain {
-            seed,
             pki: Arc::new(Pki {
                 keys,
                 shared_sigs: Mutex::new(BoundedMap::new(capacity)),
@@ -226,14 +224,14 @@ impl Keychain {
     ///
     /// Panics if `party` is out of range.
     pub fn signer(&self, party: PartyId) -> Signer {
-        assert!(
-            party.as_usize() < self.pki.n(),
-            "party {party} out of range (n = {})",
-            self.pki.n()
-        );
+        let key = self
+            .pki
+            .keys
+            .get(party.as_usize())
+            .unwrap_or_else(|| panic!("party {party} out of range (n = {})", self.pki.n()));
         Signer {
             id: party,
-            key: SecretKey::derive(self.seed, party),
+            key: key.clone(),
         }
     }
 

@@ -5,7 +5,10 @@
 //! closed simulation we realize that ideal directly:
 //!
 //! * [`Sha256`] — a from-scratch FIPS 180-4 SHA-256, tested against the
-//!   standard vectors (no external crypto dependency).
+//!   standard vectors (no external crypto dependency). Each block runs on
+//!   the x86 SHA extensions when the CPU reports them at run time, and on
+//!   the portable compression function otherwise; the portable path is the
+//!   reference the kernel is tested against, bit for bit.
 //! * [`Keychain`] / [`Signer`] / [`Pki`] — deterministic MAC-style
 //!   signatures. The [`Pki`] holds every key but only ever exposes
 //!   *verification*; producing a signature for party `i` requires the
@@ -35,7 +38,10 @@
 //! assert!(!chain.pki().verify(PartyId::new(2), digest, &sig));
 //! ```
 
-#![forbid(unsafe_code)]
+// One `unsafe` block, in `sha256`: the call into the SHA-NI kernel, made
+// only after run-time feature detection. Everything else stays safe code.
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 
