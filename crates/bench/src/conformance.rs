@@ -20,8 +20,8 @@
 //! full honest commitment on the wall. The wall column is the codec's
 //! end-to-end gate — a family whose message type does not survive
 //! `gcl_types::wire` serialization cannot pass it — and the readiness
-//! loop's: partial reads, timer wheel, and worker-pool scheduling must be
-//! invisible to the protocols.
+//! loop's: partial reads, timers in the dispatcher heap, and worker-pool
+//! scheduling must be invisible to the protocols.
 //!
 //! The suite doubles as the regression gate for the wall engine's early
 //! termination: ~15 families against multi-second deadlines complete in a

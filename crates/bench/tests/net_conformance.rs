@@ -6,7 +6,7 @@
 //! end-to-end gate: its messages really cross Unix-domain sockets as
 //! bytes, so a family whose message type does not round-trip through
 //! `gcl_types::wire` cannot pass. It also gates the worker-pool
-//! scheduler: partial reads, the timer wheel, and
+//! scheduler: partial reads, timers in the dispatcher heap, and
 //! n-parties-over-few-threads multiplexing must be invisible to the
 //! protocols.
 //!

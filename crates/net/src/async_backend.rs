@@ -11,7 +11,7 @@
 //!            submissions (frames)            deliveries (frames)
 //! worker 0 ──▶ [nonblocking socket] ──▶ scheduler ──▶ [nonblocking socket] ──▶ worker k
 //!   parties i ≡ 0 (mod W)       heap: one entry per multicast      parties i ≡ k (mod W)
-//!                               + timer wheel; frames rendered
+//!                               or timer; frames rendered
 //!                               in place, ≤ OUT_HWM per pass
 //! ```
 //!
@@ -22,13 +22,14 @@
 //!   submission frames out of the reassembly buffers as borrowed slices,
 //!   stamps them through the [`DeliveryHeap`] and its `(due, seq)` tie
 //!   discipline — a multicast is one heap entry walking its sender's
-//!   recipients in that order, not n entries — parks protocol timers in a
-//!   hashed [`TimerWheel`] (O(1) arming at any pending count), and drains
-//!   due deliveries in passes: one clock reading per pass, every frame
-//!   rendered straight into its party's contiguous outbound buffer, the
-//!   pass cut off once [`OUT_HWM`] bytes sit unflushed so the sockets —
-//!   and the workers behind them — take the first megabytes while the
-//!   rest of the backlog is still being rendered.
+//!   recipients in that order, not n entries, and a protocol timer is one
+//!   entry due at its arrival plus its full delay, so timers in the
+//!   dispatcher heap never fire early — and drains due deliveries in
+//!   passes: one clock reading per pass, every frame rendered straight
+//!   into its party's contiguous outbound buffer, the pass cut off once
+//!   [`OUT_HWM`] bytes sit unflushed so the sockets — and the workers
+//!   behind them — take the first megabytes while the rest of the backlog
+//!   is still being rendered.
 //! * **W worker threads** (default `min(cores, 8)`) each own the party
 //!   side of an `i mod W` shard: per-party frame-reassembly buffers
 //!   ([`FrameBuffer`], partial-read safe at arbitrary byte boundaries),
@@ -57,12 +58,11 @@
 //! [`Outcome::sched_counters`] and lands in the benchmark rows.
 
 use crate::engine::{
-    await_honest_done, engine_plan, micros, parse_delivery, parse_submission, stream_pair,
-    ClientHandle, Delivery, DeliveryFrame, DeliveryHeap, EnginePlan, FrameBuffer, FrameTooLarge,
-    OutBuf, PartyCore, Step, Stream, Submission, SubmissionKind, IDLE_POLL, KIND_MULTICAST,
-    KIND_STOP, KIND_TIMER, KIND_UNICAST,
+    await_honest_done, engine_plan, micros, parse_delivery, parse_submission, ClientHandle,
+    Delivery, DeliveryFrame, DeliveryHeap, EnginePlan, FrameBuffer, FrameTooLarge, OutBuf,
+    PartyCore, Step, Stream, Submission, SubmissionKind, IDLE_POLL, KIND_MULTICAST, KIND_STOP,
+    KIND_TIMER, KIND_UNICAST,
 };
-use crate::wheel::TimerWheel;
 use gcl_sim::{
     Backend, CommitRecord, ErasedMsg, ErasedSlot, MsgCodec, Outcome, ScenarioSpec, SchedCounters,
     Strategy,
@@ -158,47 +158,55 @@ impl Peer {
             self.reading = false;
         }
     }
+
+    /// The interest this peer wants: readable while parsing (and not
+    /// paused), writable while output is pending.
+    fn interest(&self, paused: bool) -> Option<Interest> {
+        let readable = self.reading && !paused;
+        let writable = self.open && !self.out.is_empty();
+        match (readable, writable) {
+            (true, true) => Some(Interest::READABLE | Interest::WRITABLE),
+            (true, false) => Some(Interest::READABLE),
+            (false, true) => Some(Interest::WRITABLE),
+            (false, false) => None,
+        }
+    }
 }
 
-/// Brings a peer's registered interest in line with what it currently
-/// wants: readable while parsing (and not paused), writable while output
-/// is pending — level-triggered, so stale interest means busy wakeups and
-/// missing interest means a stall.
-fn sync_peer_interest(registry: &Registry, peer: &mut Peer, token: Token, paused: bool) {
-    let mut want: Option<Interest> = None;
-    if peer.reading && !paused {
-        want = Some(Interest::READABLE);
-    }
-    if peer.open && !peer.out.is_empty() {
-        want = Some(match want {
-            Some(i) => i | Interest::WRITABLE,
-            None => Interest::WRITABLE,
-        });
-    }
-    if want == peer.registered {
+/// Brings a socket's registered interest (`registered`, `None` when
+/// deregistered) in line with `want` — level-triggered, so stale interest
+/// means busy wakeups and missing interest means a stall.
+fn sync_interest(
+    registry: &Registry,
+    stream: &mut Stream,
+    registered: &mut Option<Interest>,
+    token: Token,
+    want: Option<Interest>,
+) {
+    if want == *registered {
         return;
     }
     match want {
         Some(interest) => {
-            let applied = if peer.registered.is_some() {
-                registry.reregister(&mut peer.stream, token, interest)
+            let applied = if registered.is_some() {
+                registry.reregister(stream, token, interest)
             } else {
-                registry.register(&mut peer.stream, token, interest)
+                registry.register(stream, token, interest)
             };
             if applied.is_ok() {
-                peer.registered = Some(interest);
+                *registered = Some(interest);
             }
         }
         None => {
-            if peer.registered.take().is_some() {
-                let _ = registry.deregister(&mut peer.stream);
+            if registered.take().is_some() {
+                let _ = registry.deregister(stream);
             }
         }
     }
 }
 
-/// The scheduler thread: routes submissions through the delivery heap and
-/// the timer wheel, flushes due deliveries, and runs the STOP
+/// The scheduler thread: routes submissions, protocol timers included,
+/// through the delivery heap, flushes due deliveries, and runs the STOP
 /// choreography on shutdown. Returns `(messages, peak_heap, wakeups,
 /// peak_outbound_bytes)`.
 fn scheduler_loop(
@@ -207,7 +215,6 @@ fn scheduler_loop(
     sub_rx: Receiver<Submission>,
     client_tx: Sender<Vec<u8>>,
     links: Vec<Duration>,
-    epoch: Instant,
     chunk: Option<usize>,
 ) -> (u64, usize, u64, usize) {
     let n = peers.len();
@@ -217,8 +224,6 @@ fn scheduler_loop(
         .expect("register wake pipe");
     let mut events = Events::with_capacity((n + 1).clamp(8, 1024));
     let mut dh = DeliveryHeap::new(n);
-    let mut wheel: TimerWheel<(PartyId, u64)> = TimerWheel::new();
-    let mut fired: Vec<(PartyId, u64)> = Vec::new();
     let mut wakeups: u64 = 0;
     let mut paused = false;
     // Unflushed bytes across the open peers, as of the last flush sweep.
@@ -227,41 +232,14 @@ fn scheduler_loop(
     let mut grace: Option<Instant> = None;
 
     loop {
-        // 1. Expired timers rejoin the delivery heap at `now`, stamped in
-        //    firing order — the same global tie discipline as messages.
-        wheel.advance_to(epoch.elapsed(), &mut fired);
-        let now = Instant::now();
-        for (party, tag) in fired.drain(..) {
-            let _ = dh.route(
-                Submission {
-                    from: party,
-                    kind: SubmissionKind::Timer {
-                        delay: Duration::ZERO,
-                        tag,
-                    },
-                },
-                &links,
-                now,
-            );
-        }
-
-        // 2. Client submissions and the engine's shutdown marker.
+        // 1. Client submissions and the engine's shutdown marker.
         loop {
             match sub_rx.try_recv() {
-                Ok(sub) => match sub.kind {
-                    SubmissionKind::Shutdown => stopping = true,
-                    SubmissionKind::Timer { delay, tag } => wheel.insert(delay, (sub.from, tag)),
-                    kind => {
-                        let _ = dh.route(
-                            Submission {
-                                from: sub.from,
-                                kind,
-                            },
-                            &links,
-                            Instant::now(),
-                        );
-                    }
-                },
+                Ok(Submission {
+                    kind: SubmissionKind::Shutdown,
+                    ..
+                }) => stopping = true,
+                Ok(sub) => dh.route(sub, &links, Instant::now()),
                 Err(TryRecvError::Empty) => break,
                 Err(TryRecvError::Disconnected) => {
                     stopping = true;
@@ -270,7 +248,7 @@ fn scheduler_loop(
             }
         }
 
-        // 3. Shutdown entry: queue one STOP per live peer, stop reading
+        // 2. Shutdown entry: queue one STOP per live peer, stop reading
         //    and delivering, start the grace clock.
         if stopping && grace.is_none() {
             for peer in &mut peers {
@@ -282,7 +260,7 @@ fn scheduler_loop(
             grace = Some(Instant::now() + STOP_GRACE);
         }
 
-        // 4. Due deliveries rendered into per-party queues (dropped once
+        // 3. Due deliveries rendered into per-party queues (dropped once
         //    stopping: the run is past its horizon). The pass ends when
         //    the unflushed bytes reach the high-water mark, so the flush
         //    below — and the workers — overlap the rest of the backlog
@@ -306,7 +284,7 @@ fn scheduler_loop(
             });
         }
 
-        // 5. Flush, recompute the backpressure valve, sync interests.
+        // 4. Flush, recompute the backpressure valve, sync interests.
         total_out = 0;
         for peer in &mut peers {
             if peer.open && !peer.out.is_empty() {
@@ -323,10 +301,17 @@ fn scheduler_loop(
         };
         let registry = poll.registry();
         for (i, peer) in peers.iter_mut().enumerate() {
-            sync_peer_interest(registry, peer, Token(i), paused);
+            let want = peer.interest(paused);
+            sync_interest(
+                registry,
+                &mut peer.stream,
+                &mut peer.registered,
+                Token(i),
+                want,
+            );
         }
 
-        // 6. Shutdown exit: everything flushed, or the grace expired.
+        // 5. Shutdown exit: everything flushed, or the grace expired.
         if let Some(g) = grace {
             let all_flushed = peers.iter().all(|p| !p.open || p.out.is_empty());
             if all_flushed || Instant::now() >= g {
@@ -334,18 +319,16 @@ fn scheduler_loop(
             }
         }
 
-        // 7. Sleep until the next deadline: heap due (unless the valve is
-        //    shut — then a peer turning writable is what reopens it),
-        //    wheel due, grace, or the idle-poll granularity — a readiness
-        //    event or a wake byte interrupts any of them.
+        // 6. Sleep until the next deadline: heap due — a delivery or a
+        //    timer — unless the valve is shut (then a peer turning
+        //    writable is what reopens it), grace, or the idle-poll
+        //    granularity; a readiness event or a wake byte interrupts any
+        //    of them.
         let mut timeout = if paused {
             IDLE_POLL
         } else {
             dh.next_timeout().min(IDLE_POLL)
         };
-        if let Some(t) = wheel.next_timeout(epoch.elapsed()) {
-            timeout = timeout.min(t);
-        }
         if let Some(g) = grace {
             timeout = timeout.min(g.saturating_duration_since(Instant::now()));
         }
@@ -356,7 +339,7 @@ fn scheduler_loop(
         }
         wakeups += 1;
 
-        // 8. Readiness: drain the wake pipe, parse submissions, flush
+        // 7. Readiness: drain the wake pipe, parse submissions, flush
         //    writable peers.
         for ev in &events {
             let t = ev.token().0;
@@ -377,15 +360,10 @@ fn scheduler_loop(
                 peer.flush();
             }
             if ev.is_readable() && peer.reading {
-                peer.read_submissions(PartyId::new(t as u32), chunk, |sub| match sub.kind {
-                    SubmissionKind::Timer { delay, tag } => wheel.insert(delay, (sub.from, tag)),
-                    // No wire kind maps to Shutdown; a party cannot stop
-                    // the run.
-                    SubmissionKind::Shutdown => {}
-                    kind => {
-                        let from = sub.from;
-                        let _ = dh.route(Submission { from, kind }, &links, Instant::now());
-                    }
+                // No wire kind maps to Shutdown; a party cannot stop the
+                // run.
+                peer.read_submissions(PartyId::new(t as u32), chunk, |sub| {
+                    dh.route(sub, &links, Instant::now());
                 });
             }
         }
@@ -423,6 +401,19 @@ struct WorkerParty {
 }
 
 impl WorkerParty {
+    /// The interest a live party wants: always readable (pre-start bytes
+    /// buffer, post-terminate bytes drain), writable while output is
+    /// pending.
+    fn interest(&self) -> Option<Interest> {
+        if self.finished {
+            None
+        } else if self.open && !self.out.is_empty() {
+            Some(Interest::READABLE | Interest::WRITABLE)
+        } else {
+            Some(Interest::READABLE)
+        }
+    }
+
     fn flush(&mut self) {
         if self.open && self.out.flush(&mut self.stream).is_err() {
             self.open = false;
@@ -517,39 +508,6 @@ impl WorkerParty {
     }
 }
 
-/// Registered interest a live party wants: always readable (pre-start
-/// bytes buffer, post-terminate bytes drain), writable while output is
-/// pending.
-fn sync_party_interest(registry: &Registry, party: &mut WorkerParty, token: Token) {
-    let want: Option<Interest> = if party.finished {
-        None
-    } else if party.open && !party.out.is_empty() {
-        Some(Interest::READABLE | Interest::WRITABLE)
-    } else {
-        Some(Interest::READABLE)
-    };
-    if want == party.registered {
-        return;
-    }
-    match want {
-        Some(interest) => {
-            let applied = if party.registered.is_some() {
-                registry.reregister(&mut party.stream, token, interest)
-            } else {
-                registry.register(&mut party.stream, token, interest)
-            };
-            if applied.is_ok() {
-                party.registered = Some(interest);
-            }
-        }
-        None => {
-            if party.registered.take().is_some() {
-                let _ = registry.deregister(&mut party.stream);
-            }
-        }
-    }
-}
-
 /// One worker thread: drives its shard of party state machines off a
 /// single readiness loop. Returns per-party `(global index, terminated,
 /// handled)` plus `(wakeups, peak_outbound_bytes)`.
@@ -578,7 +536,14 @@ fn worker_loop(
         }
         let registry = poll.registry();
         for (local, party) in parties.iter_mut().enumerate() {
-            sync_party_interest(registry, party, Token(local));
+            let want = party.interest();
+            sync_interest(
+                registry,
+                &mut party.stream,
+                &mut party.registered,
+                Token(local),
+                want,
+            );
         }
         live = parties.iter().filter(|p| !p.finished).count();
         if live == 0 {
@@ -659,13 +624,13 @@ pub(crate) fn run_async_slots(
     let mut sched_ends = Vec::with_capacity(n);
     let mut party_ends = Vec::with_capacity(n);
     for _ in 0..n {
-        let (s, p) = stream_pair().expect("socket pair");
+        let (s, p) = Stream::pair().expect("socket pair");
         s.set_nonblocking(true).expect("nonblocking");
         p.set_nonblocking(true).expect("nonblocking");
         sched_ends.push(s);
         party_ends.push(p);
     }
-    let (wake_r, wake_w) = stream_pair().expect("wake pipe");
+    let (wake_r, wake_w) = Stream::pair().expect("wake pipe");
     wake_r.set_nonblocking(true).expect("nonblocking");
     wake_w.set_nonblocking(true).expect("nonblocking");
     let wake_w = Arc::new(wake_w);
@@ -683,7 +648,7 @@ pub(crate) fn run_async_slots(
     let links = plan.links;
     let scheduler = thread::spawn(move || {
         let peers = sched_ends.into_iter().map(Peer::new).collect();
-        scheduler_loop(peers, wake_r, sub_rx, client_tx, links, epoch, chunk)
+        scheduler_loop(peers, wake_r, sub_rx, client_tx, links, chunk)
     });
 
     // Static round-robin shards: party i lives on worker i mod W.
@@ -893,7 +858,7 @@ impl Backend for AsyncBackend {
 mod tests {
     use super::*;
     use gcl_sim::{AdversaryMix, Context, DelayChoice, ScenarioError, SkewChoice};
-    use gcl_types::{Duration as SimDuration, Value};
+    use gcl_types::{Duration as SimDuration, LocalTime, Value};
 
     /// Wall-safe bounds: δ' = 2 ms links, Δ' = 20 ms timers — protocol
     /// timeouts (≥ 4Δ) then dwarf thread-scheduling noise.
@@ -902,6 +867,23 @@ mod tests {
             .spec("brb2")
             .unwrap()
             .with_bounds(SimDuration::from_millis(2), SimDuration::from_millis(20))
+    }
+
+    /// The honest two-round BRB parties of `spec`, as erased slots.
+    fn brb_slots(spec: &ScenarioSpec) -> Vec<ErasedSlot> {
+        use gcl_core::asynchrony::TwoRoundBrb;
+        use gcl_crypto::Keychain;
+        let cfg = spec.config().expect("valid shape");
+        let chain = Keychain::generate(spec.n, spec.seed);
+        spec.erased_slots(|p| {
+            TwoRoundBrb::new(
+                cfg,
+                chain.signer(p),
+                chain.pki(),
+                spec.broadcaster,
+                spec.input_for(p),
+            )
+        })
     }
 
     #[test]
@@ -1007,21 +989,10 @@ mod tests {
         // at ONE byte, so each frame reassembles across dozens of readiness
         // events. Commits, termination and causal rounds must match the
         // unthrottled run.
-        use gcl_core::asynchrony::{Brb2Msg, TwoRoundBrb};
-        use gcl_crypto::Keychain;
+        use gcl_core::asynchrony::Brb2Msg;
         let spec = brb_spec();
-        let cfg = spec.config().expect("valid shape");
         let run_with = |chunk: Option<usize>| {
-            let chain = Keychain::generate(spec.n, spec.seed);
-            let slots = spec.erased_slots(|p| {
-                TwoRoundBrb::new(
-                    cfg,
-                    chain.signer(p),
-                    chain.pki(),
-                    spec.broadcaster,
-                    spec.input_for(p),
-                )
-            });
+            let slots = brb_slots(&spec);
             let mut plan = engine_plan(&spec, Duration::from_secs(10));
             plan.read_chunk = chunk;
             run_async_slots(plan, slots, MsgCodec::of::<Brb2Msg>(), 2, None)
@@ -1047,24 +1018,12 @@ mod tests {
     fn garbled_client_frames_leave_the_run_live() {
         // The client path end to end — wake pipe, channel drain, heap
         // routing — under a client that floods undecodable frames.
-        use gcl_core::asynchrony::{Brb2Msg, TwoRoundBrb};
-        use gcl_crypto::Keychain;
+        use gcl_core::asynchrony::Brb2Msg;
         let spec = brb_spec();
-        let cfg = spec.config().expect("valid shape");
-        let chain = Keychain::generate(spec.n, spec.seed);
-        let slots = spec.erased_slots(|p| {
-            TwoRoundBrb::new(
-                cfg,
-                chain.signer(p),
-                chain.pki(),
-                spec.broadcaster,
-                spec.input_for(p),
-            )
-        });
         let n = spec.n;
         let o = AsyncBackend::new().execute_with_client(
             &spec,
-            slots,
+            brb_slots(&spec),
             MsgCodec::of::<Brb2Msg>(),
             move |client: ClientHandle| {
                 for round in 0..20u64 {
@@ -1087,12 +1046,101 @@ mod tests {
     }
 
     #[test]
+    fn client_submits_to_unknown_parties_leave_the_run_live() {
+        // A submit names its recipient as the sender; one outside the run
+        // must reach nobody — not index the link matrix out of bounds and
+        // panic the scheduler thread, which the run would re-raise.
+        use gcl_core::asynchrony::Brb2Msg;
+        let spec = brb_spec();
+        let n = spec.n as u32;
+        let o = AsyncBackend::new().execute_with_client(
+            &spec,
+            brb_slots(&spec),
+            MsgCodec::of::<Brb2Msg>(),
+            move |client: ClientHandle| {
+                for to in [PartyId::new(n), PartyId::CLIENT] {
+                    client.submit(to, vec![1, 2, 3]);
+                }
+            },
+        );
+        assert!(o.agreement_holds());
+        assert!(o.all_honest_committed(), "the run outlives the bad submits");
+        assert_eq!(o.committed_value(), Some(spec.input));
+    }
+
+    /// Arms [`AUDITED_TIMERS`] timers of 3.000–24.603 ms at start; every
+    /// firing compares the party's own clock against the arming instant,
+    /// and once all have fired the party commits how many fired early.
+    #[derive(Default)]
+    struct TimerAudit {
+        armed: LocalTime,
+        fired: u64,
+        early: u64,
+    }
+
+    const AUDITED_TIMERS: u64 = 20;
+
+    fn audited_delay(tag: u64) -> SimDuration {
+        SimDuration::from_micros(3_000 + 1_137 * tag)
+    }
+
+    impl Strategy<ErasedMsg> for TimerAudit {
+        fn start(&mut self, ctx: &mut dyn Context<ErasedMsg>) {
+            self.armed = ctx.now();
+            for tag in 0..AUDITED_TIMERS {
+                ctx.set_timer(audited_delay(tag), tag);
+            }
+        }
+        fn on_message(&mut self, _: PartyId, _: ErasedMsg, _: &mut dyn Context<ErasedMsg>) {}
+        fn on_timer(&mut self, tag: u64, ctx: &mut dyn Context<ErasedMsg>) {
+            if ctx.now().since(self.armed) < audited_delay(tag) {
+                self.early += 1;
+            }
+            self.fired += 1;
+            if self.fired == AUDITED_TIMERS {
+                ctx.commit(Value::new(self.early));
+                ctx.terminate();
+            }
+        }
+    }
+
+    #[test]
+    fn wall_timers_never_fire_early() {
+        // 5 runs × 4 parties × 20 timers: every firing waited its full
+        // delay on the party's own clock, because the dispatcher counts
+        // each delay from the instant it read the arming frame — never
+        // from an earlier clock reading, never rounded to a coarser tick.
+        use gcl_types::Config;
+        let n = 4;
+        for run in 0..5 {
+            let plan = EnginePlan {
+                config: Config::new(n, 1).expect("valid shape"),
+                broadcaster: PartyId::new(0),
+                links: vec![Duration::ZERO; n * n],
+                starts: vec![Duration::ZERO; n],
+                deadline: Duration::from_secs(10),
+                read_chunk: None,
+            };
+            let slots = (0..n)
+                .map(|_| ErasedSlot {
+                    strategy: Box::new(TimerAudit::default()),
+                    honest: true,
+                })
+                .collect();
+            let o = run_async_slots(plan, slots, MsgCodec::of::<u64>(), 2, None);
+            assert!(o.all_honest_terminated(), "run {run}: every timer fired");
+            let early: Vec<u64> = o.commits().iter().map(|c| c.value.as_u64()).collect();
+            assert_eq!(early, vec![0; n], "run {run}: early firings per party");
+        }
+    }
+
+    #[test]
     fn oversized_prefix_crashes_the_peer_for_the_scheduler() {
         // A party announces a 4 GiB frame behind one honest multicast,
         // then sends another well-formed one. The scheduler must neither
         // buffer for the giant frame nor parse anything behind it: the
         // party is crashed from its view.
-        let (sched_end, mut party_end) = stream_pair().expect("socket pair");
+        let (sched_end, mut party_end) = Stream::pair().expect("socket pair");
         sched_end.set_nonblocking(true).expect("nonblocking");
         let mut out = OutBuf::new();
         for payload in [42u8, 66] {
@@ -1125,7 +1173,7 @@ mod tests {
         // The same hostile prefix on the delivery side: the party stops
         // consuming its stream (like a corrupt frame header) instead of
         // waiting for 4 GiB, and the worker loop ends with it.
-        let (mut sched_end, party_end) = stream_pair().expect("socket pair");
+        let (mut sched_end, party_end) = Stream::pair().expect("socket pair");
         party_end.set_nonblocking(true).expect("nonblocking");
         let me = PartyId::new(0);
         let now = Instant::now();

@@ -50,12 +50,6 @@ use std::time::{Duration, Instant};
 
 pub(crate) use std::os::unix::net::UnixStream as Stream;
 
-/// A connected Unix-domain stream socket pair (one per party, plus the
-/// scheduler's wake pipe).
-pub(crate) fn stream_pair() -> io::Result<(Stream, Stream)> {
-    Stream::pair()
-}
-
 /// How long an engine thread sleeps when it has nothing scheduled — pure
 /// wake-up granularity; a submission, a readiness event or a stop
 /// interrupts it immediately.
@@ -608,14 +602,6 @@ pub(crate) fn parse_delivery(body: &[u8]) -> Option<DeliveryFrame<'_>> {
     }
 }
 
-/// What [`DeliveryHeap::route`] decided about one submission.
-pub(crate) enum Routed {
-    /// Scheduled into the heap.
-    Queued,
-    /// The engine's shutdown marker: flush stop frames and exit.
-    Shutdown,
-}
-
 /// A heap entry: min-order on `(due, seq)` with `seq` dispatcher-global,
 /// so ties at one instant pop in arrival order (stable replay under zero
 /// injected latency). A multicast entry is keyed by the earliest
@@ -739,14 +725,21 @@ impl DeliveryHeap {
         self.pending += 1;
     }
 
-    /// Stamps and schedules one submission. `links` is the full n×n link
-    /// matrix of the plan.
-    pub(crate) fn route(&mut self, sub: Submission, links: &[Duration], now: Instant) -> Routed {
+    /// Stamps and schedules one submission: a message or a timer falls
+    /// due `now` plus its link or timer delay. `links` is the full n×n
+    /// link matrix of the plan. A sender outside the run — a client
+    /// submit names its recipient as the sender — schedules nothing, and
+    /// so does the engine's shutdown marker (the scheduler consumes it
+    /// before routing).
+    pub(crate) fn route(&mut self, sub: Submission, links: &[Duration], now: Instant) {
         let n = self.n;
         let from = sub.from;
+        if from.as_usize() >= n {
+            return;
+        }
         let row = &links[from.as_usize() * n..][..n];
         match sub.kind {
-            SubmissionKind::Shutdown => return Routed::Shutdown,
+            SubmissionKind::Shutdown => {}
             SubmissionKind::Unicast { to, round, bytes } => {
                 self.messages += 1;
                 let delay = match row.get(to.as_usize()) {
@@ -791,7 +784,6 @@ impl DeliveryHeap {
             }
         }
         self.peak = self.peak.max(self.pending);
-        Routed::Queued
     }
 
     /// How long the dispatcher may sleep before the next entry falls due
@@ -1005,7 +997,7 @@ mod tests {
 
     #[test]
     fn frame_buffer_fills_from_nonblocking_socket() {
-        let (mut a, mut b) = stream_pair().expect("pair");
+        let (mut a, mut b) = Stream::pair().expect("pair");
         b.set_nonblocking(true).expect("nonblocking");
         let mut out = OutBuf::new();
         out.push_frame(b"over the wire");
@@ -1330,6 +1322,126 @@ mod tests {
         assert_eq!(tags, vec![2, 1], "time beats stamp order");
     }
 
+    /// The tags of the timers among `seen`, in hand-out order.
+    fn tags(seen: &[Seen]) -> Vec<u64> {
+        seen.iter()
+            .filter(|s| s.2 == u32::MAX)
+            .map(|s| u64::from_le_bytes(s.3[..].try_into().expect("timer tag")))
+            .collect()
+    }
+
+    #[test]
+    fn timers_fall_due_at_their_delay_never_before() {
+        // Due is the routing instant plus the exact delay: no rounding to
+        // a coarser tick in either direction.
+        let links = vec![Duration::ZERO; 4];
+        let now = Instant::now();
+        let mut dh = DeliveryHeap::new(2);
+        dh.route(timer(1, Duration::from_micros(1_500), 1), &links, now);
+        dh.route(timer(0, Duration::ZERO, 2), &links, now);
+        assert_eq!(dh.messages, 0, "timers are not messages");
+        assert_eq!(
+            tags(&drain_all(&mut dh, now, &links)),
+            vec![2],
+            "zero is now"
+        );
+        let just_before = now + Duration::from_micros(1_499);
+        assert!(drain_all(&mut dh, just_before, &links).is_empty());
+        let due = drain_all(&mut dh, now + Duration::from_micros(1_500), &links);
+        assert_eq!(due, vec![seen(PartyId::new(1), Delivery::Timer(1))]);
+    }
+
+    #[test]
+    fn timer_and_message_due_together_leave_in_routing_order() {
+        // One (due, seq) order for both kinds: a 5 ms link and a 5 ms
+        // timer routed at the same instant tie, and the stamp decides.
+        let ms5 = Duration::from_millis(5);
+        let links = vec![Duration::ZERO, ms5, ms5, Duration::ZERO];
+        let now = Instant::now();
+        let mut dh = DeliveryHeap::new(2);
+        let unicast = |from: u32, to: u32, body: u8| Submission {
+            from: PartyId::new(from),
+            kind: SubmissionKind::Unicast {
+                to: PartyId::new(to),
+                round: 0,
+                bytes: vec![body],
+            },
+        };
+        dh.route(timer(1, ms5, 10), &links, now);
+        dh.route(unicast(0, 1, 20), &links, now);
+        dh.route(timer(0, ms5, 30), &links, now);
+        dh.route(unicast(1, 0, 40), &links, now);
+        let got: Vec<u8> = drain_all(&mut dh, now + ms5, &links)
+            .iter()
+            .map(|s| s.3[0])
+            .collect();
+        assert_eq!(got, vec![10, 20, 30, 40]);
+    }
+
+    #[test]
+    fn one_drain_yields_due_order_across_instants() {
+        // Armed out of due order, drained once long after all are due.
+        let links = vec![Duration::ZERO];
+        let now = Instant::now();
+        let mut dh = DeliveryHeap::new(1);
+        for (ms, tag) in [(30, 30), (10, 10), (20, 20), (10, 11)] {
+            dh.route(timer(0, Duration::from_millis(ms), tag), &links, now);
+        }
+        let later = now + Duration::from_millis(100);
+        assert_eq!(
+            tags(&drain_all(&mut dh, later, &links)),
+            vec![10, 11, 20, 30]
+        );
+    }
+
+    #[test]
+    fn next_timeout_tracks_a_lone_timer() {
+        let links = vec![Duration::ZERO];
+        let mut dh = DeliveryHeap::new(1);
+        assert_eq!(dh.next_timeout(), IDLE_POLL, "nothing pending");
+        let delay = Duration::from_secs(30);
+        let now = Instant::now();
+        dh.route(timer(0, delay, 1), &links, now);
+        let wait = dh.next_timeout();
+        assert!(
+            wait <= delay && wait > delay - Duration::from_secs(5),
+            "{wait:?}"
+        );
+        assert_eq!(tags(&drain_all(&mut dh, now + delay, &links)), vec![1]);
+        assert_eq!(dh.next_timeout(), IDLE_POLL, "drained");
+        dh.route(timer(0, Duration::ZERO, 2), &links, now);
+        assert_eq!(dh.next_timeout(), Duration::ZERO, "overdue is zero");
+    }
+
+    #[test]
+    fn route_drops_a_sender_outside_the_run() {
+        // A client submit names its recipient as the sender; one outside
+        // 0..n must not index the link matrix, and reaches nobody.
+        let links = vec![Duration::ZERO; 4];
+        let now = Instant::now();
+        let mut dh = DeliveryHeap::new(2);
+        for from in [PartyId::new(2), PartyId::CLIENT] {
+            let bytes = vec![1];
+            let kind = SubmissionKind::Unicast {
+                to: from,
+                round: 0,
+                bytes,
+            };
+            dh.route(Submission { from, kind }, &links, now);
+            dh.route(multicast(from.index(), None, 0, vec![2]), &links, now);
+            let kind = SubmissionKind::Timer {
+                delay: Duration::ZERO,
+                tag: 3,
+            };
+            dh.route(Submission { from, kind }, &links, now);
+        }
+        assert_eq!(
+            (dh.messages, dh.pending, dh.peak, dh.heap.len()),
+            (0, 0, 0, 0)
+        );
+        assert!(drain_all(&mut dh, now + Duration::from_secs(1), &links).is_empty());
+    }
+
     #[test]
     fn delivery_heap_routes_client_frames_across_worst_link() {
         // 2-party plan with asymmetric links: party 0's worst link is 9 ms.
@@ -1349,7 +1461,7 @@ mod tests {
                 bytes: vec![1],
             },
         };
-        assert!(matches!(dh.route(sub, &links, now), Routed::Queued));
+        dh.route(sub, &links, now);
         assert_eq!(dh.messages, 1);
         let just_before = now + Duration::from_micros(8_999);
         assert!(drain_all(&mut dh, just_before, &links).is_empty());
@@ -1366,7 +1478,7 @@ mod tests {
         let mut dh = DeliveryHeap::new(3);
         let now = Instant::now();
         let sub = multicast(1, Some(PartyId::new(1)), 2, vec![5, 6]);
-        assert!(matches!(dh.route(sub, &links, now), Routed::Queued));
+        dh.route(sub, &links, now);
         assert_eq!(dh.messages, 2, "skip excluded");
         assert_eq!(dh.peak, 2);
         assert_eq!(dh.heap.len(), 1, "one entry, one payload");

@@ -19,9 +19,10 @@
 //!   committing run is end-to-end proof the family's message types survive
 //!   serialization. All n parties are multiplexed over one readiness loop
 //!   feeding a fixed worker pool (default `min(cores, 8)`): partial reads
-//!   reassemble per-party, writes are backpressure-aware, timers live on a
-//!   timer wheel, and thread count is O(workers), not O(n) — n = 1024
-//!   parties run on a laptop.
+//!   reassemble per-party, writes are backpressure-aware, timers ride the
+//!   dispatcher heap with the messages (one queue, never early), and
+//!   thread count is O(workers), not O(n) — n = 1024 parties run on a
+//!   laptop.
 //!
 //! [`AsyncBackend`] implements [`gcl_sim::Backend`], so any
 //! [`gcl_sim::ScenarioSpec`] admitted by a [`gcl_sim::ScenarioRegistry`]
@@ -78,7 +79,6 @@
 
 mod async_backend;
 mod engine;
-mod wheel;
 
 pub use async_backend::AsyncBackend;
 pub use engine::ClientHandle;
