@@ -135,10 +135,10 @@ pub struct ThroughputRow {
     /// `events / wall` of the best repetition.
     pub(crate) events_per_sec: f64,
     /// MAC compressions actually computed in one run (the
-    /// [`gcl_crypto::VerifyProbe`] delta): the crypto work the verify
-    /// caches could not avoid.
+    /// [`gcl_crypto::VerifyProbe`] delta): the crypto work the shared
+    /// MAC cache could not avoid.
     pub(crate) verify_macs: u64,
-    /// Signature/memo cache hits in one run: verifications answered
+    /// Shared MAC-cache hits in one run: signature verifications answered
     /// without recomputing a MAC.
     pub(crate) verify_hits: u64,
     /// Repetitions actually measured (best wins; fast scenarios repeat

@@ -107,8 +107,21 @@ mod registry_tests {
 /// Drives one party by hand in unit tests.
 #[cfg(test)]
 pub(crate) mod by_hand {
+    use gcl_crypto::{Pki, Verifier, VerifyProbe};
     use gcl_sim::Context;
     use gcl_types::{Config, Duration, LocalTime, PartyId, Value};
+    use std::sync::Arc;
+
+    /// Runs `check` through a fresh [`Verifier`] over `pki`, asserts that it
+    /// accepts, and returns the `(MACs computed, shared-cache hits)` it
+    /// took.
+    pub(crate) fn verify_cost(pki: &Arc<Pki>, check: impl FnOnce(&Verifier) -> bool) -> (u64, u64) {
+        let probe = Arc::new(VerifyProbe::new());
+        let v = Verifier::new(Arc::clone(pki)).with_probe(Arc::clone(&probe));
+        assert!(check(&v));
+        drop(v);
+        (probe.macs(), probe.hits())
+    }
 
     /// A party's context at a settable local time that records what the
     /// party does: its multicasts, its other sends (unicasts and

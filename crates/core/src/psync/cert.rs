@@ -17,8 +17,8 @@
 
 use super::VbbFiveFMinusOne;
 use crate::signed::PhaseVote;
-use gcl_crypto::{Digest, Digestible, MemoTag, Sha256, Signature, Signer, Verify};
-use gcl_types::{Config, Encode, ExternalValidity, PartyId, Value, View};
+use gcl_crypto::{Digest, Digestible, Sha256, Signature, Signer, Verify};
+use gcl_types::{Config, ExternalValidity, PartyId, Value, View};
 use std::collections::BTreeSet;
 
 /// Whether `ls` is `⟨v, w⟩_{L_w}`: a value-view pair signed under
@@ -224,12 +224,9 @@ impl Certificate {
     /// Validity per Figure 2: enough entries, distinct senders, all
     /// signatures good, all for `self.view()`, values externally valid.
     ///
-    /// With an amortizing [`gcl_crypto::Verifier`] the verdict is memoized
-    /// on the certificate's exact wire bytes plus every other input it
-    /// depends on — `(n, f)` and the validity predicate's name (a verifier
-    /// is per-protocol-instance, which holds a single predicate, so the
-    /// name uniquely identifies it) — making re-delivery of a known
-    /// certificate O(1) instead of O(q) signature checks.
+    /// Re-delivery re-checks every entry; with an amortizing
+    /// [`gcl_crypto::Verifier`] each entry's signature is then a
+    /// shared-cache hit rather than a MAC.
     pub(crate) fn is_valid(
         &self,
         config: Config,
@@ -242,22 +239,12 @@ impl Certificate {
                 if *view == View::ZERO {
                     return false;
                 }
-                let name = validity.name().as_bytes();
-                let mut key = MemoTag::Cert.key(24 + name.len() + 80 * entries.len());
-                key.extend_from_slice(&(config.n() as u64).to_le_bytes());
-                key.extend_from_slice(&(config.f() as u64).to_le_bytes());
-                key.extend_from_slice(&(name.len() as u64).to_le_bytes());
-                key.extend_from_slice(name);
-                self.encode(&mut key);
-                v.memoized(key, || {
-                    let distinct: BTreeSet<PartyId> =
-                        entries.iter().map(TimeoutMsg::sender).collect();
-                    distinct.len() >= config.quorum()
-                        && distinct.len() == entries.len()
-                        && entries
-                            .iter()
-                            .all(|t| t.view() == *view && t.verify(config, v, validity))
-                })
+                let distinct: BTreeSet<PartyId> = entries.iter().map(TimeoutMsg::sender).collect();
+                distinct.len() >= config.quorum()
+                    && distinct.len() == entries.len()
+                    && entries
+                        .iter()
+                        .all(|t| t.view() == *view && t.verify(config, v, validity))
             }
         }
     }

@@ -8,9 +8,9 @@
 
 use crate::signed::PhaseVote;
 use crate::Tally;
-use gcl_crypto::{Digest, MemoTag, Signature, Signer, Verifier, Verify};
+use gcl_crypto::{Digest, Signature, Signer, Verifier, Verify};
 use gcl_sim::{Context, Protocol};
-use gcl_types::{Config, Duration, Encode, ExternalValidity, PartyId, Value, View};
+use gcl_types::{Config, Duration, ExternalValidity, PartyId, Value, View};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Proof that `n − f` parties prepared `(value, view)` — the object carried
@@ -28,25 +28,18 @@ pub struct PreparedCert {
 impl PreparedCert {
     /// Full verification: quorum size, distinct voters, signatures.
     ///
-    /// The verdict is memoized on the verifier (tagged
-    /// [`MemoTag::Prepared`]): a certificate carried by every view-change
-    /// message of a quorum costs `n − f` MAC checks once, then one lookup
-    /// per re-appearance.
+    /// A certificate carried by every view-change message of a quorum costs
+    /// `n − f` MAC checks at its first verification; with an amortizing
+    /// [`Verifier`], each re-appearance costs `n − f` shared-cache lookups.
     pub(crate) fn verify(&self, config: Config, v: &impl Verify) -> bool {
-        let mut key = MemoTag::Prepared.key(56 + 52 * self.prepares.len());
-        key.extend_from_slice(&(config.n() as u64).to_le_bytes());
-        key.extend_from_slice(&(config.f() as u64).to_le_bytes());
-        self.encode(&mut key);
-        v.memoized(key, || {
-            let voters: BTreeSet<PartyId> = self.prepares.iter().map(PhaseVote::voter).collect();
-            voters.len() >= config.quorum()
-                && voters.len() == self.prepares.len()
-                && self.prepares.iter().all(|p| {
-                    p.value == self.value
-                        && p.view == self.view
-                        && p.verify_embedded(PbftPsyncVbb::PREPARE, v)
-                })
-        })
+        let voters: BTreeSet<PartyId> = self.prepares.iter().map(PhaseVote::voter).collect();
+        voters.len() >= config.quorum()
+            && voters.len() == self.prepares.len()
+            && self.prepares.iter().all(|p| {
+                p.value == self.value
+                    && p.view == self.view
+                    && p.verify_embedded(PbftPsyncVbb::PREPARE, v)
+            })
     }
 }
 
@@ -88,23 +81,15 @@ impl ViewChangeMsg {
 
     /// Verifies signature and embedded certificate.
     ///
-    /// Memoized whole (tagged [`MemoTag::ViewChange`]), so a message seen
-    /// both directly and inside a forwarded [`PbftMsg::ViewChangeBundle`]
-    /// or a proposal proof is re-checked in O(1).
+    /// A message seen both directly and inside a forwarded
+    /// [`PbftMsg::ViewChangeBundle`] or a proposal proof is checked in full
+    /// each time; its signatures are shared-cache hits after the first.
     pub(crate) fn verify(&self, config: Config, v: &impl Verify) -> bool {
-        let mut key = MemoTag::ViewChange.key(64);
-        key.extend_from_slice(&(config.n() as u64).to_le_bytes());
-        key.extend_from_slice(&(config.f() as u64).to_le_bytes());
-        self.encode(&mut key);
-        v.memoized(key, || {
-            if !v.verify_embedded(Self::digest(self.view, &self.prepared), &self.sig) {
-                return false;
-            }
-            match &self.prepared {
+        v.verify_embedded(Self::digest(self.view, &self.prepared), &self.sig)
+            && match &self.prepared {
                 None => true,
                 Some(pc) => pc.view <= self.view && pc.verify(config, v),
             }
-        })
     }
 }
 
@@ -483,7 +468,7 @@ impl Protocol for PbftPsyncVbb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::by_hand::Rec;
+    use crate::by_hand::{verify_cost, Rec};
     use gcl_crypto::Keychain;
     use gcl_sim::{FixedDelay, Outcome, Silent, Simulation, TimingModel};
     use gcl_types::{accept_all, GlobalTime};
@@ -690,6 +675,64 @@ mod tests {
             prepares,
         };
         assert!(!pc.verify(cfg, &chain.pki()));
+    }
+
+    #[test]
+    fn re_verifying_a_prepared_cert_costs_no_mac() {
+        let cfg = Config::new(4, 1).unwrap();
+        let chain = Keychain::generate(4, 38);
+        let prepares = (0..3)
+            .map(|i| {
+                let signer = chain.signer(PartyId::new(i));
+                PhaseVote::new(PbftPsyncVbb::PREPARE, &signer, Value::new(5), View::FIRST)
+            })
+            .collect();
+        let pc = PreparedCert {
+            value: Value::new(5),
+            view: View::FIRST,
+            prepares,
+        };
+        let pki = chain.pki();
+        let check = |v: &Verifier| pc.verify(cfg, v);
+        assert_eq!(verify_cost(&pki, check), (3, 0));
+        assert_eq!(verify_cost(&pki, check), (0, 3));
+    }
+
+    #[test]
+    fn a_forged_commit_does_not_count_toward_the_quorum() {
+        // P1 holds genuine commits from P0 and P2 plus one "from" P3 signed
+        // under foreign keys: one short of the quorum, so no commit until
+        // P3's genuine commit arrives.
+        let cfg = Config::new(4, 1).unwrap();
+        let chain = Keychain::generate(4, 39);
+        let foreign = Keychain::generate(4, 40);
+        let (value, view) = (Value::new(5), View::FIRST);
+        let commit = |keys: &Keychain, i: u32| {
+            let vote = PhaseVote::new(
+                PbftPsyncVbb::COMMIT,
+                &keys.signer(PartyId::new(i)),
+                value,
+                view,
+            );
+            PbftMsg::Commit(vote)
+        };
+        let mut p = PbftPsyncVbb::new(
+            cfg,
+            chain.signer(PartyId::new(1)),
+            chain.pki(),
+            accept_all(),
+            DELTA,
+            None,
+        );
+        let mut ctx = Rec::new(cfg, 1);
+        Protocol::start(&mut p, &mut ctx);
+        assert_eq!(p.q(), 3);
+        for (i, keys) in [(0, &chain), (2, &chain), (3, &foreign)] {
+            Protocol::on_message(&mut p, PartyId::new(i), commit(keys, i), &mut ctx);
+        }
+        assert!(ctx.committed.is_empty(), "a forged commit was counted");
+        Protocol::on_message(&mut p, PartyId::new(3), commit(&chain, 3), &mut ctx);
+        assert_eq!(ctx.committed, [value]);
     }
 
     #[test]

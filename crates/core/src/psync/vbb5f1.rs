@@ -26,9 +26,9 @@
 use super::cert::{Certificate, Lock, TimeoutMsg, VoteMsg};
 use crate::signed::PhaseVote;
 use crate::Tally;
-use gcl_crypto::{Digest, MemoTag, Signature, Signer, Verifier, Verify};
+use gcl_crypto::{Digest, Signature, Signer, Verifier, Verify};
 use gcl_sim::{Context, Protocol};
-use gcl_types::{Config, Duration, Encode, ExternalValidity, PartyId, Value, View};
+use gcl_types::{Config, Duration, ExternalValidity, PartyId, Value, View};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A status message `⟨status, w−1, C⟩_i` (Figure 3, step 5).
@@ -60,34 +60,20 @@ impl StatusMsg {
 
     /// Verifies the signature and the embedded certificate.
     ///
-    /// The whole verdict is memoized on the verifier (tagged
-    /// [`MemoTag::Status`]): a status re-delivered inside a
-    /// [`Proof::Statuses`] bundle after arriving directly costs one cache
-    /// lookup instead of a signature check plus a certificate re-walk —
-    /// and in particular skips re-absorbing the certificate into
-    /// [`Digest::of`]. Sound because every input to the verdict (config,
-    /// validity predicate identity, and the full wire encoding of the
-    /// status) is part of the key, and the verdict is a pure function of
-    /// those inputs.
+    /// A status re-delivered inside a [`Proof::Statuses`] bundle after
+    /// arriving directly is checked in full again: the certificate is
+    /// re-absorbed into [`Digest::of`] and re-walked, and with an amortizing
+    /// [`Verifier`] every signature in it is a shared-cache hit.
     pub(crate) fn verify(
         &self,
         config: Config,
         v: &impl Verify,
         validity: &ExternalValidity,
     ) -> bool {
-        let name = validity.name().as_bytes();
-        let mut key = MemoTag::Status.key(64 + name.len());
-        key.extend_from_slice(&(config.n() as u64).to_le_bytes());
-        key.extend_from_slice(&(config.f() as u64).to_le_bytes());
-        key.extend_from_slice(&(name.len() as u64).to_le_bytes());
-        key.extend_from_slice(name);
-        self.encode(&mut key);
-        v.memoized(key, || {
-            v.verify_embedded(Self::digest(self.view, &self.cert), &self.sig)
-                && self.cert.view() <= self.view
-                && self.cert.is_valid(config, v, validity)
-                && self.cert.lock(config).is_some()
-        })
+        v.verify_embedded(Self::digest(self.view, &self.cert), &self.sig)
+            && self.cert.view() <= self.view
+            && self.cert.is_valid(config, v, validity)
+            && self.cert.lock(config).is_some()
     }
 }
 
@@ -992,6 +978,26 @@ mod tests {
         let mut ctx = Rec::new(cfg, me);
         Protocol::start(&mut p, &mut ctx);
         (p, ctx)
+    }
+
+    #[test]
+    fn a_forged_vote_does_not_count_toward_the_quorum() {
+        // P2 holds genuine votes from P0 and P1 plus one "from" P3 signed
+        // under foreign keys: one short of the quorum, so no commit until
+        // P3's genuine vote arrives.
+        let chain = Keychain::generate(4, 29);
+        let foreign = Keychain::generate(4, 30);
+        let ls = propose(&chain.signer(PartyId::new(0)), Value::new(5), View::FIRST);
+        let vote =
+            |keys: &Keychain, i: u32| VbbMsg::Vote(VoteMsg::new(&keys.signer(PartyId::new(i)), ls));
+        let (mut p, mut ctx) = started(&chain, 2);
+        assert_eq!(p.q(), 3);
+        for (i, keys) in [(0, &chain), (1, &chain), (3, &foreign)] {
+            Protocol::on_message(&mut p, PartyId::new(i), vote(keys, i), &mut ctx);
+        }
+        assert!(ctx.committed.is_empty(), "a forged vote was counted");
+        Protocol::on_message(&mut p, PartyId::new(3), vote(&chain, 3), &mut ctx);
+        assert_eq!(ctx.committed, [Value::new(5)]);
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //! boundary. After round `f + 1`, a party outputs the unique extracted
 //! value, or the default `⊥` encoding if it extracted zero or ≥ 2 values.
 
-use gcl_crypto::{Digest, MemoTag, Signature, Signer, Verifier, Verify};
+use gcl_crypto::{Digest, Signature, Signer, Verifier, Verify};
 use gcl_sim::{Context, Protocol};
-use gcl_types::{Config, Duration, Encode, LocalTime, PartyId, Value};
+use gcl_types::{Config, Duration, LocalTime, PartyId, Value};
 use std::collections::BTreeSet;
 
 /// The `⊥` encoding used when broadcast/agreement extracts no unique value.
@@ -69,41 +69,16 @@ impl DsRelay {
     /// Chain validity: all signatures distinct, valid, and the instance
     /// sender's signature present.
     ///
-    /// With an amortizing [`Verifier`] this is *incremental*: verified
-    /// chains are memoized by `(digest, exact signature bytes)`, and a chain
-    /// whose all-but-last prefix already verified only MACs the newly
-    /// appended signature — O(1) per relay instead of O(round). The
-    /// structural checks (distinct signers, sender present) always run;
-    /// they are cheap and sig-independent.
+    /// Every signature is checked on every delivery. With an amortizing
+    /// [`Verifier`], the signatures a relay inherits from its prefix were
+    /// already MAC'd by some party, so each one costs a shared-cache lookup
+    /// and only the newly appended signature pays a MAC.
     pub(crate) fn verify(&self, domain: &'static str, v: &impl Verify) -> bool {
         let digest = Self::digest(domain, self.instance, self.value);
         let signers: BTreeSet<PartyId> = self.chain.iter().map(Signature::signer).collect();
-        if signers.len() != self.chain.len() || !signers.contains(&self.instance) {
-            return false;
-        }
-        let mut key = MemoTag::Chain.key(32 + 36 * self.chain.len());
-        key.extend_from_slice(digest.as_bytes());
-        let mut prefix_len = key.len();
-        for sig in &self.chain {
-            prefix_len = key.len();
-            sig.encode(&mut key);
-        }
-        if let Some(verdict) = v.memo_check(&key) {
-            return verdict;
-        }
-        // A memoized-true prefix covers distinctness, sender presence (for
-        // its own sigs) and every prefix MAC; the full chain's structural
-        // checks passed above, so only the appended signature is open.
-        let verdict = match self.chain.split_last() {
-            Some((last, prefix))
-                if !prefix.is_empty() && v.memo_check(&key[..prefix_len]) == Some(true) =>
-            {
-                v.verify_embedded(digest, last)
-            }
-            _ => self.chain.iter().all(|s| v.verify_embedded(digest, s)),
-        };
-        v.memo_store(key, verdict);
-        verdict
+        signers.len() == self.chain.len()
+            && signers.contains(&self.instance)
+            && self.chain.iter().all(|s| v.verify_embedded(digest, s))
     }
 
     /// Number of distinct signatures.
@@ -305,6 +280,7 @@ impl Protocol for DolevStrongBb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::by_hand::verify_cost;
     use gcl_crypto::Keychain;
     use gcl_sim::{FixedDelay, Outcome, Scripted, ScriptedAction, Silent, Simulation, TimingModel};
     use gcl_types::SkewSchedule;
@@ -450,6 +426,21 @@ mod tests {
             chain: r2.chain.clone(),
         };
         assert!(!forged.verify("d", &chain.pki()));
+    }
+
+    #[test]
+    fn re_verifying_a_chain_costs_no_mac() {
+        // A relay is re-checked in full on every delivery; the shared MAC
+        // cache answers each of its signatures the second time.
+        let chain = Keychain::generate(4, 47);
+        let relay = (1..4).fold(
+            DsRelay::originate("d", &chain.signer(PartyId::new(0)), Value::new(3)),
+            |r, i| r.extend("d", &chain.signer(PartyId::new(i))),
+        );
+        let pki = chain.pki();
+        let check = |v: &Verifier| relay.verify("d", v);
+        assert_eq!(verify_cost(&pki, check), (4, 0));
+        assert_eq!(verify_cost(&pki, check), (0, 4));
     }
 
     #[test]

@@ -18,11 +18,11 @@
 //!   (allowed in the paper's model) but cannot mint new ones.
 //! * [`Digestible`] — canonical hashing of protocol payloads without a
 //!   serialization framework (protocol messages stay plain Rust values).
-//! * [`Verifier`] / [`Verify`] — amortized verification: bounded
-//!   verify-once caches for MACs and composite artifacts whose hits are
-//!   byte-identical to recomputation (see the [`verify`](crate::Verifier)
-//!   module docs for the soundness argument), plus a [`VerifyProbe`]
-//!   counting MACs vs. cache hits for the bench rows.
+//! * [`Verifier`] / [`Verify`] — amortized verification: one bounded
+//!   verify-once MAC cache, shared by every verifier over a [`Pki`], whose
+//!   hits are byte-identical to recomputation (see the
+//!   [`verify`](crate::Verifier) module docs for the soundness argument),
+//!   plus a [`VerifyProbe`] counting MACs vs. cache hits for the bench rows.
 //!
 //! # Examples
 //!
@@ -53,4 +53,4 @@ mod verify;
 pub use digest::{Digest, Digestible};
 pub use keys::{Keychain, Pki, Signature, Signer};
 pub use sha256::Sha256;
-pub use verify::{MemoTag, Verifier, Verify, VerifyProbe};
+pub use verify::{Verifier, Verify, VerifyProbe};

@@ -1,5 +1,5 @@
-//! Amortized signature verification: verify-once caches for MACs and
-//! composite artifacts (chains, certs).
+//! Amortized signature verification: one verify-once MAC cache per key
+//! universe.
 //!
 //! The protocols in this workspace re-deliver the same signed artifacts many
 //! times — Dolev–Strong relays carry ever-growing chains past every party,
@@ -10,34 +10,29 @@
 //! (~0.9 µs on the portable path), against ~0.2–0.8 µs for a whole
 //! simulated event of the crypto-heavy rows in `BENCH_sim.json`.
 //!
-//! [`Verifier`] removes that cost without changing a single verdict:
+//! [`Verifier`] removes that cost without changing a single verdict. The
+//! cache is owned by the [`Pki`] and shared by every verifier over it: keyed
+//! by `(signer, digest)`, it stores the *recomputed true MAC* for that pair,
+//! so in an n-party run the first verifier pays the hash and the other n−1
+//! take a hit. A hit answers any claimed signature by byte-comparing the
+//! stored MAC against the claimed one, so the verdict covers the exact
+//! `(signer, digest, mac)` tuple and is byte-identical to recomputation for
+//! positives **and** negatives alike: caching cannot weaken unforgeability.
+//! (MACs here are deterministic — one valid MAC exists per
+//! `(signer, digest)` — which is what makes a single stored value a complete
+//! oracle for that pair.)
 //!
-//! * **Signature cache** — one per key universe, owned by the [`Pki`] and
-//!   shared by every verifier over it: keyed by `(signer, digest)`, storing
-//!   the *recomputed true MAC* for that pair, so in an n-party run the
-//!   first verifier pays the hash and the other n−1 take a hit. There is
-//!   no per-party level behind it: one existed and answered no lookup on
-//!   any benchmark row. A hit answers any claimed
-//!   signature by byte-comparing the stored MAC against the claimed one, so
-//!   the verdict covers the exact `(signer, digest, mac)` tuple and is
-//!   byte-identical to recomputation for positives **and** negatives alike:
-//!   caching cannot weaken unforgeability. (MACs here are deterministic —
-//!   one valid MAC exists per `(signer, digest)` — which is what makes a
-//!   single stored value a complete oracle for that pair.)
-//! * **Memo cache** — per [`Verifier`] (per party instance), lock-free:
-//!   maps an artifact fingerprint (a [`MemoTag`]-prefixed
-//!   byte key built from the artifact's wire encoding) to the boolean
-//!   verdict a full verification produced. Protocols use it to make cert
-//!   and chain re-verification O(1) on re-delivery; because the key covers
-//!   every input the verdict depends on (config, validity rule, exact
-//!   signature bytes), a hit is again byte-identical to recomputation.
+//! There is no second level: protocols check composite artifacts (chains,
+//! certificates) signature by signature, so a re-delivered artifact costs
+//! one cache lookup per signature. A cache of whole-artifact verdicts would
+//! only skip signatures that are hits here anyway, and its key — the
+//! artifact's wire encoding — costs as much to build as those lookups.
 //!
-//! Both caches are bounded with deterministic FIFO eviction, so memory is
-//! O(capacity) regardless of run length, and since neither verdict depends
-//! on cache state, behavior is identical at any thread count. The shared
-//! signature cache sits behind the [`Pki`]'s mutex; everything a
-//! [`Verifier`] owns is single-threaded, keeping it `Send` for the wall
-//! engine's worker pool.
+//! The cache is bounded with deterministic FIFO eviction, so memory is
+//! O(capacity) regardless of run length, and since no verdict depends on
+//! cache state, behavior is identical at any thread count. The cache sits
+//! behind the [`Pki`]'s mutex; a [`Verifier`]'s own counters are
+//! single-threaded, keeping it `Send` for the wall engine's worker pool.
 //!
 //! The [`Verify`] trait abstracts over [`Pki`] (always recompute) and
 //! [`Verifier`] (amortize), so protocol helpers accept either.
@@ -45,19 +40,19 @@
 use crate::digest::Digest;
 use crate::keys::{Pki, Signature};
 use gcl_types::PartyId;
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Deterministic multiply-rotate hasher for the verify-cache maps.
+/// Deterministic multiply-rotate hasher for the verify cache's map.
 ///
-/// Every cache key embeds a SHA-256 output (a [`Digest`], or a memo key
-/// containing exact signature bytes), so the key material is already
-/// uniformly distributed and attacker-shaped input cannot engineer bucket
-/// collisions any more easily than it can engineer digest collisions.
+/// Every cache key embeds a SHA-256 output (a [`Digest`]), so the key
+/// material is already uniformly distributed and attacker-shaped input
+/// cannot engineer bucket collisions any more easily than it can engineer
+/// digest collisions.
 /// That makes SipHash's keyed collision resistance pure overhead on the
 /// per-delivery hot path; this hasher is a handful of arithmetic ops per
 /// word instead. It has no per-process random state, so bucket layout —
@@ -114,9 +109,6 @@ impl Hasher for CacheHasher {
 
 pub(crate) type CacheHash = BuildHasherDefault<CacheHasher>;
 
-/// Default bound on memoized artifact verdicts per verifier.
-pub(crate) const DEFAULT_MEMO_CAPACITY: usize = 1 << 12;
-
 /// Verification oracle: can a claimed signature be attributed to a party?
 ///
 /// Implemented by [`Pki`] / `Arc<Pki>` (recompute every time) and
@@ -131,34 +123,6 @@ pub trait Verify {
     fn verify_embedded(&self, digest: Digest, sig: &Signature) -> bool {
         self.verify(sig.signer(), digest, sig)
     }
-
-    /// Looks up a memoized artifact verdict. `None` for uncached
-    /// implementations (the default), which makes [`Verify::memoized`]
-    /// recompute every time — semantically identical, just slower.
-    fn memo_check(&self, key: &[u8]) -> Option<bool> {
-        let _ = key;
-        None
-    }
-
-    /// Records an artifact verdict for later [`Verify::memo_check`] hits.
-    fn memo_store(&self, key: Vec<u8>, verdict: bool) {
-        let _ = (key, verdict);
-    }
-
-    /// Returns the memoized verdict for `key`, computing and recording it
-    /// on a miss. `compute` must be a pure function of the bytes in `key` —
-    /// the caller's side of the soundness contract.
-    fn memoized(&self, key: Vec<u8>, compute: impl FnOnce() -> bool) -> bool
-    where
-        Self: Sized,
-    {
-        if let Some(verdict) = self.memo_check(&key) {
-            return verdict;
-        }
-        let verdict = compute();
-        self.memo_store(key, verdict);
-        verdict
-    }
 }
 
 impl Verify for Pki {
@@ -170,33 +134,6 @@ impl Verify for Pki {
 impl Verify for Arc<Pki> {
     fn verify(&self, claimed: PartyId, digest: Digest, sig: &Signature) -> bool {
         Pki::verify(self, claimed, digest, sig)
-    }
-}
-
-/// Namespace byte prefixed to every memo key so verdicts for different
-/// artifact kinds can never collide, even on identical payload bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum MemoTag {
-    /// Dolev–Strong relay chain over a digest.
-    Chain = 1,
-    /// `psync::cert` assembled certificate.
-    Cert = 2,
-    /// `psync` status message (certificate + carrier signature).
-    Status = 3,
-    /// `pbft3` prepared certificate.
-    Prepared = 5,
-    /// `pbft3` view-change message.
-    ViewChange = 6,
-}
-
-impl MemoTag {
-    /// Starts a memo key: the tag byte followed by `reserve` spare bytes of
-    /// capacity for the artifact fingerprint.
-    pub fn key(self, reserve: usize) -> Vec<u8> {
-        let mut key = Vec::with_capacity(1 + reserve);
-        key.push(self as u8);
-        key
     }
 }
 
@@ -236,7 +173,7 @@ impl VerifyProbe {
         self.macs.load(Ordering::Relaxed)
     }
 
-    /// Cache hits (signature + memo) flushed so far.
+    /// Shared MAC-cache hits flushed so far.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
@@ -284,7 +221,9 @@ impl<K: Eq + Hash + Clone, V> BoundedMap<K, V> {
     }
 }
 
-/// An amortizing verification handle wrapping a shared [`Pki`].
+/// An amortizing verification handle: a shared [`Pki`] (whose MAC cache it
+/// reads and fills), counts of the MACs it computed and the hits it took,
+/// and an optional probe those counts are flushed into on drop.
 ///
 /// One per party instance (protocols own it the way they used to own an
 /// `Arc<Pki>`); the `verify` module's docs give the cache design and the
@@ -293,24 +232,16 @@ impl<K: Eq + Hash + Clone, V> BoundedMap<K, V> {
 /// unchanged against constructors taking `impl Into<Verifier>`.
 pub struct Verifier {
     pki: Arc<Pki>,
-    memo: RefCell<BoundedMap<Box<[u8]>, bool>>,
     macs: Cell<u64>,
     hits: Cell<u64>,
     probe: Option<Arc<VerifyProbe>>,
 }
 
 impl Verifier {
-    /// A verifier with default cache bounds.
+    /// A verifier over `pki`'s shared MAC cache, with zeroed counters.
     pub fn new(pki: Arc<Pki>) -> Self {
-        Self::with_capacity(pki, DEFAULT_MEMO_CAPACITY)
-    }
-
-    /// A verifier with an explicit memo-cache bound (min 1); used by tests
-    /// to exercise the eviction boundary.
-    pub(crate) fn with_capacity(pki: Arc<Pki>, memo_capacity: usize) -> Self {
         Verifier {
             pki,
-            memo: RefCell::new(BoundedMap::new(memo_capacity)),
             macs: Cell::new(0),
             hits: Cell::new(0),
             probe: None,
@@ -371,22 +302,6 @@ impl Verify for Verifier {
             Some(mac) => mac == *sig.mac_bytes(),
             None => false,
         }
-    }
-
-    fn memo_check(&self, key: &[u8]) -> Option<bool> {
-        // Box<[u8]> and [u8] hash/compare identically; the allocation-free
-        // lookup needs only a borrow of the key bytes.
-        let verdict = self.memo.borrow().map.get(key).copied();
-        if verdict.is_some() {
-            self.hits.set(self.hits.get() + 1);
-        }
-        verdict
-    }
-
-    fn memo_store(&self, key: Vec<u8>, verdict: bool) {
-        self.memo
-            .borrow_mut()
-            .insert(key.into_boxed_slice(), verdict);
     }
 }
 
@@ -495,48 +410,11 @@ mod tests {
     }
 
     #[test]
-    fn memoized_artifact_verdicts() {
-        let chain = Keychain::generate(2, 15);
-        let v = Verifier::new(chain.pki());
-        let mut computes = 0;
-        let key = MemoTag::Chain.key(4);
-        for _ in 0..3 {
-            let verdict = v.memoized(key.clone(), || {
-                computes += 1;
-                true
-            });
-            assert!(verdict);
-        }
-        assert_eq!(computes, 1, "computed once, then memoized");
-        // A different tag over the same payload bytes is a different key.
-        let other = MemoTag::Cert.key(4);
-        assert_eq!(v.memo_check(&other), None);
-    }
-
-    #[test]
-    fn memo_eviction_recomputes() {
-        let chain = Keychain::generate(2, 16);
-        let v = Verifier::with_capacity(chain.pki(), 1);
-        let mut key_a = MemoTag::Chain.key(1);
-        key_a.push(0xa);
-        let mut key_b = MemoTag::Chain.key(1);
-        key_b.push(0xb);
-        assert!(v.memoized(key_a.clone(), || true));
-        assert!(!v.memoized(key_b, || false)); // evicts key_a
-        let mut recomputed = false;
-        assert!(v.memoized(key_a, || {
-            recomputed = true;
-            true
-        }));
-        assert!(recomputed, "evicted entry is recomputed, same verdict");
-    }
-
-    #[test]
     fn pki_and_arc_pki_implement_verify_uncached() {
         let chain = Keychain::generate(2, 17);
         let sig = chain.signer(PartyId::new(1)).sign(digest(3));
         fn check(v: &impl Verify, sig: &Signature) -> bool {
-            v.memo_check(b"anything").is_none() && v.verify_embedded(digest(3), sig)
+            v.verify_embedded(digest(3), sig)
         }
         assert!(check(&chain.pki(), &sig)); // &Arc<Pki>
         assert!(check(chain.pki().as_ref(), &sig)); // &Pki

@@ -42,7 +42,7 @@ use gcl_types::{
     Config, Decode, Duration as SimDuration, Encode, GlobalTime, LocalTime, PartyId, Value,
 };
 use parking_lot::Mutex;
-use std::collections::BinaryHeap;
+use std::collections::{binary_heap::PeekMut, BinaryHeap};
 use std::io::{self, Read, Write};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
@@ -809,8 +809,11 @@ impl DeliveryHeap {
     ) {
         let n = self.n;
         let mut more = true;
-        while more && self.heap.peek().is_some_and(|s| s.due <= now) {
-            match self.heap.pop().expect("peeked").what {
+        while more {
+            let Some(top) = self.heap.peek_mut().filter(|s| s.due <= now) else {
+                break;
+            };
+            match PeekMut::pop(top).what {
                 Pending::Msg {
                     to,
                     from,

@@ -8,7 +8,7 @@
 //! This facade re-exports the workspace crates:
 //!
 //! * [`types`] — ids, values, clocks, resilience configuration.
-//! * [`crypto`] — SHA-256, PKI, signatures, memoized verification.
+//! * [`crypto`] — SHA-256, PKI, signatures, cached verification.
 //! * [`sim`] — the deterministic discrete-event execution substrate.
 //! * [`core`] — the broadcast protocols (async / psync / sync / dishonest
 //!   majority), strawmen, and lower-bound executions.
