@@ -1,5 +1,5 @@
 //! Dishonest-majority Byzantine broadcast (`n/2 ≤ f < n`), after Wan et
-//! al. [34] with the paper's fast path (Section C.5).
+//! al. \[34\] with the paper's fast path (Section C.5).
 //!
 //! Structure per epoch `e` (leader `L_e`, `L_1` = broadcaster):
 //!

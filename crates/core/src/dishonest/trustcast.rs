@@ -1,6 +1,6 @@
 //! Trust tracking and flooding for the dishonest-majority protocol.
 //!
-//! Wan et al. [34] build their expected-constant-round BB for `f ≥ n/2` on
+//! Wan et al. \[34\] build their expected-constant-round BB for `f ≥ n/2` on
 //! a *trust graph* plus a *TrustCast* primitive: every signed unit is
 //! flooded (forwarded once by everyone), and a party that fails to deliver
 //! its expected unit by a deadline proportional to `n/(n−f)` is removed

@@ -162,6 +162,7 @@ const fn view_tag(view: View) -> u64 {
 /// assert_eq!(outcome.good_case_rounds(), Some(2));
 /// # Ok::<(), gcl_types::ConfigError>(())
 /// ```
+#[derive(Debug)]
 pub struct VbbFiveFMinusOne {
     config: Config,
     signer: Signer,
@@ -170,14 +171,11 @@ pub struct VbbFiveFMinusOne {
     big_delta: Duration,
     /// Broadcaster's input (`Some` iff this party leads view 1).
     input: Option<Value>,
-    /// Proposed when leading a later view with only genesis locks around.
-    fallback: Value,
-    /// Late-bound alternative to [`fallback`](Self::fallback): consulted at
-    /// the moment this party proposes as a late-view leader with nothing
-    /// locked, so an embedding layer (e.g. an SMR slot engine rotating
-    /// proposal rights) can substitute a *fresh* value — drained from its
-    /// mempool — instead of a constant chosen at construction time.
-    fallback_source: Option<Box<dyn FnMut(View) -> Value + Send>>,
+    /// Proposed when leading a later view with only genesis locks around
+    /// (`None`: the caller supplies it, see [`Self::wants_proposal`]).
+    fallback: Option<Value>,
+    /// Leading the current view with nothing locked and no fallback.
+    wants: bool,
     view: View,
     cert: Certificate,
     voted: Option<PhaseVote>,
@@ -229,7 +227,7 @@ impl VbbFiveFMinusOne {
                 "broadcaster input must be externally valid"
             );
         }
-        let fallback = Value::new(1_000_000 + u64::from(signer.id().index()));
+        let fallback = Some(Value::new(1_000_000 + u64::from(signer.id().index())));
         VbbFiveFMinusOne {
             config,
             signer,
@@ -238,7 +236,7 @@ impl VbbFiveFMinusOne {
             big_delta,
             input,
             fallback,
-            fallback_source: None,
+            wants: false,
             view: View::FIRST,
             cert: Certificate::Genesis,
             voted: None,
@@ -252,29 +250,36 @@ impl VbbFiveFMinusOne {
         }
     }
 
-    /// Overrides the value this party proposes as a late-view leader when
-    /// nothing is locked (must be externally valid for progress).
+    /// Leaves the value this party proposes as a late-view leader with
+    /// nothing locked to the caller, who must answer
+    /// [`wants_proposal`](Self::wants_proposal) after every call into the
+    /// party, before the next one. A locked value always wins.
     #[must_use]
-    pub fn with_fallback(mut self, v: Value) -> Self {
-        self.fallback = v;
+    pub fn with_caller_fallback(mut self) -> Self {
+        self.fallback = None;
         self
     }
 
-    /// Installs a dynamic fallback: when this party proposes as a late-view
-    /// leader and no value is locked, `source(view)` supplies the proposal
-    /// instead of the static [`with_fallback`](Self::with_fallback) value.
-    /// Every value the source returns must be externally valid.
+    /// Whether this party leads the current view, its status quorum locks
+    /// nothing, and it waits for the caller's value
+    /// ([`with_caller_fallback`](Self::with_caller_fallback)).
+    pub fn wants_proposal(&self) -> bool {
+        self.wants
+    }
+
+    /// Answers [`wants_proposal`](Self::wants_proposal): proposes and votes
+    /// for `value` (externally valid) with the status quorum as its proof,
+    /// and resumes the view change where it stopped.
     ///
-    /// The source is consulted at most once per view led by this party, and
-    /// only on the no-lock path — a locked value always wins, preserving
-    /// the protocol's safety argument unchanged.
-    #[must_use]
-    pub fn with_fallback_source(
-        mut self,
-        source: impl FnMut(View) -> Value + Send + 'static,
-    ) -> Self {
-        self.fallback_source = Some(Box::new(source));
-        self
+    /// # Panics
+    ///
+    /// Panics if no proposal is wanted.
+    pub fn propose_unlocked(&mut self, value: Value, ctx: &mut dyn Context<VbbMsg>) {
+        assert!(self.wants, "no unlocked proposal is wanted");
+        self.wants = false;
+        let statuses = self.statuses.bundle(&self.view.prev());
+        self.send_proposal(value, Proof::Statuses(statuses), ctx);
+        self.try_advance(ctx);
     }
 
     fn me(&self) -> PartyId {
@@ -440,6 +445,7 @@ impl VbbFiveFMinusOne {
             self.view = new_view;
             self.voted = None;
             self.proposed = false;
+            self.wants = false;
             ctx.set_timer(self.big_delta * 4, view_tag(new_view));
 
             let status = StatusMsg::new(&self.signer, w, self.cert.clone());
@@ -450,6 +456,9 @@ impl VbbFiveFMinusOne {
             }
             if self.leader(new_view) == self.me() {
                 self.try_propose(ctx);
+                if self.wants {
+                    return; // resumed by `propose_unlocked`
+                }
             }
             // Maybe timeouts for the new view already suffice — loop.
         }
@@ -458,7 +467,7 @@ impl VbbFiveFMinusOne {
     // ----- Step 6: status / propose ----------------------------------------
 
     fn try_propose(&mut self, ctx: &mut dyn Context<VbbMsg>) {
-        if self.committed || self.proposed || self.leader(self.view) != self.me() {
+        if self.committed || self.proposed || self.wants || self.leader(self.view) != self.me() {
             return;
         }
         let w = self.view;
@@ -475,41 +484,33 @@ impl VbbFiveFMinusOne {
             };
             (v, Proof::Cert(self.cert.clone()))
         } else {
-            let statuses = self.statuses.bundle(&prev);
-            let highest = statuses
-                .iter()
-                .map(|s| &s.cert)
+            let highest = self
+                .statuses
+                .votes(&prev)
+                .map(|(_, s)| &s.cert)
                 .max_by_key(|c| c.view())
                 .expect("quorum checked");
-            let v = match highest.lock(self.config) {
-                Some(Lock::Exactly(v)) => v,
-                _ => match self.fallback_source.as_mut() {
-                    Some(source) => source(w),
-                    None => self.fallback,
-                },
+            let v = match (highest.lock(self.config), self.fallback) {
+                (Some(Lock::Exactly(v)), _) | (_, Some(v)) => v,
+                (_, None) => {
+                    // Nothing locked: the caller picks the value.
+                    self.wants = true;
+                    return;
+                }
             };
-            (v, Proof::Statuses(statuses))
+            (v, Proof::Statuses(self.statuses.bundle(&prev)))
         };
-        let ls = PhaseVote::new(Self::PROPOSE, &self.signer, value, w);
+        self.send_proposal(value, proof, ctx);
+    }
+
+    /// Multicasts this party's proposal for the current view and its vote.
+    fn send_proposal(&mut self, value: Value, proof: Proof, ctx: &mut dyn Context<VbbMsg>) {
+        let ls = PhaseVote::new(Self::PROPOSE, &self.signer, value, self.view);
         self.proposed = true;
         self.voted = Some(ls);
         let vote = VoteMsg::new(&self.signer, ls);
         ctx.multicast(VbbMsg::Propose { ls, proof });
         ctx.multicast(VbbMsg::Vote(vote));
-    }
-}
-
-// Manual impl: the optional fallback-source closure is not `Debug`.
-impl std::fmt::Debug for VbbFiveFMinusOne {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("VbbFiveFMinusOne")
-            .field("me", &self.signer.id())
-            .field("view", &self.view)
-            .field("committed", &self.committed)
-            .field("proposed", &self.proposed)
-            .field("fallback", &self.fallback)
-            .field("dynamic_fallback", &self.fallback_source.is_some())
-            .finish_non_exhaustive()
     }
 }
 
@@ -600,7 +601,7 @@ mod tests {
         Strategy, TimingModel,
     };
     use gcl_types::{accept_all, GlobalTime};
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
 
     const DELTA: Duration = Duration::from_micros(100);
 
@@ -670,16 +671,50 @@ mod tests {
         assert_eq!(o.committed_value(), Some(Value::new(1_000_001)));
     }
 
+    /// A party whose caller answers every proposal it asks for with
+    /// `7_000 + view`, logging each view it was asked for.
+    struct Answering {
+        inner: VbbFiveFMinusOne,
+        asked: Arc<Mutex<Vec<View>>>,
+    }
+
+    impl Answering {
+        fn answer(&mut self, ctx: &mut dyn Context<VbbMsg>) {
+            while self.inner.wants_proposal() {
+                let view = self.inner.view;
+                self.asked.lock().unwrap().push(view);
+                let value = Value::new(7_000 + view.number());
+                self.inner.propose_unlocked(value, ctx);
+            }
+        }
+    }
+
+    impl Protocol for Answering {
+        type Msg = VbbMsg;
+        fn start(&mut self, ctx: &mut dyn Context<VbbMsg>) {
+            Protocol::start(&mut self.inner, ctx);
+            self.answer(ctx);
+        }
+        fn on_message(&mut self, from: PartyId, msg: VbbMsg, ctx: &mut dyn Context<VbbMsg>) {
+            Protocol::on_message(&mut self.inner, from, msg, ctx);
+            self.answer(ctx);
+        }
+        fn on_timer(&mut self, tag: u64, ctx: &mut dyn Context<VbbMsg>) {
+            Protocol::on_timer(&mut self.inner, tag, ctx);
+            self.answer(ctx);
+        }
+    }
+
     #[test]
-    fn fallback_source_supplies_the_late_view_proposal() {
-        // Same silent-leader schedule, but the view-2 leader carries a
-        // dynamic fallback source: the converged value must come from the
-        // source (stamped with the view it was asked for), and parties
-        // without a source must be unaffected.
+    fn caller_fallback_is_asked_once_and_its_value_committed() {
+        // The silent-leader schedule again, but the view-2 leader leaves
+        // its unlocked proposal to the caller: it is asked exactly once,
+        // for the view it leads, and everyone commits the caller's value.
+        // Parties with a fallback value are never asked.
         let n = 9;
         let cfg = Config::new(n, 2).unwrap();
         let chain = Keychain::generate(n, 23);
-        let asked: Arc<std::sync::Mutex<Vec<View>>> = Arc::default();
+        let asked: Arc<Mutex<Vec<View>>> = Arc::default();
         let log = Arc::clone(&asked);
         let o = Simulation::build(cfg)
             .timing(psync_gst0())
@@ -694,25 +729,76 @@ mod tests {
                     DELTA,
                     None,
                 );
-                if p == PartyId::new(1) {
-                    let log = Arc::clone(&log);
-                    vbb.with_fallback_source(move |view| {
-                        log.lock().unwrap().push(view);
-                        Value::new(7_000 + view.number())
-                    })
-                } else {
-                    vbb
+                Answering {
+                    inner: if p == PartyId::new(1) {
+                        vbb.with_caller_fallback()
+                    } else {
+                        vbb
+                    },
+                    asked: Arc::clone(&log),
                 }
             })
             .run();
         o.assert_agreement();
         assert!(o.all_honest_committed());
         assert_eq!(o.committed_value(), Some(Value::new(7_002)));
-        assert_eq!(
-            asked.lock().unwrap().as_slice(),
-            &[View::new(2)],
-            "the source is consulted exactly once, for the view being led"
+        assert_eq!(asked.lock().unwrap().as_slice(), &[View::new(2)]);
+    }
+
+    #[test]
+    fn caller_fallback_is_asked_only_when_nothing_is_locked() {
+        // P1 leads view 2 of (4, 1) and leaves its unlocked proposal to
+        // the caller. A status quorum whose highest certificate locks 5
+        // makes it propose 5 without asking. An all-genesis quorum makes it
+        // ask and send nothing, and the caller's answer goes out as the
+        // Propose and the Vote, with that quorum as the proof.
+        let chain = Keychain::generate(4, 31);
+        let signer = |i: u32| chain.signer(PartyId::new(i));
+        let bot = |q: u32| TimeoutMsg::bot(&signer(q), View::FIRST);
+        let ls = propose(&signer(0), Value::new(5), View::FIRST);
+        let locking = Certificate::assemble(
+            View::FIRST,
+            vec![bot(0), bot(1), TimeoutMsg::val(&signer(3), ls)],
         );
+        for locked in [true, false] {
+            let (p, mut ctx) = started(&chain, 1);
+            let mut p = p.with_caller_fallback();
+            let cert3 = if locked {
+                locking.clone()
+            } else {
+                Certificate::Genesis
+            };
+            let statuses = vec![
+                StatusMsg::new(&signer(0), View::FIRST, Certificate::Genesis),
+                StatusMsg::new(&signer(2), View::FIRST, Certificate::Genesis),
+                StatusMsg::new(&signer(3), View::FIRST, cert3),
+            ];
+            for st in &statuses {
+                let msg = VbbMsg::Status(st.clone());
+                Protocol::on_message(&mut p, st.sender(), msg, &mut ctx);
+            }
+            for q in [0, 2, 3] {
+                Protocol::on_message(&mut p, PartyId::new(q), VbbMsg::Timeout(bot(q)), &mut ctx);
+            }
+            let ls = |v: u64| propose(&signer(1), Value::new(v), View::new(2));
+            let proposal = |v: u64| VbbMsg::Propose {
+                ls: ls(v),
+                proof: Proof::Statuses(statuses.clone()),
+            };
+            if locked {
+                assert!(!p.wants_proposal(), "the lock wins");
+                assert!(ctx.multicast.contains(&proposal(5)), "{:?}", ctx.multicast);
+                continue;
+            }
+            assert!(p.wants_proposal());
+            let proposed = |m: &VbbMsg| matches!(m, VbbMsg::Propose { .. });
+            assert!(!ctx.multicast.iter().any(proposed), "nothing sent unasked");
+            let sent = ctx.multicast.len();
+            p.propose_unlocked(Value::new(9), &mut ctx);
+            assert!(!p.wants_proposal());
+            let vote = VbbMsg::Vote(VoteMsg::new(&signer(1), ls(9)));
+            assert_eq!(ctx.multicast[sent..], [proposal(9), vote]);
+        }
     }
 
     /// Byzantine view-1 leader that equivocates: proposes `value_a` (with a
@@ -860,8 +946,9 @@ mod tests {
             .timing(psync_gst0())
             .oracle(FixedDelay::new(Duration::from_micros(10)))
             .byzantine(PartyId::new(0), script)
-            .spawn_honest(|p| {
-                VbbFiveFMinusOne::new(
+            .spawn_honest(|p| VbbFiveFMinusOne {
+                fallback: Some(Value::new(42)),
+                ..VbbFiveFMinusOne::new(
                     cfg,
                     chain.signer(p),
                     chain.pki(),
@@ -869,7 +956,6 @@ mod tests {
                     DELTA,
                     None,
                 )
-                .with_fallback(Value::new(42))
             })
             .run();
         o.assert_agreement();

@@ -5,7 +5,7 @@
 //! round complexity is exactly what motivates studying *good-case* latency
 //! instead). We use its signature-chain core twice: stand-alone as
 //! [`DolevStrongBb`] and, one instance per party, inside the lock-step
-//! Byzantine agreement primitive ([`super::LockstepBa`]).
+//! Byzantine agreement primitive ([`super::ba::LockstepBa`]).
 //!
 //! ## Lock-step timing
 //!

@@ -31,7 +31,9 @@
 //! instances by naming far-future slots), and instances, commit records,
 //! skipped-view records and payloads more than [`PAYLOAD_RETENTION`] slots
 //! *behind* the frontier are pruned (the failover suspect set — see
-//! [`SlotEngine`] — holds at most one entry per party). A replica that
+//! [`SlotEngine`] — holds at most one entry per party). Payloads are also
+//! counted per sender within a slot, so one peer cannot crowd out the
+//! batch the slot commits (see [`PAYLOAD_WINDOW`]). A replica that
 //! misses a payload re-requests it with [`SmrMsg::PayloadPull`], re-armed
 //! on a timer until the bytes arrive.
 
@@ -140,9 +142,15 @@ const PULL_RETRY_TAG: u64 = MAX_INNER_TAG - 1;
 /// (retained so lagging peers can still pull recently applied batches).
 const PAYLOAD_RETENTION: u64 = 128;
 /// Slots this far ahead of the applied frontier refuse payload storage.
+///
+/// Memory bound: each slot in the window holds at most
+/// [`MAX_PAYLOADS_PER_SLOT`] batches stored from each of the `n` parties,
+/// plus the batch the slot committed and the batches this replica proposed
+/// there itself (one per view it led).
 const PAYLOAD_WINDOW: u64 = 1024;
-/// Distinct digests stored per slot (an equivocating leader can author at
-/// most a handful before the view changes; the bound caps its memory).
+/// Batches stored per slot from any one sender. An equivocating leader can
+/// author at most a handful before the view changes, and counting them per
+/// sender keeps one peer's flood from taking the other peers' entries.
 const MAX_PAYLOADS_PER_SLOT: usize = 4;
 
 /// The consensus value standing in for a batch: the reserved
@@ -185,21 +193,6 @@ impl Default for SmrParams {
     }
 }
 
-/// The shared command pool of one replica: the mempool plus the
-/// proposal-staging state the per-slot rotation closures write into.
-///
-/// Sits behind an `Arc<Mutex<…>>` because the slot instances' fallback
-/// sources (see [`SlotEngine::rotation_source`]) need access while the
-/// engine itself is mutably borrowed driving a slot. The lock is never
-/// held across a call into a slot instance.
-struct PoolState {
-    mempool: Mempool,
-    /// Batches drained by rotation fallback sources, awaiting payload
-    /// dissemination and proposal bookkeeping (flushed by
-    /// [`SlotEngine::flush_staged`] right after the slot interaction).
-    staged: Vec<(SlotId, Batch)>,
-}
-
 /// A replica: one `(5f−1)`-psync-VBB instance per slot, committed batches
 /// applied in slot order to the shared [`StateMachine`].
 ///
@@ -208,11 +201,14 @@ struct PoolState {
 /// in flight. Followers arm a view timer for every slot within `pipeline`
 /// of their applied frontier, so a leader that goes quiet on *any* slot is
 /// timed out — and **leader rotation** hands proposal rights to the next
-/// view's round-robin leader, which re-proposes from its own pool instead
-/// of letting the slot fall back to a no-op. Commands from a view-changed
-/// in-flight batch are re-admitted idempotently, and applies are
-/// deduplicated against the pool's committed filter, so every admitted
-/// command applies exactly once whatever the crash schedule. The state
+/// view's round-robin leader. When its status quorum locks nothing, its
+/// slot instance asks for a proposal
+/// ([`VbbFiveFMinusOne::wants_proposal`]) and the engine, which owns the
+/// pool, answers with a batch from it (the no-op if it is empty).
+/// Commands from a view-changed in-flight batch are re-admitted
+/// idempotently, and applies are deduplicated against the pool's committed
+/// filter, so every admitted command applies exactly once whatever the
+/// crash schedule. The state
 /// machine sits behind an `Arc<Mutex<…>>` so tests and applications can
 /// observe it after (or during) the run.
 ///
@@ -242,7 +238,9 @@ struct PoolState {
 ///    ([`VbbFiveFMinusOne::forfeit`]). Once a quorum suspects the same
 ///    `k` consecutive leaders, a slot crosses all `k` views in **one**
 ///    message delay. Safe: firing early is a fast local clock, and
-///    forfeiting only ever withholds a vote.
+///    forfeiting only ever withholds a vote. A fired timer that makes this
+///    replica a rotation leader has its proposal answered before the
+///    forfeits go out, as it would after a timer that fired in full.
 /// 3. **Stay live.** Only in the slot's first round-robin cycle, views
 ///    `1..=n`. From view `n + 1` on every leader gets its full `4Δ`, so a
 ///    slot is the unmodified protocol once every party has been tried,
@@ -262,8 +260,8 @@ pub struct SlotEngine<S> {
     big_delta: Duration,
     params: SmrParams,
     machine: Arc<Mutex<S>>,
-    pool: Arc<Mutex<PoolState>>,
-    /// Batches this replica proposed (view 1) or staged for a later view,
+    mempool: Mempool,
+    /// Batches this replica proposed, in view 1 or as a rotation leader,
     /// per slot: when the slot decides something else, their commands are
     /// re-queued.
     my_proposals: BTreeMap<SlotId, Vec<Batch>>,
@@ -272,7 +270,9 @@ pub struct SlotEngine<S> {
     stats_probe: Option<Arc<Mutex<MempoolStats>>>,
     slots: BTreeMap<SlotId, VbbFiveFMinusOne>,
     committed: BTreeMap<SlotId, Value>,
-    payloads: BTreeMap<SlotId, BTreeMap<Value, Batch>>,
+    /// Per slot, the batches held by digest, each with the peer it was
+    /// stored from (see [`PAYLOAD_WINDOW`] for the bound).
+    payloads: BTreeMap<SlotId, BTreeMap<Value, (PartyId, Batch)>>,
     pulled: BTreeSet<SlotId>,
     /// Leaders this replica has watched fail, each with the latest slot
     /// that convicted it (see "Failover" in the type docs). Local
@@ -319,10 +319,6 @@ impl<S: StateMachine> SlotEngine<S> {
             config.supports_two_round_psync(),
             "SMR engine requires n >= 5f - 1"
         );
-        let pool = PoolState {
-            mempool: Mempool::new(params.mempool_capacity),
-            staged: Vec::new(),
-        };
         SlotEngine {
             config,
             signer,
@@ -330,7 +326,7 @@ impl<S: StateMachine> SlotEngine<S> {
             big_delta,
             params,
             machine,
-            pool: Arc::new(Mutex::new(pool)),
+            mempool: Mempool::new(params.mempool_capacity),
             my_proposals: BTreeMap::new(),
             stats_probe: None,
             slots: BTreeMap::new(),
@@ -378,57 +374,15 @@ impl<S: StateMachine> SlotEngine<S> {
         self.me() == PartyId::new(0)
     }
 
-    /// The per-slot rotation hook: when a view times out and *this*
-    /// replica leads the next view, the slot's VBB instance consults this
-    /// source for a proposal instead of falling back to the no-op. The
-    /// closure drains a batch from the shared pool and records it in
-    /// `staged`; the engine flushes the staging area — payload
-    /// dissemination plus re-queue bookkeeping — right after the slot
-    /// interaction returns, because the engine itself is mutably borrowed
-    /// while the closure runs.
-    fn rotation_source(&self, slot: SlotId) -> impl FnMut(View) -> Value + Send + 'static {
-        let pool = Arc::clone(&self.pool);
-        let batch_cap = self.params.batch;
-        move |_view| {
-            let mut st = pool.lock();
-            let Some(batch) = st.mempool.take_batch(batch_cap) else {
-                return Value::NO_OP;
-            };
-            let value = batch_value(&batch);
-            st.staged.push((slot, batch));
-            value
-        }
-    }
-
-    /// Disseminates and records every batch the rotation sources staged
-    /// since the last flush: store + multicast the payload bytes and track
-    /// the batch in `my_proposals` so a lost view change re-queues it.
-    fn flush_staged(&mut self, ctx: &mut dyn Context<SmrMsg>) {
-        loop {
-            let staged: Vec<(SlotId, Batch)> = {
-                let mut st = self.pool.lock();
-                std::mem::take(&mut st.staged)
-            };
-            if staged.is_empty() {
-                break;
-            }
-            for (slot, batch) in staged {
-                if !batch.is_no_op() {
-                    self.store_payload(slot, batch.clone());
-                    ctx.multicast(SmrMsg::Payload {
-                        slot,
-                        batch: batch.clone(),
-                    });
-                }
-                self.my_proposals.entry(slot).or_default().push(batch);
-            }
-        }
-    }
-
     /// The one place a slot instance is touched: creates (and starts) it
     /// if absent, routes `f` into it, crosses the views of suspected
     /// leaders, and records the commit — and what it says about the
     /// leaders ([`Self::judge`]) — if one results.
+    ///
+    /// After `f` and after each fired suspect timer, a rotation leader's
+    /// request for a proposal is answered from the pool, and the batch is
+    /// published ([`Self::publish`]) after its Propose and Vote; the view-1
+    /// primary publishes before its instance starts ([`Self::propose`]).
     ///
     /// `proposal` is the view-1 input a *new* instance gets on the stable
     /// primary: the batch digest on the propose path, the explicit empty
@@ -466,8 +420,7 @@ impl<S: StateMachine> SlotEngine<S> {
                 self.big_delta,
                 self.is_leader().then_some(proposal),
             )
-            .with_fallback(Value::NO_OP)
-            .with_fallback_source(self.rotation_source(slot));
+            .with_caller_fallback();
             self.slots.insert(slot, inst);
         }
         let Some(inst) = self.slots.get_mut(&slot) else {
@@ -480,10 +433,22 @@ impl<S: StateMachine> SlotEngine<S> {
             suspects: &self.suspects,
             unarmed: Vec::new(),
         };
+        // Rotation: an unlocked view's leader gets a batch from the pool,
+        // or the no-op; the batches are published after the interaction.
+        let mut drained = Vec::new();
+        let (mempool, batch_cap) = (&mut self.mempool, self.params.batch);
+        let mut answer = |inst: &mut VbbFiveFMinusOne, sub: &mut SubCtx<'_>| {
+            while inst.wants_proposal() {
+                let batch = mempool.take_batch(batch_cap);
+                inst.propose_unlocked(batch.as_ref().map_or(Value::NO_OP, batch_value), sub);
+                drained.extend(batch);
+            }
+        };
         if created {
             Protocol::start(inst, &mut sub);
         }
         f(inst, &mut sub);
+        answer(inst, &mut sub);
         // Rule 2 (skip): every view timer the interaction would have armed
         // for a suspected leader fires now instead, and the suspected
         // views directly behind it are forfeited in the same breath, so a
@@ -494,6 +459,7 @@ impl<S: StateMachine> SlotEngine<S> {
             fired += 1;
             self.skipped.insert((slot, tag));
             Protocol::on_timer(inst, tag, &mut sub);
+            answer(inst, &mut sub);
             let mut next = View::new(tag).next();
             while sub.suspects_leader_of(next.number()) {
                 self.skipped.insert((slot, next.number()));
@@ -511,7 +477,10 @@ impl<S: StateMachine> SlotEngine<S> {
                 self.judge(slot, value, view);
             }
         }
-        self.flush_staged(ctx);
+        for batch in drained {
+            self.publish(slot, batch, ctx);
+        }
+        debug_assert!(self.slots.values().all(|inst| !inst.wants_proposal()));
     }
 
     /// What `slot` committing `value` on view `view`'s quorum says about
@@ -548,7 +517,7 @@ impl<S: StateMachine> SlotEngine<S> {
             };
             let batch = if decided.is_no_op() {
                 Batch::no_op()
-            } else if let Some(b) = self.payloads.get(&slot).and_then(|m| m.get(&decided)) {
+            } else if let Some((_, b)) = self.payloads.get(&slot).and_then(|m| m.get(&decided)) {
                 b.clone()
             } else {
                 // Decided but the bytes never arrived: ask the peers, and
@@ -580,19 +549,18 @@ impl<S: StateMachine> SlotEngine<S> {
             // functions of the applied log prefix.
             let mut acks: Vec<Value> = Vec::new();
             {
-                let mut st = self.pool.lock();
                 let mut machine = self.machine.lock();
                 for &cmd in batch.commands() {
-                    if st.mempool.mark_committed(cmd, slot) {
+                    if self.mempool.mark_committed(cmd, slot) {
                         machine.apply(slot, cmd);
                         acks.push(cmd);
                     }
                 }
-                for beaten in mine {
-                    if batch_value(&beaten) != decided {
-                        for &cmd in beaten.commands() {
-                            st.mempool.readmit(cmd);
-                        }
+            }
+            for beaten in mine {
+                if batch_value(&beaten) != decided {
+                    for &cmd in beaten.commands() {
+                        self.mempool.readmit(cmd);
                     }
                 }
             }
@@ -677,7 +645,7 @@ impl<S: StateMachine> SlotEngine<S> {
                     self.next_propose += 1;
                     continue;
                 }
-                let proposal = self.pool.lock().mempool.take_batch(self.params.batch);
+                let proposal = self.mempool.take_batch(self.params.batch);
                 let Some(batch) = proposal else { break };
                 self.propose(slot, batch, ctx);
                 progressed = true;
@@ -695,29 +663,34 @@ impl<S: StateMachine> SlotEngine<S> {
         progressed
     }
 
-    /// Leader: disseminate the batch bytes, then start the slot's VBB
-    /// instance with the batch digest as its input. The payload multicast
-    /// goes out first so (under FIFO links) every replica holds the bytes
-    /// before the digest can commit.
+    /// Leader: publish the batch, then start the slot's VBB instance with
+    /// the batch digest as its input. The payload multicast goes out first
+    /// so (under FIFO links) every replica holds the bytes before the
+    /// digest can commit.
     fn propose(&mut self, slot: SlotId, batch: Batch, ctx: &mut dyn Context<SmrMsg>) {
         debug_assert!(
             !self.slots.contains_key(&slot),
             "proposing into an already-open slot would clobber its instance"
         );
-        let value = batch_value(&batch);
-        if !batch.is_no_op() {
-            self.payloads
-                .entry(slot)
-                .or_default()
-                .insert(value, batch.clone());
-            ctx.multicast(SmrMsg::Payload {
-                slot,
-                batch: batch.clone(),
-            });
-        }
-        self.my_proposals.entry(slot).or_default().push(batch);
+        let value = self.publish(slot, batch, ctx);
         self.next_propose = self.next_propose.max(slot.index() + 1);
         self.drive(slot, ctx, value, |_, _| {});
+    }
+
+    /// Publishes `batch`, a non-empty batch this replica proposes at
+    /// `slot`: stores it (its own batch is never refused), multicasts its
+    /// bytes, and records it in `my_proposals` so that its commands are
+    /// re-queued if the slot decides something else. Returns its value.
+    fn publish(&mut self, slot: SlotId, batch: Batch, ctx: &mut dyn Context<SmrMsg>) -> Value {
+        let (me, value) = (self.me(), batch_value(&batch));
+        let held = self.payloads.entry(slot).or_default();
+        held.insert(value, (me, batch.clone()));
+        self.my_proposals
+            .entry(slot)
+            .or_default()
+            .push(batch.clone());
+        ctx.multicast(SmrMsg::Payload { slot, batch });
+        value
     }
 
     /// The drive loop: apply decided batches, extend the in-flight window,
@@ -734,18 +707,23 @@ impl<S: StateMachine> SlotEngine<S> {
             }
         }
         if let Some(probe) = &self.stats_probe {
-            let snapshot = self.pool.lock().mempool.stats();
-            *probe.lock() = snapshot;
+            *probe.lock() = self.mempool.stats();
         }
     }
 
-    fn store_payload(&mut self, slot: SlotId, batch: Batch) {
+    /// Stores a batch `from` sent for `slot`, unless `from` already holds
+    /// [`MAX_PAYLOADS_PER_SLOT`] of the slot's entries. The batch the slot
+    /// committed is stored whoever sends it, so no peer can crowd it out.
+    fn store_payload(&mut self, slot: SlotId, from: PartyId, batch: Batch) {
         if batch.is_no_op() || batch_is_outside_window(slot, self.applied) {
             return;
         }
-        let entry = self.payloads.entry(slot).or_default();
-        if entry.len() < MAX_PAYLOADS_PER_SLOT {
-            entry.insert(batch_value(&batch), batch);
+        let value = batch_value(&batch);
+        let decided = self.committed.get(&slot) == Some(&value);
+        let held = self.payloads.entry(slot).or_default();
+        let from_sender = held.values().filter(|(by, _)| *by == from).count();
+        if decided || from_sender < MAX_PAYLOADS_PER_SLOT {
+            held.entry(value).or_insert((from, batch));
         }
     }
 }
@@ -756,30 +734,28 @@ fn batch_is_outside_window(slot: SlotId, applied: u64) -> bool {
     slot.index() + PAYLOAD_RETENTION < applied || slot.index() > applied + PAYLOAD_WINDOW
 }
 
-/// A replica serving a finite pre-admitted workload: after every handled
-/// event, stops the engine once all `commands` have been applied. Reads
-/// one counter; takes no lock.
+/// A replica serving a finite workload, pre-admitted into the engine's own
+/// pool: after every handled event, stops the engine once all `commands`
+/// have been applied. Reads one counter; takes no lock.
 struct Finite<S> {
     engine: SlotEngine<S>,
     commands: u64,
 }
 
 impl<S: StateMachine> Finite<S> {
-    fn new(engine: SlotEngine<S>, workload: Vec<Value>) -> Self {
+    fn new(mut engine: SlotEngine<S>, workload: Vec<Value>) -> Self {
         let commands = workload.len() as u64;
-        {
-            let mut st = engine.pool.lock();
-            if workload.len() > st.mempool.capacity() {
-                st.mempool = Mempool::new(workload.len());
-            }
-            for cmd in workload {
-                // A fresh pool sized to the workload is never `Full` and has
-                // nothing `Committed`: only a caller's own mistake — the
-                // reserved encoding, a repeated command — can fail here.
-                st.mempool
-                    .submit(cmd)
-                    .expect("workload commands must be admissible");
-            }
+        if workload.len() > engine.mempool.capacity() {
+            engine.mempool = Mempool::new(workload.len());
+        }
+        for cmd in workload {
+            // A fresh pool sized to the workload is never `Full` and has
+            // nothing `Committed`: only a caller's own mistake — the
+            // reserved encoding, a repeated command — can fail here.
+            engine
+                .mempool
+                .submit(cmd)
+                .expect("workload commands must be admissible");
         }
         Finite { engine, commands }
     }
@@ -836,16 +812,21 @@ impl<S: StateMachine> Protocol for SlotEngine<S> {
                 self.pump(ctx);
             }
             SmrMsg::Payload { slot, batch } => {
-                self.store_payload(slot, batch);
+                self.store_payload(slot, from, batch);
                 self.pump(ctx);
             }
             SmrMsg::PayloadPull { slot } => {
-                let held: Vec<Batch> = self
-                    .payloads
-                    .get(&slot)
-                    .map(|m| m.values().cloned().collect())
-                    .unwrap_or_default();
-                for batch in held {
+                // The puller committed the slot. A replica that has too
+                // sends that batch only; one that has not cannot tell which
+                // batch it is and sends what it holds, at most
+                // `MAX_PAYLOADS_PER_SLOT` of them, so no answer grows with n.
+                let decided = self.committed.get(&slot);
+                let answer: Vec<Batch> = (self.payloads.get(&slot).into_iter().flatten())
+                    .filter(|(value, _)| decided.is_none_or(|d| d == *value))
+                    .take(MAX_PAYLOADS_PER_SLOT)
+                    .map(|(_, (_, batch))| batch.clone())
+                    .collect();
+                for batch in answer {
                     ctx.send(from, SmrMsg::Payload { slot, batch });
                 }
             }
@@ -853,8 +834,7 @@ impl<S: StateMachine> Protocol for SlotEngine<S> {
                 // Every replica admits client traffic (not just the view-1
                 // leader): a failover leader must hold the command in its
                 // own pool to re-propose it.
-                let verdict = self.pool.lock().mempool.submit(cmd);
-                match verdict {
+                match self.mempool.submit(cmd) {
                     // Committed by the original submission: re-acknowledge
                     // with the recorded slot so a client whose ack was
                     // lost can still retire the command.
@@ -898,7 +878,7 @@ impl<S> std::fmt::Debug for SlotEngine<S> {
             .field("me", &self.signer.id())
             .field("slots", &self.slots.len())
             .field("applied", &self.applied)
-            .field("pending", &self.pool.lock().mempool.pending())
+            .field("pending", &self.mempool.pending())
             .finish()
     }
 }
@@ -998,7 +978,7 @@ mod tests {
     use gcl_crypto::Keychain;
     use gcl_sim::{
         Crashing, DelayRule, FixedDelay, LinkDelay, Outcome, PartySet, ScheduleOracle, Scripted,
-        Simulation, TimingModel,
+        ScriptedAction, Simulation, TimingModel,
     };
     use gcl_types::{Decode, GlobalTime, WireError};
 
@@ -1508,7 +1488,7 @@ mod tests {
         let slot = SlotId::new(1);
         eng.committed.insert(slot, batch_value(&batch));
         eng.pulled.insert(slot);
-        eng.store_payload(slot, batch);
+        eng.store_payload(slot, PartyId::new(2), batch);
         let mut ctx = RecordingCtx::new(PartyId::new(1), cfg);
         let retry_tag = pack_slot_tag(slot, PULL_RETRY_TAG).unwrap();
         Protocol::on_timer(&mut eng, retry_tag, &mut ctx);
@@ -2172,5 +2152,225 @@ mod tests {
         }
         let armed = |view| (DELTA * 4, pack_slot_tag(SlotId::FIRST, view).unwrap());
         assert_eq!(ctx.timers, [armed(4), armed(5)]);
+    }
+
+    /// Parties 1–3 of (4, 1), run by hand with the primary silent until
+    /// nothing is left to deliver: slot 0's view 1 times out everywhere,
+    /// and party 1, holding `pool` in its pool, leads view 2. Returns the
+    /// three replicas and everything party 1 multicast, in order. Timers
+    /// are recorded, not fired, so the run ends once slot 0 is decided.
+    fn rotation_by_hand(pool: &[u64]) -> (Vec<SlotEngine<Counter>>, Vec<SmrMsg>) {
+        let cfg = Config::new(4, 1).unwrap();
+        let chain = Keychain::generate(4, 137);
+        let mut parties: Vec<(SlotEngine<Counter>, RecordingCtx)> = (1..4)
+            .map(|q| {
+                let me = PartyId::new(q);
+                let machine = Arc::new(Mutex::new(Counter::default()));
+                let eng = SlotEngine::new(
+                    cfg,
+                    chain.signer(me),
+                    chain.pki(),
+                    DELTA,
+                    params(4, 1),
+                    machine,
+                );
+                (eng, RecordingCtx::new(me, cfg))
+            })
+            .collect();
+        for &cmd in pool {
+            parties[0].0.mempool.submit(Value::new(cmd)).unwrap();
+        }
+        let view_one = pack_slot_tag(SlotId::FIRST, 1).unwrap();
+        for (eng, ctx) in &mut parties {
+            Protocol::start(eng, ctx);
+            Protocol::on_timer(eng, view_one, ctx);
+        }
+        let mut log = Vec::new();
+        loop {
+            let mut in_flight = Vec::new();
+            for (_, ctx) in &mut parties {
+                let from = ctx.me;
+                if from == PartyId::new(1) {
+                    log.extend(ctx.multicast.iter().cloned());
+                }
+                for msg in ctx.multicast.drain(..) {
+                    in_flight.extend((1..4).map(|to| (from, PartyId::new(to), msg.clone())));
+                }
+                in_flight.extend(ctx.sent.drain(..).map(|(to, msg)| (from, to, msg)));
+            }
+            if in_flight.is_empty() {
+                break;
+            }
+            for (from, to, msg) in in_flight {
+                // Party 0 is silent, and acks to the client are dropped.
+                let index = to.as_usize().checked_sub(1);
+                if let Some((eng, ctx)) = index.and_then(|i| parties.get_mut(i)) {
+                    Protocol::on_message(eng, from, msg, ctx);
+                }
+            }
+        }
+        (parties.into_iter().map(|(eng, _)| eng).collect(), log)
+    }
+
+    /// The value of the Propose party 1 multicast for slot 0, and its
+    /// position in `log`.
+    fn rotation_proposal(log: &[SmrMsg]) -> (usize, Value) {
+        log.iter()
+            .enumerate()
+            .find_map(|(i, m)| match m {
+                SmrMsg::Slot {
+                    slot: SlotId::FIRST,
+                    inner: VbbMsg::Propose { ls, .. },
+                } => Some((i, ls.value)),
+                _ => None,
+            })
+            .expect("party 1 proposed in view 2")
+    }
+
+    #[test]
+    fn a_rotation_leader_with_an_empty_pool_proposes_the_no_op() {
+        // Nothing to drain: the answer is the no-op, with no payload.
+        let (replicas, log) = rotation_by_hand(&[]);
+        let (_, value) = rotation_proposal(&log);
+        assert_eq!(value, Value::NO_OP);
+        assert!(
+            !log.iter().any(|m| matches!(m, SmrMsg::Payload { .. })),
+            "no payload for the empty batch: {log:?}"
+        );
+        for eng in &replicas {
+            assert_eq!(eng.committed.get(&SlotId::FIRST), Some(&Value::NO_OP));
+            assert!(eng.my_proposals.is_empty());
+        }
+    }
+
+    #[test]
+    fn a_rotation_leader_publishes_its_batch_after_its_propose_and_vote() {
+        // The drained batch's bytes go out once the interaction is over,
+        // right behind the Propose and the Vote, and every replica applies
+        // the batch.
+        let (replicas, log) = rotation_by_hand(&[5, 6]);
+        let batch = Batch::Commands(vec![Value::new(5), Value::new(6)]);
+        let (at, value) = rotation_proposal(&log);
+        assert_eq!(value, batch_value(&batch));
+        assert!(
+            matches!(
+                &log[at + 1],
+                SmrMsg::Slot { slot: SlotId::FIRST, inner: VbbMsg::Vote(v) } if v.ls.value == value
+            ),
+            "the Vote follows the Propose: {log:?}"
+        );
+        assert_eq!(
+            log[at + 2],
+            SmrMsg::Payload {
+                slot: SlotId::FIRST,
+                batch
+            },
+            "the Payload follows the Vote"
+        );
+        for eng in &replicas {
+            assert_eq!(eng.committed.get(&SlotId::FIRST), Some(&value));
+            assert_eq!(eng.commands_applied, 2, "every replica holds the bytes");
+        }
+    }
+
+    /// A closed counter workload at `(n, f)` with party `n − 1` flooding:
+    /// at 1 µs it sends every other party [`MAX_PAYLOADS_PER_SLOT`] bogus
+    /// payloads for each of `flooded` slots. `crash` optionally crashes the
+    /// primary after that many handled events.
+    fn run_flooded(
+        n: usize,
+        f: usize,
+        commands: u64,
+        flooded: u64,
+        crash: Option<usize>,
+    ) -> (Outcome, Vec<Arc<Mutex<Counter>>>) {
+        let cfg = Config::new(n, f).unwrap();
+        let chain = Keychain::generate(n, 190);
+        let p = params(2, 2);
+        let workload: Vec<Value> = (1..=commands).map(Value::new).collect();
+        let machines: Vec<Arc<Mutex<Counter>>> = (0..n)
+            .map(|_| Arc::new(Mutex::new(Counter::default())))
+            .collect();
+        let flooder = PartyId::new(n as u32 - 1);
+        let mut flood = Vec::new();
+        for slot in 0..flooded {
+            for k in 0..MAX_PAYLOADS_PER_SLOT as u64 {
+                let batch = Batch::Commands(vec![Value::new(1_000_000 + 10 * slot + k)]);
+                let msg = SmrMsg::Payload {
+                    slot: SlotId::new(slot),
+                    batch,
+                };
+                flood.extend((0..n as u32 - 1).map(|to| ScriptedAction {
+                    at: LocalTime::from_micros(1),
+                    to: PartyId::new(to),
+                    msg: msg.clone(),
+                }));
+            }
+        }
+        let mut build = Simulation::build(cfg)
+            .timing(TimingModel::PartialSynchrony {
+                gst: GlobalTime::ZERO,
+                big_delta: DELTA,
+            })
+            .oracle(FixedDelay::new(DELTA))
+            .byzantine(flooder, Scripted::new(flood));
+        if let Some(handled) = crash {
+            let primary = SlotEngine::new(
+                cfg,
+                chain.signer(PartyId::new(0)),
+                chain.pki(),
+                DELTA,
+                p,
+                machines[0].clone(),
+            )
+            .with_workload(workload.clone());
+            build = build.byzantine(PartyId::new(0), Crashing::new(primary, handled));
+        }
+        let ms = machines.clone();
+        let o = build
+            .spawn_honest(move |q| {
+                SlotEngine::new(
+                    cfg,
+                    chain.signer(q),
+                    chain.pki(),
+                    DELTA,
+                    p,
+                    ms[q.as_usize()].clone(),
+                )
+                .with_workload(workload.clone())
+            })
+            .run();
+        (o, machines)
+    }
+
+    #[test]
+    fn a_payload_flood_does_not_stall_the_followers() {
+        // Party 3 sends every follower a full cap of bogus batches for each
+        // slot before the primary's batches for slots 2 and up arrive. A cap
+        // shared by all senders would refuse the primary's batches, and the
+        // followers would commit digests whose bytes nobody else serves: the
+        // primary stops once it has applied the workload.
+        let commands = 20;
+        let (o, machines) = run_flooded(4, 1, commands, 12, None);
+        assert!(o.agreement_holds() && o.all_honest_committed());
+        for m in &machines[..3] {
+            let m = m.lock();
+            assert_eq!((m.applied(), m.total()), (commands, (1..=commands).sum()));
+        }
+    }
+
+    #[test]
+    fn a_payload_flood_does_not_hide_a_crashed_primarys_batch() {
+        // (9, 2): party 8 floods and the primary crashes mid-log, after its
+        // payloads went out. Only the followers can hold the batches the
+        // primary's last slots commit, so each of them must have stored
+        // them despite the flood.
+        let commands = 24;
+        let (o, machines) = run_flooded(9, 2, commands, 16, Some(40));
+        assert!(o.agreement_holds() && o.all_honest_committed());
+        for m in &machines[1..8] {
+            let m = m.lock();
+            assert_eq!((m.applied(), m.total()), (commands, (1..=commands).sum()));
+        }
     }
 }
